@@ -33,12 +33,13 @@ from .gateway import GatewayRequest, HttpGateway, StubGateway, format_triples
 from .ingest import (
     build_document_model,
     emit_rdf,
+    excerpt_link_triples,
     link_excerpts,
     read_excerpts_jsonl,
     read_outline_json,
 )
 from .document import Paragraph, Sentence, collect_paragraphs
-from .kg.graph import graph_stats
+from .kg.graph import KnowledgeGraph, graph_stats
 from .kg.terms import PARAGRAPH
 from .kg.turtle import load_turtle, save_turtle
 from .qa.context import generate_answer, select_context
@@ -212,17 +213,9 @@ def _cmd_link(args: argparse.Namespace) -> int:
     links = link_excerpts(paragraphs, excerpts, _make_embedder(settings),
                           threshold=settings.get("threshold"))
 
-    from .ingest import excerpt_triples
-    from .kg.graph import KnowledgeGraph
-    from .kg.terms import HAS_EXCERPT, Iri, NAMESPACES, Triple
-    data_ns = NAMESPACES["askg-data"]
-    triples = list(graph.triples)
-    for excerpt in excerpts:
-        triples.extend(excerpt_triples(excerpt))
-    for link in links:
-        triples.append(Triple(Iri(data_ns + link.paragraph_id), HAS_EXCERPT,
-                              Iri(data_ns + link.excerpt_id)))
-    _write_output(save_turtle(KnowledgeGraph(triples)).decode("utf-8"), args.out)
+    paragraph_ids = {p.paragraph_id for p in paragraphs}
+    linked = KnowledgeGraph([*graph, *excerpt_link_triples(excerpts, links, paragraph_ids)])
+    _write_output(save_turtle(linked).decode("utf-8"), args.out)
     for link in links:
         print(f"{link.excerpt_id} -> {link.paragraph_id} "
               f"(similarity {link.similarity:.4f})", file=sys.stderr)

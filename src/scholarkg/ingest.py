@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .document import (
     DocumentModel,
@@ -47,6 +47,7 @@ __all__ = [
     "link_excerpts",
     "UnknownLinkTargetError",
     "emit_rdf",
+    "excerpt_link_triples",
     "excerpt_triples",
     "paragraph_triples",
     "read_excerpts_jsonl",
@@ -251,21 +252,13 @@ def excerpt_triples(excerpt: Excerpt) -> list[Triple]:
     ]
 
 
-def emit_rdf(model: DocumentModel, links: Iterable[ExcerptLink],
-             excerpts: Iterable[Excerpt]) -> KnowledgeGraph:
-    """Emit the paragraph and excerpt shapes of the scholarly graph.
+def excerpt_link_triples(excerpts: Iterable[Excerpt], links: Iterable[ExcerptLink],
+                         paragraph_ids: Collection[str]) -> list[Triple]:
+    """Triples of each excerpt node plus one ``hasExcerpt`` edge per link.
 
-    Per paragraph: a typed node whose label is the paragraph text plus one
-    ``hasExcerpt`` edge per link; per excerpt: a typed node with label,
-    source sentence, mentioned entity, and word-index range. Links must
-    reference known paragraph and excerpt ids.
+    Links must reference one of ``paragraph_ids`` and one of ``excerpts``.
     """
     triples: list[Triple] = []
-    paragraph_ids: set[str] = set()
-    for paragraph in collect_paragraphs(model):
-        paragraph_ids.add(paragraph.paragraph_id)
-        triples.extend(paragraph_triples(paragraph))
-
     excerpt_ids: set[str] = set()
     for excerpt in excerpts:
         excerpt_ids.add(excerpt.excerpt_id)
@@ -278,7 +271,21 @@ def emit_rdf(model: DocumentModel, links: Iterable[ExcerptLink],
             raise UnknownLinkTargetError(link.excerpt_id, link.paragraph_id, "excerpt")
         triples.append(Triple(
             Iri(_DATA_NS + link.paragraph_id), HAS_EXCERPT, Iri(_DATA_NS + link.excerpt_id)))
+    return triples
 
+
+def emit_rdf(model: DocumentModel, links: Iterable[ExcerptLink],
+             excerpts: Iterable[Excerpt]) -> KnowledgeGraph:
+    """Emit the paragraph and excerpt shapes of the scholarly graph.
+
+    Per paragraph: a typed node whose label is the paragraph text plus one
+    ``hasExcerpt`` edge per link; per excerpt: a typed node with label,
+    source sentence, mentioned entity, and word-index range. Links must
+    reference known paragraph and excerpt ids.
+    """
+    paragraphs = collect_paragraphs(model)
+    triples = [t for paragraph in paragraphs for t in paragraph_triples(paragraph)]
+    triples += excerpt_link_triples(excerpts, links, {p.paragraph_id for p in paragraphs})
     return KnowledgeGraph(triples)
 
 

@@ -5,15 +5,28 @@ Supported: ``@prefix``/``PREFIX`` directives, ``a``, predicate lists with
 ``^^`` datatypes, IRIs and prefixed names. Blank nodes, collections and
 bare numeric or boolean literals are rejected. The five canonical
 prefixes are pre-bound, so listing-shaped data loads without a header.
+Whitespace is exactly space, tab, CR and LF; ``#`` starts a comment that
+runs to the end of the line.
+
+Malformed input raises ``UnknownPrefixError`` for an undeclared prefix
+and ``TurtleSyntaxError`` for everything else, each with the line of the
+offending byte or token: bytes that are not UTF-8, ``[``, ``]``, ``(``
+or ``_`` (blank nodes and collections), an IRI without ``>``, a string
+literal with a bad escape or no closing quote on its line, ``@`` not
+starting ``@prefix`` or a language tag, a bare word other than ``a`` or
+``PREFIX``, any other character (form feed and vertical tab included),
+and a token out of place.
 
 The writer is canonical: subjects, predicates and objects are emitted in
 a fixed order, so saving the same graph always produces identical bytes
-and ``load(save(g)) == g``.
+and ``load(save(g)) == g``. It raises ``TurtleError`` for an IRI that
+contains ``>``, which no Turtle IRI can hold.
 """
 
 from __future__ import annotations
 
 import re
+from typing import Iterator, NamedTuple
 
 from .graph import KnowledgeGraph
 from .terms import Iri, Literal, NAMESPACES, PREFIX_ALIASES, RDF_TYPE, RDFS_LABEL, Triple
@@ -42,126 +55,83 @@ class UnknownPrefixError(TurtleError):
 # Lexer
 # ---------------------------------------------------------------------------
 
-_PNAME = re.compile(r"([A-Za-z][A-Za-z0-9_-]*):([A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?")
-_LANGTAG = re.compile(r"@[A-Za-z]+(-[A-Za-z0-9]+)*")
+_LOCAL_NAME = r"[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?"
+_STRING_BODY = r'[^"\\\n]*(?:\\(?:[\\"nrtbf]|u[0-9A-Fa-f]{4})[^"\\\n]*)*'
+
+# Whitespace and comments, then one token. The alternatives are tried in
+# order and the last matches any character, so a match never fails and
+# never backtracks into the skipped prefix. BNODE, OPEN_IRI, OPEN_STRING,
+# BAD_AT and CHAR match only malformed input and are reported as errors.
+_TOKEN = re.compile(
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(?:"
+    r"(?P<EOF>\Z)"
+    r"|(?P<BNODE>[\[\](_])"
+    r"|(?P<DOT>\.)|(?P<SEMI>;)|(?P<COMMA>,)|(?P<DTYPE>\^\^)"
+    r"|<(?P<IRIREF>[^>]*)>|(?P<OPEN_IRI><)"
+    rf'|"(?P<STRING>{_STRING_BODY})"|(?P<OPEN_STRING>"{_STRING_BODY})'
+    r"|(?P<PREFIX_DIRECTIVE>@prefix)|@(?P<LANGTAG>[A-Za-z]+(?:-[A-Za-z0-9]+)*)|(?P<BAD_AT>@)"
+    rf"|(?P<PNAME>(?P<prefix>[A-Za-z][A-Za-z0-9_-]*):(?P<local>{_LOCAL_NAME})?)"
+    r"|(?P<WORD>[A-Za-z]+)"
+    r"|(?P<CHAR>.))"
+)
+_ERRORS = {
+    "BNODE": "blank nodes and collections are not supported",
+    "OPEN_IRI": "unterminated IRI",
+    "BAD_AT": "malformed @ token",
+}
+_ESCAPE = re.compile(r'\\(?:u([0-9A-Fa-f]{4})|([\\"nrtbf]))')
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t", "b": "\b", "f": "\f"}
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line")
-
-    def __init__(self, kind: str, value, line: int):
-        self.kind = kind
-        self.value = value
-        self.line = line
+class _Token(NamedTuple):
+    kind: str
+    value: object
+    line: int
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
+def _unescape(m: re.Match) -> str:
+    return chr(int(m[1], 16)) if m[1] else _ESCAPES[m[2]]
 
-    def _advance(self, n: int) -> None:
-        self.line += self.text.count("\n", self.pos, self.pos + n)
-        self.pos += n
 
-    def _skip_space(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self._advance(1)
-            elif ch == "#":
-                end = self.text.find("\n", self.pos)
-                self._advance((end if end != -1 else len(self.text)) - self.pos)
+def _open_string_error(text: str, end: int) -> str:
+    """Why a string literal whose well-formed part ends at ``end`` is malformed."""
+    rest = text[end:end + 2]
+    if not rest.startswith("\\"):
+        return "unterminated string literal"
+    if len(rest) == 1:
+        return "dangling escape in string literal"
+    if rest[1] == "u":
+        return "invalid \\u escape"
+    return f"unsupported escape \\{rest[1]}"
+
+
+def _tokens(text: str) -> Iterator[_Token]:
+    pos = start = 0
+    line = 1
+    while True:
+        m = _TOKEN.match(text, pos)
+        kind = m.lastgroup
+        line += text.count("\n", start, m.start(kind))
+        start, pos = m.start(kind), m.end()
+        value = m[kind]
+        if kind == "STRING":
+            value = _ESCAPE.sub(_unescape, value)
+        elif kind == "PNAME":
+            value = (m["prefix"], m["local"] or "")
+        elif kind == "WORD":
+            if value == "a":
+                kind = "A"
+            elif value.upper() == "PREFIX":
+                kind = "SPARQL_PREFIX"
             else:
-                return
-
-    def _string(self) -> _Token:
-        line = self.line
-        out: list[str] = []
-        self._advance(1)  # opening quote
-        while True:
-            if self.pos >= len(self.text):
-                raise TurtleSyntaxError("unterminated string literal", line)
-            ch = self.text[self.pos]
-            if ch == '"':
-                self._advance(1)
-                return _Token("STRING", "".join(out), line)
-            if ch == "\\":
-                if self.pos + 1 >= len(self.text):
-                    raise TurtleSyntaxError("dangling escape in string literal", self.line)
-                esc = self.text[self.pos + 1]
-                if esc in _ESCAPES:
-                    out.append(_ESCAPES[esc])
-                    self._advance(2)
-                elif esc == "u":
-                    hex_part = self.text[self.pos + 2:self.pos + 6]
-                    if len(hex_part) != 4 or not all(c in "0123456789abcdefABCDEF" for c in hex_part):
-                        raise TurtleSyntaxError("invalid \\u escape", self.line)
-                    out.append(chr(int(hex_part, 16)))
-                    self._advance(6)
-                else:
-                    raise TurtleSyntaxError(f"unsupported escape \\{esc}", self.line)
-            elif ch == "\n":
-                raise TurtleSyntaxError("unterminated string literal", line)
-            else:
-                out.append(ch)
-                self._advance(1)
-
-    def next(self) -> _Token:
-        self._skip_space()
-        line = self.line
-        if self.pos >= len(self.text):
-            return _Token("EOF", None, line)
-        text = self.text
-        ch = text[self.pos]
-        if ch in "[](_":
-            raise TurtleSyntaxError("blank nodes and collections are not supported", line)
-        if ch == ".":
-            self._advance(1)
-            return _Token("DOT", ".", line)
-        if ch == ";":
-            self._advance(1)
-            return _Token("SEMI", ";", line)
-        if ch == ",":
-            self._advance(1)
-            return _Token("COMMA", ",", line)
-        if text.startswith("^^", self.pos):
-            self._advance(2)
-            return _Token("DTYPE", "^^", line)
-        if ch == "<":
-            end = text.find(">", self.pos)
-            if end == -1:
-                raise TurtleSyntaxError("unterminated IRI", line)
-            value = text[self.pos + 1:end]
-            self._advance(end + 1 - self.pos)
-            return _Token("IRIREF", value, line)
-        if ch == '"':
-            return self._string()
-        if ch == "@":
-            if text.startswith("@prefix", self.pos):
-                self._advance(len("@prefix"))
-                return _Token("PREFIX_DIRECTIVE", "@prefix", line)
-            m = _LANGTAG.match(text, self.pos)
-            if m:
-                self._advance(m.end() - self.pos)
-                return _Token("LANGTAG", m.group(0)[1:], line)
-            raise TurtleSyntaxError("malformed @ token", line)
-        m = _PNAME.match(text, self.pos)
-        if m:
-            self._advance(m.end() - self.pos)
-            return _Token("PNAME", (m.group(1), m.group(2) or ""), line)
-        m = re.match(r"[A-Za-z]+", text[self.pos:])
-        if m:
-            word = m.group(0)
-            self._advance(len(word))
-            if word == "a":
-                return _Token("A", "a", line)
-            if word.upper() == "PREFIX":
-                return _Token("SPARQL_PREFIX", word, line)
-            raise TurtleSyntaxError(f"unexpected token {word!r}", line)
-        raise TurtleSyntaxError(f"unexpected character {ch!r}", line)
+                raise TurtleSyntaxError(f"unexpected token {value!r}", line)
+        elif kind == "OPEN_STRING":
+            raise TurtleSyntaxError(_open_string_error(text, pos), line)
+        elif kind == "CHAR":
+            raise TurtleSyntaxError(f"unexpected character {value!r}", line)
+        elif kind in _ERRORS:
+            raise TurtleSyntaxError(_ERRORS[kind], line)
+        yield _Token(kind, value, line)
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +140,14 @@ class _Lexer:
 
 class _Parser:
     def __init__(self, text: str):
-        self.lexer = _Lexer(text)
-        self.token = self.lexer.next()
+        self.tokens = _tokens(text)
+        self.token = next(self.tokens)
         self.prefixes = dict(NAMESPACES)
         self.prefixes.update(PREFIX_ALIASES)
         self.triples: list[Triple] = []
 
     def _next(self) -> None:
-        self.token = self.lexer.next()
+        self.token = next(self.tokens)
 
     def _expect(self, kind: str) -> _Token:
         tok = self.token
@@ -266,7 +236,10 @@ class _Parser:
 def load_turtle(data: bytes | str) -> KnowledgeGraph:
     """Parse Turtle text into a knowledge graph."""
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TurtleSyntaxError("invalid UTF-8", data.count(b"\n", 0, exc.start) + 1) from None
     return KnowledgeGraph(_Parser(data).parse())
 
 
@@ -274,7 +247,7 @@ def load_turtle(data: bytes | str) -> KnowledgeGraph:
 # Writer
 # ---------------------------------------------------------------------------
 
-_SAFE_LOCAL = re.compile(r"^[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?$")
+_SAFE_LOCAL = re.compile(_LOCAL_NAME)
 _STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 
 
@@ -282,8 +255,10 @@ def _render_iri(node: Iri) -> str:
     prefixed = node.prefixed()
     if prefixed is not None:
         prefix, local = prefixed
-        if _SAFE_LOCAL.match(local):
+        if _SAFE_LOCAL.fullmatch(local):
             return f"{prefix}:{local}"
+    if ">" in node.value:
+        raise TurtleError(f"cannot write IRI {node.value!r}: it contains '>'")
     return f"<{node.value}>"
 
 

@@ -147,6 +147,34 @@ def test_link_attaches_excerpts_to_existing_graph(capsys, tmp_path, fixtures_dir
     graph = load_turtle(linked.read_bytes())
     assert any(t.predicate.local_name() == "hasExcerpt" for t in graph)
 
+    # Linking afterwards emits exactly what ingesting with excerpts emits.
+    for doc in ("doc1", "doc2"):
+        source = ("--outline", str(fixtures_dir / f"outline_{doc}.json"),
+                  "--text", str(fixtures_dir / f"{doc}.txt"))
+        excerpts = str(fixtures_dir / f"excerpts_{doc}.jsonl")
+        at_once, bare, linked = (tmp_path / f"{doc}-{name}.ttl"
+                                 for name in ("at-once", "bare", "linked"))
+        assert invoke(capsys, "ingest", *source, "--excerpts", excerpts,
+                      "--out", str(at_once))[0] == 0
+        assert invoke(capsys, "ingest", *source, "--out", str(bare))[0] == 0
+        assert invoke(capsys, "link", "--graph", str(bare), "--excerpts", excerpts,
+                      "--out", str(linked))[0] == 0
+        assert linked.read_bytes() == at_once.read_bytes()
+
+
+def test_ingest_rejects_excerpt_id_that_cannot_be_written(capsys, tmp_path, fixtures_dir):
+    record = json.loads((fixtures_dir / "excerpts_doc1.jsonl").read_text("utf-8"))
+    record["excerpt_id"] = "x>y"
+    excerpts = tmp_path / "excerpts.jsonl"
+    excerpts.write_text(json.dumps(record) + "\n", "utf-8")
+    code, _, err = invoke(capsys, "ingest",
+                          "--outline", str(fixtures_dir / "outline_doc1.json"),
+                          "--text", str(fixtures_dir / "doc1.txt"),
+                          "--excerpts", str(excerpts),
+                          "--out", str(tmp_path / "out.ttl"))
+    assert code == 1
+    assert "'>'" in err
+
 
 def test_link_threshold_can_reject_all(capsys, tmp_path, fixtures_dir):
     bare = tmp_path / "bare.ttl"

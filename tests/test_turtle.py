@@ -1,8 +1,13 @@
-import pytest
+import string
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from scholarkg.kg.graph import KnowledgeGraph
 from scholarkg.kg.terms import (
     Iri,
     Literal,
+    NAMESPACES,
     RDFS_LABEL,
     RDF_TYPE,
     Triple,
@@ -10,6 +15,7 @@ from scholarkg.kg.terms import (
     iri,
 )
 from scholarkg.kg.turtle import (
+    TurtleError,
     TurtleSyntaxError,
     UnknownPrefixError,
     load_turtle,
@@ -175,3 +181,124 @@ def test_iris_outside_canonical_namespaces_render_in_angle_brackets():
 def test_load_accepts_bytes_and_str(fixtures_dir):
     raw = (fixtures_dir / "excerpt_pair.ttl").read_bytes()
     assert load_turtle(raw) == load_turtle(raw.decode("utf-8"))
+
+
+# Every way the reader rejects input: (input, error class, message, line).
+READER_ERRORS = [
+    ("askg-data:a askg-onto:p [ askg-onto:q askg-data:b ] .",
+     TurtleSyntaxError, "blank nodes and collections are not supported", 1),
+    ("askg-data:a askg-onto:p\n  ( askg-data:b ) .",
+     TurtleSyntaxError, "blank nodes and collections are not supported", 2),
+    ("_:b askg-onto:p askg-data:c .",
+     TurtleSyntaxError, "blank nodes and collections are not supported", 1),
+    ('askg-data:a rdfs:label "x" .\n<http://x.example/s rdfs:label "y" .',
+     TurtleSyntaxError, "unterminated IRI", 2),
+    ("<http://x.example/\n\ns> rdfs:label [ ] .",
+     TurtleSyntaxError, "blank nodes and collections are not supported", 3),
+    ('askg-data:a rdfs:label "open',
+     TurtleSyntaxError, "unterminated string literal", 1),
+    ('# comment\naskg-data:a rdfs:label "open\n" .',
+     TurtleSyntaxError, "unterminated string literal", 2),
+    ('askg-data:a rdfs:label "\\',
+     TurtleSyntaxError, "dangling escape in string literal", 1),
+    ('askg-data:a rdfs:label "\\u12" .',
+     TurtleSyntaxError, "invalid \\u escape", 1),
+    ('askg-data:a rdfs:label "\\u12 \\q',
+     TurtleSyntaxError, "invalid \\u escape", 1),
+    ('askg-data:a rdfs:label "\\q',
+     TurtleSyntaxError, "unsupported escape \\q", 1),
+    ('askg-data:a rdfs:label "\\q \\u12',
+     TurtleSyntaxError, "unsupported escape \\q", 1),
+    ('askg-data:a rdfs:label "x\\\n" .',
+     TurtleSyntaxError, "unsupported escape \\\n", 1),
+    ('askg-data:a rdfs:label "x"@] .',
+     TurtleSyntaxError, "malformed @ token", 1),
+    ("askg-data:a rdfs:label foo .",
+     TurtleSyntaxError, "unexpected token 'foo'", 1),
+    ("askg-data:a askg-onto:p 42 .",
+     TurtleSyntaxError, "unexpected character '4'", 1),
+    ('askg-data:a\x0crdfs:label "x" .',
+     TurtleSyntaxError, "unexpected character '\\x0c'", 1),
+    ('askg-data:a\nrdfs:label\x0b"x" .',
+     TurtleSyntaxError, "unexpected character '\\x0b'", 2),
+    ("@prefix ex: <http://example.org/>\nex:a ex:b ex:c .",
+     TurtleSyntaxError, "expected DOT, got PNAME", 2),
+    ("@prefix <http://example.org/> .",
+     TurtleSyntaxError, "expected PNAME, got IRIREF", 1),
+    ('askg-data:a rdfs:label "x"\n',
+     TurtleSyntaxError, "expected DOT, got EOF", 2),
+    ("@prefix ex:a <http://example.org/> .",
+     TurtleSyntaxError, "prefix declaration must end with a bare colon", 1),
+    ('askg-data:a "x" "y" .',
+     TurtleSyntaxError, "expected an IRI or prefixed name, got STRING", 1),
+    ('askg-data:a rdfs:label "y" .\nnope:a rdfs:label "y" .',
+     UnknownPrefixError, "unknown prefix 'nope'", 2),
+    (b'askg-data:a rdfs:label "x" .\n"\xff" .',
+     TurtleSyntaxError, "invalid UTF-8", 2),
+]
+
+
+@pytest.mark.parametrize("data, error, message, line", READER_ERRORS)
+def test_reader_error_contract(data, error, message, line):
+    with pytest.raises(TurtleError) as err:
+        load_turtle(data)
+    assert type(err.value) is error
+    assert str(err.value) == f"{message} (line {line})"
+    assert err.value.line == line
+
+
+def test_save_rejects_iri_with_closing_angle_bracket():
+    graph = KnowledgeGraph([Triple(Iri(NAMESPACES["askg-data"] + "x>y"), RDFS_LABEL, Literal("x"))])
+    with pytest.raises(TurtleError, match="'>'"):
+        save_turtle(graph)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing
+# ---------------------------------------------------------------------------
+
+_FRAGMENTS = st.sampled_from([
+    "askg-data:a", "rdfs:label", "ex:", "a", "PREFIX", "@prefix", "<http://x/>", "<", ">",
+    '"', '"x"', "\\", "\\u", "00e9", "\\q", "\n", " ", "\t", "\x0c", "#", ".", ";", ",",
+    "^^", "@en", "@", "[", "(", "_:b", "xsd:int", "é", "foo", "42", ":",
+])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(), st.lists(_FRAGMENTS | st.text(max_size=2)).map("".join)))
+def test_reader_raises_only_turtle_errors(text):
+    try:
+        load_turtle(text)
+    except TurtleError:
+        pass
+
+
+_LOCALS = st.one_of(
+    st.sampled_from(["0\n", "Excerpt-1", "a.b", "a.", "_x-", "AcademicEntity-prepared_data"]),
+    st.text(st.characters(codec="utf-8", exclude_characters=">"), max_size=8),
+)
+_IRIS = st.builds(
+    lambda ns, local: Iri(ns + local),
+    st.sampled_from([*NAMESPACES.values(), "http://x.example/", "urn:"]), _LOCALS)
+_LEXICALS = st.text(st.one_of(st.sampled_from('"\\\n\r\t'), st.characters(codec="utf-8")), max_size=12)
+_LANGUAGES = st.builds(
+    lambda primary, subtags: "-".join([primary, *subtags]),
+    st.text(st.sampled_from(string.ascii_letters), min_size=1, max_size=3),
+    st.lists(st.text(st.sampled_from(string.ascii_letters + string.digits), min_size=1, max_size=3),
+             max_size=2))
+_LITERALS = st.one_of(
+    st.builds(Literal, _LEXICALS),
+    st.builds(Literal, _LEXICALS, language=_LANGUAGES),
+    st.builds(Literal, _LEXICALS, datatype=_IRIS),
+)
+_GRAPHS = st.lists(st.builds(Triple, _IRIS, st.one_of(st.just(RDF_TYPE), _IRIS),
+                             st.one_of(_IRIS, _LITERALS)), max_size=6).map(KnowledgeGraph)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_GRAPHS)
+@example(KnowledgeGraph([Triple(Iri(NAMESPACES["askg-data"] + "0\n"), RDFS_LABEL, Literal("x"))]))
+def test_save_load_round_trip_on_generated_graphs(graph):
+    data = save_turtle(graph)
+    assert load_turtle(data) == graph
+    assert save_turtle(load_turtle(data)) == data
