@@ -40,7 +40,7 @@ from .ingest import (
 )
 from .document import Paragraph, Sentence, collect_paragraphs
 from .kg.graph import KnowledgeGraph, graph_stats
-from .kg.terms import PARAGRAPH
+from .kg.terms import NAMESPACES, PARAGRAPH
 from .kg.turtle import load_turtle, save_turtle
 from .qa.context import generate_answer, select_context
 from .qa.engine import (
@@ -200,13 +200,19 @@ def _cmd_link(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     excerpts = read_excerpts_jsonl(Path(args.excerpts).read_text("utf-8"))
 
+    # Link edges are written as askg-data:<paragraph id>, so the id is the
+    # IRI's remainder after that namespace.
+    data_ns = NAMESPACES["askg-data"]
     paragraphs = []
     for node in graph.subjects_of_type(PARAGRAPH):
         label = graph.label_of(node)
         if label is None:
             continue
+        if not node.value.startswith(data_ns):
+            raise ValueError(f"cannot link paragraph node <{node.value}>: "
+                             f"it is outside the askg-data namespace <{data_ns}>")
         paragraphs.append(Paragraph(
-            paragraph_id=node.local_name(),
+            paragraph_id=node.value[len(data_ns):],
             sentences=(Sentence(text=label.lexical),),
             word_count=len(label.lexical.split()),
         ))

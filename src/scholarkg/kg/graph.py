@@ -59,10 +59,6 @@ class KnowledgeGraph:
         self._by_object = {k: tuple(v) for k, v in by_object.items()}
         self._labels = labels
 
-    @classmethod
-    def from_triples(cls, triples: Iterable[Triple]) -> "KnowledgeGraph":
-        return cls(triples)
-
     @property
     def triples(self) -> tuple[Triple, ...]:
         return self._triples

@@ -12,6 +12,7 @@ __all__ = [
     "NAMESPACES",
     "PREFIX_ALIASES",
     "iri",
+    "entity_iri",
     "normalize_entity_key",
     "term_sort_key",
     "triple_sort_key",
@@ -152,5 +153,3 @@ def term_sort_key(term: "Iri | Literal") -> tuple:
 def triple_sort_key(triple: Triple) -> tuple:
     return (triple.subject.value, triple.predicate.value, term_sort_key(triple.object))
 
-
-__all__.append("entity_iri")

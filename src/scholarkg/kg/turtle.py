@@ -10,7 +10,8 @@ runs to the end of the line.
 
 Malformed input raises ``UnknownPrefixError`` for an undeclared prefix
 and ``TurtleSyntaxError`` for everything else, each with the line of the
-offending byte or token: bytes that are not UTF-8, ``[``, ``]``, ``(``
+offending byte or token: bytes that are not UTF-8, a surrogate code
+point (raw in ``str`` input or as a ``\\u`` escape), ``[``, ``]``, ``(``
 or ``_`` (blank nodes and collections), an IRI without ``>``, a string
 literal with a bad escape or no closing quote on its line, ``@`` not
 starting ``@prefix`` or a language tag, a bare word other than ``a`` or
@@ -19,8 +20,10 @@ and a token out of place.
 
 The writer is canonical: subjects, predicates and objects are emitted in
 a fixed order, so saving the same graph always produces identical bytes
-and ``load(save(g)) == g``. It raises ``TurtleError`` for an IRI that
-contains ``>``, which no Turtle IRI can hold.
+and ``load(save(g)) == g``. It raises ``TurtleError`` for what the
+reader could not read back: an IRI that contains ``>``, a language tag
+that is not a full ``LANGTAG`` (or is ``prefix``, which reads as the
+directive), and any term holding a surrogate code point.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ class UnknownPrefixError(TurtleError):
 # ---------------------------------------------------------------------------
 
 _LOCAL_NAME = r"[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?"
+_LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 _STRING_BODY = r'[^"\\\n]*(?:\\(?:[\\"nrtbf]|u[0-9A-Fa-f]{4})[^"\\\n]*)*'
 
 # Whitespace and comments, then one token. The alternatives are tried in
@@ -69,7 +73,7 @@ _TOKEN = re.compile(
     r"|(?P<DOT>\.)|(?P<SEMI>;)|(?P<COMMA>,)|(?P<DTYPE>\^\^)"
     r"|<(?P<IRIREF>[^>]*)>|(?P<OPEN_IRI><)"
     rf'|"(?P<STRING>{_STRING_BODY})"|(?P<OPEN_STRING>"{_STRING_BODY})'
-    r"|(?P<PREFIX_DIRECTIVE>@prefix)|@(?P<LANGTAG>[A-Za-z]+(?:-[A-Za-z0-9]+)*)|(?P<BAD_AT>@)"
+    rf"|(?P<PREFIX_DIRECTIVE>@prefix(?![A-Za-z0-9-]))|@(?P<LANGTAG>{_LANGTAG})|(?P<BAD_AT>@)"
     rf"|(?P<PNAME>(?P<prefix>[A-Za-z][A-Za-z0-9_-]*):(?P<local>{_LOCAL_NAME})?)"
     r"|(?P<WORD>[A-Za-z]+)"
     r"|(?P<CHAR>.))"
@@ -79,6 +83,7 @@ _ERRORS = {
     "OPEN_IRI": "unterminated IRI",
     "BAD_AT": "malformed @ token",
 }
+_SURROGATE = re.compile("[\ud800-\udfff]")
 _ESCAPE = re.compile(r'\\(?:u([0-9A-Fa-f]{4})|([\\"nrtbf]))')
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t", "b": "\b", "f": "\f"}
 
@@ -114,8 +119,10 @@ def _tokens(text: str) -> Iterator[_Token]:
         line += text.count("\n", start, m.start(kind))
         start, pos = m.start(kind), m.end()
         value = m[kind]
-        if kind == "STRING":
+        if kind == "STRING" and "\\" in value:
             value = _ESCAPE.sub(_unescape, value)
+            if _SURROGATE.search(value):
+                raise TurtleSyntaxError("\\u escape of a surrogate code point", line)
         elif kind == "PNAME":
             value = (m["prefix"], m["local"] or "")
         elif kind == "WORD":
@@ -240,6 +247,11 @@ def load_turtle(data: bytes | str) -> KnowledgeGraph:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise TurtleSyntaxError("invalid UTF-8", data.count(b"\n", 0, exc.start) + 1) from None
+    else:
+        surrogate = _SURROGATE.search(data)
+        if surrogate:
+            raise TurtleSyntaxError(f"surrogate code point U+{ord(surrogate[0]):04X}",
+                                    data.count("\n", 0, surrogate.start()) + 1)
     return KnowledgeGraph(_Parser(data).parse())
 
 
@@ -248,6 +260,7 @@ def load_turtle(data: bytes | str) -> KnowledgeGraph:
 # ---------------------------------------------------------------------------
 
 _SAFE_LOCAL = re.compile(_LOCAL_NAME)
+_SAFE_LANGTAG = re.compile(_LANGTAG)
 _STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 
 
@@ -266,6 +279,8 @@ def _render_literal(literal: Literal) -> str:
     escaped = "".join(_STRING_ESCAPES.get(c, c) for c in literal.lexical)
     rendered = f'"{escaped}"'
     if literal.language is not None:
+        if not _SAFE_LANGTAG.fullmatch(literal.language) or literal.language == "prefix":
+            raise TurtleError(f"cannot write language tag {literal.language!r}")
         return f"{rendered}@{literal.language}"
     if literal.datatype is not None:
         return f"{rendered}^^{_render_iri(literal.datatype)}"
@@ -322,4 +337,9 @@ def save_turtle(graph: KnowledgeGraph) -> bytes:
         lines.extend(block)
         lines.append("")
 
-    return ("\n".join(lines).rstrip("\n") + "\n").encode("utf-8")
+    text = "\n".join(lines).rstrip("\n") + "\n"
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:  # only a surrogate cannot be encoded
+        raise TurtleError(
+            f"cannot write surrogate code point U+{ord(exc.object[exc.start]):04X}") from None

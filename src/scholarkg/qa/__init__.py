@@ -7,10 +7,8 @@ from .engine import (
     RankedEntity,
     default_relaxation_dictionary,
     extract_question_patterns,
-    frequency,
     load_template,
     match_candidates,
-    purity,
     query_entities_of,
     rank_candidates,
     resolve_query,
@@ -36,11 +34,9 @@ __all__ = [
     "ScoredParagraph",
     "default_relaxation_dictionary",
     "extract_question_patterns",
-    "frequency",
     "generate_answer",
     "load_template",
     "match_candidates",
-    "purity",
     "query_entities_of",
     "rank_candidates",
     "relax",

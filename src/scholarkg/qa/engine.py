@@ -4,6 +4,12 @@ The pipeline turns a natural-language question into triple patterns,
 matches them against the graph (relaxing the query breadth-first when the
 exact form finds nothing), and scores the entities of the matched triples
 by frequency and purity.
+
+Matching reads the graph's paragraph and excerpt anchors once per
+question. Each distinct pattern is evaluated against those anchors once,
+so a relaxed query costs an intersection of cached anchor sets rather
+than a graph scan. Ranking tallies every entity in one pass over the
+candidates.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Iterable
 
-from ..gateway import Gateway, GatewayRequest, parse_triples_response
+from ..gateway import Gateway, GatewayRequest, format_triples, parse_triples_response
 from ..kg.graph import KnowledgeGraph
 from ..kg.patterns import CompoundQuery, TriplePattern, WILDCARD, is_ground
 from ..kg.terms import (
@@ -40,8 +46,6 @@ __all__ = [
     "CandidateTripleSet",
     "resolve_query",
     "triple_entities",
-    "frequency",
-    "purity",
     "rank_candidates",
     "RankedEntity",
     "select_triples",
@@ -163,46 +167,28 @@ class _Anchor:
 
 
 def _anchors(graph: KnowledgeGraph) -> list[_Anchor]:
-    anchors: list[_Anchor] = []
+    """Paragraph anchors, which own their excerpts' mentions, then excerpt anchors."""
+    def anchor(node: Iri, links: tuple[Triple, ...], mentioners: list[Iri],
+               sentences: tuple[Triple, ...]) -> _Anchor:
+        label = graph.label_of(node)
+        text_parts = [label.lexical] if label else []
+        text_parts += [t.object.lexical for t in sentences if isinstance(t.object, Literal)]
+        mentions = [m for n in mentioners for m in graph.match(subject=n, predicate=MENTIONS)]
+        return _Anchor(
+            node=node,
+            text=_normalized_text(" ".join(text_parts)) if text_parts else "",
+            mention_keys=frozenset(m.object.entity_key() for m in mentions),
+            witnesses=frozenset((*graph.match(subject=node, predicate=RDFS_LABEL),
+                                 *links, *mentions)),
+        )
 
-    def mention_edges(node: Iri) -> list[Triple]:
-        return list(graph.match(subject=node, predicate=MENTIONS))
-
+    anchors = []
     for node in graph.subjects_of_type(PARAGRAPH):
-        label = graph.label_of(node)
-        text_parts = [label.lexical] if label else []
-        witnesses: set[Triple] = set(graph.match(subject=node, predicate=RDFS_LABEL))
-        keys: set[str] = set()
-        for edge in graph.match(subject=node, predicate=HAS_EXCERPT):
-            witnesses.add(edge)
-            if isinstance(edge.object, Iri):
-                for mention in mention_edges(edge.object):
-                    witnesses.add(mention)
-                    keys.add(mention.object.entity_key())
-        anchors.append(_Anchor(
-            node=node,
-            text=_normalized_text(" ".join(text_parts)) if text_parts else "",
-            mention_keys=frozenset(keys),
-            witnesses=frozenset(witnesses),
-        ))
-
+        links = graph.match(subject=node, predicate=HAS_EXCERPT)
+        excerpts = [edge.object for edge in links if isinstance(edge.object, Iri)]
+        anchors.append(anchor(node, links, excerpts, ()))
     for node in graph.subjects_of_type(EXCERPT):
-        label = graph.label_of(node)
-        text_parts = [label.lexical] if label else []
-        for t in graph.match(subject=node, predicate=IN_SENTENCE):
-            if isinstance(t.object, Literal):
-                text_parts.append(t.object.lexical)
-        witnesses = set(graph.match(subject=node, predicate=RDFS_LABEL))
-        keys = set()
-        for mention in mention_edges(node):
-            witnesses.add(mention)
-            keys.add(mention.object.entity_key())
-        anchors.append(_Anchor(
-            node=node,
-            text=_normalized_text(" ".join(text_parts)) if text_parts else "",
-            mention_keys=frozenset(keys),
-            witnesses=frozenset(witnesses),
-        ))
+        anchors.append(anchor(node, (), [node], graph.match(subject=node, predicate=IN_SENTENCE)))
     return anchors
 
 
@@ -220,6 +206,30 @@ def _term_matches(term, anchor: _Anchor, graph: KnowledgeGraph) -> bool:
     return _phrase(normalize_entity_key(term.lexical)) in anchor.text
 
 
+def _anchor_matcher(graph: KnowledgeGraph) -> Callable[[CompoundQuery], frozenset[Triple]]:
+    """A matcher over ``graph`` that reads its anchors once.
+
+    Each distinct pattern's set of satisfying anchors is computed on first
+    use and cached; a query's anchors are the intersection of its
+    patterns' sets, and its result is the union of their witnesses.
+    """
+    anchors = _anchors(graph)
+    satisfying: dict[TriplePattern, frozenset[int]] = {}
+
+    def anchors_of(pattern: TriplePattern) -> frozenset[int]:
+        if pattern not in satisfying:
+            satisfying[pattern] = frozenset(
+                i for i, anchor in enumerate(anchors)
+                if all(_term_matches(term, anchor, graph) for term in pattern.terms))
+        return satisfying[pattern]
+
+    def match(query: CompoundQuery) -> frozenset[Triple]:
+        hits = frozenset.intersection(*(anchors_of(p) for p in query.patterns))
+        return frozenset().union(*(anchors[i].witnesses for i in hits))
+
+    return match
+
+
 def match_candidates(graph: KnowledgeGraph, query: CompoundQuery) -> frozenset[Triple]:
     """Match natural-language patterns against textual nodes of the graph.
 
@@ -229,14 +239,7 @@ def match_candidates(graph: KnowledgeGraph, query: CompoundQuery) -> frozenset[T
     patterns of the query. The result is the union of the witness triples
     (labels, paragraph-excerpt links, mentions) of the satisfying nodes.
     """
-    matched: set[Triple] = set()
-    for anchor in _anchors(graph):
-        if all(
-            all(_term_matches(term, anchor, graph) for term in pattern.terms)
-            for pattern in query.patterns
-        ):
-            matched.update(anchor.witnesses)
-    return frozenset(matched)
+    return _anchor_matcher(graph)(query)
 
 
 # ---------------------------------------------------------------------------
@@ -264,21 +267,10 @@ class CandidateTripleSet:
     def producing_query(self) -> RelaxedQuery | None:
         return self.producing_queries[0] if self.producing_queries else None
 
-    def entity_tally(self) -> dict[str, int]:
-        tally: dict[str, int] = {}
-        for triple in self.triples:
-            for key in triple_entities(triple):
-                tally[key] = tally.get(key, 0) + 1
-        return tally
-
-
-Matcher = Callable[[KnowledgeGraph, CompoundQuery], frozenset[Triple]]
-
 
 def resolve_query(graph: KnowledgeGraph, query: CompoundQuery,
                   dictionary: RelaxationDictionary | None = None,
-                  max_depth: int = 2,
-                  matcher: Matcher | None = None) -> CandidateTripleSet:
+                  max_depth: int = 2) -> CandidateTripleSet:
     """Match ``query``, relaxing breadth-first until something matches.
 
     Depth 0 is the query itself. Each further depth applies every
@@ -287,14 +279,17 @@ def resolve_query(graph: KnowledgeGraph, query: CompoundQuery,
     matched triples of all matching queries at that depth are unioned
     and returned. If nothing matches within ``max_depth``, the result is
     empty with depth ``max_depth + 1``.
+
+    The graph's anchors are read once per call and each distinct pattern
+    is evaluated against them once; every relaxed query after that is an
+    intersection of cached anchor sets. A query produces only when its
+    anchors have at least one witness triple.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be non-negative")
     if dictionary is None:
         dictionary = RelaxationDictionary()
-    if matcher is None:
-        matcher = match_candidates
-
+    match = _anchor_matcher(graph)
     frontier = [RelaxedQuery(query=query, depth=0)]
     visited: set[tuple[TriplePattern, ...]] = {query.patterns}
 
@@ -302,7 +297,7 @@ def resolve_query(graph: KnowledgeGraph, query: CompoundQuery,
         producing: list[RelaxedQuery] = []
         triples: set[Triple] = set()
         for candidate in frontier:
-            matched = matcher(graph, candidate.query)
+            matched = match(candidate.query)
             if matched:
                 producing.append(candidate)
                 triples.update(matched)
@@ -344,28 +339,6 @@ def triple_entities(triple: Triple) -> set[str]:
     return keys
 
 
-def frequency(entity: str, candidates: Iterable[Triple]) -> int:
-    """Number of candidate triples in which the entity appears."""
-    return sum(1 for t in candidates if entity in triple_entities(t))
-
-
-def purity(entity: str, candidates: Iterable[Triple],
-           query_entities: set[str]) -> float:
-    """Fraction of the entity's co-occurring entities that the query named.
-
-    Co-occurrence is within a single triple. An entity with no
-    co-occurring entities has purity 0.
-    """
-    co: set[str] = set()
-    for t in candidates:
-        keys = triple_entities(t)
-        if entity in keys:
-            co.update(keys - {entity})
-    if not co:
-        return 0.0
-    return len(co & query_entities) / len(co)
-
-
 @dataclass(frozen=True)
 class RankedEntity:
     entity: str
@@ -379,19 +352,27 @@ class RankedEntity:
 
 def rank_candidates(candidates: Iterable[Triple],
                     query_entities: set[str]) -> list[RankedEntity]:
-    """Rank the entities of a candidate triple set.
+    """Rank the entities of a candidate triple set in one tally pass.
 
-    The score is frequency times purity; ties break by higher frequency,
-    then by entity key, so the ranking is deterministic regardless of
-    triple order.
+    An entity's frequency is the number of candidate triples it appears
+    in; its purity is the fraction of the entities it co-occurs with
+    (within a single triple) that the query named, or 0 when it co-occurs
+    with none. The score is frequency times purity; ties break by higher
+    frequency, then by entity key, so the ranking is deterministic
+    regardless of triple order.
     """
-    triples = list(candidates)
-    entities = sorted({key for t in triples for key in triple_entities(t)})
-    ranked = [
-        RankedEntity(entity=e, frequency=frequency(e, triples),
-                     purity=purity(e, triples, query_entities))
-        for e in entities
-    ]
+    counts: dict[str, int] = {}
+    co_occurring: dict[str, set[str]] = {}
+    for triple in candidates:
+        keys = triple_entities(triple)
+        for key in keys:
+            counts[key] = counts.get(key, 0) + 1
+            co_occurring.setdefault(key, set()).update(keys)
+    ranked = []
+    for entity, count in counts.items():
+        co = co_occurring[entity] - {entity}
+        purity = len(co & query_entities) / len(co) if co else 0.0
+        ranked.append(RankedEntity(entity=entity, frequency=count, purity=purity))
     ranked.sort(key=lambda r: (-r.score, -r.frequency, r.entity))
     return ranked
 
@@ -416,8 +397,6 @@ def select_triples(question: str, candidates: CandidateTripleSet,
         return (best, triple_sort_key(t))
 
     ordered = sorted(candidates.triples, key=triple_rank)[:limit]
-    from ..gateway import format_triples  # local import to avoid cycle at module load
-
     lines = {}
     rendered = []
     for t in ordered:

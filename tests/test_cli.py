@@ -176,6 +176,39 @@ def test_ingest_rejects_excerpt_id_that_cannot_be_written(capsys, tmp_path, fixt
     assert "'>'" in err
 
 
+def write_paragraph_graph(path, node: str, fixtures_dir) -> None:
+    """A one-paragraph graph whose label is the doc1 excerpt's sentence."""
+    record = json.loads((fixtures_dir / "excerpts_doc1.jsonl").read_text("utf-8"))
+    path.write_text(f'{node} a askg-onto:Paragraph ;\n'
+                    f'    rdfs:label "{record["in_sentence"]}"@en .\n', "utf-8")
+
+
+def test_link_attaches_edge_to_paragraph_with_slash_in_id(capsys, tmp_path, fixtures_dir):
+    graph = tmp_path / "graph.ttl"
+    write_paragraph_graph(graph, "<https://www.anu.edu.au/onto/scholarly/a/b>", fixtures_dir)
+    linked = tmp_path / "linked.ttl"
+    code, _, err = invoke(capsys, "link", "--graph", str(graph),
+                          "--excerpts", str(fixtures_dir / "excerpts_doc1.jsonl"),
+                          "--out", str(linked))
+    assert code == 0, err
+    edges = [t for t in load_turtle(linked.read_bytes())
+             if t.predicate.local_name() == "hasExcerpt"]
+    assert [t.subject.value for t in edges] == [
+        "https://www.anu.edu.au/onto/scholarly/a/b"]
+
+
+def test_link_rejects_paragraph_outside_data_namespace(capsys, tmp_path, fixtures_dir):
+    graph = tmp_path / "graph.ttl"
+    write_paragraph_graph(graph, "<http://x.example/P1>", fixtures_dir)
+    linked = tmp_path / "linked.ttl"
+    code, _, err = invoke(capsys, "link", "--graph", str(graph),
+                          "--excerpts", str(fixtures_dir / "excerpts_doc1.jsonl"),
+                          "--out", str(linked))
+    assert code == 1
+    assert "<http://x.example/P1>" in err
+    assert not linked.exists()
+
+
 def test_link_threshold_can_reject_all(capsys, tmp_path, fixtures_dir):
     bare = tmp_path / "bare.ttl"
     invoke(capsys, "ingest",

@@ -1,24 +1,39 @@
+import random
+
 import pytest
 
 from scholarkg.gateway import StubGateway
 from scholarkg.kg.graph import KnowledgeGraph
-from scholarkg.kg.patterns import CompoundQuery, TriplePattern, WILDCARD
-from scholarkg.kg.terms import Iri, Literal, Triple, iri
+from scholarkg.kg.patterns import CompoundQuery, TriplePattern, Variable, WILDCARD
+from scholarkg.kg.terms import (
+    EXCERPT,
+    HAS_EXCERPT,
+    IN_SENTENCE,
+    MENTIONS,
+    PARAGRAPH,
+    RDF_TYPE,
+    RDFS_LABEL,
+    Iri,
+    Literal,
+    Triple,
+    entity_iri,
+    iri,
+)
+from scholarkg.qa import engine
 from scholarkg.qa.engine import (
     CandidateTripleSet,
     QuestionParseError,
+    RankedEntity,
     default_relaxation_dictionary,
     extract_question_patterns,
-    frequency,
     match_candidates,
-    purity,
     query_entities_of,
     rank_candidates,
     resolve_query,
     select_triples,
     triple_entities,
 )
-from scholarkg.qa.relaxation import RelaxationDictionary
+from scholarkg.qa.relaxation import RelaxationDictionary, RelaxedQuery, relax_set
 
 QUESTION = "Which tool is applied to extract text from PDF research proposals?"
 
@@ -160,29 +175,20 @@ def test_resolve_query_unions_all_minimal_depth_matches(sample_graph):
     assert any("Metadata Extractor" in text for text in labels)
 
 
+def test_resolve_query_reads_anchors_once(sample_graph, monkeypatch):
+    reads = []
+    real_anchors = engine._anchors
+    monkeypatch.setattr(engine, "_anchors", lambda graph: reads.append(graph) or real_anchors(graph))
+    # exhaustion at depth 2 visits every relaxation of a 1-pattern query
+    query = cq(("woolly_mammoth", "migrates_through", "permafrost"))
+    result = resolve_query(sample_graph, query, default_relaxation_dictionary(query))
+    assert result.exhausted
+    assert reads == [sample_graph]
+
+
 def test_resolve_query_validates_depth(sample_graph):
     with pytest.raises(ValueError):
         resolve_query(sample_graph, cq(("a", WILDCARD, WILDCARD)), max_depth=-1)
-
-
-def test_resolve_query_with_strict_matcher():
-    node = iri("askg-data:Paper-x-Paragraph-1")
-    g = KnowledgeGraph([
-        Triple(node, iri("rdf:type"), iri("askg-onto:Paragraph")),
-        Triple(node, iri("rdfs:label"), Literal("text", language="en")),
-    ])
-
-    from scholarkg.kg.graph import match_compound
-
-    def strict(graph, query):
-        return match_compound(graph, query).triples
-
-    result = resolve_query(
-        g, CompoundQuery((TriplePattern(node, iri("rdfs:label"), WILDCARD),)),
-        matcher=strict)
-    assert result.depth == 0
-    assert result.triples == frozenset({Triple(node, iri("rdfs:label"),
-                                               Literal("text", language="en"))})
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +211,17 @@ def test_triple_entities_includes_subject_and_iri_object():
     assert triple_entities(t("mel", "tika")) == {"mel", "tika"}
     literal_triple = Triple(E["mel"], REL, Literal("text"))
     assert triple_entities(literal_triple) == {"mel"}
+
+
+def frequency(entity: str, candidates: list[Triple]) -> int:
+    """The entity's ranked frequency; 0 when it is not ranked at all."""
+    ranked = {r.entity: r.frequency for r in rank_candidates(candidates, set())}
+    return ranked.get(entity, 0)
+
+
+def purity(entity: str, candidates: list[Triple], query_entities: set[str]) -> float:
+    ranked = {r.entity: r.purity for r in rank_candidates(candidates, query_entities)}
+    return ranked.get(entity, 0.0)
 
 
 def test_frequency_counts_triples_not_occurrences():
@@ -266,14 +283,6 @@ def test_rank_candidates_is_order_independent():
     assert forward == backward
 
 
-def test_candidate_set_entity_tally():
-    candidates = CandidateTripleSet(
-        triples=frozenset([t("mel", "tika"), t("mel", "couchdb")]),
-        depth=0, max_depth=2)
-    tally = candidates.entity_tally()
-    assert tally == {"mel": 2, "tika": 1, "couchdb": 1}
-
-
 def test_select_triples_stub_keeps_ranked_order(stub_gateway):
     candidates = CandidateTripleSet(
         triples=frozenset([t("mel", "tika"), t("tika", "couchdb")]),
@@ -288,3 +297,153 @@ def test_select_triples_stub_keeps_ranked_order(stub_gateway):
 def test_select_triples_empty_candidates(stub_gateway):
     empty = CandidateTripleSet(triples=frozenset(), depth=3, max_depth=2)
     assert select_triples("q", empty, [], stub_gateway) == []
+
+
+# ---------------------------------------------------------------------------
+# Differential check against the per-anchor scan and per-entity loops
+# ---------------------------------------------------------------------------
+#
+# The references below are the straightforward forms of matching,
+# resolution and ranking: every relaxed query rescans every anchor, and
+# every entity rescans every candidate triple. The engine must agree with
+# them exactly, including the order of producing queries and their edits.
+
+def reference_match(graph: KnowledgeGraph, query: CompoundQuery) -> frozenset[Triple]:
+    matched: set[Triple] = set()
+    for anchor in engine._anchors(graph):
+        if all(
+            all(engine._term_matches(term, anchor, graph) for term in pattern.terms)
+            for pattern in query.patterns
+        ):
+            matched.update(anchor.witnesses)
+    return frozenset(matched)
+
+
+def reference_resolve(graph: KnowledgeGraph, query: CompoundQuery,
+                      dictionary: RelaxationDictionary, max_depth: int) -> CandidateTripleSet:
+    frontier = [RelaxedQuery(query=query, depth=0)]
+    visited = {query.patterns}
+    for depth in range(max_depth + 1):
+        producing: list[RelaxedQuery] = []
+        triples: set[Triple] = set()
+        for candidate in frontier:
+            matched = reference_match(graph, candidate.query)
+            if matched:
+                producing.append(candidate)
+                triples.update(matched)
+        if producing:
+            return CandidateTripleSet(frozenset(triples), depth, max_depth, tuple(producing))
+        next_frontier: list[RelaxedQuery] = []
+        for candidate in frontier:
+            for step in relax_set(candidate.query, dictionary):
+                if step.query.patterns in visited:
+                    continue
+                visited.add(step.query.patterns)
+                next_frontier.append(RelaxedQuery(
+                    query=step.query, depth=candidate.depth + 1,
+                    edits=candidate.edits + step.edits))
+        frontier = next_frontier
+        if not frontier:
+            break
+    return CandidateTripleSet(frozenset(), max_depth + 1, max_depth)
+
+
+def reference_rank(candidates: list[Triple], query_entities: set[str]) -> list[RankedEntity]:
+    def ref_frequency(entity: str) -> int:
+        return sum(1 for t in candidates if entity in triple_entities(t))
+
+    def ref_purity(entity: str) -> float:
+        co: set[str] = set()
+        for t in candidates:
+            keys = triple_entities(t)
+            if entity in keys:
+                co.update(keys - {entity})
+        return len(co & query_entities) / len(co) if co else 0.0
+
+    entities = sorted({key for t in candidates for key in triple_entities(t)})
+    ranked = [RankedEntity(e, ref_frequency(e), ref_purity(e)) for e in entities]
+    ranked.sort(key=lambda r: (-r.score, -r.frequency, r.entity))
+    return ranked
+
+
+WORDS = ["mel", "tika", "couchdb", "json", "pdf", "text", "tool", "Apache"]
+KEYS = ["mel", "tika", "couchdb", "json", "pdf", "text", "tool", "apache",
+        "apache_tika", "pdf_text", "text_tool", "mel_json"]
+SIDE_PREDICATES = [iri("askg-onto:cites"), iri("askg-onto:partOf")]
+
+
+def random_phrase(rng: random.Random) -> str:
+    words = [rng.choice(WORDS) for _ in range(rng.randint(1, 4))]
+    return rng.choice([" ", ", ", " - "]).join(words) + rng.choice(["", ".", "!"])
+
+
+def random_anchor_graph(rng: random.Random) -> tuple[KnowledgeGraph, list[Iri]]:
+    """Paragraph/excerpt graphs with the odd shapes the matcher must handle.
+
+    Nodes may be typed Paragraph, Excerpt, both or neither; ``hasExcerpt``
+    may point at a literal; some anchors have text only from
+    ``inSentence`` and no witness triple at all.
+    """
+    nodes = [iri(f"askg-data:N{i}") for i in range(rng.randint(1, 7))]
+    entities = [entity_iri(key) for key in rng.sample(KEYS, 4)]
+    triples: list[Triple] = []
+    for node in nodes:
+        for kind in rng.choice([(PARAGRAPH,), (EXCERPT,), (PARAGRAPH, EXCERPT), ()]):
+            triples.append(Triple(node, RDF_TYPE, kind))
+        if rng.random() < 0.6:
+            triples.append(Triple(node, RDFS_LABEL,
+                                  Literal(random_phrase(rng), language=rng.choice([None, "en"]))))
+        if rng.random() < 0.4:
+            triples.append(Triple(node, IN_SENTENCE, Literal(random_phrase(rng))))
+        if rng.random() < 0.1:
+            triples.append(Triple(node, IN_SENTENCE, rng.choice(nodes)))
+        for _ in range(rng.randint(0, 2)):
+            triples.append(Triple(node, MENTIONS, rng.choice(entities)))
+        for _ in range(rng.randint(0, 2)):
+            triples.append(Triple(node, HAS_EXCERPT, rng.choice(nodes)))
+        if rng.random() < 0.15:
+            triples.append(Triple(node, HAS_EXCERPT, Literal(random_phrase(rng))))
+        if rng.random() < 0.3:
+            triples.append(Triple(node, rng.choice(SIDE_PREDICATES),
+                                  rng.choice(nodes + entities)))
+    return KnowledgeGraph(triples), nodes + entities
+
+
+def random_pattern_term(rng: random.Random, iris: list[Iri]):
+    r = rng.random()
+    if r < 0.45:
+        return WILDCARD
+    if r < 0.5:
+        return Variable("x")
+    if r < 0.8:
+        return rng.choice(KEYS)
+    if r < 0.93:
+        return rng.choice(iris + [PARAGRAPH, MENTIONS])
+    return Literal(rng.choice(WORDS + [random_phrase(rng)]))
+
+
+def random_question(rng: random.Random, iris: list[Iri]) -> CompoundQuery:
+    return CompoundQuery(tuple(
+        TriplePattern(*(random_pattern_term(rng, iris) for _ in range(3)))
+        for _ in range(rng.randint(1, 3))))
+
+
+def test_engine_agrees_with_reference_scan_on_random_graphs():
+    rng = random.Random(20261018)
+    cases = 600
+    for case in range(cases):
+        graph, iris = random_anchor_graph(rng)
+        query = random_question(rng, iris)
+        dictionary = default_relaxation_dictionary(query)
+        max_depth = rng.randint(0, 2)
+        where = f"case {case}: {query}"
+
+        assert match_candidates(graph, query) == reference_match(graph, query), where
+        result = resolve_query(graph, query, dictionary, max_depth=max_depth)
+        assert result == reference_resolve(graph, query, dictionary, max_depth), where
+
+        candidates = list(result.triples) + rng.sample(list(graph), min(len(graph), 4))
+        rng.shuffle(candidates)
+        query_entities = query_entities_of(query) | set(rng.sample(KEYS, 2))
+        assert rank_candidates(candidates, query_entities) \
+            == reference_rank(candidates, query_entities), where

@@ -1,3 +1,4 @@
+import re
 import string
 
 import pytest
@@ -235,6 +236,10 @@ READER_ERRORS = [
      UnknownPrefixError, "unknown prefix 'nope'", 2),
     (b'askg-data:a rdfs:label "x" .\n"\xff" .',
      TurtleSyntaxError, "invalid UTF-8", 2),
+    ('askg-data:a rdfs:label "x" .\naskg-data:b rdfs:label "\\ud800" .',
+     TurtleSyntaxError, "\\u escape of a surrogate code point", 2),
+    ('askg-data:a rdfs:label "x" .\n\n<http://x.example/\udfff> rdfs:label "y" .',
+     TurtleSyntaxError, "surrogate code point U+DFFF", 3),
 ]
 
 
@@ -251,6 +256,29 @@ def test_save_rejects_iri_with_closing_angle_bracket():
     graph = KnowledgeGraph([Triple(Iri(NAMESPACES["askg-data"] + "x>y"), RDFS_LABEL, Literal("x"))])
     with pytest.raises(TurtleError, match="'>'"):
         save_turtle(graph)
+
+
+@pytest.mark.parametrize("language", ["en US", "", "en-", "-en", "1en", "en--us", "prefix"])
+def test_save_rejects_language_tag_the_reader_cannot_read(language):
+    graph = KnowledgeGraph([Triple(iri("askg-data:a"), RDFS_LABEL, Literal("x", language=language))])
+    with pytest.raises(TurtleError, match="language tag"):
+        save_turtle(graph)
+
+
+def test_language_tag_starting_with_prefix_round_trips():
+    graph = KnowledgeGraph([Triple(iri("askg-data:a"), RDFS_LABEL,
+                                   Literal("x", language="prefixes"))])
+    assert load_turtle(save_turtle(graph)) == graph
+
+
+@pytest.mark.parametrize("triple", [
+    Triple(iri("askg-data:a"), RDFS_LABEL, Literal("x\ud800")),
+    Triple(Iri("http://x.example/\udc00"), RDFS_LABEL, Literal("x")),
+    Triple(iri("askg-data:a"), RDFS_LABEL, Literal("x", datatype=Iri("urn:\udbff"))),
+])
+def test_save_rejects_surrogates(triple):
+    with pytest.raises(TurtleError, match="surrogate code point"):
+        save_turtle(KnowledgeGraph([triple]))
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +309,24 @@ _IRIS = st.builds(
     lambda ns, local: Iri(ns + local),
     st.sampled_from([*NAMESPACES.values(), "http://x.example/", "urn:"]), _LOCALS)
 _LEXICALS = st.text(st.one_of(st.sampled_from('"\\\n\r\t'), st.characters(codec="utf-8")), max_size=12)
-_LANGUAGES = st.builds(
-    lambda primary, subtags: "-".join([primary, *subtags]),
-    st.text(st.sampled_from(string.ascii_letters), min_size=1, max_size=3),
-    st.lists(st.text(st.sampled_from(string.ascii_letters + string.digits), min_size=1, max_size=3),
-             max_size=2))
+_LANGUAGES = st.one_of(
+    st.builds(
+        lambda primary, subtags: "-".join([primary, *subtags]),
+        st.text(st.sampled_from(string.ascii_letters), min_size=1, max_size=3),
+        st.lists(st.text(st.sampled_from(string.ascii_letters + string.digits),
+                         min_size=1, max_size=3),
+                 max_size=2)),
+    st.sampled_from(["", "en US", "prefix", "prefixes", "en-", "1en"]),
+    st.text(st.sampled_from(string.ascii_letters + string.digits + "- @."), max_size=6),
+    st.text(max_size=4),
+)
+# What the reader reads as a language tag (``@prefix`` is the directive).
+_LANGTAG = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*")
+
+
+def _writable_language(language: str) -> bool:
+    return bool(_LANGTAG.fullmatch(language)) and language != "prefix"
+
 _LITERALS = st.one_of(
     st.builds(Literal, _LEXICALS),
     st.builds(Literal, _LEXICALS, language=_LANGUAGES),
@@ -299,6 +340,14 @@ _GRAPHS = st.lists(st.builds(Triple, _IRIS, st.one_of(st.just(RDF_TYPE), _IRIS),
 @given(_GRAPHS)
 @example(KnowledgeGraph([Triple(Iri(NAMESPACES["askg-data"] + "0\n"), RDFS_LABEL, Literal("x"))]))
 def test_save_load_round_trip_on_generated_graphs(graph):
+    """Saving either round-trips or refuses a language tag it cannot write."""
+    unwritable = [t.object.language for t in graph
+                  if isinstance(t.object, Literal) and t.object.language is not None
+                  and not _writable_language(t.object.language)]
+    if unwritable:
+        with pytest.raises(TurtleError, match="language tag"):
+            save_turtle(graph)
+        return
     data = save_turtle(graph)
     assert load_turtle(data) == graph
     assert save_turtle(load_turtle(data)) == data
