@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import os
 import re
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Protocol, Sequence
 
 __all__ = [
@@ -42,7 +44,12 @@ class EmbeddingProtocolError(EmbeddingError):
 
 @dataclass(frozen=True)
 class EmbeddingVector:
-    """A fixed-dimension vector of finite floats."""
+    """A fixed-dimension vector of finite floats.
+
+    The L2 norm and the nonzero support are computed on first use and
+    kept outside the dataclass fields, so ``==``, ``hash`` and ``repr``
+    see only ``values``.
+    """
 
     values: tuple[float, ...]
 
@@ -60,21 +67,38 @@ class EmbeddingVector:
     def of(cls, values: Iterable[float]) -> "EmbeddingVector":
         return cls(tuple(float(v) for v in values))
 
+    @cached_property
+    def _norm(self) -> float:
+        return math.sqrt(sum(a * a for a in self.values))
+
+    @cached_property
+    def _support(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """Ascending indices of the nonzero components, and their values."""
+        indices = tuple(i for i, a in enumerate(self.values) if a != 0.0)
+        return indices, tuple(map(self.values.__getitem__, indices))
+
 
 def cosine_similarity(u: EmbeddingVector, v: EmbeddingVector) -> float:
     """Cosine of the angle between two vectors, clamped to [-1, 1]."""
     if u.dimension != v.dimension:
         raise ValueError(f"dimension mismatch: {u.dimension} != {v.dimension}")
-    dot = sum(a * b for a, b in zip(u.values, v.values))
-    norm_u = math.sqrt(sum(a * a for a in u.values))
-    norm_v = math.sqrt(sum(b * b for b in v.values))
+    norm_u = u._norm
+    norm_v = v._norm
     if norm_u == 0.0 or norm_v == 0.0:
         raise ValueError("cosine similarity is undefined for a zero vector")
+    # The dot product runs over the sparser vector's support. It adds the
+    # same products in the same index order as the dense sum, minus the
+    # ±0.0 terms, which cannot change a float sum that starts at +0.0.
+    sparse, dense = (u, v) if len(u._support[0]) <= len(v._support[0]) else (v, u)
+    indices, values = sparse._support
+    dot = sum(map(operator.mul, values, map(dense.values.__getitem__, indices)))
     return max(-1.0, min(1.0, dot / (norm_u * norm_v)))
 
 
 class Embedder(Protocol):
     def embed(self, text: str) -> EmbeddingVector: ...
+
+    def embed_many(self, texts: Sequence[str]) -> list[EmbeddingVector]: ...
 
 
 _TOKEN = re.compile(r"[a-z0-9]+")
@@ -113,6 +137,9 @@ class HashedBagOfWordsEmbedder:
         norm = math.sqrt(sum(c * c for c in counts))
         return EmbeddingVector(tuple(c / norm for c in counts))
 
+    def embed_many(self, texts: Sequence[str]) -> list[EmbeddingVector]:
+        return [self.embed(text) for text in texts]
+
 
 @dataclass(frozen=True)
 class BackendConfig:
@@ -138,23 +165,43 @@ def _auth_headers(config: BackendConfig) -> dict[str, str]:
     return headers
 
 
+# The longest wait a 429's Retry-After can ask for before a retry.
+_MAX_RETRY_AFTER_S = 5.0
+_DELAY_SECONDS = re.compile(r"[0-9]+")
+
+
+def _retry_after(response) -> float:
+    """The numeric ``Retry-After`` of a response in seconds, else 0."""
+    value = response.headers.get("Retry-After", "").strip()
+    return min(float(value), _MAX_RETRY_AFTER_S) if _DELAY_SECONDS.fullmatch(value) else 0.0
+
+
 def post_with_retries(session, config: BackendConfig, payload: dict,
                       error_cls: type[Exception]):
-    """POST ``payload``, retrying connection failures and 5xx responses."""
+    """POST ``payload``, retrying connection failures, 429 and 5xx responses.
+
+    Retry ``n`` waits ``config.backoff * n`` seconds, or longer when a 429
+    carries a numeric ``Retry-After`` (up to ``_MAX_RETRY_AFTER_S``). A zero
+    ``backoff`` never waits. Any other 4xx fails at once.
+    """
     import requests
 
     last_error: Exception | None = None
+    retry_after = 0.0
     for attempt in range(config.retries + 1):
         if attempt and config.backoff:
-            time.sleep(config.backoff * attempt)
+            time.sleep(max(config.backoff * attempt, retry_after))
+        retry_after = 0.0
         try:
             response = session.post(config.url, json=payload,
                                     headers=_auth_headers(config), timeout=config.timeout)
         except requests.RequestException as exc:
             last_error = error_cls(f"request to {config.url} failed: {exc}")
             continue
-        if response.status_code >= 500:
+        if response.status_code == 429 or response.status_code >= 500:
             last_error = error_cls(f"backend returned status {response.status_code}")
+            if response.status_code == 429:
+                retry_after = _retry_after(response)
             continue
         if response.status_code >= 400:
             raise error_cls(f"backend returned status {response.status_code}")

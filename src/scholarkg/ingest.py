@@ -205,10 +205,11 @@ def link_excerpts(paragraphs: Sequence[Paragraph], excerpts: Sequence[Excerpt],
         raise ValueError("threshold must lie in [0, 1]")
     if not paragraphs:
         return []
-    paragraph_vectors = [(p.paragraph_id, embedder.embed(p.text)) for p in paragraphs]
+    paragraph_vectors = list(zip((p.paragraph_id for p in paragraphs),
+                                 embedder.embed_many([p.text for p in paragraphs])))
+    excerpt_vectors = embedder.embed_many([e.in_sentence for e in excerpts])
     links: list[ExcerptLink] = []
-    for excerpt in excerpts:
-        vector = embedder.embed(excerpt.in_sentence)
+    for excerpt, vector in zip(excerpts, excerpt_vectors):
         best_id = None
         best_sim = -2.0
         for pid, pvec in paragraph_vectors:

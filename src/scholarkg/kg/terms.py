@@ -93,6 +93,11 @@ class Literal:
         if self.datatype is not None and self.language is not None:
             raise ValueError("a literal cannot carry both a datatype and a language tag")
 
+    def entity_key(self) -> str:
+        """The normalized key of the lexical form, so that a literal
+        ``mentions`` object shares the key space of an entity IRI."""
+        return normalize_entity_key(self.lexical)
+
 
 @dataclass(frozen=True)
 class Triple:

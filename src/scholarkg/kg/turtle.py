@@ -261,7 +261,8 @@ def load_turtle(data: bytes | str) -> KnowledgeGraph:
 
 _SAFE_LOCAL = re.compile(_LOCAL_NAME)
 _SAFE_LANGTAG = re.compile(_LANGTAG)
-_STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_STRING_ESCAPES = str.maketrans(
+    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
 
 
 def _render_iri(node: Iri) -> str:
@@ -276,8 +277,7 @@ def _render_iri(node: Iri) -> str:
 
 
 def _render_literal(literal: Literal) -> str:
-    escaped = "".join(_STRING_ESCAPES.get(c, c) for c in literal.lexical)
-    rendered = f'"{escaped}"'
+    rendered = f'"{literal.lexical.translate(_STRING_ESCAPES)}"'
     if literal.language is not None:
         if not _SAFE_LANGTAG.fullmatch(literal.language) or literal.language == "prefix":
             raise TurtleError(f"cannot write language tag {literal.language!r}")

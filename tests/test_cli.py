@@ -287,6 +287,21 @@ def test_query_ungroundable_question_is_a_domain_error(capsys, fixtures_dir):
     assert "cannot ground an answer" in err
 
 
+def test_query_on_graph_with_literal_mention(capsys, tmp_path):
+    graph = tmp_path / "graph.ttl"
+    graph.write_text(
+        'askg-data:P a askg-onto:Paragraph ;\n'
+        '    rdfs:label "The MEL tool extracts text from PDF proposals."@en ;\n'
+        '    askg-onto:hasExcerpt askg-data:e .\n'
+        'askg-data:e a askg-onto:Excerpt ;\n'
+        '    askg-onto:mentions "mel" .\n', "utf-8")
+    code, stdout, err = invoke(
+        capsys, "query", "--graph", str(graph),
+        "--question", "Which tool extracts text from PDF proposals?", "--format", "json")
+    assert code == 0, err
+    assert json.loads(stdout)["provenance"] == ["https://www.anu.edu.au/onto/scholarly/P"]
+
+
 def test_query_output_is_stable_across_runs(capsys, fixtures_dir):
     outputs = {
         invoke(capsys, "query",

@@ -175,6 +175,24 @@ def test_resolve_query_unions_all_minimal_depth_matches(sample_graph):
     assert any("Metadata Extractor" in text for text in labels)
 
 
+def test_literal_mention_shares_the_key_space_of_an_entity_iri():
+    paragraph, literal_excerpt, iri_excerpt = (
+        iri("askg-data:P"), iri("askg-data:E1"), iri("askg-data:E2"))
+    graph = KnowledgeGraph([
+        Triple(paragraph, RDF_TYPE, PARAGRAPH),
+        Triple(paragraph, RDFS_LABEL, Literal("Text extraction from proposals.", language="en")),
+        Triple(paragraph, HAS_EXCERPT, literal_excerpt),
+        Triple(literal_excerpt, RDF_TYPE, EXCERPT),
+        Triple(literal_excerpt, MENTIONS, Literal("Apache Tika")),
+        Triple(iri_excerpt, RDF_TYPE, EXCERPT),
+        Triple(iri_excerpt, MENTIONS, entity_iri("apache_tika")),
+    ])
+    matched = match_candidates(graph, cq(("apache_tika", WILDCARD, WILDCARD)))
+    # the paragraph owns its excerpt's literal mention; both excerpts match by key
+    assert {t.subject for t in matched} == {paragraph, literal_excerpt, iri_excerpt}
+    assert Literal("Apache Tika").entity_key() == entity_iri("apache_tika").entity_key()
+
+
 def test_resolve_query_reads_anchors_once(sample_graph, monkeypatch):
     reads = []
     real_anchors = engine._anchors

@@ -136,6 +136,7 @@ class _FakeResponse:
     def __init__(self, status_code=200, payload=None):
         self.status_code = status_code
         self._payload = payload
+        self.headers = {}
 
     def json(self):
         if self._payload is None:
@@ -212,6 +213,23 @@ def test_http_gateway_4xx_fails_immediately():
     with pytest.raises(GatewayTransportError):
         gateway.complete(GatewayRequest(system="s", user="u"))
     assert len(session.calls) == 1
+
+
+def test_http_gateway_retries_429_then_succeeds():
+    gateway, session = http_gateway([
+        _FakeResponse(status_code=429),
+        _FakeResponse(status_code=429),
+        _FakeResponse(payload={"text": "recovered"}),
+    ])
+    assert gateway.complete(GatewayRequest(system="s", user="u")).text == "recovered"
+    assert len(session.calls) == 3
+
+
+def test_http_gateway_gives_up_after_repeated_429():
+    gateway, session = http_gateway([_FakeResponse(status_code=429)] * 3)
+    with pytest.raises(GatewayTransportError, match="429"):
+        gateway.complete(GatewayRequest(system="s", user="u"))
+    assert len(session.calls) == 3
 
 
 def test_http_gateway_rejects_bodyless_response():

@@ -14,7 +14,8 @@ from scholarkg.ingest import (
     read_excerpts_jsonl,
     read_outline_json,
 )
-from scholarkg.kg.terms import Literal, iri
+from scholarkg.kg.graph import KnowledgeGraph
+from scholarkg.kg.terms import EXCERPT, MENTIONS, RDF_TYPE, Literal, Triple, iri
 
 TEXT = """Introduction
 
@@ -198,3 +199,13 @@ def test_excerpts_from_graph_round_trip(fixtures_dir, stub_embedder):
     graph = emit_rdf(model, [], excerpts)
     recovered = excerpts_from_graph(graph)
     assert recovered == sorted(excerpts, key=lambda e: e.excerpt_id)
+
+
+def test_excerpts_from_graph_keys_a_literal_mention():
+    node = iri("askg-data:Excerpt-x")
+    graph = KnowledgeGraph([
+        Triple(node, RDF_TYPE, EXCERPT),
+        Triple(node, MENTIONS, Literal("Metadata Extractor & Loader (MEL)")),
+    ])
+    (excerpt,) = excerpts_from_graph(graph)
+    assert excerpt.mentions == "metadata_extractor_loader_mel"

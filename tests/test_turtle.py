@@ -71,6 +71,23 @@ def test_canonical_block_bytes():
     assert save_turtle(graph).decode("utf-8") == expected
 
 
+@pytest.mark.parametrize("lexical, written", [
+    ("back\\slash", b'"back\\\\slash"'),
+    ('say "hi"', b'"say \\"hi\\""'),
+    ("line\nbreak", b'"line\\nbreak"'),
+    ("carriage\rreturn", b'"carriage\\rreturn"'),
+    ("tab\there", b'"tab\\there"'),
+    ("vertical\x0btab", b'"vertical\x0btab"'),
+    ("grin \U0001F600", b'"grin \xf0\x9f\x98\x80"'),
+    ("\\\"\n\r\t", b'"\\\\\\"\\n\\r\\t"'),
+])
+def test_save_escapes_literal_characters(lexical, written):
+    graph = KnowledgeGraph([Triple(iri("askg-data:X"), RDFS_LABEL, Literal(lexical))])
+    data = save_turtle(graph)
+    assert data.split(b"\n\n", 1)[1] == b"askg-data:X rdfs:label " + written + b" .\n"
+    assert load_turtle(data) == graph
+
+
 def test_prefixes_are_prebound():
     graph = load_turtle("askg-data:X a askg-onto:Paragraph .")
     assert len(graph) == 1
