@@ -6,222 +6,37 @@ that graph: questions become triple patterns, unmatched patterns are
 relaxed step by step, and the matched subgraph picks the paragraphs
 that ground the final answer. A sliding-window retrieval baseline and
 answer-comparison metrics round out the pipeline.
+
+Every module's public names (its ``__all__``) are re-exported here, so
+``from scholarkg import resolve_query`` and ``from scholarkg.qa.engine
+import resolve_query`` name the same object. The command-line interface
+lives in :mod:`scholarkg.cli` and is not re-exported.
 """
 
-from .baseline import Chunk, RetrievedChunk, chunk_corpus, chunk_document, retrieve_top_k
-from .chunked_xml import (
-    ChunkedXmlError,
-    ChunkedXmlParseError,
-    ChunkedXmlValidationError,
-    parse_chunked_xml,
-    serialize_chunked_xml,
-)
-from .document import (
-    DocumentModel,
-    Excerpt,
-    Paragraph,
-    Section,
-    Sentence,
-    ValidationIssue,
-    collect_paragraphs,
-    short_hash,
-    validate_model,
-)
-from .embedding import (
-    BackendConfig,
-    Embedder,
-    EmbeddingError,
-    EmbeddingProtocolError,
-    EmbeddingTransportError,
-    EmbeddingVector,
-    HashedBagOfWordsEmbedder,
-    HttpEmbedder,
-    cosine_similarity,
-)
-from .evaluation import (
-    EvaluationReport,
-    QuestionComparison,
-    build_report,
-    cronbach_alpha,
-    embedding_distance,
-    entity_overlap,
-    extract_entity_set,
-)
-from .gateway import (
-    Gateway,
-    GatewayError,
-    GatewayProtocolError,
-    GatewayRequest,
-    GatewayResponse,
-    GatewayTransportError,
-    HttpGateway,
-    StubGateway,
-    TripleResponseError,
-    format_triples,
-    parse_triples_response,
-)
-from .ingest import (
-    ExcerptLink,
-    HeadingOutline,
-    OutlineEntry,
-    UnknownLinkTargetError,
-    build_document_model,
-    emit_rdf,
-    excerpt_triples,
-    excerpts_from_graph,
-    link_excerpts,
-    paragraph_triples,
-    read_excerpts_jsonl,
-    read_outline_json,
-)
-from .kg import (
-    CompoundQuery,
-    GraphStats,
-    Iri,
-    KnowledgeGraph,
-    Literal,
-    MatchResult,
-    Triple,
-    TriplePattern,
-    TurtleError,
-    TurtleSyntaxError,
-    UnknownPrefixError,
-    Variable,
-    WILDCARD,
-    graph_stats,
-    iri,
-    keyword_frequency,
-    load_turtle,
-    match_compound,
-    normalize_entity_key,
-    paragraphs_containing,
-    save_turtle,
-)
-from .qa import (
-    AnswerResult,
-    CandidateTripleSet,
-    Edit,
-    QuestionParseError,
-    RankedEntity,
-    RelaxationDictionary,
-    RelaxedQuery,
-    ScoredParagraph,
-    default_relaxation_dictionary,
-    extract_question_patterns,
-    generate_answer,
-    match_candidates,
-    query_entities_of,
-    rank_candidates,
-    relax,
-    relax_set,
-    resolve_query,
-    select_context,
-    select_triples,
-    triple_entities,
-)
-from .segmentation import segment_sentences
+from . import (baseline, chunked_xml, document, embedding, evaluation, gateway, ingest, kg, qa,
+               segmentation)
+from .baseline import *  # noqa: F403
+from .chunked_xml import *  # noqa: F403
+from .document import *  # noqa: F403
+from .embedding import *  # noqa: F403
+from .evaluation import *  # noqa: F403
+from .gateway import *  # noqa: F403
+from .ingest import *  # noqa: F403
+from .segmentation import *  # noqa: F403
+from .kg.graph import *  # noqa: F403
+from .kg.patterns import *  # noqa: F403
+from .kg.terms import *  # noqa: F403
+from .kg.turtle import *  # noqa: F403
+from .qa.context import *  # noqa: F403
+from .qa.engine import *  # noqa: F403
+from .qa.relaxation import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnswerResult",
-    "BackendConfig",
-    "CandidateTripleSet",
-    "Chunk",
-    "ChunkedXmlError",
-    "ChunkedXmlParseError",
-    "ChunkedXmlValidationError",
-    "CompoundQuery",
-    "DocumentModel",
-    "Edit",
-    "Embedder",
-    "EmbeddingError",
-    "EmbeddingProtocolError",
-    "EmbeddingTransportError",
-    "EmbeddingVector",
-    "EvaluationReport",
-    "Excerpt",
-    "ExcerptLink",
-    "Gateway",
-    "GatewayError",
-    "GatewayProtocolError",
-    "GatewayRequest",
-    "GatewayResponse",
-    "GatewayTransportError",
-    "GraphStats",
-    "HashedBagOfWordsEmbedder",
-    "HeadingOutline",
-    "HttpEmbedder",
-    "HttpGateway",
-    "Iri",
-    "KnowledgeGraph",
-    "Literal",
-    "MatchResult",
-    "OutlineEntry",
-    "Paragraph",
-    "QuestionComparison",
-    "QuestionParseError",
-    "RankedEntity",
-    "RelaxationDictionary",
-    "RelaxedQuery",
-    "RetrievedChunk",
-    "ScoredParagraph",
-    "Section",
-    "Sentence",
-    "StubGateway",
-    "Triple",
-    "TriplePattern",
-    "TripleResponseError",
-    "TurtleError",
-    "TurtleSyntaxError",
-    "UnknownLinkTargetError",
-    "UnknownPrefixError",
-    "ValidationIssue",
-    "Variable",
-    "WILDCARD",
-    "__version__",
-    "build_document_model",
-    "build_report",
-    "chunk_corpus",
-    "chunk_document",
-    "collect_paragraphs",
-    "cosine_similarity",
-    "cronbach_alpha",
-    "default_relaxation_dictionary",
-    "embedding_distance",
-    "emit_rdf",
-    "entity_overlap",
-    "excerpt_triples",
-    "excerpts_from_graph",
-    "extract_entity_set",
-    "extract_question_patterns",
-    "format_triples",
-    "generate_answer",
-    "graph_stats",
-    "iri",
-    "keyword_frequency",
-    "link_excerpts",
-    "load_turtle",
-    "match_candidates",
-    "match_compound",
-    "normalize_entity_key",
-    "paragraph_triples",
-    "paragraphs_containing",
-    "parse_chunked_xml",
-    "parse_triples_response",
-    "query_entities_of",
-    "rank_candidates",
-    "read_excerpts_jsonl",
-    "read_outline_json",
-    "relax",
-    "relax_set",
-    "resolve_query",
-    "retrieve_top_k",
-    "save_turtle",
-    "segment_sentences",
-    "select_context",
-    "select_triples",
-    "serialize_chunked_xml",
-    "short_hash",
-    "validate_model",
+__all__ = ["__version__"] + [
+    name
+    for module in (baseline, chunked_xml, document, embedding, evaluation, gateway, ingest,
+                   segmentation, kg.graph, kg.patterns, kg.terms, kg.turtle,
+                   qa.context, qa.engine, qa.relaxation)
+    for name in module.__all__
 ]

@@ -40,7 +40,7 @@ from .ingest import (
 )
 from .document import Paragraph, Sentence, collect_paragraphs
 from .kg.graph import KnowledgeGraph, graph_stats
-from .kg.terms import NAMESPACES, PARAGRAPH
+from .kg.terms import NAMESPACES, PARAGRAPH, entity_phrase
 from .kg.turtle import load_turtle, save_turtle
 from .qa.context import generate_answer, select_context
 from .qa.engine import (
@@ -230,10 +230,10 @@ def _cmd_link(args: argparse.Namespace) -> int:
 
 
 def _sparql_of(query_entities: set[str]) -> str:
-    conditions = "\n".join(
-        f'  FILTER(CONTAINS(LCASE(?text), "{key.replace("_", " ")}")) .'
-        for key in sorted(query_entities)
-    )
+    """The context lookup as SPARQL: paragraphs whose label contains any
+    of the phrases that ``select_context`` searches for."""
+    conditions = "\n      || ".join(
+        f'CONTAINS(LCASE(?text), "{entity_phrase(key)}")' for key in sorted(query_entities))
     return load_template("sparql_select.txt").format(conditions=conditions)
 
 

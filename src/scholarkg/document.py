@@ -23,6 +23,7 @@ __all__ = [
     "collect_paragraphs",
     "word_count",
     "short_hash",
+    "paragraph_id_for",
 ]
 
 _SECTION_ID_RE = re.compile(r"^\d+(\.\d+)*$")
@@ -31,6 +32,11 @@ _SECTION_ID_RE = re.compile(r"^\d+(\.\d+)*$")
 def short_hash(text: str, size: int = 7) -> str:
     """Deterministic hex digest used for node identifiers (2*size chars)."""
     return hashlib.blake2s(text.encode("utf-8"), digest_size=size).hexdigest()
+
+
+def paragraph_id_for(doc_id: str, text: str) -> str:
+    """Identifier of a paragraph derived from its document and its text."""
+    return f"Paper-{doc_id}-Paragraph-{short_hash(text, 16)}"
 
 
 def word_count(text: str) -> int:
@@ -210,8 +216,7 @@ def collect_paragraphs(model: DocumentModel) -> list[Paragraph]:
         if not run:
             return
         text = " ".join(s.text for s in run)
-        pid = f"Paper-{model.doc_id}-Paragraph-{short_hash(text, 16)}"
-        out.append(Paragraph.from_sentences(pid, tuple(run)))
+        out.append(Paragraph.from_sentences(paragraph_id_for(model.doc_id, text), tuple(run)))
 
     def walk(section: Section) -> None:
         run: list[Sentence] = []

@@ -209,6 +209,16 @@ def post_with_retries(session, config: BackendConfig, payload: dict,
     raise last_error if last_error is not None else error_cls("request failed")
 
 
+def _vector_of(raw) -> EmbeddingVector:
+    """A vector from one decoded JSON array of numbers."""
+    if not isinstance(raw, list) or not all(type(v) in (int, float) for v in raw):
+        raise EmbeddingProtocolError(f"embedding is not a list of numbers: {raw!r:.80}")
+    try:
+        return EmbeddingVector.of(raw)
+    except (ValueError, OverflowError) as exc:
+        raise EmbeddingProtocolError(f"malformed embedding: {exc}") from exc
+
+
 class HttpEmbedder:
     """Client for an embedding service.
 
@@ -252,10 +262,12 @@ class HttpEmbedder:
             raw = self._vectors_from_payload(response.json())
         except ValueError as exc:
             raise EmbeddingProtocolError(f"backend response is not JSON: {exc}") from exc
+        if not isinstance(raw, list):
+            raise EmbeddingProtocolError("embedding payload does not hold a list of vectors")
         if len(raw) != len(texts):
             raise EmbeddingProtocolError(
                 f"expected {len(texts)} vectors, got {len(raw)}")
-        vectors = [EmbeddingVector.of(v) for v in raw]
+        vectors = [_vector_of(v) for v in raw]
         for vector in vectors:
             if self._dimension is None:
                 self._dimension = vector.dimension

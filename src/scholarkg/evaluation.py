@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .embedding import Embedder, EmbeddingVector, cosine_similarity
+from .kg.terms import entity_phrase, phrase_haystack
 
 __all__ = [
     "extract_entity_set",
@@ -28,7 +29,6 @@ __all__ = [
 
 _CAPITALIZED_RUN = re.compile(
     r"[A-Z][A-Za-z0-9-]*(?:\s+(?:&\s+)?[A-Z][A-Za-z0-9-]*)*")
-_NON_ALNUM = re.compile(r"[^a-z0-9]+")
 _FUNCTION_WORDS = frozenset("""
     a an and are as at be but by for from how if in is it its of on or
     our that the these this those to we what when where which who why with
@@ -56,9 +56,9 @@ def extract_entity_set(text: str, known_keys: Iterable[str] = ()) -> set[str]:
         if tokens:
             names.add(" ".join(t.lower() for t in tokens))
     if known_keys:
-        haystack = " " + _NON_ALNUM.sub(" ", text.lower()).strip() + " "
+        haystack = phrase_haystack(text)
         for key in known_keys:
-            phrase = key.replace("_", " ").strip()
+            phrase = entity_phrase(key).strip()
             if phrase and f" {phrase} " in haystack:
                 names.add(phrase)
     return names
@@ -83,7 +83,7 @@ def entity_overlap(a: set[str], b: set[str]) -> tuple[float, float]:
 
 
 def _mean_pooled(texts: Sequence[str], embedder: Embedder) -> EmbeddingVector:
-    vectors = [embedder.embed(text) for text in texts]
+    vectors = embedder.embed_many(texts)
     dimension = vectors[0].dimension
     return EmbeddingVector.of(
         sum(v.values[i] for v in vectors) / len(vectors)
@@ -95,7 +95,7 @@ def embedding_distance(context_a: Sequence[str], context_b: Sequence[str],
                        embedder: Embedder) -> float:
     """Cosine similarity between two groups of texts.
 
-    Each group is embedded text by text and mean-pooled into one vector;
+    Each group is embedded in one batch and mean-pooled into one vector;
     the result is the cosine similarity of the pooled vectors, so
     identical groups score 1.0 and unrelated groups score near 0.0. An
     empty group is an error.

@@ -142,7 +142,6 @@ def format_triples(patterns: list[TriplePattern]) -> str:
 # the user message.
 EXTRACT_MARKER = "subject | predicate | object"
 ANSWER_MARKER = "only the provided context"
-CANDIDATES_MARKER = "candidate knowledge graph triples"
 
 _WH_WORDS = {"which", "what", "who", "whom", "whose", "where", "when", "why", "how"}
 _AUXILIARIES = {
@@ -251,11 +250,6 @@ def _context_from_prompt(user_text: str) -> str:
     return rest.strip() if marker else ""
 
 
-def _block_after(user_text: str, header: str) -> str:
-    _, marker, rest = user_text.partition(header)
-    return rest.strip() if marker else ""
-
-
 class StubGateway:
     """Deterministic offline backend.
 
@@ -266,7 +260,6 @@ class StubGateway:
       distinct question keywords (ties go to the earlier sentence).
       Keywords are the question's lowercase alphanumeric tokens minus a
       stopword list.
-    * Candidate-selection prompts echo the candidates block unchanged.
     * Anything else echoes the user text.
     """
 
@@ -278,8 +271,6 @@ class StubGateway:
             text = self._extract(request.user)
         elif ANSWER_MARKER in prompt:
             text = self._answer(request.user)
-        elif CANDIDATES_MARKER in prompt:
-            text = _block_after(request.user, "Candidates:")
         else:
             text = request.user.strip()
         return GatewayResponse(text=text, backend=self.backend_name, latency_ms=0.0)
@@ -360,8 +351,8 @@ class HttpGateway:
         text = ""
         if isinstance(body, dict):
             choices = body.get("choices")
-            if isinstance(choices, list) and choices:
-                message = choices[0].get("message", {})
+            if isinstance(choices, list) and choices and isinstance(choices[0], dict):
+                message = choices[0].get("message")
                 text = message.get("content", "") if isinstance(message, dict) else ""
             if not text:
                 text = body.get("text", "")

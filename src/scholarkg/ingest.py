@@ -14,6 +14,7 @@ from .document import (
     Section,
     Sentence,
     collect_paragraphs,
+    paragraph_id_for,
     short_hash,
 )
 from .embedding import Embedder, cosine_similarity
@@ -117,8 +118,8 @@ def _paragraphs_from_span(text: str, doc_id: str) -> list[Paragraph]:
         if not sentences:
             continue
         body_text = " ".join(s.text for s in sentences)
-        pid = f"Paper-{doc_id}-Paragraph-{short_hash(body_text, 16)}"
-        paragraphs.append(Paragraph.from_sentences(pid, sentences))
+        paragraphs.append(Paragraph.from_sentences(paragraph_id_for(doc_id, body_text),
+                                                   sentences))
     return paragraphs
 
 

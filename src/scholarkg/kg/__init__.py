@@ -1,93 +1,1 @@
 """Knowledge graph store: terms, triple patterns, matching and Turtle IO."""
-
-from .graph import (
-    GraphStats,
-    KnowledgeGraph,
-    MatchResult,
-    graph_stats,
-    keyword_frequency,
-    match_compound,
-    paragraphs_containing,
-)
-from .patterns import (
-    CompoundQuery,
-    PatternTerm,
-    TriplePattern,
-    Variable,
-    WILDCARD,
-    Wildcard,
-    is_ground,
-)
-from .terms import (
-    ACADEMIC_ENTITY,
-    ACADEMIC_ENTITY_PREFIX,
-    EXCERPT,
-    HAS_EXCERPT,
-    IN_SENTENCE,
-    Iri,
-    Literal,
-    MENTIONS,
-    NAMESPACES,
-    PAPER,
-    PARAGRAPH,
-    RDF_TYPE,
-    RDFS_LABEL,
-    SECTION,
-    Triple,
-    WORD_INDEX_FROM,
-    WORD_INDEX_TO,
-    XSD_INT,
-    XSD_STRING,
-    entity_iri,
-    iri,
-    normalize_entity_key,
-    term_sort_key,
-    triple_sort_key,
-)
-from .turtle import TurtleError, TurtleSyntaxError, UnknownPrefixError, load_turtle, save_turtle
-
-__all__ = [
-    "KnowledgeGraph",
-    "MatchResult",
-    "GraphStats",
-    "graph_stats",
-    "keyword_frequency",
-    "match_compound",
-    "paragraphs_containing",
-    "CompoundQuery",
-    "TriplePattern",
-    "PatternTerm",
-    "Variable",
-    "Wildcard",
-    "WILDCARD",
-    "is_ground",
-    "Iri",
-    "Literal",
-    "Triple",
-    "iri",
-    "entity_iri",
-    "normalize_entity_key",
-    "term_sort_key",
-    "triple_sort_key",
-    "NAMESPACES",
-    "RDF_TYPE",
-    "RDFS_LABEL",
-    "XSD_INT",
-    "XSD_STRING",
-    "PARAGRAPH",
-    "EXCERPT",
-    "SECTION",
-    "PAPER",
-    "ACADEMIC_ENTITY",
-    "ACADEMIC_ENTITY_PREFIX",
-    "HAS_EXCERPT",
-    "MENTIONS",
-    "IN_SENTENCE",
-    "WORD_INDEX_FROM",
-    "WORD_INDEX_TO",
-    "load_turtle",
-    "save_turtle",
-    "TurtleError",
-    "TurtleSyntaxError",
-    "UnknownPrefixError",
-]

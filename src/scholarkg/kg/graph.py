@@ -147,6 +147,9 @@ def match_compound(graph: KnowledgeGraph, query: CompoundQuery) -> MatchResult:
     patterns; wildcards match anything without binding. The returned
     triples are the union, over solutions, of the graph triples matching
     each solution-instantiated pattern.
+
+    This exact join over IRI and literal terms is library API; question
+    answering matches phrase patterns with ``qa.engine.match_candidates``.
     """
     solutions: list[dict] = []
     seen: set[frozenset] = set()
@@ -182,13 +185,11 @@ def match_compound(graph: KnowledgeGraph, query: CompoundQuery) -> MatchResult:
     return MatchResult(solutions=tuple(solutions), triples=frozenset(matched))
 
 
-def paragraphs_containing(graph: KnowledgeGraph, names: Iterable[str],
-                          match_all: bool = False) -> list[tuple[Iri, str]]:
-    """Paragraph nodes whose label contains the given names, case-insensitively.
+def paragraphs_containing(graph: KnowledgeGraph,
+                          names: Iterable[str]) -> list[tuple[Iri, str]]:
+    """Paragraph nodes whose label contains any of the names, case-insensitively.
 
-    By default a paragraph qualifies when its label contains any one of
-    the names; with ``match_all`` it must contain all of them. Results
-    are sorted by node IRI.
+    Results are sorted by node IRI.
     """
     lowered = [n.lower() for n in names if n]
     if not lowered:
@@ -199,8 +200,7 @@ def paragraphs_containing(graph: KnowledgeGraph, names: Iterable[str],
         if label is None:
             continue
         text = label.lexical.lower()
-        hits = (text.__contains__(n) for n in lowered)
-        if all(hits) if match_all else any(hits):
+        if any(n in text for n in lowered):
             out.append((node, label.lexical))
     return out
 

@@ -14,6 +14,8 @@ __all__ = [
     "iri",
     "entity_iri",
     "normalize_entity_key",
+    "entity_phrase",
+    "phrase_haystack",
     "term_sort_key",
     "triple_sort_key",
     "RDF_TYPE",
@@ -142,6 +144,17 @@ def normalize_entity_key(text: str) -> str:
     ``"metadata_extractor_loader_mel"``.
     """
     return _NON_KEY_CHARS.sub("_", text.lower()).strip("_")
+
+
+def entity_phrase(key: str) -> str:
+    """The words of an entity key: ``"prepared_data"`` reads ``"prepared data"``."""
+    return key.replace("_", " ")
+
+
+def phrase_haystack(text: str) -> str:
+    """Lowercase alphanumeric words of ``text``, space-separated and
+    space-padded, so ``f" {phrase} " in haystack`` matches whole words."""
+    return " " + _NON_KEY_CHARS.sub(" ", text.lower()).strip() + " "
 
 
 def entity_iri(key: str) -> Iri:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from ..embedding import Embedder, cosine_similarity
 from ..gateway import Gateway, GatewayRequest
 from ..kg.graph import KnowledgeGraph, keyword_frequency, paragraphs_containing
-from ..kg.terms import Iri
+from ..kg.terms import Iri, entity_phrase
 from .engine import load_template
 
 __all__ = ["ScoredParagraph", "select_context", "AnswerResult", "generate_answer"]
@@ -53,7 +53,7 @@ def select_context(graph: KnowledgeGraph, query_entities: set[str],
         raise ValueError("top_n and diverse_k must be positive")
     if diverse_k > top_n:
         raise ValueError("diverse_k must not exceed top_n")
-    names = [key.replace("_", " ") for key in sorted(query_entities)]
+    names = [entity_phrase(key) for key in sorted(query_entities)]
     scored = [
         ScoredParagraph(
             node=node,
@@ -69,7 +69,8 @@ def select_context(graph: KnowledgeGraph, query_entities: set[str],
     if embedder is None:
         return shortlist[:diverse_k]
 
-    vectors = {p.node: embedder.embed(p.text) for p in shortlist}
+    vectors = dict(zip((p.node for p in shortlist),
+                       embedder.embed_many([p.text for p in shortlist])))
     selected = [shortlist[0]]
     remaining = shortlist[1:]
     while remaining and len(selected) < diverse_k:

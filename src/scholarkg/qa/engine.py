@@ -14,12 +14,11 @@ candidates.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Iterable
 
-from ..gateway import Gateway, GatewayRequest, format_triples, parse_triples_response
+from ..gateway import Gateway, GatewayRequest, parse_triples_response
 from ..kg.graph import KnowledgeGraph
 from ..kg.patterns import CompoundQuery, TriplePattern, WILDCARD, is_ground
 from ..kg.terms import (
@@ -32,8 +31,9 @@ from ..kg.terms import (
     PARAGRAPH,
     RDFS_LABEL,
     Triple,
+    entity_phrase,
     normalize_entity_key,
-    triple_sort_key,
+    phrase_haystack,
 )
 from .relaxation import RelaxationDictionary, RelaxedQuery, relax_set
 
@@ -48,7 +48,6 @@ __all__ = [
     "triple_entities",
     "rank_candidates",
     "RankedEntity",
-    "select_triples",
     "load_template",
 ]
 
@@ -147,17 +146,6 @@ def default_relaxation_dictionary(query: CompoundQuery) -> RelaxationDictionary:
 # Soft matching of natural-language patterns
 # ---------------------------------------------------------------------------
 
-_NON_ALNUM = re.compile(r"[^a-z0-9]+")
-
-
-def _normalized_text(text: str) -> str:
-    return " " + _NON_ALNUM.sub(" ", text.lower()).strip() + " "
-
-
-def _phrase(key: str) -> str:
-    return " " + key.replace("_", " ") + " "
-
-
 @dataclass(frozen=True)
 class _Anchor:
     node: Iri
@@ -176,7 +164,7 @@ def _anchors(graph: KnowledgeGraph) -> list[_Anchor]:
         mentions = [m for n in mentioners for m in graph.match(subject=n, predicate=MENTIONS)]
         return _Anchor(
             node=node,
-            text=_normalized_text(" ".join(text_parts)) if text_parts else "",
+            text=phrase_haystack(" ".join(text_parts)) if text_parts else "",
             mention_keys=frozenset(m.object.entity_key() for m in mentions),
             witnesses=frozenset((*graph.match(subject=node, predicate=RDFS_LABEL),
                                  *links, *mentions)),
@@ -196,14 +184,14 @@ def _term_matches(term, anchor: _Anchor, graph: KnowledgeGraph) -> bool:
     if not is_ground(term):
         return True
     if isinstance(term, str):
-        return term in anchor.mention_keys or _phrase(term) in anchor.text
+        return term in anchor.mention_keys or f" {entity_phrase(term)} " in anchor.text
     if isinstance(term, Iri):
         if term == anchor.node:
             return True
         return bool(graph.match(subject=anchor.node, object=term)
                     or graph.match(subject=term, object=anchor.node))
     # Literal ground term: containment in the anchor's text.
-    return _phrase(normalize_entity_key(term.lexical)) in anchor.text
+    return f" {entity_phrase(normalize_entity_key(term.lexical))} " in anchor.text
 
 
 def _anchor_matcher(graph: KnowledgeGraph) -> Callable[[CompoundQuery], frozenset[Triple]]:
@@ -262,10 +250,6 @@ class CandidateTripleSet:
     @property
     def exhausted(self) -> bool:
         return self.depth > self.max_depth
-
-    @property
-    def producing_query(self) -> RelaxedQuery | None:
-        return self.producing_queries[0] if self.producing_queries else None
 
 
 def resolve_query(graph: KnowledgeGraph, query: CompoundQuery,
@@ -375,46 +359,3 @@ def rank_candidates(candidates: Iterable[Triple],
         ranked.append(RankedEntity(entity=entity, frequency=count, purity=purity))
     ranked.sort(key=lambda r: (-r.score, -r.frequency, r.entity))
     return ranked
-
-
-def select_triples(question: str, candidates: CandidateTripleSet,
-                   ranking: list[RankedEntity], gateway: Gateway,
-                   limit: int = 10) -> list[Triple]:
-    """Let the gateway pick the candidate triples that answer the question.
-
-    Candidates are offered in ranking order (best-ranked entity first,
-    then triple order). The stub gateway echoes the block, which keeps
-    the ranked order. Response lines that match no offered triple are
-    ignored.
-    """
-    if not candidates.triples:
-        return []
-    rank_of = {r.entity: i for i, r in enumerate(ranking)}
-
-    def triple_rank(t: Triple) -> tuple:
-        best = min((rank_of.get(k, len(rank_of)) for k in triple_entities(t)),
-                   default=len(rank_of))
-        return (best, triple_sort_key(t))
-
-    ordered = sorted(candidates.triples, key=triple_rank)[:limit]
-    lines = {}
-    rendered = []
-    for t in ordered:
-        pattern = TriplePattern(t.subject, t.predicate, t.object)
-        line = format_triples([pattern])
-        lines[line] = t
-        rendered.append(line)
-
-    template = load_template("select_triples.txt")
-    request = GatewayRequest(
-        system="",
-        user=template.format(question=question.strip(),
-                             candidates="\n".join(rendered)),
-    )
-    response = gateway.complete(request)
-    selected: list[Triple] = []
-    for raw in response.text.splitlines():
-        line = raw.strip()
-        if line in lines and lines[line] not in selected:
-            selected.append(lines[line])
-    return selected

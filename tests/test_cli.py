@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -6,7 +7,11 @@ import pytest
 
 from scholarkg import __version__
 from scholarkg.cli import read_config, run
+from scholarkg.gateway import StubGateway
+from scholarkg.kg.graph import paragraphs_containing
+from scholarkg.kg.terms import PARAGRAPH, entity_phrase
 from scholarkg.kg.turtle import load_turtle
+from scholarkg.qa.engine import extract_question_patterns, query_entities_of
 
 QUESTION = "Which tool is applied to extract text from PDF research proposals?"
 MEL_PARAGRAPH = ("https://www.anu.edu.au/onto/scholarly/"
@@ -250,7 +255,54 @@ def test_query_json_payload(capsys, fixtures_dir):
         "purity": 0.0, "score": 0.0}
     assert payload["backend"] == "stub"
     assert "SELECT DISTINCT ?paragraph ?text" in payload["sparql"]
-    assert 'FILTER(CONTAINS(LCASE(?text), "tool"))' in payload["sparql"]
+    assert ('  FILTER(CONTAINS(LCASE(?text), "pdf research proposals")\n'
+            '      || CONTAINS(LCASE(?text), "tool")) .\n') in payload["sparql"]
+
+
+_FILTER = re.compile(r"^  FILTER\((.*?)\) \.$", re.MULTILINE | re.DOTALL)
+_CONTAINS = re.compile(r'CONTAINS\(LCASE\(\?text\), "([^"\\]*)"\)')
+
+
+def sparql_selects(sparql: str, label: str) -> bool:
+    """Whether the rendered query's FILTERs keep a paragraph with ``label``.
+
+    The FILTERs of a group are conjoined; inside one, ``&&`` binds tighter
+    than ``||``. Every operand must be a ``CONTAINS(LCASE(?text), "...")``.
+    """
+    def holds(operand: str) -> bool:
+        match = _CONTAINS.fullmatch(operand.strip())
+        assert match, f"unexpected FILTER operand {operand!r}"
+        return match.group(1) in label.lower()
+
+    filters = _FILTER.findall(sparql)
+    assert filters
+    return all(
+        any(all(holds(term) for term in disjunct.split("&&"))
+            for disjunct in body.split("||"))
+        for body in filters)
+
+
+@pytest.mark.parametrize("question", [
+    QUESTION,
+    "Which tool saves metadata in a JSON file?",
+    "Which database stores the extracted content?",
+    "Where is the text content stored; which tool parses PDF files?",
+])
+def test_query_sparql_selects_the_context_candidates(capsys, fixtures_dir, sample_graph,
+                                                     question):
+    code, stdout, _ = invoke(
+        capsys, "query", "--graph", str(fixtures_dir / "scholarly_sample.ttl"),
+        "--question", question, "--format", "json")
+    assert code == 0
+    payload = json.loads(stdout)
+    selected = sorted(
+        (node for node in sample_graph.subjects_of_type(PARAGRAPH)
+         if sparql_selects(payload["sparql"], sample_graph.label_of(node).lexical)),
+        key=lambda node: node.value)
+    entities = query_entities_of(extract_question_patterns(question, StubGateway()))
+    phrases = [entity_phrase(key) for key in sorted(entities)]
+    assert selected == [node for node, _ in paragraphs_containing(sample_graph, phrases)]
+    assert {node.value for node in selected} >= set(payload["provenance"])
 
 
 def test_query_text_output(capsys, fixtures_dir):

@@ -14,7 +14,11 @@ from scholarkg.embedding import (
     HttpEmbedder,
     cosine_similarity,
 )
+from scholarkg.evaluation import embedding_distance
 from scholarkg.ingest import link_excerpts
+from scholarkg.kg.graph import KnowledgeGraph
+from scholarkg.kg.terms import NAMESPACES, PARAGRAPH, RDF_TYPE, RDFS_LABEL, Iri, Literal, Triple
+from scholarkg.qa.context import select_context
 
 
 def vec(*values) -> EmbeddingVector:
@@ -130,6 +134,30 @@ def test_http_embedder_count_mismatch():
     embedder = http_embedder([_FakeResponse(payload={"vectors": [[1.0]]})])
     with pytest.raises(EmbeddingProtocolError, match="expected 2"):
         embedder.embed_many(["a", "b"])
+
+
+@pytest.mark.parametrize("payload", [
+    {"vectors": [1.0]},
+    {"vectors": 5},
+    {"vectors": "a"},
+    {"vectors": [None]},
+    {"vectors": [{"0": 1.0}]},
+    {"vectors": [["a"]]},
+    {"vectors": [["1.5"]]},
+    {"vectors": [[1.0, "nan"]]},
+    {"vectors": [[True, 1.0]]},
+    {"vectors": [[]]},
+    {"vectors": [[float("inf")]]},
+    {"vectors": [[10 ** 400]]},
+    {"data": [{"embedding": None}]},
+    {"data": [{"embedding": "1"}]},
+    {"data": [["x"]]},
+    {"data": 5},
+])
+def test_http_embedder_wrong_payload_shape_is_a_protocol_error(payload):
+    embedder = http_embedder([_FakeResponse(payload=payload)])
+    with pytest.raises(EmbeddingProtocolError):
+        embedder.embed_many(["a"])
 
 
 def test_http_embedder_dimension_drift():
@@ -380,6 +408,35 @@ def test_link_excerpts_matches_per_text_reference(stub_embedder, threshold):
     links = link_excerpts(paragraphs, excerpts, stub_embedder, threshold=threshold)
     assert [(l.excerpt_id, l.paragraph_id, l.similarity.hex()) for l in links] == \
         reference_links(paragraphs, excerpts, stub_embedder, threshold)
+
+
+def test_select_context_embeds_the_shortlist_in_one_request(stub_embedder):
+    texts = [f"common topic {word} " + "common " * (8 - i)
+             for i, word in enumerate(["alpha", "beta", "gamma", "delta", "eps", "zeta"])]
+    graph = KnowledgeGraph(
+        triple
+        for i, text in enumerate(texts)
+        for node in [Iri(f"{NAMESPACES['askg-data']}Paper-d-Paragraph-{i:02d}")]
+        for triple in (Triple(node, RDF_TYPE, PARAGRAPH),
+                       Triple(node, RDFS_LABEL, Literal(text))))
+    shortlist = texts[:5]
+    embedder = http_embedder([_FakeResponse(payload={
+        "vectors": [list(stub_embedder.embed(t).values) for t in shortlist]})])
+    chosen = select_context(graph, {"common"}, top_n=5, diverse_k=3, embedder=embedder)
+    assert [call["input"] for call in embedder.session.calls] == [shortlist]
+    assert chosen == select_context(graph, {"common"}, top_n=5, diverse_k=3,
+                                    embedder=stub_embedder)
+
+
+def test_embedding_distance_embeds_each_group_in_one_request(stub_embedder):
+    groups = (["graph answer one", "graph answer two"], ["baseline answer"])
+    embedder = http_embedder([
+        _FakeResponse(payload={"vectors": [list(stub_embedder.embed(t).values)
+                                           for t in group]})
+        for group in groups])
+    distance = embedding_distance(*groups, embedder)
+    assert [call["input"] for call in embedder.session.calls] == list(groups)
+    assert distance == embedding_distance(*groups, stub_embedder)
 
 
 def test_stub_embed_many_is_embed_per_text(stub_embedder):

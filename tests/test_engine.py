@@ -30,7 +30,6 @@ from scholarkg.qa.engine import (
     query_entities_of,
     rank_candidates,
     resolve_query,
-    select_triples,
     triple_entities,
 )
 from scholarkg.qa.relaxation import RelaxationDictionary, RelaxedQuery, relax_set
@@ -137,7 +136,7 @@ def test_resolve_query_depth_zero_hit(sample_graph):
     assert result.depth == 0
     assert not result.exhausted
     assert result.triples
-    assert result.producing_query.depth == 0
+    assert result.producing_queries[0].depth == 0
 
 
 def test_resolve_query_relaxes_to_depth_one(sample_graph):
@@ -146,7 +145,7 @@ def test_resolve_query_relaxes_to_depth_one(sample_graph):
                            default_relaxation_dictionary(query))
     assert result.depth == 1
     assert result.triples
-    edits = result.producing_query.edits
+    edits = result.producing_queries[0].edits
     assert len(edits) == 1 and edits[0].kind == "replace"
 
 
@@ -299,22 +298,6 @@ def test_rank_candidates_is_order_independent():
     forward = rank_candidates(candidates, {"mel"})
     backward = rank_candidates(list(reversed(candidates)), {"mel"})
     assert forward == backward
-
-
-def test_select_triples_stub_keeps_ranked_order(stub_gateway):
-    candidates = CandidateTripleSet(
-        triples=frozenset([t("mel", "tika"), t("tika", "couchdb")]),
-        depth=0, max_depth=2)
-    ranking = rank_candidates(candidates.triples, {"mel"})
-    selected = select_triples("Which tool?", candidates, ranking, stub_gateway)
-    assert set(selected) == set(candidates.triples)
-    # best-ranked entity's triple comes first
-    assert "mel" in triple_entities(selected[0])
-
-
-def test_select_triples_empty_candidates(stub_gateway):
-    empty = CandidateTripleSet(triples=frozenset(), depth=3, max_depth=2)
-    assert select_triples("q", empty, [], stub_gateway) == []
 
 
 # ---------------------------------------------------------------------------

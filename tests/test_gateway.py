@@ -2,7 +2,6 @@ import pytest
 
 from scholarkg.gateway import (
     ANSWER_MARKER,
-    CANDIDATES_MARKER,
     EXTRACT_MARKER,
     GatewayProtocolError,
     GatewayRequest,
@@ -104,14 +103,6 @@ def test_stub_answer_without_context_is_empty(stub_gateway):
         user="Question: Which tool?",
     )
     assert stub_gateway.complete(request).text == ""
-
-
-def test_stub_candidate_selection_echoes_block(stub_gateway):
-    request = GatewayRequest(
-        system=f"Choose among the {CANDIDATES_MARKER}.",
-        user="Question: q\n\nCandidates:\na | b | c\nd | e | f",
-    )
-    assert stub_gateway.complete(request).text == "a | b | c\nd | e | f"
 
 
 def test_stub_markers_route_from_user_text(stub_gateway):
@@ -236,6 +227,30 @@ def test_http_gateway_rejects_bodyless_response():
     gateway, _ = http_gateway([_FakeResponse(payload={"choices": []})])
     with pytest.raises(GatewayProtocolError):
         gateway.complete(GatewayRequest(system="s", user="u"))
+
+
+@pytest.mark.parametrize("payload", [
+    {"choices": ["x"]},
+    {"choices": [None]},
+    {"choices": [["x"]]},
+    {"choices": [{"message": "x"}]},
+    {"choices": [{"message": {"content": 5}}]},
+    {"choices": "x"},
+    {"text": None},
+    {"text": ["x"]},
+    ["x"],
+    "x",
+    5,
+])
+def test_http_gateway_wrong_payload_shape_is_a_protocol_error(payload):
+    gateway, _ = http_gateway([_FakeResponse(payload=payload)])
+    with pytest.raises(GatewayProtocolError, match="no completion text"):
+        gateway.complete(GatewayRequest(system="s", user="u"))
+
+
+def test_http_gateway_falls_back_to_text_past_a_malformed_choice():
+    gateway, _ = http_gateway([_FakeResponse(payload={"choices": ["x"], "text": "ok"})])
+    assert gateway.complete(GatewayRequest(system="s", user="u")).text == "ok"
 
 
 def test_auth_token_is_read_from_environment(monkeypatch):

@@ -112,8 +112,6 @@ def test_paragraphs_containing_any_and_all():
         + paragraph("3", "MEL wraps Apache Tika."))
     any_hits = paragraphs_containing(g, ["mel", "apache tika"])
     assert len(any_hits) == 3
-    all_hits = paragraphs_containing(g, ["mel", "apache tika"], match_all=True)
-    assert [text for _, text in all_hits] == ["MEL wraps Apache Tika."]
 
 
 def test_paragraphs_containing_requires_a_name():
