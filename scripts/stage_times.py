@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Time the cold query's first stages at several graph sizes.
+
+Builds the benchmark's ``cli-compare`` corpus graph (``bench/gen.py``)
+with 20 paragraphs per paper for each ``--papers`` count, then times, in
+this process:
+
+* ``load_turtle`` on the graph's bytes, ``KnowledgeGraph()`` included;
+* ``KnowledgeGraph()`` alone, on the loaded graph's triples;
+* ``qa.engine._anchors`` on the loaded graph.
+
+Each figure is the median and the minimum of ``--repeats`` wall-clock
+runs. Prints one JSON object. Run from a checkout's root, with the
+``scholarkg`` to time on ``PYTHONPATH`` (``src`` of this checkout by
+default):
+
+    PYTHONPATH=src python3 scripts/stage_times.py --seed 401 --papers 10 25 100
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import gen  # noqa: E402
+
+from scholarkg.kg.graph import KnowledgeGraph  # noqa: E402
+from scholarkg.kg.turtle import load_turtle  # noqa: E402
+from scholarkg.qa.engine import _anchors  # noqa: E402
+
+PARAGRAPHS_PER_PAPER = gen.CLI_PARAGRAPHS
+
+
+def timed(fn, repeats: int) -> dict:
+    seconds = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        seconds.append(time.perf_counter() - start)
+    return {"median_ms": round(1000 * statistics.median(seconds), 2),
+            "min_ms": round(1000 * min(seconds), 2)}
+
+
+def stage_times(seed: int, papers: int, repeats: int) -> dict:
+    corpus = gen.corpus(seed, "cli", papers, PARAGRAPHS_PER_PAPER, gen.CLI_BLOCK,
+                        gen.CLI_BLOCKS, gen.CLI_RANKS)
+    data = gen.corpus_turtle(corpus)[0].encode("utf-8")
+    graph = load_turtle(data)
+    return {
+        "papers": papers,
+        "paragraphs": papers * PARAGRAPHS_PER_PAPER,
+        "triples": len(graph),
+        "bytes": len(data),
+        "load_turtle": timed(lambda: load_turtle(data), repeats),
+        "KnowledgeGraph": timed(lambda: KnowledgeGraph(graph.triples), repeats),
+        "_anchors": timed(lambda: _anchors(graph), repeats),
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=401)
+    parser.add_argument("--papers", type=int, nargs="+", default=[10, 25, 100])
+    parser.add_argument("--repeats", type=int, default=7)
+    args = parser.parse_args(argv)
+    print(json.dumps({"seed": args.seed, "repeats": args.repeats,
+                      "sizes": [stage_times(args.seed, n, args.repeats) for n in args.papers]},
+                     indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

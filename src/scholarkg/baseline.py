@@ -16,6 +16,12 @@ __all__ = ["Chunk", "chunk_document", "chunk_corpus", "RetrievedChunk",
            "retrieve_top_k"]
 
 
+# Chunks per embedding request in retrieve_top_k: a request per chunk
+# costs a round trip each, and one request for every chunk of a corpus
+# holds all their vectors at once.
+_EMBED_BATCH = 64
+
+
 @dataclass(frozen=True)
 class Chunk:
     """A token window of a document."""
@@ -86,17 +92,20 @@ def retrieve_top_k(chunks: list[Chunk], question: str, k: int,
     """The ``k`` chunks most similar to the question.
 
     Similarity is cosine over the embedder's vectors; ties break on the
-    chunk id so retrieval is deterministic.
+    chunk id so retrieval is deterministic. Chunks are embedded 64 texts
+    per ``embed_many`` call, so only one slice of vectors is held at a
+    time.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if not question.strip():
         raise ValueError("question must be non-empty")
     query_vector = embedder.embed(question)
-    scored = [
-        RetrievedChunk(chunk=c, similarity=cosine_similarity(
-            query_vector, embedder.embed(c.text)))
-        for c in chunks
-    ]
+    scored = []
+    for start in range(0, len(chunks), _EMBED_BATCH):
+        batch = chunks[start:start + _EMBED_BATCH]
+        vectors = embedder.embed_many([c.text for c in batch])
+        scored += [RetrievedChunk(chunk=c, similarity=cosine_similarity(query_vector, v))
+                   for c, v in zip(batch, vectors)]
     scored.sort(key=lambda r: (-r.similarity, r.chunk.chunk_id))
     return scored[:k]

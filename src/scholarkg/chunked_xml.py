@@ -26,6 +26,9 @@ __all__ = [
 ]
 
 _ALLOWED_ELEMENTS = {"section", "heading", "sentence", "reference"}
+# The reader, the writer and the document walks recurse once per level,
+# so deeper nesting is refused before it can exhaust the stack.
+_MAX_SECTION_DEPTH = 100
 
 
 class ChunkedXmlError(Exception):
@@ -67,7 +70,7 @@ def _sentence_text(elem: ET.Element) -> str:
 
 def _parse_reference(elem: ET.Element) -> int:
     raw = _collapse(elem.text or "")
-    if not raw.isdigit() or int(raw) <= 0:
+    if not raw.isdecimal() or int(raw) <= 0:
         raise ChunkedXmlValidationError(f"reference content {raw!r} is not a positive integer")
     return int(raw)
 
@@ -84,8 +87,11 @@ class _SentenceBuilder:
 
 
 def _parse_section(elem: ET.Element, is_root: bool,
-                   last_sentence: list[_SentenceBuilder | None]):
+                   last_sentence: list[_SentenceBuilder | None], depth: int = 0):
     """Return (section_id, heading, body_items) for a section element."""
+    if depth > _MAX_SECTION_DEPTH:
+        raise ChunkedXmlValidationError(
+            f"sections are nested more than {_MAX_SECTION_DEPTH} levels deep")
     section_id = elem.get("ID")
     if not is_root and section_id is None:
         raise ChunkedXmlValidationError("section element is missing its ID attribute")
@@ -118,7 +124,7 @@ def _parse_section(elem: ET.Element, is_root: bool,
                 raise ChunkedXmlValidationError("reference element has no preceding sentence")
             last_sentence[0].references.append(_parse_reference(child))
         else:  # nested section
-            body.append(_parse_section(child, False, last_sentence))
+            body.append(_parse_section(child, False, last_sentence, depth + 1))
     return section_id, heading, body
 
 
@@ -140,7 +146,12 @@ def parse_chunked_xml(data: bytes | str) -> DocumentModel:
     re-parsing a serialized model reproduces the same id.
     """
     if isinstance(data, str):
-        data = data.encode("utf-8")
+        try:
+            data = data.encode("utf-8")
+        except UnicodeEncodeError as exc:  # only a surrogate cannot be encoded
+            line_start = data.rfind("\n", 0, exc.start) + 1
+            raise ChunkedXmlParseError("surrogate code point", data.count("\n", 0, exc.start) + 1,
+                                       exc.start - line_start) from None
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:

@@ -24,6 +24,7 @@ __all__ = [
     "word_count",
     "short_hash",
     "paragraph_id_for",
+    "document_id_of",
 ]
 
 _SECTION_ID_RE = re.compile(r"^\d+(\.\d+)*$")
@@ -37,6 +38,15 @@ def short_hash(text: str, size: int = 7) -> str:
 def paragraph_id_for(doc_id: str, text: str) -> str:
     """Identifier of a paragraph derived from its document and its text."""
     return f"Paper-{doc_id}-Paragraph-{short_hash(text, 16)}"
+
+
+def document_id_of(paragraph_id: str) -> str:
+    """The document id inside an identifier built by ``paragraph_id_for``,
+    or ``""`` for an identifier of another shape."""
+    head, separator, _ = paragraph_id.rpartition("-Paragraph-")
+    if not separator or not head.startswith("Paper-"):
+        return ""
+    return head[len("Paper-"):]
 
 
 def word_count(text: str) -> int:

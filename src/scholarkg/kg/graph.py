@@ -35,29 +35,40 @@ __all__ = [
 class KnowledgeGraph:
     """An immutable, deduplicated set of triples with lookup indexes.
 
-    Instances never change after construction, so they can be shared
-    freely between threads.
+    The constructor sorts the triples into ``triple_sort_key`` order and,
+    in one pass over them, indexes them by subject and by predicate and
+    records each node's first label and each type's subjects. The index by
+    object is built on the first ``match`` that binds an object but no
+    subject. Building it is idempotent: two threads that race on it build
+    equal dicts and one assignment wins, so instances can be shared freely
+    between threads.
     """
 
-    __slots__ = ("_triples", "_by_subject", "_by_predicate", "_by_object", "_labels")
+    __slots__ = ("_triples", "_by_subject", "_by_predicate", "_by_object",
+                 "_labels", "_types")
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        ordered = sorted(set(triples), key=triple_sort_key)
-        self._triples: tuple[Triple, ...] = tuple(ordered)
+        # dict.fromkeys deduplicates and keeps the input order, whose
+        # sorted runs the sort reuses.
+        self._triples: tuple[Triple, ...] = tuple(
+            sorted(dict.fromkeys(triples), key=triple_sort_key))
         by_subject: dict[Iri, list[Triple]] = {}
         by_predicate: dict[Iri, list[Triple]] = {}
-        by_object: dict = {}
         labels: dict[Iri, Literal] = {}
+        types: dict[Iri, list[Iri]] = {}
         for t in self._triples:
             by_subject.setdefault(t.subject, []).append(t)
             by_predicate.setdefault(t.predicate, []).append(t)
-            by_object.setdefault(t.object, []).append(t)
-            if t.predicate == RDFS_LABEL and isinstance(t.object, Literal):
-                labels.setdefault(t.subject, t.object)
+            if t.predicate == RDFS_LABEL:
+                if isinstance(t.object, Literal):
+                    labels.setdefault(t.subject, t.object)
+            elif t.predicate == RDF_TYPE:
+                types.setdefault(t.object, []).append(t.subject)
         self._by_subject = {k: tuple(v) for k, v in by_subject.items()}
         self._by_predicate = {k: tuple(v) for k, v in by_predicate.items()}
-        self._by_object = {k: tuple(v) for k, v in by_object.items()}
+        self._by_object = None
         self._labels = labels
+        self._types = {k: tuple(v) for k, v in types.items()}
 
     @property
     def triples(self) -> tuple[Triple, ...]:
@@ -82,15 +93,26 @@ class KnowledgeGraph:
 
     def match(self, subject: Iri | None = None, predicate: Iri | None = None,
               object: "Iri | Literal | None" = None) -> tuple[Triple, ...]:
-        """Triples matching the given concrete terms; ``None`` matches any."""
+        """Triples matching the given concrete terms; ``None`` matches any.
+
+        The result is in the graph's triple order.
+        """
         if subject is not None:
             candidates = self._by_subject.get(subject, ())
+            if predicate is None and object is None:
+                return candidates
         elif object is not None:
-            candidates = self._by_object.get(object, ())
+            by_object = self._by_object
+            if by_object is None:
+                grouped: dict = {}
+                for t in self._triples:
+                    grouped.setdefault(t.object, []).append(t)
+                by_object = self._by_object = {k: tuple(v) for k, v in grouped.items()}
+            candidates = by_object.get(object, ())
         elif predicate is not None:
-            candidates = self._by_predicate.get(predicate, ())
+            return self._by_predicate.get(predicate, ())
         else:
-            candidates = self._triples
+            return self._triples
         return tuple(
             t for t in candidates
             if (predicate is None or t.predicate == predicate)
@@ -99,7 +121,7 @@ class KnowledgeGraph:
         )
 
     def subjects_of_type(self, type_iri: Iri) -> tuple[Iri, ...]:
-        return tuple(t.subject for t in self.match(predicate=RDF_TYPE, object=type_iri))
+        return self._types.get(type_iri, ())
 
     def label_of(self, node: Iri) -> Literal | None:
         return self._labels.get(node)

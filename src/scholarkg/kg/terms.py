@@ -49,11 +49,27 @@ NAMESPACES = {
 PREFIX_ALIASES = {"askg": NAMESPACES["askg-onto"]}
 
 
+# Iri, Literal and Triple are hashed many times while a graph is built and
+# matched, so each computes its dataclass hash once, in __post_init__, and
+# keeps it outside the fields: ==, repr and the hash value are those of a
+# plain frozen dataclass. str hashes differ between processes, so
+# __reduce__ rebuilds a term from its fields and a pickled or copied term
+# recomputes its hash instead of carrying a stale one.
+
 @dataclass(frozen=True)
 class Iri:
     """An absolute IRI."""
 
     value: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.value,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Iri, (self.value,)
 
     def local_name(self) -> str:
         """The part after the last ``#`` or ``/``."""
@@ -94,6 +110,13 @@ class Literal:
     def __post_init__(self) -> None:
         if self.datatype is not None and self.language is not None:
             raise ValueError("a literal cannot carry both a datatype and a language tag")
+        object.__setattr__(self, "_hash", hash((self.lexical, self.datatype, self.language)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Literal, (self.lexical, self.datatype, self.language)
 
     def entity_key(self) -> str:
         """The normalized key of the lexical form, so that a literal
@@ -106,6 +129,15 @@ class Triple:
     subject: Iri
     predicate: Iri
     object: "Iri | Literal"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Triple, (self.subject, self.predicate, self.object)
 
 
 def iri(prefixed: str) -> Iri:
@@ -134,6 +166,7 @@ WORD_INDEX_TO = iri("askg-onto:wordIndexTo")
 ACADEMIC_ENTITY_PREFIX = NAMESPACES["askg-data"] + "AcademicEntity-"
 
 _NON_KEY_CHARS = re.compile(r"[^a-z0-9]+")
+_KEY_CHARS = re.compile(r"[a-z0-9]+")
 
 
 def normalize_entity_key(text: str) -> str:
@@ -154,7 +187,7 @@ def entity_phrase(key: str) -> str:
 def phrase_haystack(text: str) -> str:
     """Lowercase alphanumeric words of ``text``, space-separated and
     space-padded, so ``f" {phrase} " in haystack`` matches whole words."""
-    return " " + _NON_KEY_CHARS.sub(" ", text.lower()).strip() + " "
+    return " " + " ".join(_KEY_CHARS.findall(text.lower())) + " "
 
 
 def entity_iri(key: str) -> Iri:
@@ -169,5 +202,11 @@ def term_sort_key(term: "Iri | Literal") -> tuple:
 
 
 def triple_sort_key(triple: Triple) -> tuple:
-    return (triple.subject.value, triple.predicate.value, term_sort_key(triple.object))
+    """Subject IRI, predicate IRI, then ``term_sort_key`` of the object, as
+    one flat tuple, which is built and compared faster than a nested one."""
+    o = triple.object
+    if isinstance(o, Iri):
+        return (triple.subject.value, triple.predicate.value, 0, o.value, "", "")
+    return (triple.subject.value, triple.predicate.value, 1, o.lexical,
+            o.datatype.value if o.datatype else "", o.language or "")
 

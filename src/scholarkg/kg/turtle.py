@@ -16,20 +16,22 @@ or ``_`` (blank nodes and collections), an IRI without ``>``, a string
 literal with a bad escape or no closing quote on its line, ``@`` not
 starting ``@prefix`` or a language tag, a bare word other than ``a`` or
 ``PREFIX``, any other character (form feed and vertical tab included),
-and a token out of place.
+and a token out of place. An IRI holding a character that W3C
+``IRIREF`` forbids (U+0000-U+0020 and ``<>"{}|^`\\``) is reported once
+the rest of the document has parsed, at the line of that character.
 
 The writer is canonical: subjects, predicates and objects are emitted in
 a fixed order, so saving the same graph always produces identical bytes
 and ``load(save(g)) == g``. It raises ``TurtleError`` for what the
-reader could not read back: an IRI that contains ``>``, a language tag
-that is not a full ``LANGTAG`` (or is ``prefix``, which reads as the
-directive), and any term holding a surrogate code point.
+reader would refuse: an IRI holding a character ``IRIREF`` forbids, a
+language tag that is not a full ``LANGTAG`` (or is ``prefix``, which
+reads as the directive), and any term holding a surrogate code point.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .graph import KnowledgeGraph
 from .terms import Iri, Literal, NAMESPACES, PREFIX_ALIASES, RDF_TYPE, RDFS_LABEL, Triple
@@ -74,7 +76,7 @@ _TOKEN = re.compile(
     r"|<(?P<IRIREF>[^>]*)>|(?P<OPEN_IRI><)"
     rf'|"(?P<STRING>{_STRING_BODY})"|(?P<OPEN_STRING>"{_STRING_BODY})'
     rf"|(?P<PREFIX_DIRECTIVE>@prefix(?![A-Za-z0-9-]))|@(?P<LANGTAG>{_LANGTAG})|(?P<BAD_AT>@)"
-    rf"|(?P<PNAME>(?P<prefix>[A-Za-z][A-Za-z0-9_-]*):(?P<local>{_LOCAL_NAME})?)"
+    rf"|(?P<PNAME>[A-Za-z][A-Za-z0-9_-]*:(?:{_LOCAL_NAME})?)"
     r"|(?P<WORD>[A-Za-z]+)"
     r"|(?P<CHAR>.))"
 )
@@ -86,12 +88,12 @@ _ERRORS = {
 _SURROGATE = re.compile("[\ud800-\udfff]")
 _ESCAPE = re.compile(r'\\(?:u([0-9A-Fa-f]{4})|([\\"nrtbf]))')
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t", "b": "\b", "f": "\f"}
+# What W3C IRIREF forbids between ``<`` and ``>``.
+_IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\]')
 
 
-class _Token(NamedTuple):
-    kind: str
-    value: object
-    line: int
+def _line(text: str, offset: int) -> int:
+    return text.count("\n", 0, offset) + 1
 
 
 def _unescape(m: re.Match) -> str:
@@ -110,35 +112,36 @@ def _open_string_error(text: str, end: int) -> str:
     return f"unsupported escape \\{rest[1]}"
 
 
-def _tokens(text: str) -> Iterator[_Token]:
-    pos = start = 0
-    line = 1
-    while True:
-        m = _TOKEN.match(text, pos)
+def _tokens(text: str) -> Iterator[tuple[str, object, int]]:
+    """``(kind, value, offset)`` of each token, ending with ``EOF``.
+
+    Lines are not counted here; an error works its line out from the
+    offending token's offset.
+    """
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        line += text.count("\n", start, m.start(kind))
-        start, pos = m.start(kind), m.end()
         value = m[kind]
-        if kind == "STRING" and "\\" in value:
-            value = _ESCAPE.sub(_unescape, value)
-            if _SURROGATE.search(value):
-                raise TurtleSyntaxError("\\u escape of a surrogate code point", line)
-        elif kind == "PNAME":
-            value = (m["prefix"], m["local"] or "")
+        offset = m.start(kind)
+        if kind == "STRING":
+            if "\\" in value:
+                value = _ESCAPE.sub(_unescape, value)
+                if _SURROGATE.search(value):
+                    raise TurtleSyntaxError("\\u escape of a surrogate code point",
+                                            _line(text, offset))
         elif kind == "WORD":
             if value == "a":
                 kind = "A"
             elif value.upper() == "PREFIX":
                 kind = "SPARQL_PREFIX"
             else:
-                raise TurtleSyntaxError(f"unexpected token {value!r}", line)
+                raise TurtleSyntaxError(f"unexpected token {value!r}", _line(text, offset))
         elif kind == "OPEN_STRING":
-            raise TurtleSyntaxError(_open_string_error(text, pos), line)
+            raise TurtleSyntaxError(_open_string_error(text, m.end()), _line(text, offset))
         elif kind == "CHAR":
-            raise TurtleSyntaxError(f"unexpected character {value!r}", line)
+            raise TurtleSyntaxError(f"unexpected character {value!r}", _line(text, offset))
         elif kind in _ERRORS:
-            raise TurtleSyntaxError(_ERRORS[kind], line)
-        yield _Token(kind, value, line)
+            raise TurtleSyntaxError(_ERRORS[kind], _line(text, offset))
+        yield kind, value, offset
 
 
 # ---------------------------------------------------------------------------
@@ -146,97 +149,130 @@ def _tokens(text: str) -> Iterator[_Token]:
 # ---------------------------------------------------------------------------
 
 class _Parser:
+    """Recursive descent over the token stream with one token of lookahead
+    (``kind``, ``value``, ``offset``).
+
+    Each distinct IRI becomes one ``Iri``: ``iris`` maps an IRI to its term
+    and ``names`` a prefixed name to its term (cleared when a prefix is
+    declared). An IRIREF that holds a character IRIREF forbids is kept in
+    ``bad_iri`` and reported once the document has parsed.
+    """
+
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokens(text)
-        self.token = next(self.tokens)
+        self.kind, self.value, self.offset = next(self.tokens)
         self.prefixes = dict(NAMESPACES)
         self.prefixes.update(PREFIX_ALIASES)
+        self.iris: dict[str, Iri] = {}
+        self.names: dict[str, Iri] = {}
+        self.bad_iri: TurtleSyntaxError | None = None
         self.triples: list[Triple] = []
 
     def _next(self) -> None:
-        self.token = next(self.tokens)
+        self.kind, self.value, self.offset = next(self.tokens)
 
-    def _expect(self, kind: str) -> _Token:
-        tok = self.token
-        if tok.kind != kind:
-            raise TurtleSyntaxError(f"expected {kind}, got {tok.kind}", tok.line)
+    def _error(self, message: str, offset: int | None = None) -> TurtleSyntaxError:
+        return TurtleSyntaxError(message, _line(self.text, self.offset if offset is None else offset))
+
+    def _expect(self, kind: str) -> tuple[object, int]:
+        if self.kind != kind:
+            raise self._error(f"expected {kind}, got {self.kind}")
+        value, offset = self.value, self.offset
         self._next()
-        return tok
+        return value, offset
 
-    def _expand(self, tok: _Token) -> Iri:
-        prefix, local = tok.value
+    def _iri(self, value: str, offset: int) -> Iri:
+        node = self.iris.get(value)
+        if node is None:
+            bad = _IRI_FORBIDDEN.search(value)
+            if bad:
+                if self.bad_iri is None:
+                    self.bad_iri = self._error(
+                        f"character {bad[0]!r} is not allowed in an IRI", offset + bad.start())
+                return Iri(value)
+            node = self.iris[value] = Iri(value)
+        return node
+
+    def _name(self, name: str, offset: int) -> Iri:
+        """The term of a prefixed name not yet in ``names``."""
+        prefix, _, local = name.partition(":")
         ns = self.prefixes.get(prefix)
         if ns is None:
-            raise UnknownPrefixError(prefix, tok.line)
-        return Iri(ns + local)
+            raise UnknownPrefixError(prefix, _line(self.text, offset))
+        node = self.names[name] = self._iri(ns + local, offset)
+        return node
 
     def _directive(self) -> None:
-        sparql_form = self.token.kind == "SPARQL_PREFIX"
+        sparql_form = self.kind == "SPARQL_PREFIX"
         self._next()
-        name_tok = self._expect("PNAME")
-        prefix, local = name_tok.value
+        name, offset = self._expect("PNAME")
+        prefix, _, local = name.partition(":")
         if local:
-            raise TurtleSyntaxError("prefix declaration must end with a bare colon", name_tok.line)
-        iri_tok = self._expect("IRIREF")
-        self.prefixes[prefix] = iri_tok.value
+            raise self._error("prefix declaration must end with a bare colon", offset)
+        value, offset = self._expect("IRIREF")
+        self._iri(value, offset)
+        self.prefixes[prefix] = value
+        self.names.clear()
         if not sparql_form:
             self._expect("DOT")
 
     def _node(self) -> Iri:
-        tok = self.token
-        if tok.kind == "IRIREF":
+        kind, value, offset = self.kind, self.value, self.offset
+        if kind == "IRIREF":
             self._next()
-            return Iri(tok.value)
-        if tok.kind == "PNAME":
+            return self._iri(value, offset)
+        if kind == "PNAME":
             self._next()
-            return self._expand(tok)
-        raise TurtleSyntaxError(f"expected an IRI or prefixed name, got {tok.kind}", tok.line)
+            node = self.names.get(value)
+            return node if node is not None else self._name(value, offset)
+        raise self._error(f"expected an IRI or prefixed name, got {kind}")
 
     def _object(self):
-        tok = self.token
-        if tok.kind == "STRING":
+        if self.kind == "STRING":
+            lexical = self.value
             self._next()
-            if self.token.kind == "LANGTAG":
-                lang = self.token.value
+            if self.kind == "LANGTAG":
+                language = self.value
                 self._next()
-                return Literal(tok.value, language=lang)
-            if self.token.kind == "DTYPE":
+                return Literal(lexical, language=language)
+            if self.kind == "DTYPE":
                 self._next()
-                return Literal(tok.value, datatype=self._node())
-            return Literal(tok.value)
+                return Literal(lexical, datatype=self._node())
+            return Literal(lexical)
         return self._node()
 
     def _predicate(self) -> Iri:
-        if self.token.kind == "A":
+        if self.kind == "A":
             self._next()
             return RDF_TYPE
         return self._node()
 
     def _triples_block(self) -> None:
         subject = self._node()
+        append = self.triples.append
         while True:
             predicate = self._predicate()
             while True:
-                obj = self._object()
-                self.triples.append(Triple(subject, predicate, obj))
-                if self.token.kind == "COMMA":
-                    self._next()
-                    continue
-                break
-            if self.token.kind == "SEMI":
-                self._next()
-                if self.token.kind == "DOT":  # trailing semicolon
+                append(Triple(subject, predicate, self._object()))
+                if self.kind != "COMMA":
                     break
-                continue
-            break
+                self._next()
+            if self.kind != "SEMI":
+                break
+            self._next()
+            if self.kind == "DOT":  # trailing semicolon
+                break
         self._expect("DOT")
 
     def parse(self) -> list[Triple]:
-        while self.token.kind != "EOF":
-            if self.token.kind in ("PREFIX_DIRECTIVE", "SPARQL_PREFIX"):
+        while self.kind != "EOF":
+            if self.kind in ("PREFIX_DIRECTIVE", "SPARQL_PREFIX"):
                 self._directive()
             else:
                 self._triples_block()
+        if self.bad_iri is not None:
+            raise self.bad_iri
         return self.triples
 
 
@@ -251,7 +287,7 @@ def load_turtle(data: bytes | str) -> KnowledgeGraph:
         surrogate = _SURROGATE.search(data)
         if surrogate:
             raise TurtleSyntaxError(f"surrogate code point U+{ord(surrogate[0]):04X}",
-                                    data.count("\n", 0, surrogate.start()) + 1)
+                                    _line(data, surrogate.start()))
     return KnowledgeGraph(_Parser(data).parse())
 
 
@@ -271,8 +307,9 @@ def _render_iri(node: Iri) -> str:
         prefix, local = prefixed
         if _SAFE_LOCAL.fullmatch(local):
             return f"{prefix}:{local}"
-    if ">" in node.value:
-        raise TurtleError(f"cannot write IRI {node.value!r}: it contains '>'")
+    bad = _IRI_FORBIDDEN.search(node.value)
+    if bad:
+        raise TurtleError(f"cannot write IRI {node.value!r}: it contains {bad[0]!r}")
     return f"<{node.value}>"
 
 

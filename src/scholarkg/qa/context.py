@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..document import document_id_of
 from ..embedding import Embedder, cosine_similarity
 from ..gateway import Gateway, GatewayRequest
 from ..kg.graph import KnowledgeGraph, keyword_frequency, paragraphs_containing
@@ -30,11 +31,7 @@ class ScoredParagraph:
     @property
     def document_id(self) -> str:
         """The paper hash embedded in the paragraph identifier."""
-        local = self.node.local_name()
-        if local.startswith("Paper-"):
-            rest = local[len("Paper-"):]
-            return rest.split("-", 1)[0]
-        return ""
+        return document_id_of(self.node.local_name())
 
 
 def select_context(graph: KnowledgeGraph, query_entities: set[str],

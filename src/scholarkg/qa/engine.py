@@ -155,29 +155,43 @@ class _Anchor:
 
 
 def _anchors(graph: KnowledgeGraph) -> list[_Anchor]:
-    """Paragraph anchors, which own their excerpts' mentions, then excerpt anchors."""
-    def anchor(node: Iri, links: tuple[Triple, ...], mentioners: list[Iri],
-               sentences: tuple[Triple, ...]) -> _Anchor:
+    """Paragraph anchors, which own their excerpts' mentions, then excerpt anchors.
+
+    The label, link, mention and sentence edges are each grouped by
+    subject once, from the graph's predicate index, in graph order.
+    """
+    labels, links, mentions, sentences = (
+        _by_subject(graph.match(predicate=p))
+        for p in (RDFS_LABEL, HAS_EXCERPT, MENTIONS, IN_SENTENCE))
+
+    def anchor(node: Iri, node_links: list[Triple], node_mentions: list[Triple],
+               node_sentences: list[Triple]) -> _Anchor:
         label = graph.label_of(node)
         text_parts = [label.lexical] if label else []
-        text_parts += [t.object.lexical for t in sentences if isinstance(t.object, Literal)]
-        mentions = [m for n in mentioners for m in graph.match(subject=n, predicate=MENTIONS)]
+        text_parts += [t.object.lexical for t in node_sentences if isinstance(t.object, Literal)]
         return _Anchor(
             node=node,
             text=phrase_haystack(" ".join(text_parts)) if text_parts else "",
-            mention_keys=frozenset(m.object.entity_key() for m in mentions),
-            witnesses=frozenset((*graph.match(subject=node, predicate=RDFS_LABEL),
-                                 *links, *mentions)),
+            mention_keys=frozenset(m.object.entity_key() for m in node_mentions),
+            witnesses=frozenset((*labels.get(node, ()), *node_links, *node_mentions)),
         )
 
     anchors = []
     for node in graph.subjects_of_type(PARAGRAPH):
-        links = graph.match(subject=node, predicate=HAS_EXCERPT)
-        excerpts = [edge.object for edge in links if isinstance(edge.object, Iri)]
-        anchors.append(anchor(node, links, excerpts, ()))
+        node_links = links.get(node, [])
+        excerpt_mentions = [m for edge in node_links if isinstance(edge.object, Iri)
+                            for m in mentions.get(edge.object, ())]
+        anchors.append(anchor(node, node_links, excerpt_mentions, []))
     for node in graph.subjects_of_type(EXCERPT):
-        anchors.append(anchor(node, (), [node], graph.match(subject=node, predicate=IN_SENTENCE)))
+        anchors.append(anchor(node, [], mentions.get(node, []), sentences.get(node, [])))
     return anchors
+
+
+def _by_subject(triples: Iterable[Triple]) -> dict[Iri, list[Triple]]:
+    grouped: dict[Iri, list[Triple]] = {}
+    for t in triples:
+        grouped.setdefault(t.subject, []).append(t)
+    return grouped
 
 
 def _term_matches(term, anchor: _Anchor, graph: KnowledgeGraph) -> bool:

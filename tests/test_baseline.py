@@ -9,7 +9,8 @@ from scholarkg.baseline import (
     chunk_document,
     retrieve_top_k,
 )
-from scholarkg.embedding import HashedBagOfWordsEmbedder
+from scholarkg.embedding import BackendConfig, HashedBagOfWordsEmbedder, HttpEmbedder, \
+    cosine_similarity
 
 
 def words(n: int, prefix: str = "w") -> str:
@@ -133,3 +134,50 @@ def test_retrieve_top_k_caps_at_available_chunks():
     chunks = [Chunk("a-0000", "a", 0, "alpha beta", 2)]
     hits = retrieve_top_k(chunks, "alpha", 10, embedder)
     assert len(hits) == 1
+
+
+class _VectorResponse:
+    status_code = 200
+    headers: dict = {}
+
+    def __init__(self, vectors):
+        self.vectors = vectors
+
+    def json(self):
+        return {"vectors": self.vectors}
+
+
+class _VectorSession:
+    """A fake HTTP session answering every request with stub vectors."""
+
+    def __init__(self):
+        self.stub = HashedBagOfWordsEmbedder()
+        self.calls: list[list[str]] = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.calls.append(json["input"])
+        return _VectorResponse([list(self.stub.embed(text).values) for text in json["input"]])
+
+
+@pytest.mark.parametrize("n_chunks", [0, 1, 64, 65, 641])
+def test_retrieve_top_k_embeds_chunks_64_per_request(n_chunks):
+    chunks = chunk_document("doc", words(95 * n_chunks + 5, prefix="t"))[:n_chunks]
+    chunks += [Chunk(f"x-{i:04d}", "x", i, words(3 + i % 7, prefix="t"), 3)
+               for i in range(n_chunks - len(chunks))]
+    session = _VectorSession()
+    embedder = HttpEmbedder(BackendConfig(url="http://embed.test/v1", backoff=0.0),
+                            session=session)
+    question = "which t1 t2 t3 words"
+    hits = retrieve_top_k(chunks, question, 10, embedder)
+    assert [len(batch) for batch in session.calls] == \
+        [1] + [min(64, n_chunks - start) for start in range(0, n_chunks, 64)]
+    assert len(session.calls) == 1 + math.ceil(n_chunks / 64)
+    # The same ranking and bit-identical similarities as one stub embed per chunk.
+    stub = session.stub
+    query = stub.embed(question)
+    reference = sorted(((-cosine_similarity(query, stub.embed(c.text)), c.chunk_id)
+                        for c in chunks))[:10]
+    assert [(h.chunk.chunk_id, h.similarity.hex()) for h in hits] == \
+        [(chunk_id, (-negated).hex()) for negated, chunk_id in reference]
+    assert [(h.chunk.chunk_id, h.similarity.hex()) for h in hits] == [
+        (h.chunk.chunk_id, h.similarity.hex()) for h in retrieve_top_k(chunks, question, 10, stub)]

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from scholarkg.chunked_xml import (
+    ChunkedXmlError,
     ChunkedXmlParseError,
     ChunkedXmlValidationError,
     parse_chunked_xml,
@@ -126,3 +128,59 @@ def test_serialize_parse_fixpoint(fixtures_dir):
     model = parse_chunked_xml(data)
     canonical = serialize_chunked_xml(model)
     assert serialize_chunked_xml(parse_chunked_xml(canonical)) == canonical
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing
+# ---------------------------------------------------------------------------
+
+_XML_FRAGMENTS = st.sampled_from([
+    "<section>", "</section>", '<section ID="1">', '<section ID="2.1">', '<section ID="x">',
+    '<section ID="">', "<heading>", "</heading>", "<sentence>", "</sentence>",
+    "<reference>", "</reference>", "<reference/>", "<para>", "</para>", "<b/>",
+    ' foo="1"', "Some text.", " ", "\n", "3", "0", "-1", "²", "٣", "&amp;", "&bogus;",
+    "<!-- c -->", "<?xml version='1.0'?>", "<![CDATA[x]]>", "<", ">", "&", '"', "\x00", "é",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.binary(),
+    st.lists(_XML_FRAGMENTS | st.text(max_size=2)).map("".join),
+    st.lists(_XML_FRAGMENTS).map(lambda parts: "<section>" + "".join(parts) + "</section>"),
+))
+@example('<section><section ID="1"><sentence>x<reference>\u00b2</reference>'
+         '</sentence></section></section>')
+@example("<section>\n\ud800</section>")
+@example("<section>" + '<section ID="1">' * 2000 + "</section>" * 2001)
+def test_parser_raises_only_chunked_xml_errors(data):
+    try:
+        parse_chunked_xml(data)
+    except ChunkedXmlError:
+        pass
+
+
+@pytest.mark.parametrize("data, error, message", [
+    ('<section><section ID="1"><sentence>x<reference>\u00b2</reference></sentence></section>'
+     "</section>", ChunkedXmlValidationError, "reference content '\u00b2' is not a positive integer"),
+    ("<section>\nab\ud800</section>", ChunkedXmlParseError,
+     "surrogate code point (line 2, column 2)"),
+    ("<section>" + '<section ID="1">' * 101 + "</section>" * 102, ChunkedXmlValidationError,
+     "sections are nested more than 100 levels deep"),
+], ids=["superscript-reference", "surrogate", "101-levels"])
+def test_parser_refuses_what_it_cannot_represent(data, error, message):
+    with pytest.raises(error) as err:
+        parse_chunked_xml(data)
+    assert str(err.value) == message
+
+
+def test_parser_reads_a_decimal_reference_in_any_script_and_100_levels():
+    arabic_three = '<section ID="1"><sentence>x</sentence><reference>\u0663</reference></section>'
+    assert parse_chunked_xml(arabic_three).sections[0].sentences()[0].references == (3,)
+    deep = parse_chunked_xml(
+        "<section>" + '<section ID="1">' * 100 + "<sentence>x</sentence>" + "</section>" * 101)
+    section = deep.sections[0]
+    for _ in range(99):
+        (section,) = section.subsections()
+    assert [s.text for s in section.sentences()] == ["x"]

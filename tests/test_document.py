@@ -7,6 +7,8 @@ from scholarkg.document import (
     Section,
     Sentence,
     collect_paragraphs,
+    document_id_of,
+    paragraph_id_for,
     short_hash,
     validate_model,
     word_count,
@@ -133,3 +135,17 @@ def test_iter_sections_is_depth_first_in_document_order():
 def test_iter_sentences_covers_every_sentence():
     assert [s.text for s in valid_model().iter_sentences()] == [
         "Hello there.", "Configured.", "Ran twice."]
+
+
+@pytest.mark.parametrize("doc_id", ["b6bab9d7b1722e", "", "a-b", "Paper-x", "x-Paragraph-y"])
+@pytest.mark.parametrize("text", ["A sentence.", ""])
+def test_document_id_of_inverts_paragraph_id_for(doc_id, text):
+    assert document_id_of(paragraph_id_for(doc_id, text)) == doc_id
+
+
+@pytest.mark.parametrize("paragraph_id", [
+    "AcademicEntity-mel", "Paper-abc", "Paper-abc-Section-1", "Excerpt-Paper-abc-Paragraph-1",
+    "paper-abc-Paragraph-1", "",
+])
+def test_document_id_of_is_empty_for_other_identifiers(paragraph_id):
+    assert document_id_of(paragraph_id) == ""

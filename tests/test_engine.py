@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scholarkg.gateway import StubGateway
 from scholarkg.kg.graph import KnowledgeGraph
@@ -18,6 +19,7 @@ from scholarkg.kg.terms import (
     Triple,
     entity_iri,
     iri,
+    phrase_haystack,
 )
 from scholarkg.qa import engine
 from scholarkg.qa.engine import (
@@ -427,6 +429,42 @@ def random_question(rng: random.Random, iris: list[Iri]) -> CompoundQuery:
     return CompoundQuery(tuple(
         TriplePattern(*(random_pattern_term(rng, iris) for _ in range(3)))
         for _ in range(rng.randint(1, 3))))
+
+
+def reference_anchors(graph: KnowledgeGraph) -> list:
+    """The per-node construction: 2-4 ``graph.match`` scans for each node."""
+    def anchor(node, links, mentioners, sentences):
+        label = graph.label_of(node)
+        text_parts = [label.lexical] if label else []
+        text_parts += [t.object.lexical for t in sentences if isinstance(t.object, Literal)]
+        mentions = [m for n in mentioners for m in graph.match(subject=n, predicate=MENTIONS)]
+        return engine._Anchor(
+            node=node,
+            text=phrase_haystack(" ".join(text_parts)) if text_parts else "",
+            mention_keys=frozenset(m.object.entity_key() for m in mentions),
+            witnesses=frozenset((*graph.match(subject=node, predicate=RDFS_LABEL),
+                                 *links, *mentions)),
+        )
+
+    anchors = []
+    for node in graph.subjects_of_type(PARAGRAPH):
+        links = graph.match(subject=node, predicate=HAS_EXCERPT)
+        excerpts = [edge.object for edge in links if isinstance(edge.object, Iri)]
+        anchors.append(anchor(node, links, excerpts, ()))
+    for node in graph.subjects_of_type(EXCERPT):
+        anchors.append(anchor(node, (), [node], graph.match(subject=node, predicate=IN_SENTENCE)))
+    return anchors
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_anchors_agree_with_the_per_node_construction(rng):
+    graph, _ = random_anchor_graph(rng)
+    if rng.random() < 0.5:  # a mention or label that is a literal, an edge to an entity
+        node = rng.choice(sorted({t.subject for t in graph}, key=lambda n: n.value))
+        graph = KnowledgeGraph((*graph, Triple(node, MENTIONS, Literal(random_phrase(rng))),
+                                Triple(node, RDFS_LABEL, entity_iri(rng.choice(KEYS)))))
+    assert engine._anchors(graph) == reference_anchors(graph)
 
 
 def test_engine_agrees_with_reference_scan_on_random_graphs():

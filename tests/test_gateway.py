@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scholarkg.gateway import (
     ANSWER_MARKER,
     EXTRACT_MARKER,
+    GatewayError,
     GatewayProtocolError,
     GatewayRequest,
     GatewayTransportError,
@@ -260,3 +262,17 @@ def test_auth_token_is_read_from_environment(monkeypatch):
                            auth_env="TEST_GATEWAY_TOKEN", backoff=0.0)
     HttpGateway(config, session=session).complete(GatewayRequest(system="s", user="u"))
     assert session.calls[0]["headers"]["Authorization"] == "Bearer sekrit"
+
+
+_RESPONSE_FRAGMENTS = st.sampled_from(
+    ["|", "?", "?x", "? ", "??", "\n", "\r", "\r\n", "\x1c", "\u2028", " ", "a", "mel", "\t"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.lists(_RESPONSE_FRAGMENTS | st.text(max_size=2)).map("".join)))
+def test_parse_triples_response_raises_only_gateway_errors(text):
+    try:
+        patterns = parse_triples_response(text)
+    except GatewayError:
+        return
+    assert all(isinstance(p, TriplePattern) for p in patterns)

@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scholarkg.kg.graph import (
     KnowledgeGraph,
@@ -8,7 +11,17 @@ from scholarkg.kg.graph import (
     paragraphs_containing,
 )
 from scholarkg.kg.patterns import CompoundQuery, TriplePattern, Variable, WILDCARD
-from scholarkg.kg.terms import Iri, Literal, Triple, iri
+from scholarkg.kg.terms import (
+    EXCERPT,
+    PARAGRAPH,
+    RDF_TYPE,
+    RDFS_LABEL,
+    Iri,
+    Literal,
+    Triple,
+    iri,
+    term_sort_key,
+)
 
 A = Iri("http://x.example/a")
 B = Iri("http://x.example/b")
@@ -164,3 +177,47 @@ def test_graph_stats_empty_graph():
     assert stats.triples == 0
     assert stats.linked_excerpt_percentage == 0.0
     assert stats.average_words_per_paragraph == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Indexes against a scan of the triples
+# ---------------------------------------------------------------------------
+
+_NODES = [A, B, C, PARAGRAPH, EXCERPT]
+_PREDICATES = [P, Q, RDF_TYPE, RDFS_LABEL]
+_OBJECTS = st.one_of(
+    st.sampled_from(_NODES),
+    st.builds(Literal, st.sampled_from(["a", "b", "A"]),
+              language=st.sampled_from([None, "en"])),
+    st.builds(Literal, st.sampled_from(["1", "a"]), datatype=st.sampled_from([P, Q])),
+)
+_RANDOM_TRIPLES = st.lists(
+    st.builds(Triple, st.sampled_from(_NODES), st.sampled_from(_PREDICATES), _OBJECTS),
+    max_size=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RANDOM_TRIPLES, st.sampled_from(_NODES), st.sampled_from(_PREDICATES), _OBJECTS,
+       st.permutations(range(8)))
+def test_indexes_agree_with_a_scan_of_the_triples(triples, s, p, o, order):
+    graph = KnowledgeGraph(triples)
+    assert graph.triples == tuple(sorted(set(triples), key=lambda t: (
+        t.subject.value, t.predicate.value, term_sort_key(t.object))))
+    # All eight bound/unbound combinations, in a drawn order, so that the
+    # lazily built object index is first used at different points.
+    masks = list(itertools.product((False, True), repeat=3))
+    for index in order:
+        bind_s, bind_p, bind_o = masks[index]
+        query = (s if bind_s else None, p if bind_p else None, o if bind_o else None)
+        expected = tuple(t for t in graph.triples
+                         if all(want is None or want == got
+                                for want, got in zip(query, (t.subject, t.predicate, t.object))))
+        assert graph.match(*query) == expected, query
+    for type_iri in _NODES:
+        assert graph.subjects_of_type(type_iri) == tuple(
+            t.subject for t in graph.triples if t.predicate == RDF_TYPE and t.object == type_iri)
+    for node in _NODES:
+        assert graph.label_of(node) == next(
+            (t.object for t in graph.triples
+             if t.subject == node and t.predicate == RDFS_LABEL and isinstance(t.object, Literal)),
+            None)

@@ -257,6 +257,30 @@ READER_ERRORS = [
      TurtleSyntaxError, "\\u escape of a surrogate code point", 2),
     ('askg-data:a rdfs:label "x" .\n\n<http://x.example/\udfff> rdfs:label "y" .',
      TurtleSyntaxError, "surrogate code point U+DFFF", 3),
+    # IRIREF forbids U+0000-U+0020 and <>"{}|^`\ ; the line is the character's.
+    ('<http://x.example/a b> rdfs:label "x" .',
+     TurtleSyntaxError, "character ' ' is not allowed in an IRI", 1),
+    ('askg-data:a rdfs:label "x" .\n<http://x.example/a"b> rdfs:label "y" .',
+     TurtleSyntaxError, "character '\"' is not allowed in an IRI", 2),
+    ('askg-data:a askg-onto:p <http://x.example/\n\na{b> .',
+     TurtleSyntaxError, "character '\\n' is not allowed in an IRI", 1),
+    ('askg-data:a askg-onto:p <http://x.example/a{b\n\n> .',
+     TurtleSyntaxError, "character '{' is not allowed in an IRI", 1),
+    ('askg-data:a askg-onto:p\n<urn:a\x00b> .',
+     TurtleSyntaxError, "character '\\x00' is not allowed in an IRI", 2),
+    ('askg-data:a rdfs:label "x"^^<urn:a^b> .',
+     TurtleSyntaxError, "character '^' is not allowed in an IRI", 1),
+    ('askg-data:a askg-onto:p <urn:a\\u0041>, <urn:a`b> .',
+     TurtleSyntaxError, "character '\\\\' is not allowed in an IRI", 1),
+    ('askg-data:a askg-onto:p <urn:a<b> .',
+     TurtleSyntaxError, "character '<' is not allowed in an IRI", 1),
+    ('\n@prefix ex: <http://x.example/a|b/> .\nex:c rdfs:label "x" .',
+     TurtleSyntaxError, "character '|' is not allowed in an IRI", 2),
+    ('PREFIX ex: <http://x.example/}/>',
+     TurtleSyntaxError, "character '}' is not allowed in an IRI", 1),
+    # Such an IRI is reported once the rest of the document has parsed.
+    ('<http://x.example/a b> rdfs:label "x" .\nfoo',
+     TurtleSyntaxError, "unexpected token 'foo'", 2),
 ]
 
 
@@ -273,6 +297,38 @@ def test_save_rejects_iri_with_closing_angle_bracket():
     graph = KnowledgeGraph([Triple(Iri(NAMESPACES["askg-data"] + "x>y"), RDFS_LABEL, Literal("x"))])
     with pytest.raises(TurtleError, match="'>'"):
         save_turtle(graph)
+
+
+@pytest.mark.parametrize("character", [" ", '"', "{", "}", "|", "^", "`", "\\", "<",
+                                       "\x00", "\x1f", "\n", "\t"])
+@pytest.mark.parametrize("position", ["subject", "object", "datatype"])
+def test_save_rejects_iri_with_character_iriref_forbids(character, position):
+    bad = Iri(f"http://x.example/a{character}b")
+    triple = {
+        "subject": Triple(bad, RDFS_LABEL, Literal("x")),
+        "object": Triple(iri("askg-data:a"), RDF_TYPE, bad),
+        "datatype": Triple(iri("askg-data:a"), RDFS_LABEL, Literal("x", datatype=bad)),
+    }[position]
+    with pytest.raises(TurtleError) as err:
+        save_turtle(KnowledgeGraph([triple]))
+    assert str(err.value) == f"cannot write IRI {bad.value!r}: it contains {character!r}"
+
+
+def test_reader_makes_one_term_per_distinct_iri():
+    graph = load_turtle(
+        "askg-data:a rdfs:label askg-data:b .\n"
+        "<https://www.anu.edu.au/onto/scholarly/a> askg-onto:p <https://www.anu.edu.au/onto/scholarly/b> .\n"
+        "@prefix askg-data: <http://x.example/> .\n"
+        "askg-data:a rdfs:label askg-data:b .\n")
+    nodes: dict[Iri, list[Iri]] = {}
+    for t in graph:
+        for term in (t.subject, t.predicate, t.object):
+            nodes.setdefault(term, []).append(term)
+    assert {term.value for term in nodes} == {
+        NAMESPACES["askg-data"] + "a", NAMESPACES["askg-data"] + "b", "http://x.example/a",
+        "http://x.example/b", RDFS_LABEL.value, NAMESPACES["askg-onto"] + "p"}
+    for same in nodes.values():
+        assert all(term is same[0] for term in same)
 
 
 @pytest.mark.parametrize("language", ["en US", "", "en-", "-en", "1en", "en--us", "prefix"])
@@ -320,8 +376,11 @@ def test_reader_raises_only_turtle_errors(text):
 
 _LOCALS = st.one_of(
     st.sampled_from(["0\n", "Excerpt-1", "a.b", "a.", "_x-", "AcademicEntity-prepared_data"]),
-    st.text(st.characters(codec="utf-8", exclude_characters=">"), max_size=8),
+    st.text(st.one_of(st.sampled_from(' \n\x00<>"{}|^`\\'), st.characters(codec="utf-8")),
+            max_size=8),
 )
+# What IRIREF forbids between < and >; no name the writer can prefix holds one.
+_IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\]')
 _IRIS = st.builds(
     lambda ns, local: Iri(ns + local),
     st.sampled_from([*NAMESPACES.values(), "http://x.example/", "urn:"]), _LOCALS)
@@ -357,12 +416,17 @@ _GRAPHS = st.lists(st.builds(Triple, _IRIS, st.one_of(st.just(RDF_TYPE), _IRIS),
 @given(_GRAPHS)
 @example(KnowledgeGraph([Triple(Iri(NAMESPACES["askg-data"] + "0\n"), RDFS_LABEL, Literal("x"))]))
 def test_save_load_round_trip_on_generated_graphs(graph):
-    """Saving either round-trips or refuses a language tag it cannot write."""
+    """Saving either round-trips or refuses a language tag or IRI it cannot write."""
     unwritable = [t.object.language for t in graph
                   if isinstance(t.object, Literal) and t.object.language is not None
                   and not _writable_language(t.object.language)]
+    iris = [term for t in graph
+            for term in (t.subject, t.predicate, t.object,
+                         t.object.datatype if isinstance(t.object, Literal) else None)
+            if isinstance(term, Iri)]
+    unwritable += [term for term in iris if _IRI_FORBIDDEN.search(term.value)]
     if unwritable:
-        with pytest.raises(TurtleError, match="language tag"):
+        with pytest.raises(TurtleError, match="language tag|cannot write IRI"):
             save_turtle(graph)
         return
     data = save_turtle(graph)
