@@ -68,11 +68,10 @@ _DEFAULTS = {
     "retries": 2,
 }
 
-_CASTS = {
-    "top_n": int, "diverse_k": int, "max_depth": int, "max_tokens": int,
-    "retries": int, "threshold": float, "overlap_ratio": float,
-    "timeout": float, "backend": str, "embedder": str, "format": str,
-}
+# A config value is cast to the type of its default. These keys also
+# take only the listed values, from a flag or from the config file.
+_BACKENDS = ("stub", "http")
+_CHOICES = {"format": ("text", "json"), "backend": _BACKENDS, "embedder": _BACKENDS}
 
 
 def read_config(text: str) -> dict[str, str]:
@@ -102,15 +101,19 @@ class _Settings:
         flag = getattr(self.args, name, None)
         if flag is not None:
             return flag
-        if name in self.config:
-            cast = _CASTS.get(name, str)
-            try:
-                return cast(self.config[name])
-            except ValueError:
-                raise ValueError(
-                    f"config value for {name!r} is not a valid {cast.__name__}: "
-                    f"{self.config[name]!r}") from None
-        return _DEFAULTS.get(name)
+        if name not in self.config:
+            return _DEFAULTS[name]
+        raw = self.config[name]
+        cast = type(_DEFAULTS[name])
+        try:
+            value = cast(raw)
+        except ValueError:
+            raise ValueError(f"config value for {name!r} is not a valid "
+                             f"{cast.__name__}: {raw!r}") from None
+        if name in _CHOICES and value not in _CHOICES[name]:
+            raise ValueError(f"config value for {name!r} must be one of "
+                             f"{', '.join(_CHOICES[name])}: {raw!r}")
+        return value
 
     def raw(self, name: str, default: str = "") -> str:
         flag = getattr(self.args, name, None)
@@ -349,6 +352,54 @@ def _cmd_retrieve_baseline(args: argparse.Namespace) -> int:
     return 0
 
 
+def _record_text(record: dict, index: int, name: str) -> str:
+    value = record.get(name)
+    if not isinstance(value, str):
+        raise ValueError(f"answers record {index}: {name!r} must be a string")
+    return value
+
+
+def _record_keys(record: dict, index: int, name: str) -> list[str]:
+    value = record.get(name, [])
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"answers record {index}: {name!r} must be a list of strings")
+    return value
+
+
+def _read_answer_records(records) -> list[QuestionComparison]:
+    """Comparisons from the parsed ``eval --answers`` JSON.
+
+    Each record needs string ``label``, ``graph_answer`` and
+    ``baseline_answer``. Records may carry ``graph_entities`` and
+    ``baseline_entities``; otherwise they are extracted from the answer
+    texts, which also find the optional ``known_entities`` keys. Those
+    three are lists of strings.
+    """
+    if not isinstance(records, list):
+        raise ValueError("answers must be a JSON list of records")
+    comparisons = []
+    for index, record in enumerate(records):
+        if not isinstance(record, dict):
+            raise ValueError(f"answers record {index} is not a JSON object")
+        label, graph_answer, baseline_answer = (
+            _record_text(record, index, name)
+            for name in ("label", "graph_answer", "baseline_answer"))
+        known = _record_keys(record, index, "known_entities")
+        graph_entities, baseline_entities = (
+            _record_keys(record, index, name) if name in record
+            else extract_entity_set(answer, known)
+            for name, answer in (("graph_entities", graph_answer),
+                                 ("baseline_entities", baseline_answer)))
+        comparisons.append(QuestionComparison(
+            label=label,
+            graph_entities=frozenset(graph_entities),
+            baseline_entities=frozenset(baseline_entities),
+            graph_answer=graph_answer,
+            baseline_answer=baseline_answer,
+        ))
+    return comparisons
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     settings = _Settings(args)
     embedder = _make_embedder(settings)
@@ -357,25 +408,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     text_parts: list[str] = []
     if args.answers:
         records = json.loads(Path(args.answers).read_text("utf-8"))
-        comparisons = []
-        for r in records:
-            # Records may carry the entity sets; otherwise they are
-            # extracted from the answer texts.
-            known = r.get("known_entities", ())
-            graph_entities = (
-                r["graph_entities"] if "graph_entities" in r
-                else extract_entity_set(r["graph_answer"], known))
-            baseline_entities = (
-                r["baseline_entities"] if "baseline_entities" in r
-                else extract_entity_set(r["baseline_answer"], known))
-            comparisons.append(QuestionComparison(
-                label=str(r["label"]),
-                graph_entities=frozenset(graph_entities),
-                baseline_entities=frozenset(baseline_entities),
-                graph_answer=r["graph_answer"],
-                baseline_answer=r["baseline_answer"],
-            ))
-        report = build_report(comparisons, embedder)
+        report = build_report(_read_answer_records(records), embedder)
         payload.update(report.to_dict())
         text_parts.append(report.to_text())
     if args.ratings:
@@ -423,10 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="key = value settings file")
-        p.add_argument("--format", choices=("text", "json"))
-        p.add_argument("--backend", choices=("stub", "http"),
+        p.add_argument("--format", choices=_CHOICES["format"])
+        p.add_argument("--backend", choices=_CHOICES["backend"],
                        help="language-model backend")
-        p.add_argument("--embedder", choices=("stub", "http"),
+        p.add_argument("--embedder", choices=_CHOICES["embedder"],
                        help="embedding backend")
 
     p = sub.add_parser("ingest", help="build a graph from a document")

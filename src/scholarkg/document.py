@@ -126,7 +126,7 @@ class DocumentModel:
 
 @dataclass(frozen=True)
 class Excerpt:
-    """A extracted text span with its provenance and mentioned entity key."""
+    """An extracted text span with its provenance and mentioned entity key."""
 
     excerpt_id: str
     label: str

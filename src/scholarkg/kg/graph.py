@@ -1,11 +1,10 @@
-"""In-memory triple store with indexed lookup and conjunctive matching."""
+"""In-memory triple store with indexed lookup, label search and graph statistics."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
-from .patterns import CompoundQuery, TriplePattern, Variable, Wildcard, WILDCARD
 from .terms import (
     EXCERPT,
     HAS_EXCERPT,
@@ -17,14 +16,11 @@ from .terms import (
     RDFS_LABEL,
     SECTION,
     Triple,
-    term_sort_key,
     triple_sort_key,
 )
 
 __all__ = [
     "KnowledgeGraph",
-    "MatchResult",
-    "match_compound",
     "paragraphs_containing",
     "keyword_frequency",
     "GraphStats",
@@ -125,86 +121,6 @@ class KnowledgeGraph:
 
     def label_of(self, node: Iri) -> Literal | None:
         return self._labels.get(node)
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    """Solutions of a conjunctive query plus the triples they touch."""
-
-    solutions: tuple[Mapping[str, "Iri | Literal"], ...]
-    triples: frozenset[Triple]
-
-
-def _resolve(term, binding):
-    if isinstance(term, Variable):
-        return binding.get(term.name)
-    if isinstance(term, Wildcard):
-        return None
-    if isinstance(term, str):
-        raise TypeError(
-            "compound matching requires Iri or Literal ground terms; "
-            f"got the plain string {term!r}"
-        )
-    return term
-
-
-def _try_bind(pattern: TriplePattern, triple: Triple, binding: dict) -> dict | None:
-    new = binding
-    for term, actual in zip(pattern.terms, (triple.subject, triple.predicate, triple.object)):
-        if isinstance(term, Variable):
-            bound = new.get(term.name)
-            if bound is None:
-                if new is binding:
-                    new = dict(binding)
-                new[term.name] = actual
-            elif bound != actual:
-                return None
-    return new if new is not binding else dict(binding)
-
-
-def match_compound(graph: KnowledgeGraph, query: CompoundQuery) -> MatchResult:
-    """Match every pattern of ``query`` against ``graph`` simultaneously.
-
-    A solution binds every named variable consistently across all
-    patterns; wildcards match anything without binding. The returned
-    triples are the union, over solutions, of the graph triples matching
-    each solution-instantiated pattern.
-
-    This exact join over IRI and literal terms is library API; question
-    answering matches phrase patterns with ``qa.engine.match_candidates``.
-    """
-    solutions: list[dict] = []
-    seen: set[frozenset] = set()
-
-    def recurse(index: int, binding: dict) -> None:
-        if index == len(query.patterns):
-            key = frozenset(binding.items())
-            if key not in seen:
-                seen.add(key)
-                solutions.append(dict(binding))
-            return
-        pattern = query.patterns[index]
-        s = _resolve(pattern.subject, binding)
-        p = _resolve(pattern.predicate, binding)
-        o = _resolve(pattern.object, binding)
-        for triple in graph.match(s, p, o):
-            extended = _try_bind(pattern, triple, binding)
-            if extended is not None:
-                recurse(index + 1, extended)
-
-    recurse(0, {})
-
-    matched: set[Triple] = set()
-    for solution in solutions:
-        for pattern in query.patterns:
-            s = _resolve(pattern.subject, solution)
-            p = _resolve(pattern.predicate, solution)
-            o = _resolve(pattern.object, solution)
-            matched.update(graph.match(s, p, o))
-
-    solutions.sort(key=lambda b: tuple(sorted(
-        (name, term_sort_key(value)) for name, value in b.items())))
-    return MatchResult(solutions=tuple(solutions), triples=frozenset(matched))
 
 
 def paragraphs_containing(graph: KnowledgeGraph,

@@ -3,6 +3,11 @@
 A pattern position holds either a ground term (an :class:`Iri`, a
 :class:`Literal`, or a plain string for natural-language terms that are
 matched softly), a named :class:`Variable`, or the :data:`WILDCARD`.
+
+A :class:`Variable` is the gateway's ``?name`` wire form, kept so that a
+pattern formats back as it was read. Nothing binds it: the matcher in
+``qa.engine`` treats it exactly like the wildcard, so two patterns that
+name the same variable are not joined on it.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Variable:
+    """A ``?name`` position; matched like :data:`WILDCARD`."""
+
     name: str
 
 
@@ -60,9 +67,6 @@ class TriplePattern:
     @property
     def terms(self) -> tuple[PatternTerm, PatternTerm, PatternTerm]:
         return (self.subject, self.predicate, self.object)
-
-    def ground_terms(self) -> tuple[PatternTerm, ...]:
-        return tuple(t for t in self.terms if is_ground(t))
 
     @property
     def has_ground_term(self) -> bool:

@@ -16,7 +16,6 @@ __all__ = [
     "normalize_entity_key",
     "entity_phrase",
     "phrase_haystack",
-    "term_sort_key",
     "triple_sort_key",
     "RDF_TYPE",
     "RDFS_LABEL",
@@ -195,15 +194,11 @@ def entity_iri(key: str) -> Iri:
     return Iri(ACADEMIC_ENTITY_PREFIX + key)
 
 
-def term_sort_key(term: "Iri | Literal") -> tuple:
-    if isinstance(term, Iri):
-        return (0, term.value, "", "")
-    return (1, term.lexical, term.datatype.value if term.datatype else "", term.language or "")
-
-
 def triple_sort_key(triple: Triple) -> tuple:
-    """Subject IRI, predicate IRI, then ``term_sort_key`` of the object, as
-    one flat tuple, which is built and compared faster than a nested one."""
+    """Subject IRI, predicate IRI, then the object: an IRI by its value
+    before any literal, a literal by lexical form, datatype IRI and
+    language. One flat tuple is built and compared faster than a nested
+    one."""
     o = triple.object
     if isinstance(o, Iri):
         return (triple.subject.value, triple.predicate.value, 0, o.value, "", "")

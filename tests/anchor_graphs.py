@@ -1,0 +1,92 @@
+"""Seeded random builders of paragraph/excerpt graphs and phrase questions.
+
+The engine's differential tests and the acceptance checks of matching and
+relaxation draw their inputs from these builders, so both exercise the
+same odd graph shapes.
+"""
+
+import random
+
+from scholarkg.kg.graph import KnowledgeGraph
+from scholarkg.kg.patterns import CompoundQuery, TriplePattern, Variable, WILDCARD
+from scholarkg.kg.terms import (
+    EXCERPT,
+    HAS_EXCERPT,
+    IN_SENTENCE,
+    MENTIONS,
+    PARAGRAPH,
+    RDF_TYPE,
+    RDFS_LABEL,
+    Iri,
+    Literal,
+    Triple,
+    entity_iri,
+    iri,
+)
+
+# "camel" and "Texts" hold "mel" and "text" inside a longer word, which
+# must not match them.
+WORDS = ["mel", "tika", "couchdb", "json", "pdf", "text", "tool", "Apache", "camel", "Texts"]
+KEYS = ["mel", "tika", "couchdb", "json", "pdf", "text", "tool", "apache",
+        "apache_tika", "pdf_text", "text_tool", "mel_json"]
+SIDE_PREDICATES = [iri("askg-onto:cites"), iri("askg-onto:partOf")]
+
+
+def random_phrase(rng: random.Random) -> str:
+    words = [rng.choice(WORDS) for _ in range(rng.randint(1, 4))]
+    return rng.choice([" ", ", ", " - "]).join(words) + rng.choice(["", ".", "!"])
+
+
+def random_anchor_graph(rng: random.Random) -> tuple[KnowledgeGraph, list[Iri]]:
+    """Paragraph/excerpt graphs with the odd shapes the matcher must handle.
+
+    Nodes may be typed Paragraph, Excerpt, both or neither; ``hasExcerpt``
+    may point at a literal; some anchors have text only from
+    ``inSentence`` and no witness triple at all. Returns the graph and
+    its node and entity IRIs.
+    """
+    nodes = [iri(f"askg-data:N{i}") for i in range(rng.randint(1, 7))]
+    entities = [entity_iri(key) for key in rng.sample(KEYS, 4)]
+    triples: list[Triple] = []
+    for node in nodes:
+        for kind in rng.choice([(PARAGRAPH,), (EXCERPT,), (PARAGRAPH, EXCERPT), ()]):
+            triples.append(Triple(node, RDF_TYPE, kind))
+        if rng.random() < 0.6:
+            triples.append(Triple(node, RDFS_LABEL,
+                                  Literal(random_phrase(rng), language=rng.choice([None, "en"]))))
+        if rng.random() < 0.4:
+            triples.append(Triple(node, IN_SENTENCE, Literal(random_phrase(rng))))
+        if rng.random() < 0.1:
+            triples.append(Triple(node, IN_SENTENCE, rng.choice(nodes)))
+        for _ in range(rng.randint(0, 2)):
+            triples.append(Triple(node, MENTIONS, rng.choice(entities)))
+        for _ in range(rng.randint(0, 2)):
+            triples.append(Triple(node, HAS_EXCERPT, rng.choice(nodes)))
+        if rng.random() < 0.15:
+            triples.append(Triple(node, HAS_EXCERPT, Literal(random_phrase(rng))))
+        if rng.random() < 0.3:
+            triples.append(Triple(node, rng.choice(SIDE_PREDICATES),
+                                  rng.choice(nodes + entities)))
+    return KnowledgeGraph(triples), nodes + entities
+
+
+def random_pattern(rng: random.Random, iris: list[Iri]) -> TriplePattern:
+    """A pattern of wildcards, variables, entity keys, IRIs and literals."""
+    def term():
+        r = rng.random()
+        if r < 0.45:
+            return WILDCARD
+        if r < 0.5:
+            return Variable("x")
+        if r < 0.8:
+            return rng.choice(KEYS)
+        if r < 0.93:
+            return rng.choice(iris + [PARAGRAPH, MENTIONS])
+        return Literal(rng.choice(WORDS + [random_phrase(rng)]))
+
+    return TriplePattern(term(), term(), term())
+
+
+def random_question(rng: random.Random, iris: list[Iri]) -> CompoundQuery:
+    return CompoundQuery(tuple(
+        random_pattern(rng, iris) for _ in range(rng.randint(1, 3))))

@@ -73,6 +73,19 @@ def test_bad_config_value_is_a_domain_error(capsys, tmp_path, fixtures_dir):
     assert code == 1
     assert "max_depth" in err
 
+    # A key whose flag takes choices takes only those from the file too.
+    sample = str(fixtures_dir / "scholarly_sample.ttl")
+    for line, argv in [
+        ("format = xml", ["stats", "--graph", sample]),
+        ("backend = stbu", ["query", "--graph", sample, "--question", QUESTION]),
+        ("embedder = local", ["query", "--graph", sample, "--question", QUESTION]),
+    ]:
+        config.write_text(line + "\n", "utf-8")
+        code, out, err = invoke(capsys, *argv, "--config", str(config))
+        key, _, value = line.partition(" = ")
+        assert (code, out) == (1, ""), line
+        assert f"{key!r} must be one of" in err and repr(value) in err, err
+
 
 # ---------------------------------------------------------------------------
 # Exit codes
@@ -439,6 +452,29 @@ def test_eval_extracts_entities_when_records_omit_them(capsys, tmp_path):
     assert code == 0
     # {mel, pdf} vs {apache tika, mel}: 1 shared of max 2, union 3
     assert "Q1 | 0.5000 | 0.6667" in stdout
+
+
+GOOD_RECORD = {"label": "Q1", "graph_answer": "MEL.", "baseline_answer": "Tika."}
+
+
+@pytest.mark.parametrize("records, message", [
+    ({"label": "Q1"}, "answers must be a JSON list of records"),
+    (["Q1"], "answers record 0 is not a JSON object"),
+    ([GOOD_RECORD, {"label": "Q2", "graph_answer": "MEL."}],
+     "answers record 1: 'baseline_answer' must be a string"),
+    ([{**GOOD_RECORD, "label": 1}], "answers record 0: 'label' must be a string"),
+    ([{**GOOD_RECORD, "graph_entities": "tika"}],
+     "answers record 0: 'graph_entities' must be a list of strings"),
+    ([{**GOOD_RECORD, "baseline_entities": [["tika"]]}],
+     "answers record 0: 'baseline_entities' must be a list of strings"),
+    ([{**GOOD_RECORD, "known_entities": None}],
+     "answers record 0: 'known_entities' must be a list of strings"),
+])
+def test_eval_rejects_malformed_answer_records(capsys, tmp_path, records, message):
+    answers = tmp_path / "answers.json"
+    answers.write_text(json.dumps(records), "utf-8")
+    code, out, err = invoke(capsys, "eval", "--answers", str(answers))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_eval_ratings_only(capsys, fixtures_dir):

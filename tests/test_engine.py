@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from scholarkg.gateway import StubGateway
 from scholarkg.kg.graph import KnowledgeGraph
-from scholarkg.kg.patterns import CompoundQuery, TriplePattern, Variable, WILDCARD
+from scholarkg.kg.patterns import CompoundQuery, TriplePattern, WILDCARD
 from scholarkg.kg.terms import (
     EXCERPT,
     HAS_EXCERPT,
@@ -35,6 +35,8 @@ from scholarkg.qa.engine import (
     triple_entities,
 )
 from scholarkg.qa.relaxation import RelaxationDictionary, RelaxedQuery, relax_set
+
+from anchor_graphs import KEYS, random_anchor_graph, random_phrase, random_question
 
 QUESTION = "Which tool is applied to extract text from PDF research proposals?"
 
@@ -367,68 +369,6 @@ def reference_rank(candidates: list[Triple], query_entities: set[str]) -> list[R
     ranked = [RankedEntity(e, ref_frequency(e), ref_purity(e)) for e in entities]
     ranked.sort(key=lambda r: (-r.score, -r.frequency, r.entity))
     return ranked
-
-
-WORDS = ["mel", "tika", "couchdb", "json", "pdf", "text", "tool", "Apache"]
-KEYS = ["mel", "tika", "couchdb", "json", "pdf", "text", "tool", "apache",
-        "apache_tika", "pdf_text", "text_tool", "mel_json"]
-SIDE_PREDICATES = [iri("askg-onto:cites"), iri("askg-onto:partOf")]
-
-
-def random_phrase(rng: random.Random) -> str:
-    words = [rng.choice(WORDS) for _ in range(rng.randint(1, 4))]
-    return rng.choice([" ", ", ", " - "]).join(words) + rng.choice(["", ".", "!"])
-
-
-def random_anchor_graph(rng: random.Random) -> tuple[KnowledgeGraph, list[Iri]]:
-    """Paragraph/excerpt graphs with the odd shapes the matcher must handle.
-
-    Nodes may be typed Paragraph, Excerpt, both or neither; ``hasExcerpt``
-    may point at a literal; some anchors have text only from
-    ``inSentence`` and no witness triple at all.
-    """
-    nodes = [iri(f"askg-data:N{i}") for i in range(rng.randint(1, 7))]
-    entities = [entity_iri(key) for key in rng.sample(KEYS, 4)]
-    triples: list[Triple] = []
-    for node in nodes:
-        for kind in rng.choice([(PARAGRAPH,), (EXCERPT,), (PARAGRAPH, EXCERPT), ()]):
-            triples.append(Triple(node, RDF_TYPE, kind))
-        if rng.random() < 0.6:
-            triples.append(Triple(node, RDFS_LABEL,
-                                  Literal(random_phrase(rng), language=rng.choice([None, "en"]))))
-        if rng.random() < 0.4:
-            triples.append(Triple(node, IN_SENTENCE, Literal(random_phrase(rng))))
-        if rng.random() < 0.1:
-            triples.append(Triple(node, IN_SENTENCE, rng.choice(nodes)))
-        for _ in range(rng.randint(0, 2)):
-            triples.append(Triple(node, MENTIONS, rng.choice(entities)))
-        for _ in range(rng.randint(0, 2)):
-            triples.append(Triple(node, HAS_EXCERPT, rng.choice(nodes)))
-        if rng.random() < 0.15:
-            triples.append(Triple(node, HAS_EXCERPT, Literal(random_phrase(rng))))
-        if rng.random() < 0.3:
-            triples.append(Triple(node, rng.choice(SIDE_PREDICATES),
-                                  rng.choice(nodes + entities)))
-    return KnowledgeGraph(triples), nodes + entities
-
-
-def random_pattern_term(rng: random.Random, iris: list[Iri]):
-    r = rng.random()
-    if r < 0.45:
-        return WILDCARD
-    if r < 0.5:
-        return Variable("x")
-    if r < 0.8:
-        return rng.choice(KEYS)
-    if r < 0.93:
-        return rng.choice(iris + [PARAGRAPH, MENTIONS])
-    return Literal(rng.choice(WORDS + [random_phrase(rng)]))
-
-
-def random_question(rng: random.Random, iris: list[Iri]) -> CompoundQuery:
-    return CompoundQuery(tuple(
-        TriplePattern(*(random_pattern_term(rng, iris) for _ in range(3)))
-        for _ in range(rng.randint(1, 3))))
 
 
 def reference_anchors(graph: KnowledgeGraph) -> list:

@@ -7,10 +7,8 @@ from scholarkg.kg.graph import (
     KnowledgeGraph,
     graph_stats,
     keyword_frequency,
-    match_compound,
     paragraphs_containing,
 )
-from scholarkg.kg.patterns import CompoundQuery, TriplePattern, Variable, WILDCARD
 from scholarkg.kg.terms import (
     EXCERPT,
     PARAGRAPH,
@@ -20,7 +18,7 @@ from scholarkg.kg.terms import (
     Literal,
     Triple,
     iri,
-    term_sort_key,
+    triple_sort_key,
 )
 
 A = Iri("http://x.example/a")
@@ -55,59 +53,6 @@ def test_match_by_slot():
 
 def test_graph_equality_ignores_input_order():
     assert KnowledgeGraph(TRIPLES) == KnowledgeGraph(list(reversed(TRIPLES)))
-
-
-def test_match_compound_single_pattern_with_variables():
-    g = KnowledgeGraph(TRIPLES)
-    result = match_compound(g, CompoundQuery((TriplePattern(Variable("s"), P, Variable("o")),)))
-    assert len(result.solutions) == 3
-    assert Triple(A, P, B) in result.triples
-    assert Triple(A, Q, C) not in result.triples
-
-
-def test_match_compound_joins_variables_across_patterns():
-    g = KnowledgeGraph(TRIPLES)
-    query = CompoundQuery((
-        TriplePattern(A, P, Variable("x")),
-        TriplePattern(Variable("x"), P, Variable("y")),
-    ))
-    result = match_compound(g, query)
-    assert result.solutions == ({"x": B, "y": C},)
-    assert result.triples == frozenset({Triple(A, P, B), Triple(B, P, C)})
-
-
-def test_match_compound_all_wildcards_returns_everything():
-    g = KnowledgeGraph(TRIPLES)
-    result = match_compound(g, CompoundQuery((TriplePattern(WILDCARD, WILDCARD, WILDCARD),)))
-    assert result.triples == frozenset(TRIPLES)
-    assert result.solutions == ({},)
-
-
-def test_match_compound_unsatisfiable_join_is_empty():
-    g = KnowledgeGraph(TRIPLES)
-    query = CompoundQuery((
-        TriplePattern(Variable("x"), P, B),
-        TriplePattern(Variable("x"), Q, B),
-    ))
-    result = match_compound(g, query)
-    assert result.solutions == ()
-    assert result.triples == frozenset()
-
-
-def test_match_compound_rejects_text_ground_terms():
-    g = KnowledgeGraph(TRIPLES)
-    with pytest.raises(TypeError):
-        match_compound(g, CompoundQuery((TriplePattern("a", WILDCARD, WILDCARD),)))
-
-
-def test_match_compound_wildcards_do_not_join():
-    g = KnowledgeGraph(TRIPLES)
-    query = CompoundQuery((
-        TriplePattern(WILDCARD, P, WILDCARD),
-        TriplePattern(WILDCARD, Q, WILDCARD),
-    ))
-    result = match_compound(g, query)
-    assert len(result.triples) == 4
 
 
 def paragraph(node_suffix: str, text: str) -> list[Triple]:
@@ -201,8 +146,7 @@ _RANDOM_TRIPLES = st.lists(
        st.permutations(range(8)))
 def test_indexes_agree_with_a_scan_of_the_triples(triples, s, p, o, order):
     graph = KnowledgeGraph(triples)
-    assert graph.triples == tuple(sorted(set(triples), key=lambda t: (
-        t.subject.value, t.predicate.value, term_sort_key(t.object))))
+    assert graph.triples == tuple(sorted(set(triples), key=triple_sort_key))
     # All eight bound/unbound combinations, in a drawn order, so that the
     # lazily built object index is first used at different points.
     masks = list(itertools.product((False, True), repeat=3))
