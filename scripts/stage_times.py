@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the cold query's first stages at several graph sizes.
+"""Time cold query and baseline retrieval stages at several graph sizes.
 
 Builds the benchmark's ``cli-compare`` corpus graph (``bench/gen.py``)
 with 20 paragraphs per paper for each ``--papers`` count, then times, in
@@ -7,7 +7,11 @@ this process:
 
 * ``load_turtle`` on the graph's bytes, ``KnowledgeGraph()`` included;
 * ``KnowledgeGraph()`` alone, on the loaded graph's triples;
-* ``qa.engine._anchors`` on the loaded graph.
+* ``qa.engine._anchors`` on the loaded graph;
+* ``embed_many`` of the baseline's chunk texts of the corpus (the
+  ``retrieve-baseline`` input), by a fresh stub embedder each run;
+* ``retrieve_top_k`` of those chunks for the corpus's first question
+  (k = 10), by a fresh stub embedder each run.
 
 Each figure is the median and the minimum of ``--repeats`` wall-clock
 runs. Prints one JSON object. Run from a checkout's root, with the
@@ -31,6 +35,8 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import gen  # noqa: E402
 
+from scholarkg.baseline import chunk_corpus, retrieve_top_k  # noqa: E402
+from scholarkg.embedding import HashedBagOfWordsEmbedder  # noqa: E402
 from scholarkg.kg.graph import KnowledgeGraph  # noqa: E402
 from scholarkg.kg.turtle import load_turtle  # noqa: E402
 from scholarkg.qa.engine import _anchors  # noqa: E402
@@ -53,14 +59,23 @@ def stage_times(seed: int, papers: int, repeats: int) -> dict:
                         gen.CLI_BLOCKS, gen.CLI_RANKS)
     data = gen.corpus_turtle(corpus)[0].encode("utf-8")
     graph = load_turtle(data)
+    # the documents bench/gen.py writes for retrieve-baseline
+    chunks = chunk_corpus({paper.key: "\n\n".join(" ".join(s) for _, s in paper.paragraphs())
+                           + "\n" for paper in corpus.papers})
+    texts = [chunk.text for chunk in chunks]
+    question = corpus.questions[0].text
     return {
         "papers": papers,
         "paragraphs": papers * PARAGRAPHS_PER_PAPER,
         "triples": len(graph),
         "bytes": len(data),
+        "chunks": len(chunks),
         "load_turtle": timed(lambda: load_turtle(data), repeats),
         "KnowledgeGraph": timed(lambda: KnowledgeGraph(graph.triples), repeats),
         "_anchors": timed(lambda: _anchors(graph), repeats),
+        "embed_many": timed(lambda: HashedBagOfWordsEmbedder().embed_many(texts), repeats),
+        "retrieve_top_k": timed(lambda: retrieve_top_k(
+            chunks, question, k=10, embedder=HashedBagOfWordsEmbedder()), repeats),
     }
 
 

@@ -72,10 +72,17 @@ _DEFAULTS = {
 # take only the listed values, from a flag or from the config file.
 _BACKENDS = ("stub", "http")
 _CHOICES = {"format": ("text", "json"), "backend": _BACKENDS, "embedder": _BACKENDS}
+# Where each HTTP backend lives: plain strings, read only from the file.
+_BACKEND_KEYS = tuple(f"{role}_{field}" for role in ("gateway", "embedder")
+                      for field in ("url", "model", "auth_env"))
 
 
 def read_config(text: str) -> dict[str, str]:
-    """Parse ``key = value`` lines; ``#`` starts a comment line."""
+    """Parse ``key = value`` lines; ``#`` starts a comment line.
+
+    A key is an option of ``_DEFAULTS`` or a backend key, with ``-`` read
+    as ``_``; any other key is refused.
+    """
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -84,36 +91,49 @@ def read_config(text: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep or not key.strip():
             raise ValueError(f"bad config line {lineno}: {raw.strip()!r}")
-        values[key.strip().replace("-", "_")] = value.strip()
+        name = key.strip().replace("-", "_")
+        if name not in _DEFAULTS and name not in _BACKEND_KEYS:
+            raise ValueError(f"unknown config key on line {lineno}: {key.strip()!r}")
+        values[name] = value.strip()
     return values
 
 
+def _config_value(name: str, raw: str):
+    """A config file's value, cast to the type of its default."""
+    if name not in _DEFAULTS:
+        return raw
+    cast = type(_DEFAULTS[name])
+    try:
+        value = cast(raw)
+    except ValueError:
+        raise ValueError(f"config value for {name!r} is not a valid "
+                         f"{cast.__name__}: {raw!r}") from None
+    if name in _CHOICES and value not in _CHOICES[name]:
+        raise ValueError(f"config value for {name!r} must be one of "
+                         f"{', '.join(_CHOICES[name])}: {raw!r}")
+    return value
+
+
 class _Settings:
-    """Option resolution: command-line flag, then config file, then default."""
+    """Option resolution: command-line flag, then config file, then default.
+
+    Every value in the config file is checked when the settings are
+    built, whether or not the command reads it.
+    """
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.config: dict[str, str] = {}
+        self.config: dict[str, object] = {}
         if getattr(args, "config", None):
-            self.config = read_config(Path(args.config).read_text("utf-8"))
+            text = Path(args.config).read_text("utf-8")
+            self.config = {name: _config_value(name, raw)
+                           for name, raw in read_config(text).items()}
 
     def get(self, name: str):
         flag = getattr(self.args, name, None)
         if flag is not None:
             return flag
-        if name not in self.config:
-            return _DEFAULTS[name]
-        raw = self.config[name]
-        cast = type(_DEFAULTS[name])
-        try:
-            value = cast(raw)
-        except ValueError:
-            raise ValueError(f"config value for {name!r} is not a valid "
-                             f"{cast.__name__}: {raw!r}") from None
-        if name in _CHOICES and value not in _CHOICES[name]:
-            raise ValueError(f"config value for {name!r} must be one of "
-                             f"{', '.join(_CHOICES[name])}: {raw!r}")
-        return value
+        return self.config.get(name, _DEFAULTS[name])
 
     def raw(self, name: str, default: str = "") -> str:
         flag = getattr(self.args, name, None)

@@ -8,6 +8,7 @@ service.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import operator
 import os
@@ -56,7 +57,7 @@ class EmbeddingVector:
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError("an embedding vector cannot be empty")
-        if not all(math.isfinite(v) for v in self.values):
+        if not all(map(math.isfinite, self.values)):
             raise ValueError("embedding components must be finite")
 
     @property
@@ -69,12 +70,19 @@ class EmbeddingVector:
 
     @cached_property
     def _norm(self) -> float:
-        return math.sqrt(sum(a * a for a in self.values))
+        # The squares of the support in ascending order: the dense sum
+        # minus its +0.0 terms, which cannot change a sum that starts at +0.0.
+        values = self._support[1]
+        return math.sqrt(sum(map(operator.mul, values, values)))
 
     @cached_property
     def _support(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        """Ascending indices of the nonzero components, and their values."""
-        indices = tuple(i for i, a in enumerate(self.values) if a != 0.0)
+        """Ascending indices of the nonzero components, and their values.
+
+        A component is kept when it is true, that is ``!= 0.0``: ±0.0 is
+        dropped, and NaN never gets this far.
+        """
+        indices = tuple(itertools.compress(range(len(self.values)), self.values))
         return indices, tuple(map(self.values.__getitem__, indices))
 
 
@@ -113,12 +121,18 @@ class HashedBagOfWordsEmbedder:
     the vector is L2-normalized. The construction depends only on the
     bytes of the text, so it is stable across processes, and as a bag of
     words it is invariant under token reordering.
+
+    Each instance keeps a plain dict from token to component, so a token
+    is hashed once per instance however often it recurs. The dict grows
+    with the distinct tokens the instance has seen and is never trimmed;
+    make a new instance to start empty.
     """
 
     def __init__(self, dimension: int = 256):
         if dimension < 1:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
+        self._buckets: dict[str, int] = {}
 
     @staticmethod
     def bucket(token: str, dimension: int) -> int:
@@ -131,11 +145,15 @@ class HashedBagOfWordsEmbedder:
         tokens = _TOKEN.findall(text.lower())
         if not tokens:
             raise ValueError("text contains no embeddable tokens")
-        counts = [0.0] * self.dimension
+        buckets, dimension = self._buckets, self.dimension
+        counts = [0.0] * dimension
         for token in tokens:
-            counts[self.bucket(token, self.dimension)] += 1.0
-        norm = math.sqrt(sum(c * c for c in counts))
-        return EmbeddingVector(tuple(c / norm for c in counts))
+            index = buckets.get(token)
+            if index is None:
+                index = buckets[token] = self.bucket(token, dimension)
+            counts[index] += 1.0
+        norm = math.sqrt(sum(map(operator.mul, counts, counts)))
+        return EmbeddingVector(tuple([c / norm for c in counts]))
 
     def embed_many(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         return [self.embed(text) for text in texts]

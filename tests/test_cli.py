@@ -87,6 +87,36 @@ def test_bad_config_value_is_a_domain_error(capsys, tmp_path, fixtures_dir):
         assert f"{key!r} must be one of" in err and repr(value) in err, err
 
 
+def test_unknown_config_key_is_refused(capsys, tmp_path, fixtures_dir):
+    with pytest.raises(ValueError, match="line 2: 'top-m'"):
+        read_config("top-n = 3\ntop-m = 1\n")
+    # the backend keys are known, in either spelling
+    assert read_config("embedder-url = http://e.test\ngateway_auth_env = T\n") == {
+        "embedder_url": "http://e.test", "gateway_auth_env": "T"}
+
+    config = tmp_path / "settings.conf"
+    config.write_text("top-m = 1\n", "utf-8")
+    sample = str(fixtures_dir / "scholarly_sample.ttl")
+    for argv in (["query", "--graph", sample, "--question", QUESTION],
+                 ["stats", "--graph", sample]):
+        code, out, err = invoke(capsys, *argv, "--config", str(config))
+        assert (code, out) == (1, ""), argv
+        assert "unknown config key" in err and "'top-m'" in err, err
+
+
+def test_config_values_are_checked_even_when_unread(capsys, tmp_path, fixtures_dir):
+    # stats reads neither max_depth nor threshold, yet a bad value fails it
+    config = tmp_path / "settings.conf"
+    sample = str(fixtures_dir / "scholarly_sample.ttl")
+    for line in ("max_depth = banana", "threshold = high", "embedder = local"):
+        config.write_text(line + "\n", "utf-8")
+        code, out, err = invoke(capsys, "stats", "--graph", sample, "--config", str(config))
+        assert (code, out) == (1, ""), line
+        assert repr(line.partition(" = ")[0]) in err, err
+    config.write_text("max_depth = 1\nthreshold = 0.5\n", "utf-8")
+    assert invoke(capsys, "stats", "--graph", sample, "--config", str(config))[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # Exit codes
 # ---------------------------------------------------------------------------

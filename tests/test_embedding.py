@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -82,6 +83,68 @@ def test_bucket_is_stable():
     assert HashedBagOfWordsEmbedder.bucket("alpha", 256) == \
         HashedBagOfWordsEmbedder.bucket("alpha", 256)
     assert 0 <= HashedBagOfWordsEmbedder.bucket("alpha", 7) < 7
+
+
+# ---------------------------------------------------------------------------
+# Stub vectors pinned bit for bit
+# ---------------------------------------------------------------------------
+
+PIN_WORDS = ("graph", "Graph", "GRAPH", "query", "paper", "tika", "pdf", "x", "2024",
+             "v2", "a1b2", "relaxation", "excerpt", "Pipeline", "mel", "42", "ohm")
+
+
+def pinned_texts() -> list[str]:
+    """500 seeded texts of 1-40 tokens: a shared vocabulary in mixed case,
+    digits, random runs and repeated texts."""
+    rng = random.Random(8)
+    texts = []
+    for _ in range(500):
+        words = [rng.choice(PIN_WORDS) if rng.random() < 0.6
+                 else "".join(rng.choice("abcdefghijklmnopqrstuvwxyz0123456789")
+                              for _ in range(rng.randint(1, 9)))
+                 for _ in range(rng.randint(1, 40))]
+        texts.append(rng.choice((" ", ", ", "-", "! ")).join(words))
+    return texts
+
+
+def values_digest(vectors) -> str:
+    return hashlib.sha256(repr([v.values for v in vectors]).encode()).hexdigest()
+
+
+def test_stub_vectors_are_pinned_bit_for_bit():
+    # The digest of the per-token-hashing embedder that preceded the
+    # bucket memo; any change to a stub vector's bits changes it.
+    texts = pinned_texts()
+    assert len(set(texts)) < len(texts)
+    assert values_digest(HashedBagOfWordsEmbedder().embed_many(texts)) == \
+        "dfcebd432109462b92706fb61dadca7437ce0559adbcc0f93f74402950b814c9"
+
+
+def test_stub_embedder_vectors_do_not_depend_on_what_it_saw_before():
+    texts = pinned_texts()
+    embedder = HashedBagOfWordsEmbedder()
+    first = values_digest(embedder.embed_many(texts))
+    assert values_digest(embedder.embed_many(texts)) == first
+    assert values_digest(HashedBagOfWordsEmbedder().embed_many(texts)) == first
+    for text in (texts[0], texts[-1], "graph unseen99 GRAPH"):
+        assert repr(embedder.embed(text).values) == \
+            repr(HashedBagOfWordsEmbedder().embed(text).values)
+
+
+def test_stub_embedder_hashes_each_distinct_token_once(monkeypatch):
+    calls = []
+    bucket = HashedBagOfWordsEmbedder.bucket
+
+    def counting(token, dimension):
+        calls.append(token)
+        return bucket(token, dimension)
+
+    monkeypatch.setattr(HashedBagOfWordsEmbedder, "bucket", staticmethod(counting))
+    embedder = HashedBagOfWordsEmbedder()
+    embedder.embed_many(["alpha beta alpha", "Beta gamma", "ALPHA"])
+    assert sorted(calls) == ["alpha", "beta", "gamma"]
+    HashedBagOfWordsEmbedder().embed("alpha")
+    assert calls.count("alpha") == 2           # a fresh instance starts empty
 
 
 class _FakeResponse:
@@ -335,6 +398,41 @@ def test_cosine_similarity_edge_cases_match_dense_reference():
         u, v = EmbeddingVector(a), EmbeddingVector(b)
         assert outcome(cosine_similarity, u, v) == outcome(reference_cosine, u, v)
         assert outcome(cosine_similarity, v, u) == outcome(reference_cosine, v, u)
+
+
+def dense_norm(values) -> float:
+    return math.sqrt(sum(a * a for a in values))
+
+
+def dense_support(values) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    pairs = [(i, a) for i, a in enumerate(values) if a != 0.0]
+    return tuple(i for i, _ in pairs), tuple(a for _, a in pairs)
+
+
+def assert_norm_and_support_are_dense(vector: EmbeddingVector) -> None:
+    assert repr(vector._norm) == repr(dense_norm(vector.values)), vector
+    assert repr(vector._support) == repr(dense_support(vector.values)), vector
+
+
+def test_norm_and_support_match_dense_formulas_bit_for_bit():
+    rng = random.Random(20261019)
+    for _ in range(3000):
+        for vector in random_vector_pair(rng):
+            assert_norm_and_support_are_dense(vector)
+    z, nz = 0.0, -0.0
+    for row in [(z, nz, 1.0, nz), (nz,), (z, z, z), (nz, nz), (1e200, 1e200),
+                (1e200, z, -1e200), (5e-324,), (5e-324, z, 1.0), (1e-200, 1e-200),
+                (1.0, 2.0, 3.0), (-0.5, nz, 0.25), (z,) * 256]:
+        assert_norm_and_support_are_dense(EmbeddingVector(row))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_vector_refuses_a_non_finite_component_anywhere(bad, position):
+    values = [1.0, 0.0, -2.0, 0.5, 3.0]
+    values[position] = bad
+    with pytest.raises(ValueError, match="finite"):
+        EmbeddingVector(tuple(values))
 
 
 def test_cached_norm_and_support_leave_equality_hash_and_repr_alone():
