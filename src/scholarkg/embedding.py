@@ -125,14 +125,19 @@ class HashedBagOfWordsEmbedder:
     Each instance keeps a plain dict from token to component, so a token
     is hashed once per instance however often it recurs. The dict grows
     with the distinct tokens the instance has seen and is never trimmed;
-    make a new instance to start empty.
+    make a new instance to start empty. The dimension is read-only, since
+    the dict's components hold for one dimension only.
     """
 
     def __init__(self, dimension: int = 256):
         if dimension < 1:
             raise ValueError("dimension must be positive")
-        self.dimension = dimension
+        self._dimension = dimension
         self._buckets: dict[str, int] = {}
+
+    @property
+    def dimension(self) -> int:
+        return self._dimension
 
     @staticmethod
     def bucket(token: str, dimension: int) -> int:
@@ -145,7 +150,7 @@ class HashedBagOfWordsEmbedder:
         tokens = _TOKEN.findall(text.lower())
         if not tokens:
             raise ValueError("text contains no embeddable tokens")
-        buckets, dimension = self._buckets, self.dimension
+        buckets, dimension = self._buckets, self._dimension
         counts = [0.0] * dimension
         for token in tokens:
             index = buckets.get(token)

@@ -145,6 +145,8 @@ def test_stub_embedder_hashes_each_distinct_token_once(monkeypatch):
     assert sorted(calls) == ["alpha", "beta", "gamma"]
     HashedBagOfWordsEmbedder().embed("alpha")
     assert calls.count("alpha") == 2           # a fresh instance starts empty
+    with pytest.raises(AttributeError):        # the memo holds for one dimension
+        embedder.dimension = 7
 
 
 class _FakeResponse:
