@@ -135,15 +135,9 @@ class _Settings:
             return flag
         return self.config.get(name, _DEFAULTS[name])
 
-    def raw(self, name: str, default: str = "") -> str:
-        flag = getattr(self.args, name, None)
-        if flag is not None:
-            return flag
-        return self.config.get(name, default)
-
 
 def _backend_config(settings: _Settings, role: str) -> BackendConfig:
-    url = settings.raw(f"{role}_url") or os.environ.get(
+    url = settings.config.get(f"{role}_url") or os.environ.get(
         f"SCHOLARKG_{role.upper()}_URL", "")
     if not url:
         raise ValueError(
@@ -151,10 +145,10 @@ def _backend_config(settings: _Settings, role: str) -> BackendConfig:
             f"SCHOLARKG_{role.upper()}_URL in the environment")
     return BackendConfig(
         url=url,
-        model=settings.raw(f"{role}_model") or os.environ.get(
+        model=settings.config.get(f"{role}_model") or os.environ.get(
             f"SCHOLARKG_{role.upper()}_MODEL", ""),
-        auth_env=settings.raw(f"{role}_auth_env",
-                              f"SCHOLARKG_{role.upper()}_TOKEN"),
+        auth_env=settings.config.get(f"{role}_auth_env",
+                                     f"SCHOLARKG_{role.upper()}_TOKEN"),
         timeout=settings.get("timeout"),
         retries=settings.get("retries"),
     )

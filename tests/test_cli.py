@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import subprocess
@@ -5,8 +6,9 @@ import sys
 
 import pytest
 
-from scholarkg import __version__
+from scholarkg import __version__, cli
 from scholarkg.cli import read_config, run
+from scholarkg.embedding import BackendConfig
 from scholarkg.gateway import StubGateway
 from scholarkg.kg.graph import paragraphs_containing
 from scholarkg.kg.terms import PARAGRAPH, entity_phrase
@@ -102,6 +104,19 @@ def test_unknown_config_key_is_refused(capsys, tmp_path, fixtures_dir):
         code, out, err = invoke(capsys, *argv, "--config", str(config))
         assert (code, out) == (1, ""), argv
         assert "unknown config key" in err and "'top-m'" in err, err
+
+
+def test_backend_keys_come_from_the_config_file(tmp_path, monkeypatch):
+    monkeypatch.delenv("SCHOLARKG_EMBEDDER_URL", raising=False)
+    config = tmp_path / "settings.conf"
+    config.write_text("embedder-url = http://e.test/v1\nembedder-model = m\n"
+                      "embedder-auth-env = MY_TOKEN\n", "utf-8")
+    settings = cli._Settings(argparse.Namespace(config=str(config)))
+    assert cli._backend_config(settings, "embedder") == BackendConfig(
+        url="http://e.test/v1", model="m", auth_env="MY_TOKEN")
+    settings = cli._Settings(argparse.Namespace(config=None))
+    with pytest.raises(ValueError, match="embedder_url"):
+        cli._backend_config(settings, "embedder")
 
 
 def test_config_values_are_checked_even_when_unread(capsys, tmp_path, fixtures_dir):
