@@ -54,34 +54,37 @@ from .qa.engine import (
 
 __all__ = ["run", "main"]
 
-_DEFAULTS = {
-    "top_n": 10,
-    "diverse_k": 5,
-    "max_depth": 2,
-    "threshold": 0.7,
-    "max_tokens": 100,
-    "overlap_ratio": 0.05,
-    "backend": "stub",
-    "embedder": "stub",
-    "format": "text",
-    "timeout": 30.0,
-    "retries": 2,
-}
-
-# A config value is cast to the type of its default. These keys also
-# take only the listed values, from a flag or from the config file.
+# Every option: its default, and the help of its flag, or None for a key
+# that only the config file sets. A value from a flag or from the file is
+# cast to the type of the default, and the keys of _CHOICES take only the
+# listed values. The backend keys say where each HTTP service lives; an
+# empty url or model is read from the environment instead.
 _BACKENDS = ("stub", "http")
 _CHOICES = {"format": ("text", "json"), "backend": _BACKENDS, "embedder": _BACKENDS}
-# Where each HTTP backend lives: plain strings, read only from the file.
-_BACKEND_KEYS = tuple(f"{role}_{field}" for role in ("gateway", "embedder")
-                      for field in ("url", "model", "auth_env"))
+_OPTIONS = {
+    "top_n": (10, "context paragraphs or chunks to keep"),
+    "diverse_k": (5, "diverse context paragraphs to select"),
+    "max_depth": (2, "relaxation depth budget"),
+    "threshold": (0.7, "minimum link similarity"),
+    "max_tokens": (100, "tokens per chunk"),
+    "overlap_ratio": (0.05, "chunk overlap fraction"),
+    "backend": ("stub", "language-model backend"),
+    "embedder": ("stub", "embedding backend"),
+    "format": ("text", "output format"),
+    "timeout": (30.0, None),
+    "retries": (2, None),
+    **{f"{role}_{field}": (default, None)
+       for role in ("gateway", "embedder")
+       for field, default in (("url", ""), ("model", ""),
+                              ("auth_env", f"SCHOLARKG_{role.upper()}_TOKEN"))},
+}
 
 
 def read_config(text: str) -> dict[str, str]:
     """Parse ``key = value`` lines; ``#`` starts a comment line.
 
-    A key is an option of ``_DEFAULTS`` or a backend key, with ``-`` read
-    as ``_``; any other key is refused.
+    A key is a key of ``_OPTIONS``, with ``-`` read as ``_``; any other
+    key is refused.
     """
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -92,7 +95,7 @@ def read_config(text: str) -> dict[str, str]:
         if not sep or not key.strip():
             raise ValueError(f"bad config line {lineno}: {raw.strip()!r}")
         name = key.strip().replace("-", "_")
-        if name not in _DEFAULTS and name not in _BACKEND_KEYS:
+        if name not in _OPTIONS:
             raise ValueError(f"unknown config key on line {lineno}: {key.strip()!r}")
         values[name] = value.strip()
     return values
@@ -100,9 +103,7 @@ def read_config(text: str) -> dict[str, str]:
 
 def _config_value(name: str, raw: str):
     """A config file's value, cast to the type of its default."""
-    if name not in _DEFAULTS:
-        return raw
-    cast = type(_DEFAULTS[name])
+    cast = type(_OPTIONS[name][0])
     try:
         value = cast(raw)
     except ValueError:
@@ -114,56 +115,45 @@ def _config_value(name: str, raw: str):
     return value
 
 
-class _Settings:
-    """Option resolution: command-line flag, then config file, then default.
+def _resolve_options(args: argparse.Namespace) -> None:
+    """Set every option on ``args``: its flag, else the config file's
+    value, else its default.
 
-    Every value in the config file is checked when the settings are
-    built, whether or not the command reads it.
+    Every key and value in the config file is checked, whether or not the
+    command reads it.
     """
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config: dict[str, object] = {}
-        if getattr(args, "config", None):
-            text = Path(args.config).read_text("utf-8")
-            self.config = {name: _config_value(name, raw)
-                           for name, raw in read_config(text).items()}
-
-    def get(self, name: str):
-        flag = getattr(self.args, name, None)
-        if flag is not None:
-            return flag
-        return self.config.get(name, _DEFAULTS[name])
+    config = {}
+    if args.config:
+        text = Path(args.config).read_text("utf-8")
+        config = {name: _config_value(name, raw)
+                  for name, raw in read_config(text).items()}
+    for name, (default, _) in _OPTIONS.items():
+        if getattr(args, name, None) is None:
+            setattr(args, name, config.get(name, default))
 
 
-def _backend_config(settings: _Settings, role: str) -> BackendConfig:
-    url = settings.config.get(f"{role}_url") or os.environ.get(
-        f"SCHOLARKG_{role.upper()}_URL", "")
+def _backend_config(args: argparse.Namespace, role: str) -> BackendConfig:
+    env = f"SCHOLARKG_{role.upper()}_"
+    url = getattr(args, f"{role}_url") or os.environ.get(env + "URL", "")
     if not url:
         raise ValueError(
             f"http {role} requires {role}_url in the config file or "
-            f"SCHOLARKG_{role.upper()}_URL in the environment")
+            f"{env}URL in the environment")
     return BackendConfig(
-        url=url,
-        model=settings.config.get(f"{role}_model") or os.environ.get(
-            f"SCHOLARKG_{role.upper()}_MODEL", ""),
-        auth_env=settings.config.get(f"{role}_auth_env",
-                                     f"SCHOLARKG_{role.upper()}_TOKEN"),
-        timeout=settings.get("timeout"),
-        retries=settings.get("retries"),
-    )
+        url=url, model=getattr(args, f"{role}_model") or os.environ.get(env + "MODEL", ""),
+        auth_env=getattr(args, f"{role}_auth_env"), timeout=args.timeout, retries=args.retries)
 
 
-def _make_gateway(settings: _Settings):
-    if settings.get("backend") == "stub":
+def _make_gateway(args: argparse.Namespace):
+    if args.backend == "stub":
         return StubGateway()
-    return HttpGateway(_backend_config(settings, "gateway"))
+    return HttpGateway(_backend_config(args, "gateway"))
 
 
-def _make_embedder(settings: _Settings):
-    if settings.get("embedder") == "stub":
+def _make_embedder(args: argparse.Namespace):
+    if args.embedder == "stub":
         return HashedBagOfWordsEmbedder()
-    return HttpEmbedder(_backend_config(settings, "embedder"))
+    return HttpEmbedder(_backend_config(args, "embedder"))
 
 
 def _load_graph(path: str):
@@ -177,11 +167,8 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit(payload: dict, text: str, settings: _Settings, out: str | None = None) -> None:
-    if settings.get("format") == "json":
-        _write_output(json.dumps(payload, indent=2) + "\n", out)
-    else:
-        _write_output(text, out)
+def _emit(payload: dict, text: str, args: argparse.Namespace) -> None:
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n" if args.format == "json" else text)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +176,6 @@ def _emit(payload: dict, text: str, settings: _Settings, out: str | None = None)
 # ---------------------------------------------------------------------------
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    settings = _Settings(args)
     if args.xml:
         model = parse_chunked_xml(Path(args.xml).read_bytes())
     elif args.outline and args.text:
@@ -198,13 +184,11 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     else:
         raise ValueError("ingest needs --xml or both --outline and --text")
 
-    excerpts = []
-    links = []
+    excerpts, links = [], []
     if args.excerpts:
         excerpts = read_excerpts_jsonl(Path(args.excerpts).read_text("utf-8"))
-        links = link_excerpts(collect_paragraphs(model), excerpts,
-                              _make_embedder(settings),
-                              threshold=settings.get("threshold"))
+        links = link_excerpts(collect_paragraphs(model), excerpts, _make_embedder(args),
+                              threshold=args.threshold)
     graph = emit_rdf(model, links, excerpts)
     _write_output(save_turtle(graph).decode("utf-8"), args.out)
     print(f"document {model.doc_id}: {len(graph)} triples, "
@@ -213,7 +197,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_link(args: argparse.Namespace) -> int:
-    settings = _Settings(args)
     graph = _load_graph(args.graph)
     excerpts = read_excerpts_jsonl(Path(args.excerpts).read_text("utf-8"))
 
@@ -233,8 +216,8 @@ def _cmd_link(args: argparse.Namespace) -> int:
             sentences=(Sentence(text=label.lexical),),
             word_count=len(label.lexical.split()),
         ))
-    links = link_excerpts(paragraphs, excerpts, _make_embedder(settings),
-                          threshold=settings.get("threshold"))
+    links = link_excerpts(paragraphs, excerpts, _make_embedder(args),
+                          threshold=args.threshold)
 
     paragraph_ids = {p.paragraph_id for p in paragraphs}
     linked = KnowledgeGraph([*graph, *excerpt_link_triples(excerpts, links, paragraph_ids)])
@@ -255,19 +238,16 @@ def _sparql_of(query_entities: set[str]) -> str:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    settings = _Settings(args)
     graph = _load_graph(args.graph)
-    gateway = _make_gateway(settings)
-    embedder = _make_embedder(settings)
+    gateway = _make_gateway(args)
+    embedder = _make_embedder(args)
 
     query = extract_question_patterns(args.question, gateway)
     dictionary = default_relaxation_dictionary(query)
-    result = resolve_query(graph, query, dictionary,
-                           max_depth=settings.get("max_depth"))
+    result = resolve_query(graph, query, dictionary, max_depth=args.max_depth)
     entities = query_entities_of(query)
     ranking = rank_candidates(result.triples, entities)
-    context = select_context(graph, entities, top_n=settings.get("top_n"),
-                             diverse_k=settings.get("diverse_k"),
+    context = select_context(graph, entities, top_n=args.top_n, diverse_k=args.diverse_k,
                              embedder=embedder)
     if not context:
         raise ValueError(
@@ -315,7 +295,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     for p in context:
         lines.append(f"  {p.node.value} (document {p.document_id}, "
                      f"keyword frequency {p.keyword_frequency})")
-    _emit(payload, "\n".join(lines) + "\n", settings)
+    _emit(payload, "\n".join(lines) + "\n", args)
     return 0
 
 
@@ -332,15 +312,13 @@ def _read_corpus(path: str) -> dict[str, str]:
 
 
 def _cmd_retrieve_baseline(args: argparse.Namespace) -> int:
-    settings = _Settings(args)
     documents = _read_corpus(args.corpus)
-    chunks = chunk_corpus(documents, max_tokens=settings.get("max_tokens"),
-                          overlap_ratio=settings.get("overlap_ratio"))
-    embedder = _make_embedder(settings)
-    retrieved = retrieve_top_k(chunks, args.question,
-                               k=settings.get("top_n"), embedder=embedder)
+    chunks = chunk_corpus(documents, max_tokens=args.max_tokens,
+                          overlap_ratio=args.overlap_ratio)
+    retrieved = retrieve_top_k(chunks, args.question, k=args.top_n,
+                               embedder=_make_embedder(args))
 
-    gateway = _make_gateway(settings)
+    gateway = _make_gateway(args)
     block = "\n\n".join(r.chunk.text for r in retrieved) or "(no context)"
     response = gateway.complete(GatewayRequest(
         system="",
@@ -362,7 +340,7 @@ def _cmd_retrieve_baseline(args: argparse.Namespace) -> int:
     lines = [f"Answer: {response.text.strip()}", "", "Chunks:"]
     for r in retrieved:
         lines.append(f"  {r.chunk.chunk_id} (similarity {r.similarity:.4f})")
-    _emit(payload, "\n".join(lines) + "\n", settings)
+    _emit(payload, "\n".join(lines) + "\n", args)
     return 0
 
 
@@ -415,8 +393,7 @@ def _read_answer_records(records) -> list[QuestionComparison]:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    settings = _Settings(args)
-    embedder = _make_embedder(settings)
+    embedder = _make_embedder(args)
 
     payload: dict = {}
     text_parts: list[str] = []
@@ -443,15 +420,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         text_parts.append(f"Cronbach alpha: {alpha:.4f}\n")
     if not payload:
         raise ValueError("eval needs --answers and/or --ratings")
-    _emit(payload, "\n".join(text_parts), settings)
+    _emit(payload, "\n".join(text_parts), args)
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    settings = _Settings(args)
     stats = graph_stats(_load_graph(args.graph))
     text = "\n".join(f"{name}: {value}" for name, value in stats.rows()) + "\n"
-    _emit(stats.to_dict(), text, settings)
+    _emit(stats.to_dict(), text, args)
     return 0
 
 
@@ -468,21 +444,23 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def options(p: argparse.ArgumentParser, *names: str) -> None:
+        for name in names:
+            default, help_text = _OPTIONS[name]
+            p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=type(default),
+                           choices=_CHOICES.get(name),
+                           help=f"{help_text} (default {default})")
+
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="key = value settings file")
-        p.add_argument("--format", choices=_CHOICES["format"])
-        p.add_argument("--backend", choices=_CHOICES["backend"],
-                       help="language-model backend")
-        p.add_argument("--embedder", choices=_CHOICES["embedder"],
-                       help="embedding backend")
+        options(p, "format", "backend", "embedder")
 
     p = sub.add_parser("ingest", help="build a graph from a document")
     p.add_argument("--xml", help="chunked XML document")
     p.add_argument("--outline", help="heading outline JSON")
     p.add_argument("--text", help="plain-text document for --outline")
     p.add_argument("--excerpts", help="excerpt records (JSON lines)")
-    p.add_argument("--threshold", type=float,
-                   help="minimum link similarity (default 0.7)")
+    options(p, "threshold")
     p.add_argument("--out", help="output Turtle file (default stdout)")
     common(p)
     p.set_defaults(func=_cmd_ingest)
@@ -490,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("link", help="link excerpt records into a graph")
     p.add_argument("--graph", required=True, help="Turtle graph with paragraphs")
     p.add_argument("--excerpts", required=True, help="excerpt records (JSON lines)")
-    p.add_argument("--threshold", type=float)
+    options(p, "threshold")
     p.add_argument("--out", help="output Turtle file (default stdout)")
     common(p)
     p.set_defaults(func=_cmd_link)
@@ -498,12 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("query", help="answer a question from a graph")
     p.add_argument("--graph", required=True, help="Turtle graph")
     p.add_argument("--question", required=True)
-    p.add_argument("--top-n", type=int, dest="top_n",
-                   help="context candidates to keep (default 10)")
-    p.add_argument("--diverse-k", type=int, dest="diverse_k",
-                   help="diverse context paragraphs to select (default 5)")
-    p.add_argument("--max-depth", type=int, dest="max_depth",
-                   help="relaxation depth budget (default 2)")
+    options(p, "top_n", "diverse_k", "max_depth")
     common(p)
     p.set_defaults(func=_cmd_query)
 
@@ -511,12 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="answer a question from sliding-window chunks")
     p.add_argument("--corpus", required=True, help="directory of .txt documents")
     p.add_argument("--question", required=True)
-    p.add_argument("--top-n", type=int, dest="top_n",
-                   help="chunks to retrieve (default 10)")
-    p.add_argument("--max-tokens", type=int, dest="max_tokens",
-                   help="tokens per chunk (default 100)")
-    p.add_argument("--overlap-ratio", type=float, dest="overlap_ratio",
-                   help="chunk overlap fraction (default 0.05)")
+    options(p, "top_n", "max_tokens", "overlap_ratio")
     common(p)
     p.set_defaults(func=_cmd_retrieve_baseline)
 
@@ -543,6 +511,7 @@ def run(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
+        _resolve_options(args)
         return args.func(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

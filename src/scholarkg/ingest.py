@@ -83,15 +83,41 @@ class HeadingOutline:
             raise ValueError("outline offsets must be strictly increasing")
 
 
+def _record_fields(record, fields: dict[str, type]) -> dict:
+    """The named fields of one parsed JSON record. A ``str`` field is read
+    with ``str``; an ``int`` field must be a JSON integer, not a bool or a
+    float."""
+    if not isinstance(record, dict):
+        raise ValueError("not a JSON object")
+    values = {}
+    for name, kind in fields.items():
+        if name not in record:
+            raise ValueError(f"missing field {name!r}")
+        value = record[name]
+        if kind is int and type(value) is not int:
+            raise ValueError(f"{name!r} must be an integer, got {value!r}")
+        values[name] = kind(value)
+    return values
+
+
+_OUTLINE_FIELDS = {"level": int, "heading": str, "offset": int}
+
+
 def read_outline_json(data: str | bytes) -> HeadingOutline:
-    """Load an outline from JSON: a list of {level, heading, offset} objects."""
+    """Load an outline from JSON: a list of {level, heading, offset} objects.
+
+    A bad record raises ``ValueError`` naming its index and the field.
+    """
     raw = json.loads(data)
-    entries = tuple(
-        OutlineEntry(level=int(item["level"]), heading=str(item["heading"]),
-                     offset=int(item["offset"]))
-        for item in raw
-    )
-    return HeadingOutline(entries)
+    if not isinstance(raw, list):
+        raise ValueError("outline must be a JSON list of records")
+    entries = []
+    for index, item in enumerate(raw):
+        try:
+            entries.append(OutlineEntry(**_record_fields(item, _OUTLINE_FIELDS)))
+        except ValueError as exc:
+            raise ValueError(f"outline record {index}: {exc}") from exc
+    return HeadingOutline(tuple(entries))
 
 
 class _SectionBuilder:
@@ -295,11 +321,16 @@ def emit_rdf(model: DocumentModel, links: Iterable[ExcerptLink],
 # Excerpt record input
 # ---------------------------------------------------------------------------
 
+_EXCERPT_FIELDS = {"excerpt_id": str, "label": str, "in_sentence": str, "mentions": str,
+                   "word_index_from": int, "word_index_to": int}
+
+
 def read_excerpts_jsonl(data: str | bytes) -> list[Excerpt]:
     """Read excerpt records from JSON lines.
 
     Each line is an object with ``excerpt_id``, ``label``, ``in_sentence``,
-    ``mentions``, ``word_index_from`` and ``word_index_to``.
+    ``mentions``, ``word_index_from`` and ``word_index_to``; the word
+    indices are JSON integers. A bad line raises ``ValueError`` naming it.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -308,17 +339,9 @@ def read_excerpts_jsonl(data: str | bytes) -> list[Excerpt]:
         line = raw.strip()
         if not line:
             continue
-        try:
-            record = json.loads(line)
-            out.append(Excerpt(
-                excerpt_id=str(record["excerpt_id"]),
-                label=str(record["label"]),
-                in_sentence=str(record["in_sentence"]),
-                mentions=str(record["mentions"]),
-                word_index_from=int(record["word_index_from"]),
-                word_index_to=int(record["word_index_to"]),
-            ))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        try:  # json.JSONDecodeError is a ValueError
+            out.append(Excerpt(**_record_fields(json.loads(line), _EXCERPT_FIELDS)))
+        except ValueError as exc:
             raise ValueError(f"bad excerpt record on line {index}: {exc}") from exc
     return out
 

@@ -33,15 +33,10 @@ class KnowledgeGraph:
 
     The constructor sorts the triples into ``triple_sort_key`` order and,
     in one pass over them, indexes them by subject and by predicate and
-    records each node's first label and each type's subjects. The index by
-    object is built on the first ``match`` that binds an object but no
-    subject. Building it is idempotent: two threads that race on it build
-    equal dicts and one assignment wins, so instances can be shared freely
-    between threads.
+    records each node's first label and each type's subjects.
     """
 
-    __slots__ = ("_triples", "_by_subject", "_by_predicate", "_by_object",
-                 "_labels", "_types")
+    __slots__ = ("_triples", "_by_subject", "_by_predicate", "_labels", "_types")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         # dict.fromkeys deduplicates and keeps the input order, whose
@@ -62,7 +57,6 @@ class KnowledgeGraph:
                 types.setdefault(t.object, []).append(t.subject)
         self._by_subject = {k: tuple(v) for k, v in by_subject.items()}
         self._by_predicate = {k: tuple(v) for k, v in by_predicate.items()}
-        self._by_object = None
         self._labels = labels
         self._types = {k: tuple(v) for k, v in types.items()}
 
@@ -95,20 +89,12 @@ class KnowledgeGraph:
         """
         if subject is not None:
             candidates = self._by_subject.get(subject, ())
-            if predicate is None and object is None:
-                return candidates
-        elif object is not None:
-            by_object = self._by_object
-            if by_object is None:
-                grouped: dict = {}
-                for t in self._triples:
-                    grouped.setdefault(t.object, []).append(t)
-                by_object = self._by_object = {k: tuple(v) for k, v in grouped.items()}
-            candidates = by_object.get(object, ())
         elif predicate is not None:
-            return self._by_predicate.get(predicate, ())
+            candidates = self._by_predicate.get(predicate, ())
         else:
-            return self._triples
+            candidates = self._triples
+        if object is None and (subject is None or predicate is None):
+            return candidates
         return tuple(
             t for t in candidates
             if (predicate is None or t.predicate == predicate)

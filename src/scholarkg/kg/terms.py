@@ -25,7 +25,6 @@ __all__ = [
     "EXCERPT",
     "SECTION",
     "PAPER",
-    "ACADEMIC_ENTITY",
     "HAS_EXCERPT",
     "MENTIONS",
     "IN_SENTENCE",
@@ -156,7 +155,6 @@ PARAGRAPH = iri("askg-onto:Paragraph")
 EXCERPT = iri("askg-onto:Excerpt")
 SECTION = iri("askg-onto:Section")
 PAPER = iri("askg-onto:Paper")
-ACADEMIC_ENTITY = iri("askg-onto:AcademicEntity")
 HAS_EXCERPT = iri("askg-onto:hasExcerpt")
 MENTIONS = iri("askg-onto:mentions")
 IN_SENTENCE = iri("askg-onto:inSentence")

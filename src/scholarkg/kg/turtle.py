@@ -354,25 +354,12 @@ def save_turtle(graph: KnowledgeGraph) -> bytes:
         by_subject.setdefault(t.subject, {}).setdefault(t.predicate, []).append(t.object)
 
     for subject in sorted(by_subject, key=_render_iri):
-        predicates = sorted(by_subject[subject], key=_predicate_order)
-        block: list[str] = []
-        for p_index, predicate in enumerate(predicates):
-            p_token = "a" if predicate == RDF_TYPE else _render_iri(predicate)
-            objects = sorted(by_subject[subject][predicate], key=_render_term)
-            for o_index, obj in enumerate(objects):
-                lead = f"{_render_iri(subject)} {p_token} " if p_index == 0 and o_index == 0 else (
-                    f"    {p_token} " if o_index == 0 else "        ")
-                last_object = o_index == len(objects) - 1
-                last_predicate = p_index == len(predicates) - 1
-                if not last_object:
-                    tail = ","
-                elif not last_predicate:
-                    tail = " ;"
-                else:
-                    tail = " ."
-                block.append(f"{lead}{_render_term(obj)}{tail}")
-        lines.extend(block)
-        lines.append("")
+        predicates = by_subject[subject]
+        body = " ;\n    ".join(
+            ("a" if predicate == RDF_TYPE else _render_iri(predicate)) + " "
+            + ",\n        ".join(sorted(map(_render_term, predicates[predicate])))
+            for predicate in sorted(predicates, key=_predicate_order))
+        lines.append(f"{_render_iri(subject)} {body} .\n")
 
     text = "\n".join(lines).rstrip("\n") + "\n"
     try:

@@ -111,12 +111,56 @@ def test_backend_keys_come_from_the_config_file(tmp_path, monkeypatch):
     config = tmp_path / "settings.conf"
     config.write_text("embedder-url = http://e.test/v1\nembedder-model = m\n"
                       "embedder-auth-env = MY_TOKEN\n", "utf-8")
-    settings = cli._Settings(argparse.Namespace(config=str(config)))
-    assert cli._backend_config(settings, "embedder") == BackendConfig(
+    args = argparse.Namespace(config=str(config))
+    cli._resolve_options(args)
+    assert cli._backend_config(args, "embedder") == BackendConfig(
         url="http://e.test/v1", model="m", auth_env="MY_TOKEN")
-    settings = cli._Settings(argparse.Namespace(config=None))
+    args = argparse.Namespace(config=None)
+    cli._resolve_options(args)
     with pytest.raises(ValueError, match="embedder_url"):
-        cli._backend_config(settings, "embedder")
+        cli._backend_config(args, "embedder")
+
+
+# The option flags of each subcommand, besides --format, --backend and
+# --embedder, and the arguments it requires.
+OPTION_FLAGS = {
+    "ingest": ((), ("threshold",)),
+    "link": (("--graph", "g", "--excerpts", "e"), ("threshold",)),
+    "query": (("--graph", "g", "--question", "q"), ("top_n", "diverse_k", "max_depth")),
+    "retrieve-baseline": (("--corpus", "c", "--question", "q"),
+                          ("top_n", "max_tokens", "overlap_ratio")),
+    "eval": ((), ()),
+    "stats": (("--graph", "g"), ()),
+}
+
+
+def test_option_table_drives_flags_and_config(capsys, tmp_path):
+    config_only = {name for name, (_, help_line) in cli._OPTIONS.items() if help_line is None}
+    assert config_only == {"timeout", "retries"} | {
+        f"{role}_{field}" for role in ("gateway", "embedder")
+        for field in ("url", "model", "auth_env")}
+    parser = cli.build_parser()
+    config = tmp_path / "settings.conf"
+    for command, (required, names) in OPTION_FLAGS.items():
+        code, help_text, _ = invoke(capsys, command, "--help")
+        assert code == 0
+        help_text = " ".join(help_text.split())
+        for name in config_only:
+            assert f"--{name.replace('_', '-')}" not in help_text, (command, name)
+        for name in (*names, "format", "backend", "embedder"):
+            default, help_line = cli._OPTIONS[name]
+            flag = "--" + name.replace("_", "-")
+            assert f"{flag} " in help_text, (command, flag)
+            assert f"{help_line} (default {default})" in help_text, (command, flag)
+            # a config value other than the default, and a flag value other than that
+            from_file, from_flag = (cli._CHOICES[name][::-1] if name in cli._CHOICES
+                                    else (type(default)(3), type(default)(4)))
+            config.write_text(f"{name} = {from_file}\n", "utf-8")
+            argv = [command, *required, "--config", str(config)]
+            for extra, expected in (([], from_file), ([flag, str(from_flag)], from_flag)):
+                args = parser.parse_args(argv + extra)
+                cli._resolve_options(args)
+                assert getattr(args, name) == expected, (command, name, extra)
 
 
 def test_config_values_are_checked_even_when_unread(capsys, tmp_path, fixtures_dir):
@@ -184,6 +228,14 @@ def test_ingest_chunked_xml_to_stdout(capsys, fixtures_dir):
     assert stdout.startswith("@prefix askg-data:")
     assert "0 excerpt links" in err
     assert load_turtle(stdout.encode("utf-8"))
+
+
+def test_ingest_reports_a_bad_outline_record(capsys, tmp_path, fixtures_dir):
+    outline = tmp_path / "outline.json"
+    outline.write_text('[{"level": 1, "offset": 7}]', "utf-8")
+    code, out, err = invoke(capsys, "ingest", "--outline", str(outline),
+                            "--text", str(fixtures_dir / "doc1.txt"))
+    assert (code, out, err) == (1, "", "error: outline record 0: missing field 'heading'\n")
 
 
 def test_ingest_requires_a_source(capsys):

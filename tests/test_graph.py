@@ -147,8 +147,7 @@ _RANDOM_TRIPLES = st.lists(
 def test_indexes_agree_with_a_scan_of_the_triples(triples, s, p, o, order):
     graph = KnowledgeGraph(triples)
     assert graph.triples == tuple(sorted(set(triples), key=triple_sort_key))
-    # All eight bound/unbound combinations, in a drawn order, so that the
-    # lazily built object index is first used at different points.
+    # All eight bound/unbound combinations, in a drawn order.
     masks = list(itertools.product((False, True), repeat=3))
     for index in order:
         bind_s, bind_p, bind_o = masks[index]

@@ -54,6 +54,28 @@ def test_read_outline_json_round_trip():
     assert [e.heading for e in out.entries] == ["Introduction", "Scope"]
 
 
+HEADING = {"level": 1, "heading": "Introduction", "offset": 0}
+
+
+@pytest.mark.parametrize("outline, message", [
+    ({"level": 1}, "outline must be a JSON list of records"),
+    ([5], "outline record 0: not a JSON object"),
+    ([HEADING, [1, "H", 7]], "outline record 1: not a JSON object"),
+    ([{"level": 1, "offset": 7}], "outline record 0: missing field 'heading'"),
+    ([{"heading": "H", "offset": 7}], "outline record 0: missing field 'level'"),
+    ([HEADING, {"level": 1, "heading": "H"}], "outline record 1: missing field 'offset'"),
+    ([{**HEADING, "level": "1"}], "outline record 0: 'level' must be an integer, got '1'"),
+    ([{**HEADING, "level": 1.0}], "outline record 0: 'level' must be an integer, got 1.0"),
+    ([{**HEADING, "level": True}], "outline record 0: 'level' must be an integer, got True"),
+    ([{**HEADING, "offset": None}], "outline record 0: 'offset' must be an integer, got None"),
+    ([{**HEADING, "level": 0}], "outline record 0: outline level must be >= 1, got 0"),
+])
+def test_read_outline_json_reports_bad_records(outline, message):
+    with pytest.raises(ValueError) as excinfo:
+        read_outline_json(json.dumps(outline))
+    assert str(excinfo.value) == message
+
+
 def test_build_document_model_sections_and_paragraphs():
     model = build_document_model(outline(), TEXT)
     assert [s.section_id for s in model.sections] == ["1", "2"]
@@ -188,6 +210,31 @@ def test_read_excerpts_jsonl_reports_bad_line():
         "mentions": "m", "word_index_from": 1, "word_index_to": 2})
     with pytest.raises(ValueError, match="line 2"):
         read_excerpts_jsonl(good + "\n{\"nope\": true}\n")
+
+
+EXCERPT_RECORD = {"excerpt_id": "E", "label": "l", "in_sentence": "s",
+                  "mentions": "m", "word_index_from": 1, "word_index_to": 2}
+
+
+@pytest.mark.parametrize("line, message", [
+    ("[1, 2]", "not a JSON object"),
+    ("7", "not a JSON object"),
+    (json.dumps({k: v for k, v in EXCERPT_RECORD.items() if k != "label"}),
+     "missing field 'label'"),
+    (json.dumps({**EXCERPT_RECORD, "word_index_from": "x"}),
+     "'word_index_from' must be an integer, got 'x'"),
+    (json.dumps({**EXCERPT_RECORD, "word_index_from": 1.7}),
+     "'word_index_from' must be an integer, got 1.7"),
+    (json.dumps({**EXCERPT_RECORD, "word_index_to": True}),
+     "'word_index_to' must be an integer, got True"),
+    (json.dumps({**EXCERPT_RECORD, "word_index_to": 0}),
+     "word_index_from 1 exceeds word_index_to 0"),
+])
+def test_read_excerpts_jsonl_reports_bad_records(line, message):
+    good = json.dumps(EXCERPT_RECORD)
+    with pytest.raises(ValueError) as excinfo:
+        read_excerpts_jsonl(f"{good}\n\n{line}\n")
+    assert str(excinfo.value) == f"bad excerpt record on line 3: {message}"
 
 
 def test_excerpts_from_graph_round_trip(fixtures_dir, stub_embedder):
