@@ -8,6 +8,10 @@ this process:
 * ``load_turtle`` on the graph's bytes, ``KnowledgeGraph()`` included;
 * ``KnowledgeGraph()`` alone, on the loaded graph's triples;
 * ``qa.engine._anchors`` on the loaded graph;
+* ``resolve_query`` of the corpus's first question (its patterns taken
+  from the stub gateway beforehand, ``max_depth=2``) on the loaded graph,
+  each run reading fresh anchors, so the phrase haystacks that the
+  anchors build on first use are counted here;
 * ``embed_many`` of the baseline's chunk texts of the corpus (the
   ``retrieve-baseline`` input), by a fresh stub embedder each run;
 * ``retrieve_top_k`` of those chunks for the corpus's first question
@@ -37,9 +41,15 @@ import gen  # noqa: E402
 
 from scholarkg.baseline import chunk_corpus, retrieve_top_k  # noqa: E402
 from scholarkg.embedding import HashedBagOfWordsEmbedder  # noqa: E402
+from scholarkg.gateway import StubGateway  # noqa: E402
 from scholarkg.kg.graph import KnowledgeGraph  # noqa: E402
 from scholarkg.kg.turtle import load_turtle  # noqa: E402
-from scholarkg.qa.engine import _anchors  # noqa: E402
+from scholarkg.qa.engine import (  # noqa: E402
+    _anchors,
+    default_relaxation_dictionary,
+    extract_question_patterns,
+    resolve_query,
+)
 
 PARAGRAPHS_PER_PAPER = gen.CLI_PARAGRAPHS
 
@@ -64,6 +74,8 @@ def stage_times(seed: int, papers: int, repeats: int) -> dict:
                            + "\n" for paper in corpus.papers})
     texts = [chunk.text for chunk in chunks]
     question = corpus.questions[0].text
+    query = extract_question_patterns(question, StubGateway())
+    dictionary = default_relaxation_dictionary(query)
     return {
         "papers": papers,
         "paragraphs": papers * PARAGRAPHS_PER_PAPER,
@@ -73,6 +85,8 @@ def stage_times(seed: int, papers: int, repeats: int) -> dict:
         "load_turtle": timed(lambda: load_turtle(data), repeats),
         "KnowledgeGraph": timed(lambda: KnowledgeGraph(graph.triples), repeats),
         "_anchors": timed(lambda: _anchors(graph), repeats),
+        "resolve_query": timed(lambda: resolve_query(graph, query, dictionary, max_depth=2),
+                               repeats),
         "embed_many": timed(lambda: HashedBagOfWordsEmbedder().embed_many(texts), repeats),
         "retrieve_top_k": timed(lambda: retrieve_top_k(
             chunks, question, k=10, embedder=HashedBagOfWordsEmbedder()), repeats),

@@ -83,9 +83,12 @@ class HeadingOutline:
             raise ValueError("outline offsets must be strictly increasing")
 
 
+_KIND_NAMES = {int: "an integer", str: "a string"}
+
+
 def _record_fields(record, fields: dict[str, type]) -> dict:
-    """The named fields of one parsed JSON record. A ``str`` field is read
-    with ``str``; an ``int`` field must be a JSON integer, not a bool or a
+    """The named fields of one parsed JSON record. A ``str`` field must be
+    a JSON string; an ``int`` field must be a JSON integer, not a bool or a
     float."""
     if not isinstance(record, dict):
         raise ValueError("not a JSON object")
@@ -94,9 +97,9 @@ def _record_fields(record, fields: dict[str, type]) -> dict:
         if name not in record:
             raise ValueError(f"missing field {name!r}")
         value = record[name]
-        if kind is int and type(value) is not int:
-            raise ValueError(f"{name!r} must be an integer, got {value!r}")
-        values[name] = kind(value)
+        if type(value) is not kind:
+            raise ValueError(f"{name!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+        values[name] = value
     return values
 
 
@@ -329,8 +332,9 @@ def read_excerpts_jsonl(data: str | bytes) -> list[Excerpt]:
     """Read excerpt records from JSON lines.
 
     Each line is an object with ``excerpt_id``, ``label``, ``in_sentence``,
-    ``mentions``, ``word_index_from`` and ``word_index_to``; the word
-    indices are JSON integers. A bad line raises ``ValueError`` naming it.
+    ``mentions``, ``word_index_from`` and ``word_index_to``; the first four
+    are JSON strings and the word indices JSON integers. A bad line raises
+    ``ValueError`` naming it and the field.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")

@@ -47,13 +47,17 @@ class KnowledgeGraph:
         by_predicate: dict[Iri, list[Triple]] = {}
         labels: dict[Iri, Literal] = {}
         types: dict[Iri, list[Iri]] = {}
+        # Predicates are compared by their IRI strings, which is cheaper
+        # than the dataclass ``==`` and means the same.
+        label, rdf_type = RDFS_LABEL.value, RDF_TYPE.value
         for t in self._triples:
             by_subject.setdefault(t.subject, []).append(t)
             by_predicate.setdefault(t.predicate, []).append(t)
-            if t.predicate == RDFS_LABEL:
+            predicate = t.predicate.value
+            if predicate == label:
                 if isinstance(t.object, Literal):
                     labels.setdefault(t.subject, t.object)
-            elif t.predicate == RDF_TYPE:
+            elif predicate == rdf_type:
                 types.setdefault(t.object, []).append(t.subject)
         self._by_subject = {k: tuple(v) for k, v in by_subject.items()}
         self._by_predicate = {k: tuple(v) for k, v in by_predicate.items()}

@@ -66,18 +66,25 @@ _STRING_BODY = r'[^"\\\n]*(?:\\(?:[\\"nrtbf]|u[0-9A-Fa-f]{4})[^"\\\n]*)*'
 
 # Whitespace and comments, then one token. The alternatives are tried in
 # order and the last matches any character, so a match never fails and
-# never backtracks into the skipped prefix. BNODE, OPEN_IRI, OPEN_STRING,
-# BAD_AT and CHAR match only malformed input and are reported as errors.
+# never backtracks into the skipped prefix. The common tokens come first,
+# so most matches try few alternatives. Reordering cannot change the
+# token stream: alternatives that can start with the same character keep
+# their relative order (PNAME before WORD before CHAR; STRING before
+# OPEN_STRING; IRIREF before OPEN_IRI; PREFIX_DIRECTIVE, LANGTAG, BAD_AT),
+# and EOF matches only where nothing else can. BNODE, OPEN_IRI,
+# OPEN_STRING, BAD_AT and CHAR match only malformed input and are reported
+# as errors.
 _TOKEN = re.compile(
     r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(?:"
-    r"(?P<EOF>\Z)"
-    r"|(?P<BNODE>[\[\](_])"
-    r"|(?P<DOT>\.)|(?P<SEMI>;)|(?P<COMMA>,)|(?P<DTYPE>\^\^)"
-    r"|<(?P<IRIREF>[^>]*)>|(?P<OPEN_IRI><)"
-    rf'|"(?P<STRING>{_STRING_BODY})"|(?P<OPEN_STRING>"{_STRING_BODY})'
+    rf"(?P<PNAME>[A-Za-z][A-Za-z0-9_-]*:(?:{_LOCAL_NAME})?)"
+    r"|(?P<SEMI>;)|(?P<DOT>\.)|(?P<COMMA>,)"
+    rf'|"(?P<STRING>{_STRING_BODY})"'
     rf"|(?P<PREFIX_DIRECTIVE>@prefix(?![A-Za-z0-9-]))|@(?P<LANGTAG>{_LANGTAG})|(?P<BAD_AT>@)"
-    rf"|(?P<PNAME>[A-Za-z][A-Za-z0-9_-]*:(?:{_LOCAL_NAME})?)"
+    r"|(?P<DTYPE>\^\^)|<(?P<IRIREF>[^>]*)>"
     r"|(?P<WORD>[A-Za-z]+)"
+    r"|(?P<EOF>\Z)"
+    r"|(?P<BNODE>[\[\](_])|(?P<OPEN_IRI><)"
+    rf'|(?P<OPEN_STRING>"{_STRING_BODY})'
     r"|(?P<CHAR>.))"
 )
 _ERRORS = {
@@ -148,132 +155,132 @@ def _tokens(text: str) -> Iterator[tuple[str, object, int]]:
 # Parser
 # ---------------------------------------------------------------------------
 
-class _Parser:
-    """Recursive descent over the token stream with one token of lookahead
-    (``kind``, ``value``, ``offset``).
+_NODE_KINDS = ("PNAME", "IRIREF")
 
-    Each distinct IRI becomes one ``Iri``: ``iris`` maps an IRI to its term
-    and ``names`` a prefixed name to its term (cleared when a prefix is
-    declared). An IRIREF that holds a character IRIREF forbids is kept in
-    ``bad_iri`` and reported once the document has parsed.
+
+def _parse(text: str) -> list[Triple]:
+    """Recursive descent over the token stream, written out as nested loops
+    with one token of lookahead (``kind``, ``value``, ``offset``).
+
+    A node token is checked before the next token is lexed and resolved
+    after it, so a syntax error in the next token is reported before an
+    unknown prefix. Each distinct IRI becomes one ``Iri``: ``iris`` maps an
+    IRI to its term and ``names`` a prefixed name to its term (cleared when
+    a prefix is declared). The first IRIREF that holds a character IRIREF
+    forbids is kept in ``bad_iri`` and reported once the document has
+    parsed.
     """
+    advance = _tokens(text).__next__
+    prefixes = dict(NAMESPACES)
+    prefixes.update(PREFIX_ALIASES)
+    iris: dict[str, Iri] = {}
+    names: dict[str, Iri] = {}
+    bad_iri: list[TurtleSyntaxError] = []
+    triples: list[Triple] = []
+    append = triples.append
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokens(text)
-        self.kind, self.value, self.offset = next(self.tokens)
-        self.prefixes = dict(NAMESPACES)
-        self.prefixes.update(PREFIX_ALIASES)
-        self.iris: dict[str, Iri] = {}
-        self.names: dict[str, Iri] = {}
-        self.bad_iri: TurtleSyntaxError | None = None
-        self.triples: list[Triple] = []
+    def error(message: str, at: int) -> TurtleSyntaxError:
+        return TurtleSyntaxError(message, _line(text, at))
 
-    def _next(self) -> None:
-        self.kind, self.value, self.offset = next(self.tokens)
-
-    def _error(self, message: str, offset: int | None = None) -> TurtleSyntaxError:
-        return TurtleSyntaxError(message, _line(self.text, self.offset if offset is None else offset))
-
-    def _expect(self, kind: str) -> tuple[object, int]:
-        if self.kind != kind:
-            raise self._error(f"expected {kind}, got {self.kind}")
-        value, offset = self.value, self.offset
-        self._next()
-        return value, offset
-
-    def _iri(self, value: str, offset: int) -> Iri:
-        node = self.iris.get(value)
+    # No helper refers to itself: such a closure would be a reference
+    # cycle that keeps ``text`` and the maps alive until a collection.
+    def iri(value: str, offset: int) -> Iri:
+        node = iris.get(value)
         if node is None:
             bad = _IRI_FORBIDDEN.search(value)
             if bad:
-                if self.bad_iri is None:
-                    self.bad_iri = self._error(
-                        f"character {bad[0]!r} is not allowed in an IRI", offset + bad.start())
+                if not bad_iri:
+                    bad_iri.append(error(f"character {bad[0]!r} is not allowed in an IRI",
+                                         offset + bad.start()))
                 return Iri(value)
-            node = self.iris[value] = Iri(value)
+            node = iris[value] = Iri(value)
         return node
 
-    def _name(self, name: str, offset: int) -> Iri:
-        """The term of a prefixed name not yet in ``names``."""
-        prefix, _, local = name.partition(":")
-        ns = self.prefixes.get(prefix)
-        if ns is None:
-            raise UnknownPrefixError(prefix, _line(self.text, offset))
-        node = self.names[name] = self._iri(ns + local, offset)
-        return node
-
-    def _directive(self) -> None:
-        sparql_form = self.kind == "SPARQL_PREFIX"
-        self._next()
-        name, offset = self._expect("PNAME")
-        prefix, _, local = name.partition(":")
-        if local:
-            raise self._error("prefix declaration must end with a bare colon", offset)
-        value, offset = self._expect("IRIREF")
-        self._iri(value, offset)
-        self.prefixes[prefix] = value
-        self.names.clear()
-        if not sparql_form:
-            self._expect("DOT")
-
-    def _node(self) -> Iri:
-        kind, value, offset = self.kind, self.value, self.offset
+    def resolve(kind: str, value: str, offset: int) -> Iri:
+        """The term of a consumed PNAME or IRIREF token."""
         if kind == "IRIREF":
-            self._next()
-            return self._iri(value, offset)
-        if kind == "PNAME":
-            self._next()
-            node = self.names.get(value)
-            return node if node is not None else self._name(value, offset)
-        raise self._error(f"expected an IRI or prefixed name, got {kind}")
+            return iri(value, offset)
+        node = names.get(value)
+        if node is None:
+            prefix, _, local = value.partition(":")
+            ns = prefixes.get(prefix)
+            if ns is None:
+                raise UnknownPrefixError(prefix, _line(text, offset))
+            node = names[value] = iri(ns + local, offset)
+        return node
 
-    def _object(self):
-        if self.kind == "STRING":
-            lexical = self.value
-            self._next()
-            if self.kind == "LANGTAG":
-                language = self.value
-                self._next()
-                return Literal(lexical, language=language)
-            if self.kind == "DTYPE":
-                self._next()
-                return Literal(lexical, datatype=self._node())
-            return Literal(lexical)
-        return self._node()
+    kind, value, offset = advance()
+    while kind != "EOF":
+        if kind == "PREFIX_DIRECTIVE" or kind == "SPARQL_PREFIX":
+            sparql_form = kind == "SPARQL_PREFIX"
+            kind, value, offset = advance()
+            if kind != "PNAME":
+                raise error(f"expected PNAME, got {kind}", offset)
+            (name, name_offset), (kind, value, offset) = (value, offset), advance()
+            prefix, _, local = name.partition(":")
+            if local:
+                raise error("prefix declaration must end with a bare colon", name_offset)
+            if kind != "IRIREF":
+                raise error(f"expected IRIREF, got {kind}", offset)
+            (ns, ns_offset), (kind, value, offset) = (value, offset), advance()
+            iri(ns, ns_offset)
+            prefixes[prefix] = ns
+            names.clear()
+            if not sparql_form:
+                if kind != "DOT":
+                    raise error(f"expected DOT, got {kind}", offset)
+                kind, value, offset = advance()
+            continue
 
-    def _predicate(self) -> Iri:
-        if self.kind == "A":
-            self._next()
-            return RDF_TYPE
-        return self._node()
-
-    def _triples_block(self) -> None:
-        subject = self._node()
-        append = self.triples.append
-        while True:
-            predicate = self._predicate()
-            while True:
-                append(Triple(subject, predicate, self._object()))
-                if self.kind != "COMMA":
-                    break
-                self._next()
-            if self.kind != "SEMI":
-                break
-            self._next()
-            if self.kind == "DOT":  # trailing semicolon
-                break
-        self._expect("DOT")
-
-    def parse(self) -> list[Triple]:
-        while self.kind != "EOF":
-            if self.kind in ("PREFIX_DIRECTIVE", "SPARQL_PREFIX"):
-                self._directive()
+        if kind not in _NODE_KINDS:
+            raise error(f"expected an IRI or prefixed name, got {kind}", offset)
+        token, (kind, value, offset) = (kind, value, offset), advance()
+        subject = resolve(*token)
+        while True:  # predicate-object list
+            if kind == "A":
+                kind, value, offset = advance()
+                predicate = RDF_TYPE
+            elif kind in _NODE_KINDS:
+                token, (kind, value, offset) = (kind, value, offset), advance()
+                predicate = resolve(*token)
             else:
-                self._triples_block()
-        if self.bad_iri is not None:
-            raise self.bad_iri
-        return self.triples
+                raise error(f"expected an IRI or prefixed name, got {kind}", offset)
+            while True:  # object list
+                if kind == "STRING":
+                    lexical = value
+                    kind, value, offset = advance()
+                    if kind == "LANGTAG":
+                        language = value
+                        kind, value, offset = advance()
+                        obj = Literal(lexical, language=language)
+                    elif kind == "DTYPE":
+                        kind, value, offset = advance()
+                        if kind not in _NODE_KINDS:
+                            raise error(f"expected an IRI or prefixed name, got {kind}", offset)
+                        token, (kind, value, offset) = (kind, value, offset), advance()
+                        obj = Literal(lexical, datatype=resolve(*token))
+                    else:
+                        obj = Literal(lexical)
+                elif kind in _NODE_KINDS:
+                    token, (kind, value, offset) = (kind, value, offset), advance()
+                    obj = resolve(*token)
+                else:
+                    raise error(f"expected an IRI or prefixed name, got {kind}", offset)
+                append(Triple(subject, predicate, obj))
+                if kind != "COMMA":
+                    break
+                kind, value, offset = advance()
+            if kind != "SEMI":
+                break
+            kind, value, offset = advance()
+            if kind == "DOT":  # trailing semicolon
+                break
+        if kind != "DOT":
+            raise error(f"expected DOT, got {kind}", offset)
+        kind, value, offset = advance()
+    if bad_iri:
+        raise bad_iri[0]
+    return triples
 
 
 def load_turtle(data: bytes | str) -> KnowledgeGraph:
@@ -288,7 +295,7 @@ def load_turtle(data: bytes | str) -> KnowledgeGraph:
         if surrogate:
             raise TurtleSyntaxError(f"surrogate code point U+{ord(surrogate[0]):04X}",
                                     _line(data, surrogate.start()))
-    return KnowledgeGraph(_Parser(data).parse())
+    return KnowledgeGraph(_parse(data))
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,16 @@ by frequency and purity.
 Matching reads the graph's paragraph and excerpt anchors once per
 question. Each distinct pattern is evaluated against those anchors once,
 so a relaxed query costs an intersection of cached anchor sets rather
-than a graph scan. Ranking tallies every entity in one pass over the
-candidates.
+than a graph scan. An anchor keeps its text lowercased and builds the
+whole-word phrase haystack on first use, only for a phrase whose every
+word is a substring of that text. Ranking tallies every entity in one
+pass over the candidates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from typing import Callable, Iterable
 
@@ -149,9 +152,14 @@ def default_relaxation_dictionary(query: CompoundQuery) -> RelaxationDictionary:
 @dataclass(frozen=True)
 class _Anchor:
     node: Iri
-    text: str               # normalized label (+ source sentence for excerpts)
+    lowered: str | None     # lowercased label (+ source sentence for excerpts), if any
     mention_keys: frozenset[str]
-    witnesses: frozenset[Triple]
+    witnesses: tuple[Triple, ...]
+
+    @cached_property
+    def text(self) -> str:
+        """The phrase haystack of ``lowered``, built on first use."""
+        return "" if self.lowered is None else phrase_haystack(self.lowered)
 
 
 def _anchors(graph: KnowledgeGraph) -> list[_Anchor]:
@@ -171,9 +179,9 @@ def _anchors(graph: KnowledgeGraph) -> list[_Anchor]:
         text_parts += [t.object.lexical for t in node_sentences if isinstance(t.object, Literal)]
         return _Anchor(
             node=node,
-            text=phrase_haystack(" ".join(text_parts)) if text_parts else "",
+            lowered=" ".join(text_parts).lower() if text_parts else None,
             mention_keys=frozenset(m.object.entity_key() for m in node_mentions),
-            witnesses=frozenset((*labels.get(node, ()), *node_links, *node_mentions)),
+            witnesses=(*labels.get(node, ()), *node_links, *node_mentions),
         )
 
     anchors = []
@@ -194,18 +202,30 @@ def _by_subject(triples: Iterable[Triple]) -> dict[Iri, list[Triple]]:
     return grouped
 
 
+def _has_phrase(anchor: _Anchor, phrase: str) -> bool:
+    """Whether ``phrase`` occurs as whole words in the anchor's text.
+
+    Every haystack word is a substring of ``lowered``, so the phrase can
+    occur only if each of its words is one too; the haystack is built only
+    for such a phrase.
+    """
+    lowered = anchor.lowered
+    return (lowered is not None and all(word in lowered for word in phrase.split(" "))
+            and f" {phrase} " in anchor.text)
+
+
 def _term_matches(term, anchor: _Anchor, graph: KnowledgeGraph) -> bool:
     if not is_ground(term):
         return True
     if isinstance(term, str):
-        return term in anchor.mention_keys or f" {entity_phrase(term)} " in anchor.text
+        return term in anchor.mention_keys or _has_phrase(anchor, entity_phrase(term))
     if isinstance(term, Iri):
         if term == anchor.node:
             return True
         return bool(graph.match(subject=anchor.node, object=term)
                     or graph.match(subject=term, object=anchor.node))
     # Literal ground term: containment in the anchor's text.
-    return f" {entity_phrase(normalize_entity_key(term.lexical))} " in anchor.text
+    return _has_phrase(anchor, entity_phrase(normalize_entity_key(term.lexical)))
 
 
 def _anchor_matcher(graph: KnowledgeGraph) -> Callable[[CompoundQuery], frozenset[Triple]]:

@@ -238,6 +238,16 @@ def test_ingest_reports_a_bad_outline_record(capsys, tmp_path, fixtures_dir):
     assert (code, out, err) == (1, "", "error: outline record 0: missing field 'heading'\n")
 
 
+def test_link_reports_a_non_string_excerpt_field(capsys, tmp_path, fixtures_dir):
+    record = json.loads((fixtures_dir / "excerpts_doc1.jsonl").read_text("utf-8").splitlines()[0])
+    excerpts = tmp_path / "excerpts.jsonl"
+    excerpts.write_text(json.dumps({**record, "mentions": None}) + "\n", "utf-8")
+    code, out, err = invoke(capsys, "link", "--graph", str(fixtures_dir / "scholarly_sample.ttl"),
+                            "--excerpts", str(excerpts))
+    assert (code, out, err) == (
+        1, "", "error: bad excerpt record on line 1: 'mentions' must be a string, got None\n")
+
+
 def test_ingest_requires_a_source(capsys):
     code, _, err = invoke(capsys, "ingest")
     assert code == 1

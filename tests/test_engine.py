@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from scholarkg.gateway import StubGateway
 from scholarkg.kg.graph import KnowledgeGraph
-from scholarkg.kg.patterns import CompoundQuery, TriplePattern, WILDCARD
+from scholarkg.kg.patterns import CompoundQuery, TriplePattern, WILDCARD, is_ground
 from scholarkg.kg.terms import (
     EXCERPT,
     HAS_EXCERPT,
@@ -18,7 +18,9 @@ from scholarkg.kg.terms import (
     Literal,
     Triple,
     entity_iri,
+    entity_phrase,
     iri,
+    normalize_entity_key,
     phrase_haystack,
 )
 from scholarkg.qa import engine
@@ -196,6 +198,21 @@ def test_literal_mention_shares_the_key_space_of_an_entity_iri():
     assert Literal("Apache Tika").entity_key() == entity_iri("apache_tika").entity_key()
 
 
+def test_phrase_words_inside_longer_words_do_not_match():
+    # Each word of "gabak" and "gabak tool" is a substring of the label, so
+    # the substring check passes them on; the whole-word check refuses them.
+    paragraph = iri("askg-data:P")
+    graph = KnowledgeGraph([
+        Triple(paragraph, RDF_TYPE, PARAGRAPH),
+        Triple(paragraph, RDFS_LABEL, Literal("The gabakx toolkit.")),
+    ])
+    for key in ("gabak", "gabak_tool", "gabakx_tool"):
+        assert match_candidates(graph, cq((key, WILDCARD, WILDCARD))) == frozenset(), key
+    assert match_candidates(graph, cq(("gabakx_toolkit", WILDCARD, WILDCARD))) \
+        == frozenset(graph.match(subject=paragraph, predicate=RDFS_LABEL))
+    assert match_candidates(graph, cq((WILDCARD, WILDCARD, Literal("Gabak")))) == frozenset()
+
+
 def test_resolve_query_reads_anchors_once(sample_graph, monkeypatch):
     reads = []
     real_anchors = engine._anchors
@@ -313,11 +330,24 @@ def test_rank_candidates_is_order_independent():
 # every entity rescans every candidate triple. The engine must agree with
 # them exactly, including the order of producing queries and their edits.
 
+def reference_term_matches(term, anchor, haystack: str, graph: KnowledgeGraph) -> bool:
+    """A term's match at an anchor, on a haystack built beforehand."""
+    if not is_ground(term):
+        return True
+    if isinstance(term, str):
+        return term in anchor.mention_keys or f" {entity_phrase(term)} " in haystack
+    if isinstance(term, Iri):
+        return term == anchor.node or bool(graph.match(subject=anchor.node, object=term)
+                                           or graph.match(subject=term, object=anchor.node))
+    return f" {entity_phrase(normalize_entity_key(term.lexical))} " in haystack
+
+
 def reference_match(graph: KnowledgeGraph, query: CompoundQuery) -> frozenset[Triple]:
     matched: set[Triple] = set()
     for anchor in engine._anchors(graph):
+        haystack = "" if anchor.lowered is None else phrase_haystack(anchor.lowered)
         if all(
-            all(engine._term_matches(term, anchor, graph) for term in pattern.terms)
+            all(reference_term_matches(term, anchor, haystack, graph) for term in pattern.terms)
             for pattern in query.patterns
         ):
             matched.update(anchor.witnesses)
@@ -380,10 +410,9 @@ def reference_anchors(graph: KnowledgeGraph) -> list:
         mentions = [m for n in mentioners for m in graph.match(subject=n, predicate=MENTIONS)]
         return engine._Anchor(
             node=node,
-            text=phrase_haystack(" ".join(text_parts)) if text_parts else "",
+            lowered=" ".join(text_parts).lower() if text_parts else None,
             mention_keys=frozenset(m.object.entity_key() for m in mentions),
-            witnesses=frozenset((*graph.match(subject=node, predicate=RDFS_LABEL),
-                                 *links, *mentions)),
+            witnesses=(*graph.match(subject=node, predicate=RDFS_LABEL), *links, *mentions),
         )
 
     anchors = []

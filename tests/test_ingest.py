@@ -69,6 +69,10 @@ HEADING = {"level": 1, "heading": "Introduction", "offset": 0}
     ([{**HEADING, "level": True}], "outline record 0: 'level' must be an integer, got True"),
     ([{**HEADING, "offset": None}], "outline record 0: 'offset' must be an integer, got None"),
     ([{**HEADING, "level": 0}], "outline record 0: outline level must be >= 1, got 0"),
+    ([{**HEADING, "heading": None}], "outline record 0: 'heading' must be a string, got None"),
+    ([HEADING, {**HEADING, "heading": 7}],
+     "outline record 1: 'heading' must be a string, got 7"),
+    ([{**HEADING, "heading": ["H"]}], "outline record 0: 'heading' must be a string, got ['H']"),
 ])
 def test_read_outline_json_reports_bad_records(outline, message):
     with pytest.raises(ValueError) as excinfo:
@@ -229,6 +233,12 @@ EXCERPT_RECORD = {"excerpt_id": "E", "label": "l", "in_sentence": "s",
      "'word_index_to' must be an integer, got True"),
     (json.dumps({**EXCERPT_RECORD, "word_index_to": 0}),
      "word_index_from 1 exceeds word_index_to 0"),
+    (json.dumps({**EXCERPT_RECORD, "mentions": None}),
+     "'mentions' must be a string, got None"),
+    (json.dumps({**EXCERPT_RECORD, "label": 1.5}),
+     "'label' must be a string, got 1.5"),
+    (json.dumps({**EXCERPT_RECORD, "excerpt_id": ["E"]}),
+     "'excerpt_id' must be a string, got ['E']"),
 ])
 def test_read_excerpts_jsonl_reports_bad_records(line, message):
     good = json.dumps(EXCERPT_RECORD)

@@ -1,3 +1,4 @@
+import gc
 import re
 import string
 
@@ -281,6 +282,21 @@ READER_ERRORS = [
     # Such an IRI is reported once the rest of the document has parsed.
     ('<http://x.example/a b> rdfs:label "x" .\nfoo',
      TurtleSyntaxError, "unexpected token 'foo'", 2),
+    # A name, IRI or datatype is resolved only after the next token is
+    # lexed, and a directive's bare colon is checked after its IRI is lexed,
+    # so an error in the next token comes first.
+    ("@prefix ex:a <",
+     TurtleSyntaxError, "unterminated IRI", 1),
+    ("nope:a [ ] .",
+     TurtleSyntaxError, "blank nodes and collections are not supported", 1),
+    ("askg-data:a nope:p 42 .",
+     TurtleSyntaxError, "unexpected character '4'", 1),
+    ('askg-data:a rdfs:label "x"^^nope:t foo',
+     TurtleSyntaxError, "unexpected token 'foo'", 1),
+    ('askg-data:a askg-onto:p nope:o "',
+     TurtleSyntaxError, "unterminated string literal", 1),
+    ('nope:a\n rdfs:label "x" .',
+     UnknownPrefixError, "unknown prefix 'nope'", 1),
 ]
 
 
@@ -312,6 +328,20 @@ def test_save_rejects_iri_with_character_iriref_forbids(character, position):
     with pytest.raises(TurtleError) as err:
         save_turtle(KnowledgeGraph([triple]))
     assert str(err.value) == f"cannot write IRI {bad.value!r}: it contains {character!r}"
+
+
+def test_reader_leaves_no_reference_cycle(fixtures_dir):
+    # A cycle would keep the document text and the reader's maps alive
+    # until the next collection, which raises a cold query's peak memory.
+    data = (fixtures_dir / "scholarly_sample.ttl").read_bytes()
+    gc.collect()
+    gc.disable()
+    try:
+        graph = load_turtle("@prefix ex: <http://x.example/> .\n" + data.decode("utf-8"))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(graph) > 0
 
 
 def test_reader_makes_one_term_per_distinct_iri():
