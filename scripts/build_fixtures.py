@@ -14,7 +14,7 @@ from pathlib import Path
 
 from scholarkg.document import Excerpt, collect_paragraphs, short_hash
 from scholarkg.embedding import HashedBagOfWordsEmbedder, cosine_similarity
-from scholarkg.ingest import build_document_model, link_excerpts, emit_rdf, read_outline_json
+from scholarkg.ingest import build_document_model, emit_rdf, link_graph, read_outline_json
 from scholarkg.kg.graph import KnowledgeGraph
 from scholarkg.kg.turtle import load_turtle, save_turtle
 
@@ -213,7 +213,7 @@ def main() -> int:
         model = build_document_model(outline, text)
         excerpts = [Excerpt(**r) for r in records]
         paragraphs = collect_paragraphs(model)
-        links = link_excerpts(paragraphs, excerpts, embedder, threshold=0.7)
+        linked, links = link_graph(emit_rdf(model), excerpts, embedder, 0.7)
         if len(links) != len(excerpts):
             raise SystemExit(
                 f"expected every excerpt to link above threshold, got "
@@ -223,7 +223,7 @@ def main() -> int:
                           if p.paragraph_id == link.paragraph_id)
             print(f"  {link.excerpt_id} -> {link.paragraph_id} "
                   f"sim={link.similarity:.4f} :: {target.text[:60]!r}")
-        triples.extend(emit_rdf(model, links, excerpts).triples)
+        triples.extend(linked.triples)
 
     graph = KnowledgeGraph(triples)
     data = save_turtle(graph)

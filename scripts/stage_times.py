@@ -15,12 +15,18 @@ this process:
 * ``embed_many`` of the baseline's chunk texts of the corpus (the
   ``retrieve-baseline`` input), by a fresh stub embedder each run;
 * ``retrieve_top_k`` of those chunks for the corpus's first question
-  (k = 10), by a fresh stub embedder each run.
+  (k = 10), by a fresh stub embedder each run;
+* ``answer_question`` of the corpus's first question on the loaded graph
+  (the default options), with fresh stub backends each run.
 
-Each figure is the median and the minimum of ``--repeats`` wall-clock
-runs. Prints one JSON object. Run from a checkout's root, with the
-``scholarkg`` to time on ``PYTHONPATH`` (``src`` of this checkout by
-default):
+Each figure is the median and the minimum of ``--repeats`` runs, in
+wall-clock milliseconds and in reference milliseconds: each run's wall
+time scaled by ``bench/speed.py``'s ``calibrate()``, taken just before
+and just after the run, as the benchmark scales its operations. The
+machine's speed drifts between processes, so two checkouts are ordered
+by their reference figures. Prints one JSON object. Run from a
+checkout's root, with the ``scholarkg`` to time on ``PYTHONPATH``
+(``src`` of this checkout by default):
 
     PYTHONPATH=src python3 scripts/stage_times.py --seed 401 --papers 10 25 100
 """
@@ -38,12 +44,14 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
 import gen  # noqa: E402
+import speed  # noqa: E402
 
 from scholarkg.baseline import chunk_corpus, retrieve_top_k  # noqa: E402
 from scholarkg.embedding import HashedBagOfWordsEmbedder  # noqa: E402
 from scholarkg.gateway import StubGateway  # noqa: E402
 from scholarkg.kg.graph import KnowledgeGraph  # noqa: E402
 from scholarkg.kg.turtle import load_turtle  # noqa: E402
+from scholarkg.qa.context import answer_question  # noqa: E402
 from scholarkg.qa.engine import (  # noqa: E402
     _anchors,
     default_relaxation_dictionary,
@@ -55,13 +63,18 @@ PARAGRAPHS_PER_PAPER = gen.CLI_PARAGRAPHS
 
 
 def timed(fn, repeats: int) -> dict:
-    seconds = []
+    seconds, reference = [], []
     for _ in range(repeats):
+        before = speed.calibrate()
         start = time.perf_counter()
         fn()
-        seconds.append(time.perf_counter() - start)
+        wall = time.perf_counter() - start
+        seconds.append(wall)
+        reference.append(speed.scaled(wall, (before + speed.calibrate()) / 2))
     return {"median_ms": round(1000 * statistics.median(seconds), 2),
-            "min_ms": round(1000 * min(seconds), 2)}
+            "min_ms": round(1000 * min(seconds), 2),
+            "ref_median_ms": round(1000 * statistics.median(reference), 2),
+            "ref_min_ms": round(1000 * min(reference), 2)}
 
 
 def stage_times(seed: int, papers: int, repeats: int) -> dict:
@@ -90,6 +103,8 @@ def stage_times(seed: int, papers: int, repeats: int) -> dict:
         "embed_many": timed(lambda: HashedBagOfWordsEmbedder().embed_many(texts), repeats),
         "retrieve_top_k": timed(lambda: retrieve_top_k(
             chunks, question, k=10, embedder=HashedBagOfWordsEmbedder()), repeats),
+        "answer_question": timed(lambda: answer_question(
+            graph, question, StubGateway(), HashedBagOfWordsEmbedder()), repeats),
     }
 
 

@@ -29,28 +29,18 @@ from .evaluation import (
     cronbach_alpha,
     extract_entity_set,
 )
-from .gateway import GatewayRequest, HttpGateway, StubGateway, format_triples
+from .gateway import GatewayRequest, HttpGateway, StubGateway
 from .ingest import (
     build_document_model,
     emit_rdf,
-    excerpt_link_triples,
-    link_excerpts,
+    link_graph,
     read_excerpts_jsonl,
     read_outline_json,
 )
-from .document import Paragraph, Sentence, collect_paragraphs
-from .kg.graph import KnowledgeGraph, graph_stats
-from .kg.terms import NAMESPACES, PARAGRAPH, entity_phrase
+from .kg.graph import graph_stats
 from .kg.turtle import load_turtle, save_turtle
-from .qa.context import generate_answer, select_context
-from .qa.engine import (
-    default_relaxation_dictionary,
-    extract_question_patterns,
-    load_template,
-    query_entities_of,
-    rank_candidates,
-    resolve_query,
-)
+from .qa.context import answer_question
+from .qa.engine import load_template
 
 __all__ = ["run", "main"]
 
@@ -184,12 +174,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     else:
         raise ValueError("ingest needs --xml or both --outline and --text")
 
-    excerpts, links = [], []
+    graph, links = emit_rdf(model), []
     if args.excerpts:
         excerpts = read_excerpts_jsonl(Path(args.excerpts).read_text("utf-8"))
-        links = link_excerpts(collect_paragraphs(model), excerpts, _make_embedder(args),
-                              threshold=args.threshold)
-    graph = emit_rdf(model, links, excerpts)
+        graph, links = link_graph(graph, excerpts, _make_embedder(args), args.threshold)
     _write_output(save_turtle(graph).decode("utf-8"), args.out)
     print(f"document {model.doc_id}: {len(graph)} triples, "
           f"{len(links)} excerpt links", file=sys.stderr)
@@ -199,28 +187,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_link(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     excerpts = read_excerpts_jsonl(Path(args.excerpts).read_text("utf-8"))
-
-    # Link edges are written as askg-data:<paragraph id>, so the id is the
-    # IRI's remainder after that namespace.
-    data_ns = NAMESPACES["askg-data"]
-    paragraphs = []
-    for node in graph.subjects_of_type(PARAGRAPH):
-        label = graph.label_of(node)
-        if label is None:
-            continue
-        if not node.value.startswith(data_ns):
-            raise ValueError(f"cannot link paragraph node <{node.value}>: "
-                             f"it is outside the askg-data namespace <{data_ns}>")
-        paragraphs.append(Paragraph(
-            paragraph_id=node.value[len(data_ns):],
-            sentences=(Sentence(text=label.lexical),),
-            word_count=len(label.lexical.split()),
-        ))
-    links = link_excerpts(paragraphs, excerpts, _make_embedder(args),
-                          threshold=args.threshold)
-
-    paragraph_ids = {p.paragraph_id for p in paragraphs}
-    linked = KnowledgeGraph([*graph, *excerpt_link_triples(excerpts, links, paragraph_ids)])
+    linked, links = link_graph(graph, excerpts, _make_embedder(args), args.threshold)
     _write_output(save_turtle(linked).decode("utf-8"), args.out)
     for link in links:
         print(f"{link.excerpt_id} -> {link.paragraph_id} "
@@ -229,73 +196,18 @@ def _cmd_link(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sparql_of(query_entities: set[str]) -> str:
-    """The context lookup as SPARQL: paragraphs whose label contains any
-    of the phrases that ``select_context`` searches for."""
-    conditions = "\n      || ".join(
-        f'CONTAINS(LCASE(?text), "{entity_phrase(key)}")' for key in sorted(query_entities))
-    return load_template("sparql_select.txt").format(conditions=conditions)
-
-
 def _cmd_query(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.graph)
-    gateway = _make_gateway(args)
-    embedder = _make_embedder(args)
-
-    query = extract_question_patterns(args.question, gateway)
-    dictionary = default_relaxation_dictionary(query)
-    result = resolve_query(graph, query, dictionary, max_depth=args.max_depth)
-    entities = query_entities_of(query)
-    ranking = rank_candidates(result.triples, entities)
-    context = select_context(graph, entities, top_n=args.top_n, diverse_k=args.diverse_k,
-                             embedder=embedder)
-    if not context:
-        raise ValueError(
-            f"no paragraph mentions the question's entities "
-            f"({', '.join(sorted(entities))}); cannot ground an answer")
-    answer = generate_answer(args.question, context, gateway)
-
-    if result.exhausted:
+    result = answer_question(_load_graph(args.graph), args.question, _make_gateway(args),
+                             _make_embedder(args), top_n=args.top_n,
+                             diverse_k=args.diverse_k, max_depth=args.max_depth)
+    candidates = result.candidates
+    if candidates.exhausted:
         print(f"no candidate triples within relaxation depth "
-              f"{result.max_depth}", file=sys.stderr)
+              f"{candidates.max_depth}", file=sys.stderr)
     else:
-        print(f"{len(result.triples)} candidate triples at relaxation depth "
-              f"{result.depth}", file=sys.stderr)
-
-    pattern_lines = [format_triples([p]) for p in query.patterns]
-    payload = {
-        "question": args.question,
-        "patterns": pattern_lines,
-        "entities": [
-            {"entity": r.entity, "frequency": r.frequency,
-             "purity": round(r.purity, 4), "score": round(r.score, 4)}
-            for r in ranking
-        ],
-        "depth": result.depth,
-        "exhausted": result.exhausted,
-        "context": [
-            {"paragraph": p.node.value, "document": p.document_id,
-             "keyword_frequency": p.keyword_frequency, "text": p.text}
-            for p in context
-        ],
-        "provenance": [p.node.value for p in context],
-        "answer": answer.answer,
-        "sparql": _sparql_of(entities),
-        "backend": answer.backend,
-    }
-
-    lines = [f"Answer: {answer.answer}", ""]
-    if ranking:
-        lines.append("Top entities:")
-        for r in ranking[:10]:
-            lines.append(f"  {r.entity}  frequency={r.frequency} "
-                         f"purity={r.purity:.4f}")
-        lines.append("")
-    lines.append("Provenance:")
-    for p in context:
-        lines.append(f"  {p.node.value} (document {p.document_id}, "
-                     f"keyword frequency {p.keyword_frequency})")
-    _emit(payload, "\n".join(lines) + "\n", args)
+        print(f"{len(candidates.triples)} candidate triples at relaxation depth "
+              f"{candidates.depth}", file=sys.stderr)
+    _emit(result.to_dict(), result.to_text(), args)
     return 0
 
 
@@ -451,9 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=_CHOICES.get(name),
                            help=f"{help_text} (default {default})")
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument("--config", help="key = value settings file")
-        options(p, "format", "backend", "embedder")
+        options(p, *names, "backend", "embedder")
 
     p = sub.add_parser("ingest", help="build a graph from a document")
     p.add_argument("--xml", help="chunked XML document")
@@ -477,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="Turtle graph")
     p.add_argument("--question", required=True)
     options(p, "top_n", "diverse_k", "max_depth")
-    common(p)
+    common(p, "format")
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("retrieve-baseline",
@@ -485,18 +397,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, help="directory of .txt documents")
     p.add_argument("--question", required=True)
     options(p, "top_n", "max_tokens", "overlap_ratio")
-    common(p)
+    common(p, "format")
     p.set_defaults(func=_cmd_retrieve_baseline)
 
     p = sub.add_parser("eval", help="compare pipeline answers")
     p.add_argument("--answers", help="JSON list of per-question answer records")
     p.add_argument("--ratings", help="CSV of rater scores (rows raters)")
-    common(p)
+    common(p, "format")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("stats", help="summarise a graph")
     p.add_argument("--graph", required=True, help="Turtle graph")
-    common(p)
+    common(p, "format")
     p.set_defaults(func=_cmd_stats)
 
     return parser

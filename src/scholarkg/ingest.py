@@ -48,11 +48,11 @@ __all__ = [
     "link_excerpts",
     "UnknownLinkTargetError",
     "emit_rdf",
+    "link_graph",
     "excerpt_link_triples",
     "excerpt_triples",
     "paragraph_triples",
     "read_excerpts_jsonl",
-    "excerpts_from_graph",
 ]
 
 _DATA_NS = NAMESPACES["askg-data"]
@@ -305,19 +305,37 @@ def excerpt_link_triples(excerpts: Iterable[Excerpt], links: Iterable[ExcerptLin
     return triples
 
 
-def emit_rdf(model: DocumentModel, links: Iterable[ExcerptLink],
-             excerpts: Iterable[Excerpt]) -> KnowledgeGraph:
-    """Emit the paragraph and excerpt shapes of the scholarly graph.
+def emit_rdf(model: DocumentModel) -> KnowledgeGraph:
+    """The document's paragraph shapes: per paragraph, a typed node whose
+    label is the paragraph text."""
+    return KnowledgeGraph(t for paragraph in collect_paragraphs(model)
+                          for t in paragraph_triples(paragraph))
 
-    Per paragraph: a typed node whose label is the paragraph text plus one
-    ``hasExcerpt`` edge per link; per excerpt: a typed node with label,
-    source sentence, mentioned entity, and word-index range. Links must
-    reference known paragraph and excerpt ids.
+
+def link_graph(graph: KnowledgeGraph, excerpts: Sequence[Excerpt], embedder: Embedder,
+               threshold: float = 0.7) -> tuple[KnowledgeGraph, list[ExcerptLink]]:
+    """Link excerpts to the paragraphs of ``graph``, read back from their
+    labels, and add the excerpt shapes and link edges.
+
+    Per excerpt: a typed node with label, source sentence, mentioned
+    entity, and word-index range; per link, a ``hasExcerpt`` edge. A
+    paragraph node without a label is skipped; one outside the askg-data
+    namespace cannot carry a link edge and is refused.
     """
-    paragraphs = collect_paragraphs(model)
-    triples = [t for paragraph in paragraphs for t in paragraph_triples(paragraph)]
-    triples += excerpt_link_triples(excerpts, links, {p.paragraph_id for p in paragraphs})
-    return KnowledgeGraph(triples)
+    paragraphs = []
+    for node in graph.subjects_of_type(PARAGRAPH):
+        label = graph.label_of(node)
+        if label is None:
+            continue
+        if not node.value.startswith(_DATA_NS):
+            raise ValueError(f"cannot link paragraph node <{node.value}>: "
+                             f"it is outside the askg-data namespace <{_DATA_NS}>")
+        paragraphs.append(Paragraph.from_sentences(node.value[len(_DATA_NS):],
+                                                   (Sentence(label.lexical),)))
+    links = link_excerpts(paragraphs, excerpts, embedder, threshold=threshold)
+    paragraph_ids = {p.paragraph_id for p in paragraphs}
+    linked = KnowledgeGraph([*graph, *excerpt_link_triples(excerpts, links, paragraph_ids)])
+    return linked, links
 
 
 # ---------------------------------------------------------------------------
@@ -347,30 +365,4 @@ def read_excerpts_jsonl(data: str | bytes) -> list[Excerpt]:
             out.append(Excerpt(**_record_fields(json.loads(line), _EXCERPT_FIELDS)))
         except ValueError as exc:
             raise ValueError(f"bad excerpt record on line {index}: {exc}") from exc
-    return out
-
-
-def excerpts_from_graph(graph: KnowledgeGraph) -> list[Excerpt]:
-    """Reconstruct excerpt records from their graph shape."""
-    out: list[Excerpt] = []
-    for node in sorted(graph.subjects_of_type(EXCERPT), key=lambda n: n.value):
-        label = graph.label_of(node)
-
-        def literal_of(predicate) -> str:
-            matches = graph.match(subject=node, predicate=predicate)
-            return matches[0].object.lexical if matches and isinstance(
-                matches[0].object, Literal) else ""
-
-        mention_edges = graph.match(subject=node, predicate=MENTIONS)
-        mentions = mention_edges[0].object.entity_key() if mention_edges else ""
-        frm = literal_of(WORD_INDEX_FROM)
-        to = literal_of(WORD_INDEX_TO)
-        out.append(Excerpt(
-            excerpt_id=node.local_name(),
-            label=label.lexical if label else "",
-            in_sentence=literal_of(IN_SENTENCE),
-            mentions=mentions,
-            word_index_from=int(frm) if frm.isdigit() else 0,
-            word_index_to=int(to) if to.isdigit() else 0,
-        ))
     return out

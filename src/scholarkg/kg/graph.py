@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 from .terms import (
@@ -107,6 +107,9 @@ class KnowledgeGraph:
         )
 
     def subjects_of_type(self, type_iri: Iri) -> tuple[Iri, ...]:
+        """The subjects typed ``type_iri``, in IRI order: the order of
+        their type triples, since ``triple_sort_key`` leads with the
+        subject's IRI."""
         return self._types.get(type_iri, ())
 
     def label_of(self, node: Iri) -> Literal | None:
@@ -123,7 +126,7 @@ def paragraphs_containing(graph: KnowledgeGraph,
     if not lowered:
         raise ValueError("at least one non-empty name is required")
     out: list[tuple[Iri, str]] = []
-    for node in sorted(graph.subjects_of_type(PARAGRAPH), key=lambda n: n.value):
+    for node in graph.subjects_of_type(PARAGRAPH):
         label = graph.label_of(node)
         if label is None:
             continue
@@ -171,20 +174,7 @@ class GraphStats:
         ]
 
     def to_dict(self) -> dict:
-        return {
-            "papers": self.papers,
-            "sections": self.sections,
-            "paragraphs": self.paragraphs,
-            "average_words_per_paragraph": self.average_words_per_paragraph,
-            "excerpts": self.excerpts,
-            "linked_excerpts": self.linked_excerpts,
-            "linked_excerpt_percentage": self.linked_excerpt_percentage,
-            "paragraph_excerpt_links": self.paragraph_excerpt_links,
-            "relationship_types": self.relationship_types,
-            "entity_types": self.entity_types,
-            "triples": self.triples,
-            "entities": self.entities,
-        }
+        return asdict(self)
 
 
 def graph_stats(graph: KnowledgeGraph) -> GraphStats:

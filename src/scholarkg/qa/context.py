@@ -3,7 +3,8 @@
 Paragraphs containing the query's entity names are scored by keyword
 frequency, then a diverse subset is chosen by farthest-point traversal
 over their embeddings, and the surviving texts are handed to the gateway
-as the grounding context for the answer.
+as the grounding context for the answer. ``answer_question`` runs the
+whole query pipeline, from the question's patterns to that answer.
 """
 
 from __future__ import annotations
@@ -12,12 +13,23 @@ from dataclasses import dataclass, field
 
 from ..document import document_id_of
 from ..embedding import Embedder, cosine_similarity
-from ..gateway import Gateway, GatewayRequest
+from ..gateway import Gateway, GatewayRequest, format_triples
 from ..kg.graph import KnowledgeGraph, keyword_frequency, paragraphs_containing
+from ..kg.patterns import CompoundQuery
 from ..kg.terms import Iri, entity_phrase
-from .engine import load_template
+from .engine import (
+    CandidateTripleSet,
+    RankedEntity,
+    default_relaxation_dictionary,
+    extract_question_patterns,
+    load_template,
+    query_entities_of,
+    rank_candidates,
+    resolve_query,
+)
 
-__all__ = ["ScoredParagraph", "select_context", "AnswerResult", "generate_answer"]
+__all__ = ["ScoredParagraph", "select_context", "AnswerResult", "generate_answer",
+           "QueryAnswer", "answer_question"]
 
 
 @dataclass(frozen=True)
@@ -112,3 +124,86 @@ def generate_answer(question: str, context: list[ScoredParagraph],
         backend=response.backend,
         latency_ms=response.latency_ms,
     )
+
+
+@dataclass(frozen=True)
+class QueryAnswer:
+    """An answer with what the query pipeline found on the way to it, in
+    the same fields for the text and JSON forms."""
+
+    question: str
+    query: CompoundQuery
+    candidates: CandidateTripleSet
+    ranking: tuple[RankedEntity, ...]
+    answer: AnswerResult
+    sparql: str
+
+    def to_dict(self) -> dict:
+        context = self.answer.context
+        return {
+            "question": self.question,
+            "patterns": [format_triples([p]) for p in self.query.patterns],
+            "entities": [
+                {"entity": r.entity, "frequency": r.frequency,
+                 "purity": round(r.purity, 4), "score": round(r.score, 4)}
+                for r in self.ranking
+            ],
+            "depth": self.candidates.depth,
+            "exhausted": self.candidates.exhausted,
+            "context": [
+                {"paragraph": p.node.value, "document": p.document_id,
+                 "keyword_frequency": p.keyword_frequency, "text": p.text}
+                for p in context
+            ],
+            "provenance": [p.node.value for p in context],
+            "answer": self.answer.answer,
+            "sparql": self.sparql,
+            "backend": self.answer.backend,
+        }
+
+    def to_text(self) -> str:
+        lines = [f"Answer: {self.answer.answer}", ""]
+        if self.ranking:
+            lines.append("Top entities:")
+            for r in self.ranking[:10]:
+                lines.append(f"  {r.entity}  frequency={r.frequency} purity={r.purity:.4f}")
+            lines.append("")
+        lines.append("Provenance:")
+        for p in self.answer.context:
+            lines.append(f"  {p.node.value} (document {p.document_id}, "
+                         f"keyword frequency {p.keyword_frequency})")
+        return "\n".join(lines) + "\n"
+
+
+def _sparql_of(query_entities: set[str]) -> str:
+    """The context lookup as SPARQL: paragraphs whose label contains any
+    of the phrases that ``select_context`` searches for."""
+    conditions = "\n      || ".join(
+        f'CONTAINS(LCASE(?text), "{entity_phrase(key)}")' for key in sorted(query_entities))
+    return load_template("sparql_select.txt").format(conditions=conditions)
+
+
+def answer_question(graph: KnowledgeGraph, question: str, gateway: Gateway,
+                    embedder: Embedder | None, *, top_n: int = 10, diverse_k: int = 5,
+                    max_depth: int = 2) -> QueryAnswer:
+    """Answer ``question`` from ``graph``: extract its triple patterns,
+    resolve them with relaxation up to ``max_depth``, rank the matched
+    entities, select the context paragraphs and generate the answer.
+
+    Raises ``ValueError`` when no paragraph names the question's
+    entities, since the answer would have no grounding.
+    """
+    query = extract_question_patterns(question, gateway)
+    dictionary = default_relaxation_dictionary(query)
+    candidates = resolve_query(graph, query, dictionary, max_depth=max_depth)
+    entities = query_entities_of(query)
+    ranking = rank_candidates(candidates.triples, entities)
+    context = select_context(graph, entities, top_n=top_n, diverse_k=diverse_k,
+                             embedder=embedder)
+    if not context:
+        raise ValueError(
+            f"no paragraph mentions the question's entities "
+            f"({', '.join(sorted(entities))}); cannot ground an answer")
+    answer = generate_answer(question, context, gateway)
+    return QueryAnswer(question=question, query=query, candidates=candidates,
+                       ranking=tuple(ranking), answer=answer, sparql=_sparql_of(entities))

@@ -121,16 +121,18 @@ def test_backend_keys_come_from_the_config_file(tmp_path, monkeypatch):
         cli._backend_config(args, "embedder")
 
 
-# The option flags of each subcommand, besides --format, --backend and
-# --embedder, and the arguments it requires.
+# The option flags of each subcommand, besides --backend and --embedder,
+# and the arguments it requires. ingest and link write Turtle, so they
+# take no --format.
 OPTION_FLAGS = {
     "ingest": ((), ("threshold",)),
     "link": (("--graph", "g", "--excerpts", "e"), ("threshold",)),
-    "query": (("--graph", "g", "--question", "q"), ("top_n", "diverse_k", "max_depth")),
+    "query": (("--graph", "g", "--question", "q"),
+              ("top_n", "diverse_k", "max_depth", "format")),
     "retrieve-baseline": (("--corpus", "c", "--question", "q"),
-                          ("top_n", "max_tokens", "overlap_ratio")),
-    "eval": ((), ()),
-    "stats": (("--graph", "g"), ()),
+                          ("top_n", "max_tokens", "overlap_ratio", "format")),
+    "eval": ((), ("format",)),
+    "stats": (("--graph", "g"), ("format",)),
 }
 
 
@@ -145,9 +147,9 @@ def test_option_table_drives_flags_and_config(capsys, tmp_path):
         code, help_text, _ = invoke(capsys, command, "--help")
         assert code == 0
         help_text = " ".join(help_text.split())
-        for name in config_only:
+        for name in config_only | ({"format"} - set(names)):
             assert f"--{name.replace('_', '-')}" not in help_text, (command, name)
-        for name in (*names, "format", "backend", "embedder"):
+        for name in (*names, "backend", "embedder"):
             default, help_line = cli._OPTIONS[name]
             flag = "--" + name.replace("_", "-")
             assert f"{flag} " in help_text, (command, flag)
@@ -161,6 +163,23 @@ def test_option_table_drives_flags_and_config(capsys, tmp_path):
                 args = parser.parse_args(argv + extra)
                 cli._resolve_options(args)
                 assert getattr(args, name) == expected, (command, name, extra)
+
+
+def test_ingest_and_link_take_no_format_flag(capsys, tmp_path, fixtures_dir):
+    graph = str(fixtures_dir / "scholarly_sample.ttl")
+    excerpts = str(fixtures_dir / "excerpts_doc1.jsonl")
+    ingest = ["ingest", "--outline", str(fixtures_dir / "outline_doc1.json"),
+              "--text", str(fixtures_dir / "doc1.txt")]
+    link = ["link", "--graph", graph, "--excerpts", excerpts]
+    for argv in (ingest, link):
+        code, out, err = invoke(capsys, *argv, "--format", "json")
+        assert (code, out) == (2, ""), argv
+        assert "unrecognized arguments: --format json" in err, err
+    # a config file may still set format; ingest and link ignore it
+    config = tmp_path / "settings.conf"
+    config.write_text("format = json\n", "utf-8")
+    for argv in (ingest, link):
+        assert invoke(capsys, *argv, "--config", str(config)) == invoke(capsys, *argv), argv
 
 
 def test_config_values_are_checked_even_when_unread(capsys, tmp_path, fixtures_dir):
@@ -627,6 +646,28 @@ def test_stats_text_lines(capsys, fixtures_dir):
         "Number of triples: 31\n"
         "Number of entities: 12\n"
     )
+
+
+def test_stats_json(capsys, fixtures_dir):
+    code, stdout, _ = invoke(
+        capsys, "stats", "--graph", str(fixtures_dir / "scholarly_sample.ttl"),
+        "--format", "json")
+    assert code == 0
+    assert stdout == """{
+  "papers": 0,
+  "sections": 0,
+  "paragraphs": 5,
+  "average_words_per_paragraph": 32.0,
+  "excerpts": 3,
+  "linked_excerpts": 3,
+  "linked_excerpt_percentage": 100.0,
+  "paragraph_excerpt_links": 3,
+  "relationship_types": 7,
+  "entity_types": 2,
+  "triples": 31,
+  "entities": 12
+}
+"""
 
 
 # ---------------------------------------------------------------------------

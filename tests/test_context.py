@@ -1,9 +1,26 @@
+import dataclasses
+import json
+
 import pytest
 
+from scholarkg.cli import run
 from scholarkg.embedding import HashedBagOfWordsEmbedder
+from scholarkg.gateway import StubGateway
 from scholarkg.kg.graph import KnowledgeGraph
 from scholarkg.kg.terms import Iri, Literal, Triple, iri
-from scholarkg.qa.context import ScoredParagraph, generate_answer, select_context
+from scholarkg.qa.context import (
+    ScoredParagraph,
+    answer_question,
+    generate_answer,
+    select_context,
+)
+from scholarkg.qa.engine import (
+    default_relaxation_dictionary,
+    extract_question_patterns,
+    query_entities_of,
+    rank_candidates,
+    resolve_query,
+)
 
 ONTO_PARAGRAPH = iri("askg-onto:Paragraph")
 RDF_TYPE = iri("rdf:type")
@@ -128,3 +145,48 @@ def test_generate_answer_rejects_blank_question(stub_gateway):
 def test_generate_answer_rejects_empty_context(stub_gateway):
     with pytest.raises(ValueError, match="context"):
         generate_answer("Which tool extracts text?", [], stub_gateway)
+
+
+QUESTION = "Which tool is applied to extract text from PDF research proposals?"
+
+
+@pytest.mark.parametrize("question", [
+    QUESTION, "Which couchdb stores reindeer?",
+    "Which JSON files and research documents does MEL extract?"])
+@pytest.mark.parametrize("top_n, diverse_k, max_depth", [(10, 5, 2), (3, 2, 0), (1, 1, 1)])
+def test_answer_question_runs_the_pipeline_stages_in_order(sample_graph, question,
+                                                           top_n, diverse_k, max_depth):
+    gateway, embedder = StubGateway(), HashedBagOfWordsEmbedder()
+    query = extract_question_patterns(question, gateway)
+    candidates = resolve_query(sample_graph, query, default_relaxation_dictionary(query),
+                               max_depth=max_depth)
+    entities = query_entities_of(query)
+    context = select_context(sample_graph, entities, top_n=top_n, diverse_k=diverse_k,
+                             embedder=embedder)
+    result = answer_question(sample_graph, question, gateway, embedder, top_n=top_n,
+                             diverse_k=diverse_k, max_depth=max_depth)
+    assert result.question == question
+    assert result.query == query
+    assert result.candidates == candidates
+    assert result.ranking == tuple(rank_candidates(candidates.triples, entities))
+    assert result.answer == generate_answer(question, context, gateway)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.sparql = ""
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_answer_question_renders_what_query_prints(capsys, fixtures_dir, sample_graph, fmt):
+    result = answer_question(sample_graph, QUESTION, StubGateway(), HashedBagOfWordsEmbedder(),
+                             top_n=3, diverse_k=2, max_depth=1)
+    assert run(["query", "--graph", str(fixtures_dir / "scholarly_sample.ttl"),
+                "--question", QUESTION, "--top-n", "3", "--diverse-k", "2",
+                "--max-depth", "1", "--format", fmt]) == 0
+    expected = (json.dumps(result.to_dict(), indent=2) + "\n" if fmt == "json"
+                else result.to_text())
+    assert capsys.readouterr().out == expected
+
+
+def test_answer_question_refuses_an_ungroundable_question(sample_graph):
+    with pytest.raises(ValueError, match="cannot ground an answer"):
+        answer_question(sample_graph, "Which zebra eats quinoa?", StubGateway(),
+                        HashedBagOfWordsEmbedder())

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,6 +85,19 @@ def test_paragraphs_containing_is_sorted_by_node():
     g = KnowledgeGraph(paragraph("b", "mel") + paragraph("a", "mel"))
     nodes = [node.value for node, _ in paragraphs_containing(g, ["mel"])]
     assert nodes == sorted(nodes)
+
+
+def test_paragraphs_come_in_iri_order_from_shuffled_triples():
+    # suffixes whose IRI order differs from their insertion and length order
+    suffixes = ["b", "a", "a0", "B", "10", "9", "z-1", "_", "aa", "A"]
+    triples = [t for suffix in suffixes for t in paragraph(suffix, f"mel {suffix}")]
+    for seed in range(5):
+        random.Random(seed).shuffle(triples)
+        g = KnowledgeGraph(triples)
+        nodes = g.subjects_of_type(PARAGRAPH)
+        assert [n.value for n in nodes] == sorted(n.value for n in nodes)
+        assert len(nodes) == len(suffixes)
+        assert [node for node, _ in paragraphs_containing(g, ["mel"])] == list(nodes)
 
 
 def test_keyword_frequency_counts_all_occurrences():

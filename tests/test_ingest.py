@@ -7,15 +7,17 @@ from scholarkg.ingest import (
     HeadingOutline,
     OutlineEntry,
     UnknownLinkTargetError,
+    ExcerptLink,
     build_document_model,
     emit_rdf,
-    excerpts_from_graph,
+    excerpt_link_triples,
     link_excerpts,
+    link_graph,
     read_excerpts_jsonl,
     read_outline_json,
 )
 from scholarkg.kg.graph import KnowledgeGraph
-from scholarkg.kg.terms import EXCERPT, MENTIONS, RDF_TYPE, Literal, Triple, iri
+from scholarkg.kg.terms import PARAGRAPH, RDF_TYPE, Literal, Triple, iri
 
 TEXT = """Introduction
 
@@ -174,8 +176,10 @@ def test_emit_rdf_shapes(stub_embedder):
     model = build_document_model(outline(), TEXT)
     paragraphs = collect_paragraphs(model)
     excerpt = make_excerpt("Excerpt-abc", "Second paragraph stands alone.", "standalone")
-    links = link_excerpts(paragraphs, [excerpt], stub_embedder)
-    graph = emit_rdf(model, links, [excerpt])
+    # 3 paragraphs x 2 triples
+    assert len(emit_rdf(model)) == 6
+    graph, links = link_graph(emit_rdf(model), [excerpt], stub_embedder)
+    assert links == link_excerpts(paragraphs, [excerpt], stub_embedder)
 
     # 3 paragraphs x 2 triples + 1 excerpt x 6 + 1 link
     assert len(graph) == 13
@@ -189,16 +193,39 @@ def test_emit_rdf_shapes(stub_embedder):
     assert word_from[0].object == Literal("1", datatype=iri("xsd:int"))
 
 
-def test_emit_rdf_rejects_unknown_link_targets():
-    model = build_document_model(outline(), TEXT)
+def test_excerpt_link_triples_rejects_unknown_link_targets():
     excerpt = make_excerpt("Excerpt-abc", "s", "m")
-    from scholarkg.ingest import ExcerptLink
+    with pytest.raises(UnknownLinkTargetError):
+        excerpt_link_triples([excerpt], [ExcerptLink("Excerpt-abc", "not-a-paragraph", 1.0)],
+                             {"Paper-x-Paragraph-y"})
+    with pytest.raises(UnknownLinkTargetError):
+        excerpt_link_triples([excerpt], [ExcerptLink("missing", "Paper-x-Paragraph-y", 1.0)],
+                             {"Paper-x-Paragraph-y"})
 
-    with pytest.raises(UnknownLinkTargetError):
-        emit_rdf(model, [ExcerptLink("Excerpt-abc", "not-a-paragraph", 1.0)], [excerpt])
-    with pytest.raises(UnknownLinkTargetError):
-        para = collect_paragraphs(model)[0]
-        emit_rdf(model, [ExcerptLink("missing", para.paragraph_id, 1.0)], [excerpt])
+
+def test_link_graph_links_the_paragraphs_the_document_model_holds(stub_embedder):
+    # a repeated paragraph text is one graph node but two model paragraphs
+    text = TEXT + "\nWe did the work. It went well.\n"
+    model = build_document_model(outline(), text)
+    paragraphs = collect_paragraphs(model)
+    assert len(paragraphs) == 4 and len({p.paragraph_id for p in paragraphs}) == 3
+    excerpts = [make_excerpt("Excerpt-a", "We did the work.", "work"),
+                make_excerpt("Excerpt-b", "Opening paragraph, second sentence.", "opening"),
+                make_excerpt("Excerpt-c", "Unrelated words entirely.", "nothing")]
+    for threshold in (0.0, 0.5, 0.7, 1.0):
+        graph, links = link_graph(emit_rdf(model), excerpts, stub_embedder, threshold)
+        assert links == link_excerpts(paragraphs, excerpts, stub_embedder, threshold)
+        ids = {p.paragraph_id for p in paragraphs}
+        assert graph == KnowledgeGraph([*emit_rdf(model),
+                                        *excerpt_link_triples(excerpts, links, ids)])
+
+
+def test_link_graph_skips_a_paragraph_without_label(stub_embedder):
+    unlabelled = Triple(iri("askg-data:Paper-x-Paragraph-y"), RDF_TYPE, PARAGRAPH)
+    excerpt = make_excerpt("Excerpt-a", "anything", "m")
+    graph, links = link_graph(KnowledgeGraph([unlabelled]), [excerpt], stub_embedder, 0.0)
+    assert links == []
+    assert len(graph) == 1 + 6
 
 
 def test_read_excerpts_jsonl(fixtures_dir):
@@ -246,23 +273,3 @@ def test_read_excerpts_jsonl_reports_bad_records(line, message):
         read_excerpts_jsonl(f"{good}\n\n{line}\n")
     assert str(excinfo.value) == f"bad excerpt record on line 3: {message}"
 
-
-def test_excerpts_from_graph_round_trip(fixtures_dir, stub_embedder):
-    model = build_document_model(outline(), TEXT)
-    excerpts = [
-        make_excerpt("Excerpt-b", "Second paragraph stands alone.", "standalone"),
-        make_excerpt("Excerpt-a", "We did the work.", "work"),
-    ]
-    graph = emit_rdf(model, [], excerpts)
-    recovered = excerpts_from_graph(graph)
-    assert recovered == sorted(excerpts, key=lambda e: e.excerpt_id)
-
-
-def test_excerpts_from_graph_keys_a_literal_mention():
-    node = iri("askg-data:Excerpt-x")
-    graph = KnowledgeGraph([
-        Triple(node, RDF_TYPE, EXCERPT),
-        Triple(node, MENTIONS, Literal("Metadata Extractor & Loader (MEL)")),
-    ])
-    (excerpt,) = excerpts_from_graph(graph)
-    assert excerpt.mentions == "metadata_extractor_loader_mel"

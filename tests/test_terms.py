@@ -10,7 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scholarkg
-from scholarkg.kg.terms import RDFS_LABEL, XSD_INT, Iri, Literal, Triple, phrase_haystack
+from scholarkg.kg.terms import (
+    RDFS_LABEL,
+    XSD_INT,
+    Iri,
+    Literal,
+    Triple,
+    entity_iri,
+    phrase_haystack,
+)
 
 A = Iri("http://x.example/a")
 TERMS = [
@@ -95,3 +103,9 @@ def test_pickled_terms_rehash_in_a_process_with_another_hash_seed():
 @given(st.text(st.one_of(st.sampled_from("aZ09 _-.\n\u0130\u00df\u212a"), st.characters())))
 def test_phrase_haystack_is_the_substituted_lowercase_text(text):
     assert phrase_haystack(text) == " " + re.sub(r"[^a-z0-9]+", " ", text.lower()).strip() + " "
+
+
+def test_literal_entity_key_is_the_key_of_the_entity_iri_it_names():
+    mention = Literal("Metadata Extractor & Loader (MEL)")
+    assert mention.entity_key() == "metadata_extractor_loader_mel"
+    assert entity_iri(mention.entity_key()).entity_key() == mention.entity_key()
