@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time cold query and baseline retrieval stages at several graph sizes.
+"""Time cold query, baseline retrieval and ingest stages at several sizes.
 
 Builds the benchmark's ``cli-compare`` corpus graph (``bench/gen.py``)
 with 20 paragraphs per paper for each ``--papers`` count, then times, in
@@ -18,6 +18,16 @@ this process:
   (k = 10), by a fresh stub embedder each run;
 * ``answer_question`` of the corpus's first question on the loaded graph
   (the default options), with fresh stub backends each run.
+
+For the ingest side it takes the first ``ingest-corpus`` paper
+(``bench/gen.py``'s ``ingest_papers``) of each of 10, 45 and 80
+paragraphs, builds its document model from the outline and text, and
+times:
+
+* ``link_excerpts`` of its excerpts to its paragraphs (the threshold
+  0.7), by a fresh stub embedder each run, so the embedding is counted;
+  ``pairs`` is paragraphs x excerpts, one similarity each;
+* ``save_turtle`` of the linked graph, as ``ingest --excerpts`` writes it.
 
 Each figure is the median and the minimum of ``--repeats`` runs, in
 wall-clock milliseconds and in reference milliseconds: each run's wall
@@ -47,10 +57,19 @@ import gen  # noqa: E402
 import speed  # noqa: E402
 
 from scholarkg.baseline import chunk_corpus, retrieve_top_k  # noqa: E402
+from scholarkg.document import collect_paragraphs  # noqa: E402
 from scholarkg.embedding import HashedBagOfWordsEmbedder  # noqa: E402
 from scholarkg.gateway import StubGateway  # noqa: E402
+from scholarkg.ingest import (  # noqa: E402
+    build_document_model,
+    emit_rdf,
+    link_excerpts,
+    link_graph,
+    read_excerpts_jsonl,
+    read_outline_json,
+)
 from scholarkg.kg.graph import KnowledgeGraph  # noqa: E402
-from scholarkg.kg.turtle import load_turtle  # noqa: E402
+from scholarkg.kg.turtle import load_turtle, save_turtle  # noqa: E402
 from scholarkg.qa.context import answer_question  # noqa: E402
 from scholarkg.qa.engine import (  # noqa: E402
     _anchors,
@@ -60,6 +79,7 @@ from scholarkg.qa.engine import (  # noqa: E402
 )
 
 PARAGRAPHS_PER_PAPER = gen.CLI_PARAGRAPHS
+INGEST_PARAGRAPHS = (10, 45, 80)
 
 
 def timed(fn, repeats: int) -> dict:
@@ -108,6 +128,32 @@ def stage_times(seed: int, papers: int, repeats: int) -> dict:
     }
 
 
+def ingest_stage_times(seed: int, repeats: int) -> list[dict]:
+    papers = {}
+    for item in gen.ingest_papers(seed):
+        papers.setdefault(item["paragraphs"], item["paper"])
+    sizes = []
+    for n_paragraphs in INGEST_PARAGRAPHS:
+        paper = papers[n_paragraphs]
+        text, outline = paper.plain_text()
+        model = build_document_model(read_outline_json(json.dumps(outline)), text)
+        paragraphs = collect_paragraphs(model)
+        excerpts = read_excerpts_jsonl(paper.excerpts_jsonl())
+        graph, links = link_graph(emit_rdf(model), excerpts, HashedBagOfWordsEmbedder())
+        sizes.append({
+            "paragraphs": len(paragraphs),
+            "excerpts": len(excerpts),
+            "pairs": len(paragraphs) * len(excerpts),
+            "links": len(links),
+            "triples": len(graph),
+            "bytes": len(save_turtle(graph)),
+            "link_excerpts": timed(lambda: link_excerpts(
+                paragraphs, excerpts, HashedBagOfWordsEmbedder()), repeats),
+            "save_turtle": timed(lambda: save_turtle(graph), repeats),
+        })
+    return sizes
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=401)
@@ -115,7 +161,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args(argv)
     print(json.dumps({"seed": args.seed, "repeats": args.repeats,
-                      "sizes": [stage_times(args.seed, n, args.repeats) for n in args.papers]},
+                      "sizes": [stage_times(args.seed, n, args.repeats) for n in args.papers],
+                      "ingest_sizes": ingest_stage_times(args.seed, args.repeats)},
                      indent=1))
     return 0
 

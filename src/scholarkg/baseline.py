@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .embedding import Embedder, cosine_similarity
+from .embedding import Embedder, cosine_similarities
 
 __all__ = ["Chunk", "chunk_document", "chunk_corpus", "RetrievedChunk",
            "retrieve_top_k"]
@@ -93,8 +93,9 @@ def retrieve_top_k(chunks: list[Chunk], question: str, k: int,
 
     Similarity is cosine over the embedder's vectors; ties break on the
     chunk id so retrieval is deterministic. Chunks are embedded 64 texts
-    per ``embed_many`` call, so only one slice of vectors is held at a
-    time.
+    per ``embed_many`` call and each batch is scored against the question
+    in one ``cosine_similarities`` call, so only one slice of vectors is
+    held at a time.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -104,8 +105,8 @@ def retrieve_top_k(chunks: list[Chunk], question: str, k: int,
     scored = []
     for start in range(0, len(chunks), _EMBED_BATCH):
         batch = chunks[start:start + _EMBED_BATCH]
-        vectors = embedder.embed_many([c.text for c in batch])
-        scored += [RetrievedChunk(chunk=c, similarity=cosine_similarity(query_vector, v))
-                   for c, v in zip(batch, vectors)]
+        similarities = cosine_similarities(
+            query_vector, embedder.embed_many([c.text for c in batch]))
+        scored += map(RetrievedChunk, batch, similarities)
     scored.sort(key=lambda r: (-r.similarity, r.chunk.chunk_id))
     return scored[:k]

@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument("--config", help="key = value settings file")
-        options(p, *names, "backend", "embedder")
+        options(p, *names)
 
     p = sub.add_parser("ingest", help="build a graph from a document")
     p.add_argument("--xml", help="chunked XML document")
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--excerpts", help="excerpt records (JSON lines)")
     options(p, "threshold")
     p.add_argument("--out", help="output Turtle file (default stdout)")
-    common(p)
+    common(p, "embedder")
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("link", help="link excerpt records into a graph")
@@ -382,14 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--excerpts", required=True, help="excerpt records (JSON lines)")
     options(p, "threshold")
     p.add_argument("--out", help="output Turtle file (default stdout)")
-    common(p)
+    common(p, "embedder")
     p.set_defaults(func=_cmd_link)
 
     p = sub.add_parser("query", help="answer a question from a graph")
     p.add_argument("--graph", required=True, help="Turtle graph")
     p.add_argument("--question", required=True)
     options(p, "top_n", "diverse_k", "max_depth")
-    common(p, "format")
+    common(p, "format", "backend", "embedder")
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("retrieve-baseline",
@@ -397,13 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, help="directory of .txt documents")
     p.add_argument("--question", required=True)
     options(p, "top_n", "max_tokens", "overlap_ratio")
-    common(p, "format")
+    common(p, "format", "backend", "embedder")
     p.set_defaults(func=_cmd_retrieve_baseline)
 
     p = sub.add_parser("eval", help="compare pipeline answers")
     p.add_argument("--answers", help="JSON list of per-question answer records")
     p.add_argument("--ratings", help="CSV of rater scores (rows raters)")
-    common(p, "format")
+    common(p, "format", "embedder")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("stats", help="summarise a graph")

@@ -21,6 +21,7 @@ from typing import Iterable, Protocol, Sequence
 __all__ = [
     "EmbeddingVector",
     "cosine_similarity",
+    "cosine_similarities",
     "Embedder",
     "HashedBagOfWordsEmbedder",
     "HttpEmbedder",
@@ -86,21 +87,42 @@ class EmbeddingVector:
         return indices, tuple(map(self.values.__getitem__, indices))
 
 
+def cosine_similarities(u: EmbeddingVector,
+                        vectors: Iterable[EmbeddingVector]) -> list[float]:
+    """The cosine of ``u`` with each vector, clamped to [-1, 1].
+
+    The vectors are checked in order, each for its dimension and then for
+    being zero, so the first bad one raises ``ValueError``.
+    """
+    indices, values = u._support
+    norm_u, dimension = u._norm, u.dimension
+    # The dot products run over u's support. Each adds the same nonzero
+    # products in the same index order as the dense sum; the ±0.0 terms it
+    # adds or drops cannot change a float sum that starts at +0.0. One
+    # index makes itemgetter return a scalar, so it gets a 1-tuple; a zero
+    # u has no support and raises below before anything is gathered.
+    if len(indices) == 1:
+        index = indices[0]
+        gather = lambda components: (components[index],)  # noqa: E731
+    elif indices:
+        gather = operator.itemgetter(*indices)
+    mul = operator.mul
+    similarities = []
+    for v in vectors:
+        components = v.values
+        if len(components) != dimension:
+            raise ValueError(f"dimension mismatch: {dimension} != {len(components)}")
+        norm_v = v._norm
+        if norm_u == 0.0 or norm_v == 0.0:
+            raise ValueError("cosine similarity is undefined for a zero vector")
+        dot = sum(map(mul, values, gather(components)))
+        similarities.append(max(-1.0, min(1.0, dot / (norm_u * norm_v))))
+    return similarities
+
+
 def cosine_similarity(u: EmbeddingVector, v: EmbeddingVector) -> float:
     """Cosine of the angle between two vectors, clamped to [-1, 1]."""
-    if u.dimension != v.dimension:
-        raise ValueError(f"dimension mismatch: {u.dimension} != {v.dimension}")
-    norm_u = u._norm
-    norm_v = v._norm
-    if norm_u == 0.0 or norm_v == 0.0:
-        raise ValueError("cosine similarity is undefined for a zero vector")
-    # The dot product runs over the sparser vector's support. It adds the
-    # same products in the same index order as the dense sum, minus the
-    # ±0.0 terms, which cannot change a float sum that starts at +0.0.
-    sparse, dense = (u, v) if len(u._support[0]) <= len(v._support[0]) else (v, u)
-    indices, values = sparse._support
-    dot = sum(map(operator.mul, values, map(dense.values.__getitem__, indices)))
-    return max(-1.0, min(1.0, dot / (norm_u * norm_v)))
+    return cosine_similarities(u, (v,))[0]
 
 
 class Embedder(Protocol):

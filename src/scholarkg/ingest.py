@@ -4,6 +4,7 @@ linking, and emission of the scholarly RDF shapes."""
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
@@ -17,7 +18,7 @@ from .document import (
     paragraph_id_for,
     short_hash,
 )
-from .embedding import Embedder, cosine_similarity
+from .embedding import Embedder, cosine_similarities
 from .kg.graph import KnowledgeGraph
 from .kg.terms import (
     EXCERPT,
@@ -226,28 +227,31 @@ def link_excerpts(paragraphs: Sequence[Paragraph], excerpts: Sequence[Excerpt],
                   embedder: Embedder, threshold: float = 0.7) -> list[ExcerptLink]:
     """Link each excerpt to its most similar paragraph.
 
-    Similarity is the cosine between the embedding of the excerpt's
-    sentence and each paragraph's text; the argmax paragraph wins (ties
-    break toward the lexicographically smaller paragraph id), but only
-    links at or above ``threshold`` are kept.
+    Paragraph texts and then excerpt sentences are embedded in one
+    ``embed_many`` call each, in input order. Similarity is the cosine
+    between an excerpt's sentence vector and each paragraph's vector,
+    scored in one ``cosine_similarities`` call per excerpt over the
+    paragraphs in id order; the argmax paragraph wins (ties break toward
+    the lexicographically smaller paragraph id), but only links at or
+    above ``threshold`` are kept.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
     if not paragraphs:
         return []
-    paragraph_vectors = list(zip((p.paragraph_id for p in paragraphs),
-                                 embedder.embed_many([p.text for p in paragraphs])))
+    ranked = sorted(zip((p.paragraph_id for p in paragraphs),
+                        embedder.embed_many([p.text for p in paragraphs])),
+                    key=operator.itemgetter(0))
+    paragraph_ids = [pid for pid, _ in ranked]
+    paragraph_vectors = [vector for _, vector in ranked]
     excerpt_vectors = embedder.embed_many([e.in_sentence for e in excerpts])
     links: list[ExcerptLink] = []
     for excerpt, vector in zip(excerpts, excerpt_vectors):
-        best_id = None
-        best_sim = -2.0
-        for pid, pvec in paragraph_vectors:
-            sim = cosine_similarity(vector, pvec)
-            if sim > best_sim or (sim == best_sim and (best_id is None or pid < best_id)):
-                best_id, best_sim = pid, sim
-        if best_id is not None and best_sim >= threshold:
-            links.append(ExcerptLink(excerpt.excerpt_id, best_id, best_sim))
+        similarities = cosine_similarities(vector, paragraph_vectors)
+        best = max(similarities)
+        if best >= threshold:
+            links.append(ExcerptLink(excerpt.excerpt_id,
+                                     paragraph_ids[similarities.index(best)], best))
     return links
 
 

@@ -335,16 +335,17 @@ def _render_term(term) -> str:
     return _render_iri(term) if isinstance(term, Iri) else _render_literal(term)
 
 
-def _predicate_order(predicate: Iri) -> tuple:
-    # Type first, label second, everything else alphabetically: the order
-    # the graph's excerpt and paragraph blocks conventionally use.
-    if predicate == RDF_TYPE:
-        rank = 0
-    elif predicate == RDFS_LABEL:
-        rank = 1
-    else:
-        rank = 2
-    return (rank, _render_iri(predicate))
+class _Rendered(dict):
+    """Each term's Turtle text, rendered on first lookup."""
+
+    def __missing__(self, term) -> str:
+        text = self[term] = _render_term(term)
+        return text
+
+
+# Type first, label second, everything else alphabetically: the order the
+# graph's excerpt and paragraph blocks conventionally use.
+_PREDICATE_RANK = {RDF_TYPE: 0, RDFS_LABEL: 1}
 
 
 def save_turtle(graph: KnowledgeGraph) -> bytes:
@@ -352,6 +353,7 @@ def save_turtle(graph: KnowledgeGraph) -> bytes:
 
     The output starts with the canonical prefix header and groups triples
     by subject with ``;``/``,`` continuation, deterministically ordered.
+    Each distinct term is rendered once per call.
     """
     lines = [f"@prefix {prefix}: <{NAMESPACES[prefix]}> ." for prefix in sorted(NAMESPACES)]
     lines.append("")
@@ -360,13 +362,19 @@ def save_turtle(graph: KnowledgeGraph) -> bytes:
     for t in graph:
         by_subject.setdefault(t.subject, {}).setdefault(t.predicate, []).append(t.object)
 
-    for subject in sorted(by_subject, key=_render_iri):
+    rendered = _Rendered()
+    render = rendered.__getitem__
+
+    def predicate_order(predicate: Iri) -> tuple:
+        return (_PREDICATE_RANK.get(predicate, 2), render(predicate))
+
+    for subject in sorted(by_subject, key=render):
         predicates = by_subject[subject]
         body = " ;\n    ".join(
-            ("a" if predicate == RDF_TYPE else _render_iri(predicate)) + " "
-            + ",\n        ".join(sorted(map(_render_term, predicates[predicate])))
-            for predicate in sorted(predicates, key=_predicate_order))
-        lines.append(f"{_render_iri(subject)} {body} .\n")
+            ("a" if predicate == RDF_TYPE else render(predicate)) + " "
+            + ",\n        ".join(sorted(map(render, predicates[predicate])))
+            for predicate in sorted(predicates, key=predicate_order))
+        lines.append(f"{render(subject)} {body} .\n")
 
     text = "\n".join(lines).rstrip("\n") + "\n"
     try:

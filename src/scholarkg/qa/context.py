@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..document import document_id_of
-from ..embedding import Embedder, cosine_similarity
+from ..embedding import Embedder, cosine_similarities
 from ..gateway import Gateway, GatewayRequest, format_triples
 from ..kg.graph import KnowledgeGraph, keyword_frequency, paragraphs_containing
 from ..kg.patterns import CompoundQuery
@@ -84,10 +84,8 @@ def select_context(graph: KnowledgeGraph, query_entities: set[str],
     remaining = shortlist[1:]
     while remaining and len(selected) < diverse_k:
         def spread(p: ScoredParagraph) -> float:
-            return min(
-                1.0 - cosine_similarity(vectors[p.node], vectors[s.node])
-                for s in selected
-            )
+            return min(1.0 - similarity for similarity in cosine_similarities(
+                vectors[p.node], [vectors[s.node] for s in selected]))
         remaining.sort(key=lambda p: (-spread(p), -p.keyword_frequency, p.node.value))
         selected.append(remaining.pop(0))
     return selected

@@ -121,17 +121,19 @@ def test_backend_keys_come_from_the_config_file(tmp_path, monkeypatch):
         cli._backend_config(args, "embedder")
 
 
-# The option flags of each subcommand, besides --backend and --embedder,
-# and the arguments it requires. ingest and link write Turtle, so they
-# take no --format.
+# The option flags of each subcommand and the arguments it requires.
+# ingest and link write Turtle, so they take no --format; only query and
+# retrieve-baseline call the language model, so only they take --backend;
+# stats embeds nothing, so it takes no --embedder.
 OPTION_FLAGS = {
-    "ingest": ((), ("threshold",)),
-    "link": (("--graph", "g", "--excerpts", "e"), ("threshold",)),
+    "ingest": ((), ("threshold", "embedder")),
+    "link": (("--graph", "g", "--excerpts", "e"), ("threshold", "embedder")),
     "query": (("--graph", "g", "--question", "q"),
-              ("top_n", "diverse_k", "max_depth", "format")),
+              ("top_n", "diverse_k", "max_depth", "format", "backend", "embedder")),
     "retrieve-baseline": (("--corpus", "c", "--question", "q"),
-                          ("top_n", "max_tokens", "overlap_ratio", "format")),
-    "eval": ((), ("format",)),
+                          ("top_n", "max_tokens", "overlap_ratio", "format", "backend",
+                           "embedder")),
+    "eval": ((), ("format", "embedder")),
     "stats": (("--graph", "g"), ("format",)),
 }
 
@@ -147,9 +149,9 @@ def test_option_table_drives_flags_and_config(capsys, tmp_path):
         code, help_text, _ = invoke(capsys, command, "--help")
         assert code == 0
         help_text = " ".join(help_text.split())
-        for name in config_only | ({"format"} - set(names)):
+        for name in config_only | ({"format", "backend", "embedder"} - set(names)):
             assert f"--{name.replace('_', '-')}" not in help_text, (command, name)
-        for name in (*names, "backend", "embedder"):
+        for name in names:
             default, help_line = cli._OPTIONS[name]
             flag = "--" + name.replace("_", "-")
             assert f"{flag} " in help_text, (command, flag)
@@ -180,6 +182,28 @@ def test_ingest_and_link_take_no_format_flag(capsys, tmp_path, fixtures_dir):
     config.write_text("format = json\n", "utf-8")
     for argv in (ingest, link):
         assert invoke(capsys, *argv, "--config", str(config)) == invoke(capsys, *argv), argv
+
+
+def test_backend_flags_go_only_to_the_commands_that_use_them(capsys, tmp_path, fixtures_dir):
+    graph = str(fixtures_dir / "scholarly_sample.ttl")
+    ingest = ["ingest", "--outline", str(fixtures_dir / "outline_doc1.json"),
+              "--text", str(fixtures_dir / "doc1.txt")]
+    link = ["link", "--graph", graph, "--excerpts", str(fixtures_dir / "excerpts_doc1.jsonl")]
+    evaluate = ["eval", "--ratings", str(fixtures_dir / "ratings.csv")]
+    stats = ["stats", "--graph", graph]
+    for argv, flags in ((ingest, ["--backend"]), (link, ["--backend"]),
+                        (evaluate, ["--backend"]), (stats, ["--backend", "--embedder"])):
+        for flag in flags:
+            code, out, err = invoke(capsys, *argv, flag, "http")
+            assert (code, out) == (2, ""), (argv, flag)
+            assert f"unrecognized arguments: {flag} http" in err, err
+    # a config file may still set both; commands that do not read them ignore them
+    config = tmp_path / "settings.conf"
+    config.write_text("backend = http\n", "utf-8")
+    for argv in (ingest, link, evaluate, stats):
+        assert invoke(capsys, *argv, "--config", str(config)) == invoke(capsys, *argv), argv
+    config.write_text("backend = http\nembedder = http\n", "utf-8")
+    assert invoke(capsys, *stats, "--config", str(config)) == invoke(capsys, *stats)
 
 
 def test_config_values_are_checked_even_when_unread(capsys, tmp_path, fixtures_dir):

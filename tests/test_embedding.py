@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import math
 import random
@@ -13,6 +14,7 @@ from scholarkg.embedding import (
     EmbeddingVector,
     HashedBagOfWordsEmbedder,
     HttpEmbedder,
+    cosine_similarities,
     cosine_similarity,
 )
 from scholarkg.evaluation import embedding_distance
@@ -328,9 +330,13 @@ def reference_cosine(u: EmbeddingVector, v: EmbeddingVector) -> float:
     return max(-1.0, min(1.0, dot / (norm_u * norm_v)))
 
 
-def outcome(function, u: EmbeddingVector, v: EmbeddingVector) -> tuple:
+def reference_similarities(u: EmbeddingVector, vectors) -> list[float]:
+    return [reference_cosine(u, v) for v in vectors]
+
+
+def outcome(function, *args) -> tuple:
     try:
-        return ("value", repr(function(u, v)))
+        return ("value", repr(function(*args)))
     except ValueError as exc:
         return (type(exc), str(exc))
 
@@ -346,39 +352,65 @@ def random_component(rng: random.Random) -> float:
     return rng.uniform(-1.0, 1.0)
 
 
+def random_vector(rng: random.Random, size: int, density: float) -> EmbeddingVector:
+    return EmbeddingVector(tuple(
+        random_component(rng) if rng.random() < density else rng.choice((0.0, -0.0))
+        for _ in range(size)))
+
+
+def random_partner(rng: random.Random, u: EmbeddingVector, density: float) -> EmbeddingVector:
+    kind = rng.randrange(6)
+    if kind == 0:
+        return random_vector(rng, rng.choice((1, 2, 4, 256)), density)  # usually a mismatch
+    if kind == 1:
+        return EmbeddingVector(u.values)                 # a tie with itself
+    if kind == 2:
+        return EmbeddingVector(tuple(-a for a in u.values))
+    return random_vector(rng, u.dimension, density)
+
+
 def random_vector_pair(rng: random.Random) -> tuple[EmbeddingVector, EmbeddingVector]:
     dimension = rng.choice((1, 2, 3, 5, 16, 256))
     density = rng.choice((0.1, 0.5, 1.0))
+    u = random_vector(rng, dimension, density)
+    return u, random_partner(rng, u, density)
 
-    def draw(size: int) -> EmbeddingVector:
-        return EmbeddingVector(tuple(
-            random_component(rng) if rng.random() < density else rng.choice((0.0, -0.0))
-            for _ in range(size)))
 
-    u = draw(dimension)
-    kind = rng.randrange(6)
-    if kind == 0:
-        v = draw(rng.choice((1, 2, 4, 256)))          # usually a dimension mismatch
-    elif kind == 1:
-        v = EmbeddingVector(u.values)                 # a tie with itself
-    elif kind == 2:
-        v = EmbeddingVector(tuple(-a for a in u.values))
-    else:
-        v = draw(dimension)
-    return u, v
+def random_batch(rng: random.Random, u: EmbeddingVector) -> list[EmbeddingVector]:
+    """0-4 partners of ``u``; a mismatched or zero one may sit anywhere."""
+    density = rng.choice((0.1, 0.5, 1.0))
+    return [random_vector(rng, u.dimension, 0.0) if rng.random() < 0.1
+            else random_partner(rng, u, density)
+            for _ in range(rng.randrange(5))]
 
 
 def test_cosine_similarity_matches_dense_reference_bit_for_bit():
     rng = random.Random(20261018)
     errors = 0
+    batches = collections.Counter()
     for _ in range(10000):
         u, v = random_vector_pair(rng)
         for a, b in ((u, v), (v, u), (u, v)):   # the repeat reads the cached norms
             expected = outcome(reference_cosine, a, b)
             assert outcome(cosine_similarity, a, b) == expected, (a, b)
             errors += expected[0] is ValueError
+        # the batch kernel: every similarity bit for bit, or the first bad
+        # vector's error class and message
+        batch = random_batch(rng, u)
+        expected = outcome(reference_similarities, u, batch)
+        assert outcome(cosine_similarities, u, batch) == expected, (u, batch)
+        if expected[0] is ValueError:
+            first_bad = next(i for i, w in enumerate(batch)
+                             if outcome(reference_cosine, u, w)[0] is ValueError)
+            batches[expected[1].split(":")[0], first_bad > 0] += 1
+        else:
+            batches["value", min(len(batch), 2)] += 1
     # the draw reaches every branch: values, mismatches and zero vectors
     assert 0 < errors < 30000
+    # ... and in batches: empty and longer lists, and each error behind a
+    # vector that scored
+    assert {("value", 0), ("value", 2), ("dimension mismatch", True),
+            ("cosine similarity is undefined for a zero vector", True)} <= set(batches)
 
 
 def test_cosine_similarity_edge_cases_match_dense_reference():
@@ -395,11 +427,19 @@ def test_cosine_similarity_edge_cases_match_dense_reference():
         ((1.0, 2.0), (1.0, 2.0, 3.0)),               # dimension mismatch
         ((z, z), (1.0,)),                            # mismatch beats zero vector
         ((5e-324, 1.0), (5e-324, 1.0)),
+        ((z, 3.0, nz), (2.0, nz, 5.0)),              # one-index support: -0.0 product, +0.0 sum
+        ((nz, 0.5, z), (1.0, -2.0, 3.0)),            # one-index support, negative
+        ((0.5,), (-2.0,)),
     ]
     for a, b in pairs:
         u, v = EmbeddingVector(a), EmbeddingVector(b)
         assert outcome(cosine_similarity, u, v) == outcome(reference_cosine, u, v)
         assert outcome(cosine_similarity, v, u) == outcome(reference_cosine, v, u)
+        for batch in ([v], [u, v], [v, v, u]):
+            assert outcome(cosine_similarities, u, batch) == \
+                outcome(reference_similarities, u, batch), (u, batch)
+        # an empty list scores nothing, so even a zero vector raises nothing
+        assert cosine_similarities(u, []) == []
 
 
 def dense_norm(values) -> float:
@@ -488,18 +528,22 @@ def reference_links(paragraphs, excerpts, embedder, threshold) -> list[tuple[str
 
 def test_link_excerpts_sends_one_request_per_batch(stub_embedder):
     paragraphs, excerpts = linking_inputs()
-    stub = [stub_embedder.embed(p.text).values for p in paragraphs]
-    embedder = http_embedder([
-        _FakeResponse(payload={"vectors": [list(v) for v in stub]}),
-        _FakeResponse(payload={"vectors": [list(stub_embedder.embed(e.in_sentence).values)
-                                           for e in excerpts]}),
-    ])
-    links = link_excerpts(paragraphs, excerpts, embedder, threshold=0.3)
-    assert len(embedder.session.calls) == 2
-    assert [call["input"] for call in embedder.session.calls] == [
-        PARAGRAPH_TEXTS, [sentence for _, sentence in EXCERPT_SENTENCES]]
-    assert [(l.excerpt_id, l.paragraph_id, l.similarity.hex()) for l in links] == \
-        reference_links(paragraphs, excerpts, stub_embedder, 0.3)
+    # the request bodies list the texts in input order, also when it is not
+    # the paragraph id order the scoring uses
+    for ordered in (paragraphs, paragraphs[::-1]):
+        texts = [p.text for p in ordered]
+        embedder = http_embedder([
+            _FakeResponse(payload={"vectors": [list(stub_embedder.embed(t).values)
+                                               for t in texts]}),
+            _FakeResponse(payload={"vectors": [list(stub_embedder.embed(e.in_sentence).values)
+                                               for e in excerpts]}),
+        ])
+        links = link_excerpts(ordered, excerpts, embedder, threshold=0.3)
+        assert len(embedder.session.calls) == 2
+        assert [call["input"] for call in embedder.session.calls] == [
+            texts, [sentence for _, sentence in EXCERPT_SENTENCES]]
+        assert [(l.excerpt_id, l.paragraph_id, l.similarity.hex()) for l in links] == \
+            reference_links(paragraphs, excerpts, stub_embedder, 0.3)
 
 
 @pytest.mark.parametrize("threshold", [0.0, 0.3, 0.7])

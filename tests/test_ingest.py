@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from scholarkg.document import Excerpt, collect_paragraphs
+from scholarkg.document import Excerpt, Paragraph, Sentence, collect_paragraphs
 from scholarkg.ingest import (
     HeadingOutline,
     OutlineEntry,
@@ -166,6 +166,17 @@ def test_link_excerpts_threshold_filters(stub_embedder):
 def test_link_excerpts_validates_threshold(stub_embedder):
     with pytest.raises(ValueError):
         link_excerpts([], [], stub_embedder, threshold=1.5)
+
+
+def test_link_excerpts_breaks_ties_toward_the_smaller_paragraph_id(stub_embedder):
+    text = "Second paragraph stands alone."
+    paragraphs = [Paragraph.from_sentences(pid, (Sentence(text),))
+                  for pid in ("P-c", "P-b", "P-a")]           # descending ids
+    excerpts = [make_excerpt("E1", text, "standalone"),
+                make_excerpt("E2", "Second paragraph.", "standalone")]
+    links = link_excerpts(paragraphs, excerpts, stub_embedder, threshold=0.0)
+    assert [(l.excerpt_id, l.paragraph_id) for l in links] == [("E1", "P-a"), ("E2", "P-a")]
+    assert links[0].similarity == pytest.approx(1.0)
 
 
 def test_link_excerpts_empty_paragraphs(stub_embedder):

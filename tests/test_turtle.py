@@ -462,3 +462,57 @@ def test_save_load_round_trip_on_generated_graphs(graph):
     data = save_turtle(graph)
     assert load_turtle(data) == graph
     assert save_turtle(load_turtle(data)) == data
+
+
+def reference_save_turtle(graph) -> bytes:
+    """The writer rendering a term at each use, in the writer's use order."""
+    from scholarkg.kg.turtle import _render_iri, _render_term
+
+    def predicate_order(predicate):
+        rank = 0 if predicate == RDF_TYPE else 1 if predicate == RDFS_LABEL else 2
+        return (rank, _render_iri(predicate))
+
+    lines = [f"@prefix {prefix}: <{NAMESPACES[prefix]}> ." for prefix in sorted(NAMESPACES)]
+    lines.append("")
+    by_subject = {}
+    for t in graph:
+        by_subject.setdefault(t.subject, {}).setdefault(t.predicate, []).append(t.object)
+    for subject in sorted(by_subject, key=_render_iri):
+        predicates = by_subject[subject]
+        body = " ;\n    ".join(
+            ("a" if predicate == RDF_TYPE else _render_iri(predicate)) + " "
+            + ",\n        ".join(sorted(map(_render_term, predicates[predicate])))
+            for predicate in sorted(predicates, key=predicate_order))
+        lines.append(f"{_render_iri(subject)} {body} .\n")
+    text = "\n".join(lines).rstrip("\n") + "\n"
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise TurtleError(
+            f"cannot write surrogate code point U+{ord(exc.object[exc.start]):04X}") from None
+
+
+def save_outcome(writer, graph) -> tuple:
+    try:
+        return ("bytes", writer(graph))
+    except TurtleError as exc:
+        return (type(exc), str(exc))
+
+
+_SHARED_TERMS = st.lists(st.one_of(_IRIS, _LITERALS), min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SHARED_TERMS.flatmap(lambda terms: st.lists(st.builds(
+    Triple, st.sampled_from([t for t in terms if isinstance(t, Iri)] or [RDF_TYPE]),
+    st.sampled_from([RDF_TYPE, RDFS_LABEL, *(t for t in terms if isinstance(t, Iri))]),
+    st.sampled_from(terms)), max_size=8).map(KnowledgeGraph)))
+@example(KnowledgeGraph([
+    Triple(Iri("urn:z"), RDFS_LABEL, Literal("x", language="en US")),
+    Triple(Iri("urn:a"), Iri("urn:p|"), Literal("x", datatype=Iri("urn:d>"))),
+    Triple(Iri("urn:a"), RDF_TYPE, Iri("urn:o{")),
+]))
+def test_save_turtle_renders_like_a_render_per_use_writer(graph):
+    """Same bytes, or the same first unwritable term, as a writer that
+    renders every term at each use; the terms recur across triples."""
+    assert save_outcome(save_turtle, graph) == save_outcome(reference_save_turtle, graph)
