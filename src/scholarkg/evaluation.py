@@ -9,6 +9,7 @@ and across raters (Cronbach's alpha for rating consistency).
 from __future__ import annotations
 
 import json
+import math
 import re
 import statistics
 from dataclasses import dataclass
@@ -109,9 +110,10 @@ def embedding_distance(context_a: Sequence[str], context_b: Sequence[str],
 def cronbach_alpha(ratings: list[list[float]]) -> float:
     """Internal consistency of ratings; rows are raters, columns items.
 
-    Uses sample variances. When every variance is zero the raters are
-    in perfect agreement and the alpha is taken as 1.0; a zero total
-    variance with varying items leaves the formula undefined.
+    Every rating must be finite. Uses sample variances. When every
+    variance is zero the raters are in perfect agreement and the alpha
+    is taken as 1.0; a zero total variance with varying items leaves the
+    formula undefined.
     """
     if len(ratings) < 2:
         raise ValueError("at least two raters are required")
@@ -120,6 +122,8 @@ def cronbach_alpha(ratings: list[list[float]]) -> float:
         raise ValueError("at least two items are required")
     if any(len(row) != k for row in ratings):
         raise ValueError("every rater must rate every item")
+    if not all(math.isfinite(x) for row in ratings for x in row):
+        raise ValueError("every rating must be a finite number")
 
     item_variances = [
         statistics.variance([row[j] for row in ratings]) for j in range(k)

@@ -12,8 +12,7 @@ import time
 from dataclasses import dataclass
 
 from .embedding import BackendConfig, post_with_retries
-from .kg.patterns import TriplePattern, Variable, WILDCARD, Wildcard
-from .kg.terms import Iri, Literal
+from .kg.patterns import TriplePattern, Variable, WILDCARD
 from .segmentation import segment_sentences
 
 __all__ = [
@@ -57,7 +56,6 @@ class GatewayRequest:
     system: str
     user: str
     max_tokens: int = 512
-    temperature: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.user.strip():
@@ -87,10 +85,11 @@ class Gateway:
 def parse_triples_response(text: str) -> list[TriplePattern]:
     """Parse ``subject | predicate | object`` lines into patterns.
 
-    Blank lines are skipped. A bare ``?`` field is a wildcard, ``?name``
-    is a named variable, anything else is kept as a plain-text ground
-    term. Lines with a field count other than three raise
-    :class:`TripleResponseError` carrying the 1-based line index.
+    Blank lines are skipped. A ``?name`` field is a :class:`Variable`
+    (a bare ``?`` is the anonymous :data:`WILDCARD`); anything else is
+    kept as a plain-text phrase. Lines with a field count other than
+    three raise :class:`TripleResponseError` carrying the 1-based line
+    index.
     """
     patterns: list[TriplePattern] = []
     for index, raw in enumerate(text.splitlines(), start=1):
@@ -100,29 +99,13 @@ def parse_triples_response(text: str) -> list[TriplePattern]:
         fields = [f.strip() for f in line.split("|")]
         if len(fields) != 3:
             raise TripleResponseError(index, raw)
-        terms = []
-        for f in fields:
-            if f == "?":
-                terms.append(WILDCARD)
-            elif f.startswith("?") and len(f) > 1:
-                terms.append(Variable(f[1:]))
-            else:
-                terms.append(f)
-        patterns.append(TriplePattern(*terms))
+        patterns.append(TriplePattern(
+            *(Variable(f[1:]) if f.startswith("?") else f for f in fields)))
     return patterns
 
 
 def _format_term(term) -> str:
-    if isinstance(term, Wildcard):
-        return "?"
-    if isinstance(term, Variable):
-        return f"?{term.name}"
-    if isinstance(term, Iri):
-        prefixed = term.prefixed()
-        return f"{prefixed[0]}:{prefixed[1]}" if prefixed else f"<{term.value}>"
-    if isinstance(term, Literal):
-        return term.lexical
-    return str(term)
+    return f"?{term.name}" if isinstance(term, Variable) else term
 
 
 def format_triples(patterns: list[TriplePattern]) -> str:
@@ -315,9 +298,10 @@ class StubGateway:
 class HttpGateway:
     """Client for a chat-completion service.
 
-    Sends ``{"model", "messages", "max_tokens", "temperature"}`` and reads
-    the completion text from ``choices[0].message.content`` or, failing
-    that, a top-level ``"text"`` field.
+    Sends ``{"model", "messages", "max_tokens", "temperature"}``, the
+    temperature always 0.0, and reads the completion text from
+    ``choices[0].message.content`` or, failing that, a top-level
+    ``"text"`` field.
     """
 
     def __init__(self, config: BackendConfig, session=None):
@@ -336,7 +320,7 @@ class HttpGateway:
         payload = {
             "messages": messages,
             "max_tokens": request.max_tokens,
-            "temperature": request.temperature,
+            "temperature": 0.0,
         }
         if self.config.model:
             payload["model"] = self.config.model

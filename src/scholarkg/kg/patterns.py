@@ -1,13 +1,14 @@
 """Triple patterns and conjunctive queries over the knowledge graph.
 
-A pattern position holds either a ground term (an :class:`Iri`, a
-:class:`Literal`, or a plain string for natural-language terms that are
-matched softly), a named :class:`Variable`, or the :data:`WILDCARD`.
+A pattern position holds either a phrase (a plain string, matched softly
+against the graph's paragraph and excerpt text) or a :class:`Variable`.
+These are the only terms the gateway's wire format can carry.
 
 A :class:`Variable` is the gateway's ``?name`` wire form, kept so that a
-pattern formats back as it was read. Nothing binds it: the matcher in
-``qa.engine`` treats it exactly like the wildcard, so two patterns that
-name the same variable are not joined on it.
+pattern formats back as it was read; :data:`WILDCARD` is the anonymous
+variable ``?``. Nothing binds a variable: the matcher in ``qa.engine``
+lets it match anything, so two patterns that name the same variable are
+not joined on it.
 """
 
 from __future__ import annotations
@@ -15,11 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .terms import Iri, Literal
-
 __all__ = [
     "Variable",
-    "Wildcard",
     "WILDCARD",
     "PatternTerm",
     "TriplePattern",
@@ -30,32 +28,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Variable:
-    """A ``?name`` position; matched like :data:`WILDCARD`."""
+    """A ``?name`` position; matches any term without binding."""
 
     name: str
 
 
-class Wildcard:
-    """Matches any term without binding. A singleton; see :data:`WILDCARD`."""
+WILDCARD = Variable("")
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "?"
-
-
-WILDCARD = Wildcard()
-
-PatternTerm = Union[Iri, Literal, Variable, Wildcard, str]
+PatternTerm = Union[Variable, str]
 
 
 def is_ground(term: PatternTerm) -> bool:
-    return not isinstance(term, (Variable, Wildcard))
+    return isinstance(term, str)
 
 
 @dataclass(frozen=True)
@@ -63,6 +47,12 @@ class TriplePattern:
     subject: PatternTerm
     predicate: PatternTerm
     object: PatternTerm
+
+    def __post_init__(self) -> None:
+        for position, term in zip(("subject", "predicate", "object"), self.terms):
+            if not isinstance(term, (Variable, str)):
+                raise TypeError(
+                    f"pattern {position} must be a phrase or a Variable, not {term!r}")
 
     @property
     def terms(self) -> tuple[PatternTerm, PatternTerm, PatternTerm]:

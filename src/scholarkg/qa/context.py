@@ -102,19 +102,15 @@ class AnswerResult:
 
 
 def generate_answer(question: str, context: list[ScoredParagraph],
-                    gateway: Gateway, max_tokens: int = 512) -> AnswerResult:
+                    gateway: Gateway) -> AnswerResult:
     """Answer the question from the selected paragraphs only."""
     if not question.strip():
         raise ValueError("question must be non-empty")
     if not context:
         raise ValueError("context must be non-empty")
     block = "\n\n".join(p.text for p in context)
-    request = GatewayRequest(
-        system="",
-        user=load_template("answer.txt").format(
-            question=question.strip(), context=block),
-        max_tokens=max_tokens,
-    )
+    request = GatewayRequest(system="", user=load_template("answer.txt").format(
+        question=question.strip(), context=block))
     response = gateway.complete(request)
     return AnswerResult(
         answer=response.text.strip(),

@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 
 from ..gateway import Gateway, GatewayRequest, parse_triples_response
 from ..kg.graph import KnowledgeGraph
-from ..kg.patterns import CompoundQuery, TriplePattern, WILDCARD, is_ground
+from ..kg.patterns import CompoundQuery, PatternTerm, TriplePattern, WILDCARD, is_ground
 from ..kg.terms import (
     EXCERPT,
     HAS_EXCERPT,
@@ -68,8 +68,7 @@ class QuestionParseError(Exception):
         self.raw_response = raw_response
 
 
-def extract_question_patterns(question: str, gateway: Gateway,
-                              max_tokens: int = 512) -> CompoundQuery:
+def extract_question_patterns(question: str, gateway: Gateway) -> CompoundQuery:
     """Ask the gateway to decompose a question into triple patterns.
 
     Ground terms come back as natural-language phrases and are normalized
@@ -80,11 +79,7 @@ def extract_question_patterns(question: str, gateway: Gateway,
     if not question.strip():
         raise ValueError("question must be non-empty")
     template = load_template("extract_patterns.txt")
-    request = GatewayRequest(
-        system="",
-        user=template.format(question=question.strip()),
-        max_tokens=max_tokens,
-    )
+    request = GatewayRequest(system="", user=template.format(question=question.strip()))
     response = gateway.complete(request)
     raw_patterns = parse_triples_response(response.text)
 
@@ -214,18 +209,9 @@ def _has_phrase(anchor: _Anchor, phrase: str) -> bool:
             and f" {phrase} " in anchor.text)
 
 
-def _term_matches(term, anchor: _Anchor, graph: KnowledgeGraph) -> bool:
-    if not is_ground(term):
-        return True
-    if isinstance(term, str):
-        return term in anchor.mention_keys or _has_phrase(anchor, entity_phrase(term))
-    if isinstance(term, Iri):
-        if term == anchor.node:
-            return True
-        return bool(graph.match(subject=anchor.node, object=term)
-                    or graph.match(subject=term, object=anchor.node))
-    # Literal ground term: containment in the anchor's text.
-    return _has_phrase(anchor, entity_phrase(normalize_entity_key(term.lexical)))
+def _term_matches(term: PatternTerm, anchor: _Anchor) -> bool:
+    return (not is_ground(term) or term in anchor.mention_keys
+            or _has_phrase(anchor, entity_phrase(term)))
 
 
 def _anchor_matcher(graph: KnowledgeGraph) -> Callable[[CompoundQuery], frozenset[Triple]]:
@@ -242,7 +228,7 @@ def _anchor_matcher(graph: KnowledgeGraph) -> Callable[[CompoundQuery], frozense
         if pattern not in satisfying:
             satisfying[pattern] = frozenset(
                 i for i, anchor in enumerate(anchors)
-                if all(_term_matches(term, anchor, graph) for term in pattern.terms))
+                if all(_term_matches(term, anchor) for term in pattern.terms))
         return satisfying[pattern]
 
     def match(query: CompoundQuery) -> frozenset[Triple]:
@@ -308,7 +294,7 @@ def resolve_query(graph: KnowledgeGraph, query: CompoundQuery,
     if dictionary is None:
         dictionary = RelaxationDictionary()
     match = _anchor_matcher(graph)
-    frontier = [RelaxedQuery(query=query, depth=0)]
+    frontier = [RelaxedQuery(query=query)]
     visited: set[tuple[TriplePattern, ...]] = {query.patterns}
 
     for depth in range(max_depth + 1):
@@ -333,10 +319,7 @@ def resolve_query(graph: KnowledgeGraph, query: CompoundQuery,
                     continue
                 visited.add(step.query.patterns)
                 next_frontier.append(RelaxedQuery(
-                    query=step.query,
-                    depth=candidate.depth + 1,
-                    edits=candidate.edits + step.edits,
-                ))
+                    query=step.query, edits=candidate.edits + step.edits))
         frontier = next_frontier
         if not frontier:
             break

@@ -23,32 +23,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Edit:
-    """One relaxation step: ``kind`` is ``"replace"`` or ``"delete"``,
-    ``position`` is the 1-based pattern index the step applied to."""
+    """One relaxation step at the 1-based pattern index ``position``: it
+    replaces that pattern with ``replacement``, or deletes it when there
+    is none."""
 
-    kind: str
     position: int
     replacement: TriplePattern | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("replace", "delete"):
-            raise ValueError(f"unknown edit kind {self.kind!r}")
-        if self.kind == "replace" and self.replacement is None:
-            raise ValueError("a replace edit requires a replacement pattern")
-        if self.kind == "delete" and self.replacement is not None:
-            raise ValueError("a delete edit cannot carry a replacement")
+    @property
+    def kind(self) -> str:
+        return "delete" if self.replacement is None else "replace"
 
 
 @dataclass(frozen=True)
 class RelaxedQuery:
+    """A query with the edits that relaxed it; its depth is their number."""
+
     query: CompoundQuery
-    depth: int
     edits: tuple[Edit, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.depth != len(self.edits):
-            raise ValueError(
-                f"depth {self.depth} does not match the {len(self.edits)} recorded edits")
+    @property
+    def depth(self) -> int:
+        return len(self.edits)
 
 
 @dataclass(frozen=True)
@@ -109,15 +105,15 @@ def relax_set(query: CompoundQuery,
         if relaxed.patterns in seen:
             return
         seen.add(relaxed.patterns)
-        out.append(RelaxedQuery(query=relaxed, depth=1, edits=(edit,)))
+        out.append(RelaxedQuery(query=relaxed, edits=(edit,)))
 
     if query.n >= 2:
         for position in range(1, query.n + 1):
-            add(relax(query, position), Edit("delete", position))
+            add(relax(query, position), Edit(position))
     for position in range(1, query.n + 1):
         current = query.patterns[position - 1]
         for entry in dictionary:
             if entry == current:
                 continue
-            add(relax(query, position, entry), Edit("replace", position, entry))
+            add(relax(query, position, entry), Edit(position, entry))
     return tuple(out)

@@ -26,7 +26,7 @@ from scholarkg.embedding import (
 from scholarkg.evaluation import cronbach_alpha, entity_overlap
 from scholarkg.ingest import ExcerptLink, link_excerpts
 from scholarkg.kg.graph import KnowledgeGraph, keyword_frequency
-from scholarkg.kg.patterns import CompoundQuery, TriplePattern, Variable, Wildcard
+from scholarkg.kg.patterns import CompoundQuery, TriplePattern, Variable
 from scholarkg.kg.terms import (
     EXCERPT,
     HAS_EXCERPT,
@@ -87,10 +87,9 @@ def oracle_relaxation_count(patterns: tuple[TriplePattern, ...],
 def test_01_relaxation_algebra():
     with criterion(1, "relaxation-algebra"):
         rng = random.Random(0xA1)
-        _, iris = random_anchor_graph(rng)
 
         def ground_pattern() -> TriplePattern:
-            while not (candidate := random_pattern(rng, iris)).has_ground_term:
+            while not (candidate := random_pattern(rng)).has_ground_term:
                 pass
             return candidate
 
@@ -113,8 +112,8 @@ def test_01_relaxation_algebra():
         # Deleting a pattern never loses a match.
         matched_cases = widened = 0
         for _ in range(600):
-            graph, iris = random_anchor_graph(rng)
-            while (query := random_question(rng, iris)).n < 2:
+            graph = random_anchor_graph(rng)
+            while (query := random_question(rng)).n < 2:
                 pass
             matched = match_candidates(graph, query)
             matched_cases += bool(matched)
@@ -122,7 +121,7 @@ def test_01_relaxation_algebra():
                 relaxed = match_candidates(graph, relax(query, position))
                 assert relaxed >= matched, (query, position)
                 widened += relaxed > matched
-        # Not vacuous: 39 queries match and 244 deletions widen the match.
+        # Not vacuous: 142 queries match and 340 deletions widen the match.
         assert matched_cases >= 30 and widened >= 200, (matched_cases, widened)
 
 
@@ -173,15 +172,8 @@ def brute_force_match(graph: KnowledgeGraph, query: CompoundQuery) -> frozenset[
             keys = {m.object.entity_key() for m in mentions}
 
             def satisfied(term) -> bool:
-                if isinstance(term, (Variable, Wildcard)):
-                    return True
-                if isinstance(term, str):
-                    return term in keys or holds_phrase(text, term.split("_"))
-                if isinstance(term, Iri):
-                    return term == node or any(
-                        (t.subject, t.object) in ((node, term), (term, node))
-                        for t in triples)
-                return holds_phrase(text, words(term.lexical))
+                return (isinstance(term, Variable) or term in keys
+                        or holds_phrase(text, term.split("_")))
 
             if all(satisfied(term) for pattern in query for term in pattern.terms):
                 matched.update(labels, links, mentions)
@@ -193,13 +185,13 @@ def test_02_conjunctive_matching():
         rng = random.Random(0xB2)
         matched_cases = 0
         for _ in range(200):
-            graph, iris = random_anchor_graph(rng)
+            graph = random_anchor_graph(rng)
             for _ in range(5):
-                query = random_question(rng, iris)
+                query = random_question(rng)
                 expected = brute_force_match(graph, query)
                 assert match_candidates(graph, query) == expected, query
                 matched_cases += bool(expected)
-        # Not vacuous: 172 of the 1000 queries match something.
+        # Not vacuous: 312 of the 1000 queries match something.
         assert matched_cases >= 150, matched_cases
 
 

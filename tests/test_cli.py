@@ -648,6 +648,15 @@ def test_eval_rejects_corrupt_ratings(capsys, tmp_path):
     assert "non-numeric rating row" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_eval_rejects_non_finite_ratings(capsys, tmp_path, cell, fmt):
+    ratings = tmp_path / "ratings.csv"
+    ratings.write_text(f"q1,q2\n3,4\n2,{cell}\n4,5\n", "utf-8")
+    code, out, err = invoke(capsys, "eval", "--ratings", str(ratings), "--format", fmt)
+    assert (code, out, err) == (1, "", "error: every rating must be a finite number\n")
+
+
 # ---------------------------------------------------------------------------
 # stats
 # ---------------------------------------------------------------------------

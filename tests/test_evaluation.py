@@ -174,6 +174,12 @@ def test_cronbach_alpha_validates_shape():
         cronbach_alpha([[1.0, 2.0], [1.0]])
 
 
+@pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf])
+def test_cronbach_alpha_refuses_non_finite_ratings(cell):
+    with pytest.raises(ValueError, match="finite"):
+        cronbach_alpha([[3.0, 4.0], [2.0, cell], [4.0, 5.0]])
+
+
 def test_cronbach_alpha_can_be_negative():
     ratings = [[1.0, 5.0], [5.0, 1.0], [1.0, 5.0], [5.0, 2.0]]
     alpha = cronbach_alpha(ratings)

@@ -1,5 +1,7 @@
+import json
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scholarkg.gateway import (
     ANSWER_MARKER,
@@ -43,11 +45,19 @@ def test_parse_triples_response_rejects_wrong_field_count():
     assert err.value.line_index == 2
 
 
-def test_format_triples_round_trips():
-    patterns = [
-        TriplePattern("Tool", "is applied to", "PDFs"),
-        TriplePattern(WILDCARD, "mentions", Variable("e")),
-    ]
+# A wire field is stripped, holds no "|" or line break, and a phrase
+# cannot start with "?"; every such phrase or variable name reads back.
+_FIELD = st.text(st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp"),
+                               exclude_characters="|")).map(str.strip)
+_TERM = _FIELD.filter(lambda f: not f.startswith("?")) | _FIELD.map(Variable)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(TriplePattern, _TERM, _TERM, _TERM)))
+@example([TriplePattern("Tool", "is applied to", "PDFs"),
+          TriplePattern(WILDCARD, "mentions", Variable("e"))])
+@example([TriplePattern(WILDCARD, WILDCARD, WILDCARD)])
+def test_format_triples_round_trips(patterns):
     assert parse_triples_response(format_triples(patterns)) == patterns
 
 
@@ -164,9 +174,12 @@ def test_http_gateway_reads_chat_completion():
     response = gateway.complete(GatewayRequest(system="s", user="u"))
     assert response.text == "an answer"
     assert response.backend == "test-model"
-    sent = session.calls[0]["json"]
-    assert sent["model"] == "test-model"
-    assert sent["messages"][1] == {"role": "user", "content": "u"}
+    assert json.dumps(session.calls[0]["json"]) == json.dumps({
+        "messages": [{"role": "system", "content": "s"}, {"role": "user", "content": "u"}],
+        "max_tokens": 512,
+        "temperature": 0.0,
+        "model": "test-model",
+    })
 
 
 def test_http_gateway_omits_empty_system_message():

@@ -1,11 +1,13 @@
 import importlib
 import pkgutil
+import shlex
 import types
 from pathlib import Path
 
 import pytest
 
 import scholarkg
+from scholarkg.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,3 +43,14 @@ def test_readme_library_block_prints_the_readme_answer(monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     exec(compile(block, "README.md (Library use)", "exec"), {})
     assert capsys.readouterr().out == answer[len("Answer: "):] + "\n"
+
+
+def test_readme_query_walkthrough_prints_the_readme_output(monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text("utf-8")
+    walkthrough = readme.split("Ask a question against the richer sample graph", 1)[1]
+    command, output = (block.split("\n", 1)[1] for block in walkthrough.split("```")[1:4:2])
+    argv = shlex.split(command.replace("\\\n", " "))
+    assert argv[:2] == ["scholarkg", "query"]
+    monkeypatch.chdir(ROOT)
+    assert run(argv[1:]) == 0
+    assert capsys.readouterr().out == output

@@ -1,6 +1,7 @@
 import pytest
 
-from scholarkg.kg.patterns import CompoundQuery, TriplePattern, WILDCARD
+from scholarkg.kg.patterns import CompoundQuery, TriplePattern, Variable, WILDCARD
+from scholarkg.kg.terms import XSD_INT, Literal, iri
 from scholarkg.qa.relaxation import (
     Edit,
     RelaxationDictionary,
@@ -94,20 +95,11 @@ def test_relax_set_count_formula_without_collisions():
     assert len(out) == 3 + 3 * 2
 
 
-def test_relaxed_query_depth_must_match_edits():
-    with pytest.raises(ValueError):
-        RelaxedQuery(query=CompoundQuery((T1,)), depth=1, edits=())
-    RelaxedQuery(query=CompoundQuery((T1,)), depth=1,
-                 edits=(Edit("replace", 1, D1),))
-
-
-def test_edit_validation():
-    with pytest.raises(ValueError):
-        Edit("replace", 1)  # missing replacement
-    with pytest.raises(ValueError):
-        Edit("delete", 1, D1)  # stray replacement
-    with pytest.raises(ValueError):
-        Edit("mangle", 1)
+def test_edit_kind_and_depth_are_derived():
+    assert Edit(2).kind == "delete"
+    assert Edit(1, D1).kind == "replace"
+    assert RelaxedQuery(query=CompoundQuery((T1,))).depth == 0
+    assert RelaxedQuery(query=CompoundQuery((T1,)), edits=(Edit(1, D1), Edit(2))).depth == 2
 
 
 def test_dictionary_deduplicates_and_requires_ground_terms():
@@ -115,6 +107,22 @@ def test_dictionary_deduplicates_and_requires_ground_terms():
     assert d.entries == (D1, D2)
     with pytest.raises(ValueError, match="ground"):
         RelaxationDictionary((tp(WILDCARD, WILDCARD, WILDCARD),))
+
+
+@pytest.mark.parametrize("term", [
+    iri("askg-onto:mentions"),
+    Literal("text"),
+    Literal("3", datatype=XSD_INT),
+    None,
+    3,
+])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_pattern_refuses_terms_other_than_phrases_and_variables(term, position):
+    terms = ["mel", Variable("x"), WILDCARD]
+    terms[position] = term
+    name = ("subject", "predicate", "object")[position]
+    with pytest.raises(TypeError, match=name):
+        TriplePattern(*terms)
 
 
 def test_compound_query_must_have_patterns():
