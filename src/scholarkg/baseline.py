@@ -30,7 +30,6 @@ class Chunk:
     document_id: str
     index: int
     text: str
-    token_count: int
 
 
 def chunk_document(doc_id: str, text: str, max_tokens: int = 100,
@@ -64,7 +63,6 @@ def chunk_document(doc_id: str, text: str, max_tokens: int = 100,
             document_id=doc_id,
             index=index,
             text=" ".join(tokens[start:start + max_tokens]),
-            token_count=len(tokens[start:start + max_tokens]),
         )
         for index, start in enumerate(starts)
     ]

@@ -1,9 +1,10 @@
 """Hierarchical document model: documents, sections, paragraphs, sentences.
 
 All node types are frozen dataclasses, so a constructed model is immutable
-and safe to share across threads. Structural problems are reported by
-``validate_model`` as data rather than raised eagerly, which lets callers
-inspect a whole document in one pass.
+and safe to share across threads. A node stores only what it is made of; a
+paragraph's text, for one, is derived from its sentences. Structural
+problems are reported by ``validate_model`` as data rather than raised
+eagerly, which lets callers inspect a whole document in one pass.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "ValidationIssue",
     "validate_model",
     "collect_paragraphs",
-    "word_count",
     "short_hash",
     "paragraph_id_for",
     "document_id_of",
@@ -49,11 +49,6 @@ def document_id_of(paragraph_id: str) -> str:
     return head[len("Paper-"):]
 
 
-def word_count(text: str) -> int:
-    """Number of whitespace-delimited tokens in ``text``."""
-    return len(text.split())
-
-
 @dataclass(frozen=True)
 class Sentence:
     """A single sentence with the numeric references cited from it."""
@@ -64,14 +59,10 @@ class Sentence:
 
 @dataclass(frozen=True)
 class Paragraph:
+    """A paragraph's identifier and its sentences, in order."""
+
     paragraph_id: str
     sentences: tuple[Sentence, ...]
-    word_count: int
-
-    @classmethod
-    def from_sentences(cls, paragraph_id: str, sentences: tuple[Sentence, ...]) -> Paragraph:
-        total = sum(word_count(s.text) for s in sentences)
-        return cls(paragraph_id=paragraph_id, sentences=sentences, word_count=total)
 
     @property
     def text(self) -> str:
@@ -118,10 +109,6 @@ class DocumentModel:
             section = stack.pop()
             yield section
             stack.extend(reversed(section.subsections()))
-
-    def iter_sentences(self):
-        for section in self.iter_sections():
-            yield from section.sentences()
 
 
 @dataclass(frozen=True)
@@ -192,10 +179,6 @@ def _validate_paragraph(paragraph: Paragraph, path: str, issues: list[Validation
         issues.append(ValidationIssue(path, "paragraph has no sentences"))
     for i, sentence in enumerate(paragraph.sentences):
         _validate_sentence(sentence, f"{path}/sentence[{i}]", issues)
-    expected = sum(word_count(s.text) for s in paragraph.sentences)
-    if paragraph.word_count != expected:
-        issues.append(ValidationIssue(
-            path, f"paragraph word_count {paragraph.word_count} != sum of sentence counts {expected}"))
 
 
 def validate_model(model: DocumentModel) -> list[ValidationIssue]:
@@ -226,7 +209,7 @@ def collect_paragraphs(model: DocumentModel) -> list[Paragraph]:
         if not run:
             return
         text = " ".join(s.text for s in run)
-        out.append(Paragraph.from_sentences(paragraph_id_for(model.doc_id, text), tuple(run)))
+        out.append(Paragraph(paragraph_id_for(model.doc_id, text), tuple(run)))
 
     def walk(section: Section) -> None:
         run: list[Sentence] = []

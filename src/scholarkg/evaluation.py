@@ -8,7 +8,6 @@ and across raters (Cronbach's alpha for rating consistency).
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import statistics
@@ -113,7 +112,8 @@ def cronbach_alpha(ratings: list[list[float]]) -> float:
     Every rating must be finite. Uses sample variances. When every
     variance is zero the raters are in perfect agreement and the alpha
     is taken as 1.0; a zero total variance with varying items leaves the
-    formula undefined.
+    formula undefined. Ratings so large that a variance, a rater's total
+    or the alpha overflows a float are refused.
     """
     if len(ratings) < 2:
         raise ValueError("at least two raters are required")
@@ -125,15 +125,22 @@ def cronbach_alpha(ratings: list[list[float]]) -> float:
     if not all(math.isfinite(x) for row in ratings for x in row):
         raise ValueError("every rating must be a finite number")
 
-    item_variances = [
-        statistics.variance([row[j] for row in ratings]) for j in range(k)
-    ]
-    total_variance = statistics.variance([sum(row) for row in ratings])
+    too_large = "ratings are too large: their variance overflows a float"
+    try:
+        item_variances = [
+            statistics.variance([row[j] for row in ratings]) for j in range(k)
+        ]
+        total_variance = statistics.variance([sum(row) for row in ratings])
+    except OverflowError:
+        raise ValueError(too_large) from None
     if total_variance == 0.0:
         if all(v == 0.0 for v in item_variances):
             return 1.0
         raise ValueError("alpha undefined: total variance is zero")
-    return (k / (k - 1)) * (1.0 - sum(item_variances) / total_variance)
+    alpha = (k / (k - 1)) * (1.0 - sum(item_variances) / total_variance)
+    if not (math.isfinite(alpha) and math.isfinite(total_variance)):
+        raise ValueError(too_large)
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -176,9 +183,6 @@ class EvaluationReport:
                 for label, distance in self.distance_rows
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
 def build_report(comparisons: list[QuestionComparison],

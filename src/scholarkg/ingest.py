@@ -148,14 +148,11 @@ def _paragraphs_from_span(text: str, doc_id: str) -> list[Paragraph]:
         if not sentences:
             continue
         body_text = " ".join(s.text for s in sentences)
-        paragraphs.append(Paragraph.from_sentences(paragraph_id_for(doc_id, body_text),
-                                                   sentences))
+        paragraphs.append(Paragraph(paragraph_id_for(doc_id, body_text), sentences))
     return paragraphs
 
 
-def build_document_model(outline: HeadingOutline, text: str,
-                         doc_id: str | None = None,
-                         title: str | None = None) -> DocumentModel:
+def build_document_model(outline: HeadingOutline, text: str) -> DocumentModel:
     """Assemble a document model from a heading outline and the full text.
 
     Every outline offset must lie inside ``text``. Section ids follow the
@@ -164,13 +161,13 @@ def build_document_model(outline: HeadingOutline, text: str,
     depth. Text between consecutive headings belongs to the earlier
     section and is split into paragraphs at blank lines, then into
     sentences. Text before the first heading lands in an implicit
-    preamble section with id "0".
+    preamble section with id "0". The document id is ``short_hash(text)``
+    and the model has no title.
     """
     for entry in outline.entries:
         if entry.offset >= len(text):
             raise ValueError(f"outline offset {entry.offset} is outside the text")
-    if doc_id is None:
-        doc_id = short_hash(text)
+    doc_id = short_hash(text)
 
     top: list[_SectionBuilder] = []
     stack: list[_SectionBuilder] = []
@@ -205,11 +202,8 @@ def build_document_model(outline: HeadingOutline, text: str,
             span = span.lstrip()[len(entry.heading):]
         builder.body.extend(_paragraphs_from_span(span, doc_id))
 
-    return DocumentModel(
-        doc_id=doc_id,
-        title=title,
-        sections=tuple(b.build() for b in top),
-    )
+    return DocumentModel(doc_id=doc_id, title=None,
+                         sections=tuple(b.build() for b in top))
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +328,7 @@ def link_graph(graph: KnowledgeGraph, excerpts: Sequence[Excerpt], embedder: Emb
         if not node.value.startswith(_DATA_NS):
             raise ValueError(f"cannot link paragraph node <{node.value}>: "
                              f"it is outside the askg-data namespace <{_DATA_NS}>")
-        paragraphs.append(Paragraph.from_sentences(node.value[len(_DATA_NS):],
-                                                   (Sentence(label.lexical),)))
+        paragraphs.append(Paragraph(node.value[len(_DATA_NS):], (Sentence(label.lexical),)))
     links = link_excerpts(paragraphs, excerpts, embedder, threshold=threshold)
     paragraph_ids = {p.paragraph_id for p in paragraphs}
     linked = KnowledgeGraph([*graph, *excerpt_link_triples(excerpts, links, paragraph_ids)])

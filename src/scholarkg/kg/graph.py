@@ -1,4 +1,4 @@
-"""In-memory triple store with indexed lookup, label search and graph statistics."""
+"""In-memory triple store with a predicate index, label search and graph statistics."""
 
 from __future__ import annotations
 
@@ -29,38 +29,32 @@ __all__ = [
 
 
 class KnowledgeGraph:
-    """An immutable, deduplicated set of triples with lookup indexes.
+    """An immutable, deduplicated set of triples indexed by predicate.
 
-    The constructor sorts the triples into ``triple_sort_key`` order and,
-    in one pass over them, indexes them by subject and by predicate and
-    records each node's first label and each type's subjects.
+    The constructor sorts the triples into ``triple_sort_key`` order and
+    groups them by predicate in one pass. Each bucket keeps the graph
+    order, so each node's first label and each type's subjects are read
+    off the ``rdfs:label`` and ``rdf:type`` buckets.
     """
 
-    __slots__ = ("_triples", "_by_subject", "_by_predicate", "_labels", "_types")
+    __slots__ = ("_triples", "_by_predicate", "_labels", "_types")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         # dict.fromkeys deduplicates and keeps the input order, whose
         # sorted runs the sort reuses.
         self._triples: tuple[Triple, ...] = tuple(
             sorted(dict.fromkeys(triples), key=triple_sort_key))
-        by_subject: dict[Iri, list[Triple]] = {}
         by_predicate: dict[Iri, list[Triple]] = {}
-        labels: dict[Iri, Literal] = {}
-        types: dict[Iri, list[Iri]] = {}
-        # Predicates are compared by their IRI strings, which is cheaper
-        # than the dataclass ``==`` and means the same.
-        label, rdf_type = RDFS_LABEL.value, RDF_TYPE.value
         for t in self._triples:
-            by_subject.setdefault(t.subject, []).append(t)
             by_predicate.setdefault(t.predicate, []).append(t)
-            predicate = t.predicate.value
-            if predicate == label:
-                if isinstance(t.object, Literal):
-                    labels.setdefault(t.subject, t.object)
-            elif predicate == rdf_type:
-                types.setdefault(t.object, []).append(t.subject)
-        self._by_subject = {k: tuple(v) for k, v in by_subject.items()}
         self._by_predicate = {k: tuple(v) for k, v in by_predicate.items()}
+        labels: dict[Iri, Literal] = {}
+        for t in self._by_predicate.get(RDFS_LABEL, ()):
+            if isinstance(t.object, Literal):
+                labels.setdefault(t.subject, t.object)
+        types: dict[Iri, list[Iri]] = {}
+        for t in self._by_predicate.get(RDF_TYPE, ()):
+            types.setdefault(t.object, []).append(t.subject)
         self._labels = labels
         self._types = {k: tuple(v) for k, v in types.items()}
 
@@ -74,9 +68,6 @@ class KnowledgeGraph:
     def __iter__(self) -> Iterator[Triple]:
         return iter(self._triples)
 
-    def __contains__(self, triple: Triple) -> bool:
-        return triple in self._by_subject.get(triple.subject, ())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, KnowledgeGraph):
             return NotImplemented
@@ -89,21 +80,19 @@ class KnowledgeGraph:
               object: "Iri | Literal | None" = None) -> tuple[Triple, ...]:
         """Triples matching the given concrete terms; ``None`` matches any.
 
-        The result is in the graph's triple order.
+        The result is in the graph's triple order: the predicate's bucket,
+        or all triples, filtered on subject and object.
         """
-        if subject is not None:
-            candidates = self._by_subject.get(subject, ())
-        elif predicate is not None:
+        if predicate is not None:
             candidates = self._by_predicate.get(predicate, ())
         else:
             candidates = self._triples
-        if object is None and (subject is None or predicate is None):
+        if subject is None and object is None:
             return candidates
         return tuple(
             t for t in candidates
-            if (predicate is None or t.predicate == predicate)
+            if (subject is None or t.subject == subject)
             and (object is None or t.object == object)
-            and (subject is None or t.subject == subject)
         )
 
     def subjects_of_type(self, type_iri: Iri) -> tuple[Iri, ...]:

@@ -31,24 +31,32 @@ ABBREVIATIONS = (
     "ms.",
 )
 
-_TERMINATOR = re.compile(r"[.!?]+[\"')\]}”’]*")
-_OPENERS = "\"'([{“‘"
+# A run of terminators and the closers after it; group 1 is the run.
+_TERMINATOR = re.compile(r"([.!?]+)[\"')\]}”’]*")
+# What follows a terminator: whitespace, openers, then the first
+# character of the next sentence, if any.
+_NEXT = re.compile(r"\s*[\"'(\[{“‘]*(.?)", re.DOTALL)
+# A single-letter initial such as "J." at the end of the searched span.
+_INITIAL = re.compile(r"(^|\s)[A-Za-z]\.$")
+_LONGEST_ABBREVIATION = max(map(len, ABBREVIATIONS))
 
 
-def _is_abbreviation(prefix: str) -> bool:
-    low = prefix.lower()
-    for abbr in ABBREVIATIONS:
-        if low.endswith(abbr):
-            return True
-    # Single-letter initials such as "J." never end a sentence.
-    if re.search(r"(^|\s)[A-Za-z]\.$", prefix):
-        return True
-    return False
+def _is_abbreviation(text: str, end: int) -> bool:
+    """Whether ``text[:end]`` ends with an abbreviation or an initial.
+
+    Only the last few characters are read: lowercasing maps each
+    character on its own to one or more, so the tail's lowercase ends
+    like the whole prefix's.
+    """
+    tail = text[max(0, end - _LONGEST_ABBREVIATION):end].lower()
+    # Single-letter initials such as "J." never end a sentence; ``^``
+    # matches only at the start of ``text``, not at the search's start.
+    return tail.endswith(ABBREVIATIONS) or bool(_INITIAL.search(text, max(0, end - 3), end))
 
 
-def _starts_new_sentence(rest: str) -> bool:
-    rest = rest.lstrip(_OPENERS)
-    return bool(rest) and (rest[0].isupper() or rest[0].isdigit())
+def _starts_new_sentence(text: str, end: int) -> bool:
+    first = _NEXT.match(text, end).group(1)
+    return bool(first) and (first.isupper() or first.isdigit())
 
 
 def segment_sentences(text: str) -> list[str]:
@@ -58,18 +66,18 @@ def segment_sentences(text: str) -> list[str]:
     whitespace and an uppercase letter or digit, unless the terminator
     belongs to a known abbreviation or a decimal number. The returned
     sentences are trimmed; concatenating them preserves every
-    non-whitespace character of the input.
+    non-whitespace character of the input. Each terminator is judged
+    from the few characters around it, so the time is linear in the
+    length of the text.
     """
     boundaries: list[int] = []
     for match in _TERMINATOR.finditer(text):
         end = match.end()
         if end >= len(text) or not text[end].isspace():
             continue  # mid-token period, e.g. a decimal number or URL
-        after = text[end:].lstrip()
-        if not _starts_new_sentence(after):
+        if not _starts_new_sentence(text, end):
             continue
-        prefix = text[:end].rstrip("\"')]}”’")
-        if _is_abbreviation(prefix):
+        if _is_abbreviation(text, match.end(1)):
             continue
         boundaries.append(end)
 

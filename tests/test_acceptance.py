@@ -6,16 +6,18 @@ oracle, a pinned value, or an exhaustive sweep — and prints a single
 output capture, so a test log doubles as an acceptance report.
 """
 
+import importlib.util
 import json
 import math
 import random
 import re
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
-from scholarkg.baseline import chunk_corpus, chunk_document
+from scholarkg.baseline import chunk_corpus, chunk_document, retrieve_top_k
 from scholarkg.cli import run
 from scholarkg.document import Excerpt, Paragraph, Sentence
 from scholarkg.embedding import (
@@ -24,6 +26,7 @@ from scholarkg.embedding import (
     cosine_similarity,
 )
 from scholarkg.evaluation import cronbach_alpha, entity_overlap
+from scholarkg.gateway import StubGateway
 from scholarkg.ingest import ExcerptLink, link_excerpts
 from scholarkg.kg.graph import KnowledgeGraph, keyword_frequency
 from scholarkg.kg.patterns import CompoundQuery, TriplePattern, Variable
@@ -43,7 +46,15 @@ from scholarkg.kg.terms import (
     iri,
 )
 from scholarkg.kg.turtle import load_turtle, save_turtle
-from scholarkg.qa.engine import match_candidates, rank_candidates, triple_entities
+from scholarkg.qa.context import answer_question
+from scholarkg.qa.engine import (
+    default_relaxation_dictionary,
+    extract_question_patterns,
+    match_candidates,
+    rank_candidates,
+    resolve_query,
+    triple_entities,
+)
 from scholarkg.qa.relaxation import RelaxationDictionary, relax, relax_set
 
 from anchor_graphs import random_anchor_graph, random_pattern, random_question
@@ -433,8 +444,7 @@ VOCABULARY = ["metadata", "extractor", "loader", "json", "couchdb", "tika",
 
 
 def make_paragraph(pid: str, text: str) -> Paragraph:
-    return Paragraph(paragraph_id=pid, sentences=(Sentence(text=text),),
-                     word_count=len(text.split()))
+    return Paragraph(paragraph_id=pid, sentences=(Sentence(text=text),))
 
 
 def make_excerpt(eid: str, sentence: str) -> Excerpt:
@@ -560,3 +570,68 @@ def test_10_embedding_math():
                 continue
             checked += 1
             assert cosine_similarity(embedder.embed(a), embedder.embed(b)) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# 11. Head-to-head grounding on a small benchmark corpus
+# ---------------------------------------------------------------------------
+
+def load_bench_generator():
+    """The benchmark's input generator, ``bench/gen.py``, imported once
+    from its file; it writes nothing until asked to."""
+    name = "scholarkg_bench_gen"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module   # its dataclasses look their module up
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+_D0_QUESTION = re.compile(r"Which (\S+) is (\S+) in (\S+)\?")
+
+
+@pytest.mark.parametrize("seed", [401, 405, 7])
+def test_11_head_to_head_grounding(seed):
+    """Where each d0 question's gold paragraph lands, for the graph
+    pipeline and for the sliding-window baseline at the same k.
+
+    A d0 question "Which S is V in O?" has one gold paragraph: the one
+    holding the planted sentence "S is V in O." with S capitalised,
+    unique because V is a fresh word. Only the matcher's recall has a
+    floor (every d0 question); the answer's provenance and the
+    baseline's top 5 are reported, for the context selection to be
+    judged against.
+    """
+    with criterion(11, f"head-to-head-grounding-seed-{seed}"):
+        gen = load_bench_generator()
+        corpus = gen.corpus(seed, "cli", 5, gen.CLI_PARAGRAPHS, gen.CLI_BLOCK, 1, gen.CLI_RANKS)
+        graph = load_turtle(gen.corpus_turtle(corpus)[0].encode("utf-8"))
+        labels = {node: graph.label_of(node).lexical
+                  for node in graph.subjects_of_type(PARAGRAPH)}
+        chunks = chunk_corpus({paper.key: "\n\n".join(" ".join(s) for _, s in paper.paragraphs())
+                               for paper in corpus.papers})
+        gateway, embedder = StubGateway(), HashedBagOfWordsEmbedder()
+
+        questions = [q.text for q in corpus.questions if q.kind == "d0"]
+        matched = provenance = baseline = 0
+        for question in questions:
+            s, v, o = _D0_QUESTION.fullmatch(question).groups()
+            planted = f"{s.capitalize()} is {v} in {o}."
+            [gold] = [node for node, label in labels.items() if planted in label]
+
+            query = extract_question_patterns(question, gateway)
+            candidates = resolve_query(graph, query, default_relaxation_dictionary(query))
+            matched += any(t.subject == gold for t in candidates.triples)
+            answer = answer_question(graph, question, gateway, embedder)
+            provenance += gold in (p.node for p in answer.answer.context)
+            baseline += any(planted in r.chunk.text
+                            for r in retrieve_top_k(chunks, question, 5, embedder))
+
+        n = len(questions)
+        print(f"ACCEPTANCE 11 seed {seed}, d0 gold paragraph found in: matched witnesses "
+              f"{matched}/{n}, answer provenance {provenance}/{n}, baseline top 5 {baseline}/{n}",
+              file=sys.__stdout__)
+        assert n > 0
+        assert matched == n

@@ -26,7 +26,7 @@ def expected_count(total: int, max_tokens: int = 100, stride: int = 95) -> int:
 def test_single_chunk_when_text_fits():
     chunks = chunk_document("doc", words(100))
     assert len(chunks) == 1
-    assert chunks[0].token_count == 100
+    assert len(chunks[0].text.split()) == 100
     assert chunks[0].chunk_id == "doc-0000"
     assert chunks[0].index == 0
 
@@ -37,7 +37,7 @@ def test_second_chunk_starts_at_stride():
     assert chunks[0].text.split()[0] == "w0"
     assert chunks[1].text.split()[0] == "w95"
     assert chunks[2].text.split()[0] == "w190"
-    assert chunks[2].token_count == 6
+    assert len(chunks[2].text.split()) == 6
 
 
 def test_overlap_tokens_repeat_between_neighbours():
@@ -62,7 +62,7 @@ def test_custom_overlap_changes_stride():
     # stride = 10 - round(0.2 * 10) = 8; the window at 16 reaches token 25
     chunks = chunk_document("doc", words(26), max_tokens=10, overlap_ratio=0.2)
     assert [c.text.split()[0] for c in chunks] == ["w0", "w8", "w16"]
-    assert chunks[-1].token_count == 10
+    assert len(chunks[-1].text.split()) == 10
 
 
 def test_empty_text_yields_no_chunks():
@@ -97,9 +97,9 @@ def test_chunk_corpus_orders_documents_by_id():
 def test_retrieve_top_k_ranks_by_similarity():
     embedder = HashedBagOfWordsEmbedder()
     chunks = [
-        Chunk("a-0000", "a", 0, "metadata extraction from pdf proposals", 5),
-        Chunk("b-0000", "b", 0, "databases store json documents", 4),
-        Chunk("c-0000", "c", 0, "unrelated poetry about gardens", 4),
+        Chunk("a-0000", "a", 0, "metadata extraction from pdf proposals"),
+        Chunk("b-0000", "b", 0, "databases store json documents"),
+        Chunk("c-0000", "c", 0, "unrelated poetry about gardens"),
     ]
     hits = retrieve_top_k(chunks, "how is metadata extracted from pdf proposals",
                           2, embedder)
@@ -111,8 +111,8 @@ def test_retrieve_top_k_ranks_by_similarity():
 def test_retrieve_top_k_breaks_ties_by_chunk_id():
     embedder = HashedBagOfWordsEmbedder()
     chunks = [
-        Chunk("b-0000", "b", 0, "same words here", 3),
-        Chunk("a-0000", "a", 0, "same words here", 3),
+        Chunk("b-0000", "b", 0, "same words here"),
+        Chunk("a-0000", "a", 0, "same words here"),
     ]
     hits = retrieve_top_k(chunks, "same words here", 2, embedder)
     assert [h.chunk.chunk_id for h in hits] == ["a-0000", "b-0000"]
@@ -121,7 +121,7 @@ def test_retrieve_top_k_breaks_ties_by_chunk_id():
 
 def test_retrieve_top_k_validates_arguments():
     embedder = HashedBagOfWordsEmbedder()
-    chunk = Chunk("a-0000", "a", 0, "text", 1)
+    chunk = Chunk("a-0000", "a", 0, "text")
     with pytest.raises(ValueError):
         retrieve_top_k([chunk], "q", 0, embedder)
     with pytest.raises(ValueError):
@@ -131,7 +131,7 @@ def test_retrieve_top_k_validates_arguments():
 
 def test_retrieve_top_k_caps_at_available_chunks():
     embedder = HashedBagOfWordsEmbedder()
-    chunks = [Chunk("a-0000", "a", 0, "alpha beta", 2)]
+    chunks = [Chunk("a-0000", "a", 0, "alpha beta")]
     hits = retrieve_top_k(chunks, "alpha", 10, embedder)
     assert len(hits) == 1
 
@@ -162,7 +162,7 @@ class _VectorSession:
 @pytest.mark.parametrize("n_chunks", [0, 1, 64, 65, 641])
 def test_retrieve_top_k_embeds_chunks_64_per_request(n_chunks):
     chunks = chunk_document("doc", words(95 * n_chunks + 5, prefix="t"))[:n_chunks]
-    chunks += [Chunk(f"x-{i:04d}", "x", i, words(3 + i % 7, prefix="t"), 3)
+    chunks += [Chunk(f"x-{i:04d}", "x", i, words(3 + i % 7, prefix="t"))
                for i in range(n_chunks - len(chunks))]
     session = _VectorSession()
     embedder = HttpEmbedder(BackendConfig(url="http://embed.test/v1", backoff=0.0),

@@ -108,7 +108,7 @@ def test_serialize_flattens_paragraphs_and_nests_references():
         title="T",
         sections=(
             Section("1", "H", (
-                Paragraph.from_sentences("p", (
+                Paragraph("p", (
                     Sentence("One.", references=(2,)),
                     Sentence("Two."),
                 )),

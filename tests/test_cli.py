@@ -657,6 +657,14 @@ def test_eval_rejects_non_finite_ratings(capsys, tmp_path, cell, fmt):
     assert (code, out, err) == (1, "", "error: every rating must be a finite number\n")
 
 
+def test_eval_refuses_ratings_too_large_for_a_float(capsys, tmp_path):
+    ratings = tmp_path / "ratings.csv"
+    ratings.write_text("q1,q2,q3\n1e154,1e154,1e154\n0,0,0\n", "utf-8")
+    code, out, err = invoke(capsys, "eval", "--ratings", str(ratings))
+    assert (code, out) == (1, "")
+    assert err == "error: ratings are too large: their variance overflows a float\n"
+
+
 # ---------------------------------------------------------------------------
 # stats
 # ---------------------------------------------------------------------------

@@ -11,12 +11,11 @@ from scholarkg.document import (
     paragraph_id_for,
     short_hash,
     validate_model,
-    word_count,
 )
 
 
 def make_paragraph(pid: str, *texts: str) -> Paragraph:
-    return Paragraph.from_sentences(pid, tuple(Sentence(t) for t in texts))
+    return Paragraph(pid, tuple(Sentence(t) for t in texts))
 
 
 def test_short_hash_is_stable_and_sized():
@@ -26,15 +25,9 @@ def test_short_hash_is_stable_and_sized():
     assert short_hash("abc") != short_hash("abd")
 
 
-def test_word_count_splits_on_whitespace():
-    assert word_count("one two  three\nfour") == 4
-    assert word_count("") == 0
-
-
 def test_paragraph_text_and_word_count():
     p = make_paragraph("p1", "First sentence.", "Second one here.")
     assert p.text == "First sentence. Second one here."
-    assert p.word_count == 5
 
 
 def test_excerpt_rejects_bad_word_range():
@@ -99,12 +92,6 @@ def test_validate_model_flags_empty_texts_and_bad_references():
     assert len(messages) == 3  # empty heading, empty sentence, reference < 1
 
 
-def test_validate_model_checks_paragraph_word_count():
-    bad = Paragraph("p", (Sentence("two words"),), word_count=7)
-    model = DocumentModel("d", None, (Section("1", "H", (bad,)),))
-    assert any("word" in i.message for i in validate_model(model))
-
-
 def test_collect_paragraphs_keeps_explicit_paragraphs():
     model = valid_model()
     paragraphs = collect_paragraphs(model)
@@ -130,11 +117,6 @@ def test_collect_paragraphs_groups_consecutive_sentences():
 def test_iter_sections_is_depth_first_in_document_order():
     model = valid_model()
     assert [s.section_id for s in model.iter_sections()] == ["1", "2", "2.1", "2.2"]
-
-
-def test_iter_sentences_covers_every_sentence():
-    assert [s.text for s in valid_model().iter_sentences()] == [
-        "Hello there.", "Configured.", "Ran twice."]
 
 
 @pytest.mark.parametrize("doc_id", ["b6bab9d7b1722e", "", "a-b", "Paper-x", "x-Paragraph-y"])

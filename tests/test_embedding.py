@@ -506,8 +506,7 @@ EXCERPT_SENTENCES = [
 
 
 def linking_inputs() -> tuple[list[Paragraph], list[Excerpt]]:
-    paragraphs = [Paragraph.from_sentences(f"P{i}", (Sentence(text),))
-                  for i, text in enumerate(PARAGRAPH_TEXTS)]
+    paragraphs = [Paragraph(f"P{i}", (Sentence(text),)) for i, text in enumerate(PARAGRAPH_TEXTS)]
     excerpts = [Excerpt(eid, f"label {eid}", sentence, "m", 1, 2)
                 for eid, sentence in EXCERPT_SENTENCES]
     return paragraphs, excerpts

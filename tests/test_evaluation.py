@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -180,6 +179,16 @@ def test_cronbach_alpha_refuses_non_finite_ratings(cell):
         cronbach_alpha([[3.0, 4.0], [2.0, cell], [4.0, 5.0]])
 
 
+@pytest.mark.parametrize("ratings", [
+    [[1e154] * 3, [0.0] * 3],            # a variance overflows
+    [[1e200, 1.0], [1.0, 2.0]],
+    [[1e308, 1e308], [1e308, 1e308]],    # a rater's total overflows
+])
+def test_cronbach_alpha_refuses_ratings_too_large_for_a_float(ratings):
+    with pytest.raises(ValueError, match="too large"):
+        cronbach_alpha(ratings)
+
+
 def test_cronbach_alpha_can_be_negative():
     ratings = [[1.0, 5.0], [5.0, 1.0], [1.0, 5.0], [5.0, 2.0]]
     alpha = cronbach_alpha(ratings)
@@ -233,7 +242,7 @@ def test_report_json_mirrors_rows():
         overlap_rows=(("Q1", 0.0833, 0.9545),),
         distance_rows=(("Q1", 0.9101),),
     )
-    payload = json.loads(report.to_json())
+    payload = report.to_dict()
     assert payload == {
         "entity_overlap": [
             {"question": "Q1", "overlap_entity_ratio": 0.0833,

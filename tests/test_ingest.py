@@ -170,8 +170,7 @@ def test_link_excerpts_validates_threshold(stub_embedder):
 
 def test_link_excerpts_breaks_ties_toward_the_smaller_paragraph_id(stub_embedder):
     text = "Second paragraph stands alone."
-    paragraphs = [Paragraph.from_sentences(pid, (Sentence(text),))
-                  for pid in ("P-c", "P-b", "P-a")]           # descending ids
+    paragraphs = [Paragraph(pid, (Sentence(text),)) for pid in ("P-c", "P-b", "P-a")]  # descending ids
     excerpts = [make_excerpt("E1", text, "standalone"),
                 make_excerpt("E2", "Second paragraph.", "standalone")]
     links = link_excerpts(paragraphs, excerpts, stub_embedder, threshold=0.0)
