@@ -1,9 +1,27 @@
-"""RDF terms and the namespace vocabulary of the scholarly graph."""
+"""RDF terms and the namespace vocabulary of the scholarly graph.
+
+``Iri``, ``Literal`` and ``Triple`` are tuples of their fields (named
+tuples under one private base), so they are built and hashed in C, and
+keep the contract of a frozen dataclass:
+
+* a term equals only a term of its own type with equal fields, and never
+  a plain tuple, in either direction;
+* its hash is ``hash(fields)``, and ``pickle`` and ``copy`` rebuild it
+  from its fields, so a copy in a process with another hash seed is
+  rehashed;
+* terms are not ordered, not even against plain tuples;
+* its repr is ``Iri(value='…')``, and so on for the others.
+
+Being a tuple, a term is also a sequence of its fields, with ``len``,
+iteration and ``in``; ``json.dumps`` would write it as an array; and
+assigning an attribute raises ``AttributeError`` (the base class of the
+dataclasses' ``FrozenInstanceError``).
+"""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "Iri",
@@ -47,27 +65,33 @@ NAMESPACES = {
 PREFIX_ALIASES = {"askg": NAMESPACES["askg-onto"]}
 
 
-# Iri, Literal and Triple are hashed many times while a graph is built and
-# matched, so each computes its dataclass hash once, in __post_init__, and
-# keeps it outside the fields: ==, repr and the hash value are those of a
-# plain frozen dataclass. str hashes differ between processes, so
-# __reduce__ rebuilds a term from its fields and a pickled or copied term
-# recomputes its hash instead of carrying a stale one.
+class _Term(tuple):
+    """Equality, hash and ordering of a term, as the module docstring sets
+    out. ``==`` answers ``False``, not ``NotImplemented``, for another type,
+    and the orderings raise themselves, so that a plain tuple's reflected
+    operation never decides; the named-tuple base gives the fields, repr
+    and pickling."""
 
-@dataclass(frozen=True)
-class Iri:
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return self.__class__ is other.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
+
+    def _unordered(self, other):
+        raise TypeError(f"{type(self).__name__} terms are not ordered")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+
+class Iri(_Term, namedtuple("_IriFields", "value")):
     """An absolute IRI."""
 
-    value: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.value,)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return Iri, (self.value,)
+    __slots__ = ()
 
     def local_name(self) -> str:
         """The part after the last ``#`` or ``/``."""
@@ -97,24 +121,15 @@ class Iri:
         return local.lower()
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(_Term, namedtuple("_LiteralFields", "lexical datatype language")):
     """A literal with an optional datatype or language tag (never both)."""
 
-    lexical: str
-    datatype: Iri | None = None
-    language: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.datatype is not None and self.language is not None:
+    def __new__(cls, lexical: str, datatype: Iri | None = None, language: str | None = None):
+        if datatype is not None and language is not None:
             raise ValueError("a literal cannot carry both a datatype and a language tag")
-        object.__setattr__(self, "_hash", hash((self.lexical, self.datatype, self.language)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return Literal, (self.lexical, self.datatype, self.language)
+        return tuple.__new__(cls, (lexical, datatype, language))
 
     def entity_key(self) -> str:
         """The normalized key of the lexical form, so that a literal
@@ -122,20 +137,8 @@ class Literal:
         return normalize_entity_key(self.lexical)
 
 
-@dataclass(frozen=True)
-class Triple:
-    subject: Iri
-    predicate: Iri
-    object: "Iri | Literal"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return Triple, (self.subject, self.predicate, self.object)
+class Triple(_Term, namedtuple("_TripleFields", "subject predicate object")):
+    __slots__ = ()
 
 
 def iri(prefixed: str) -> Iri:
@@ -195,11 +198,14 @@ def entity_iri(key: str) -> Iri:
 def triple_sort_key(triple: Triple) -> tuple:
     """Subject IRI, predicate IRI, then the object: an IRI by its value
     before any literal, a literal by lexical form, datatype IRI and
-    language. One flat tuple is built and compared faster than a nested
-    one."""
+    language, then whether it has a datatype and whether it has a
+    language, so that ``"x"``, ``"x"^^<>`` and ``"x"@""`` get distinct keys
+    and a graph's order never depends on its input order. One flat tuple
+    is built and compared faster than a nested one."""
     o = triple.object
     if isinstance(o, Iri):
         return (triple.subject.value, triple.predicate.value, 0, o.value, "", "")
     return (triple.subject.value, triple.predicate.value, 1, o.lexical,
-            o.datatype.value if o.datatype else "", o.language or "")
+            o.datatype.value if o.datatype else "", o.language or "",
+            o.datatype is not None, o.language is not None)
 

@@ -31,7 +31,6 @@ reads as the directive), and any term holding a surrogate code point.
 from __future__ import annotations
 
 import re
-from typing import Iterator
 
 from .graph import KnowledgeGraph
 from .terms import Iri, Literal, NAMESPACES, PREFIX_ALIASES, RDF_TYPE, RDFS_LABEL, Triple
@@ -61,36 +60,47 @@ class UnknownPrefixError(TurtleError):
 # ---------------------------------------------------------------------------
 
 _LOCAL_NAME = r"[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?"
-_LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+_LANGTAG_PATTERN = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 _STRING_BODY = r'[^"\\\n]*(?:\\(?:[\\"nrtbf]|u[0-9A-Fa-f]{4})[^"\\\n]*)*'
 
-# Whitespace and comments, then one token. The alternatives are tried in
-# order and the last matches any character, so a match never fails and
-# never backtracks into the skipped prefix. The common tokens come first,
-# so most matches try few alternatives. Reordering cannot change the
-# token stream: alternatives that can start with the same character keep
-# their relative order (PNAME before WORD before CHAR; STRING before
+# Whitespace and comments, then one token. Each alternative has exactly
+# one capturing group, so a match's ``lastindex`` is its token kind. The
+# alternatives are tried in order and the last matches any character, so
+# a match never fails and never backtracks into the skipped prefix. The
+# common tokens come first, so most matches try few alternatives.
+# Reordering cannot change the token stream: alternatives that can start
+# with the same character keep their relative order (PNAME before A,
+# SPARQL_PREFIX, WORD and CHAR; STRING before ESCAPED_STRING before
 # OPEN_STRING; IRIREF before OPEN_IRI; PREFIX_DIRECTIVE, LANGTAG, BAD_AT),
-# and EOF matches only where nothing else can. BNODE, OPEN_IRI,
-# OPEN_STRING, BAD_AT and CHAR match only malformed input and are reported
-# as errors.
+# and EOF matches only where nothing else can. A STRING holds no escape.
+# BAD_AT, WORD, BNODE, OPEN_IRI, OPEN_STRING and CHAR match only malformed
+# input and are reported as errors.
 _TOKEN = re.compile(
     r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(?:"
-    rf"(?P<PNAME>[A-Za-z][A-Za-z0-9_-]*:(?:{_LOCAL_NAME})?)"
-    r"|(?P<SEMI>;)|(?P<DOT>\.)|(?P<COMMA>,)"
-    rf'|"(?P<STRING>{_STRING_BODY})"'
-    rf"|(?P<PREFIX_DIRECTIVE>@prefix(?![A-Za-z0-9-]))|@(?P<LANGTAG>{_LANGTAG})|(?P<BAD_AT>@)"
-    r"|(?P<DTYPE>\^\^)|<(?P<IRIREF>[^>]*)>"
-    r"|(?P<WORD>[A-Za-z]+)"
-    r"|(?P<EOF>\Z)"
-    r"|(?P<BNODE>[\[\](_])|(?P<OPEN_IRI><)"
-    rf'|(?P<OPEN_STRING>"{_STRING_BODY})'
-    r"|(?P<CHAR>.))"
+    rf"([A-Za-z][A-Za-z0-9_-]*:(?:{_LOCAL_NAME})?)"
+    r"|(;)|(\.)|(,)"
+    r'|"([^"\\\n]*)"'
+    rf'|"({_STRING_BODY})"'
+    rf"|(@prefix)(?![A-Za-z0-9-])|@({_LANGTAG_PATTERN})|(@)"
+    r"|(\^\^)|<([^>]*)>"
+    r"|(a)(?![A-Za-z])|([Pp][Rr][Ee][Ff][Ii][Xx])(?![A-Za-z])|([A-Za-z]+)"
+    r"|(\Z)"
+    r"|([\[\](_])|(<)"
+    rf'|("{_STRING_BODY})'
+    r"|(.))"
 )
+# The name of each token kind in error messages, at the number of its
+# group in ``_TOKEN`` (group 0 is the whole match).
+_KIND_NAMES = ("", "PNAME", "SEMI", "DOT", "COMMA", "STRING", "STRING", "PREFIX_DIRECTIVE",
+               "LANGTAG", "BAD_AT", "DTYPE", "IRIREF", "A", "SPARQL_PREFIX", "WORD", "EOF",
+               "BNODE", "OPEN_IRI", "OPEN_STRING", "CHAR")
+(_PNAME, _SEMI, _DOT, _COMMA, _STRING, _ESCAPED_STRING, _PREFIX_DIRECTIVE, _LANGTAG, _BAD_AT,
+ _DTYPE, _IRIREF, _A, _SPARQL_PREFIX, _WORD, _EOF, _BNODE, _OPEN_IRI, _OPEN_STRING,
+ _CHAR) = range(1, len(_KIND_NAMES))
 _ERRORS = {
-    "BNODE": "blank nodes and collections are not supported",
-    "OPEN_IRI": "unterminated IRI",
-    "BAD_AT": "malformed @ token",
+    _BNODE: "blank nodes and collections are not supported",
+    _OPEN_IRI: "unterminated IRI",
+    _BAD_AT: "malformed @ token",
 }
 _SURROGATE = re.compile("[\ud800-\udfff]")
 _ESCAPE = re.compile(r'\\(?:u([0-9A-Fa-f]{4})|([\\"nrtbf]))')
@@ -119,58 +129,47 @@ def _open_string_error(text: str, end: int) -> str:
     return f"unsupported escape \\{rest[1]}"
 
 
-def _tokens(text: str) -> Iterator[tuple[str, object, int]]:
-    """``(kind, value, offset)`` of each token, ending with ``EOF``.
-
-    Lines are not counted here; an error works its line out from the
-    offending token's offset.
-    """
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        value = m[kind]
-        offset = m.start(kind)
-        if kind == "STRING":
-            if "\\" in value:
-                value = _ESCAPE.sub(_unescape, value)
-                if _SURROGATE.search(value):
-                    raise TurtleSyntaxError("\\u escape of a surrogate code point",
-                                            _line(text, offset))
-        elif kind == "WORD":
-            if value == "a":
-                kind = "A"
-            elif value.upper() == "PREFIX":
-                kind = "SPARQL_PREFIX"
-            else:
-                raise TurtleSyntaxError(f"unexpected token {value!r}", _line(text, offset))
-        elif kind == "OPEN_STRING":
-            raise TurtleSyntaxError(_open_string_error(text, m.end()), _line(text, offset))
-        elif kind == "CHAR":
-            raise TurtleSyntaxError(f"unexpected character {value!r}", _line(text, offset))
-        elif kind in _ERRORS:
-            raise TurtleSyntaxError(_ERRORS[kind], _line(text, offset))
-        yield kind, value, offset
+def _token_error(text: str, m: re.Match) -> TurtleSyntaxError | None:
+    """The error of a token that is malformed in itself, or ``None``."""
+    kind = m.lastindex
+    value = m[kind]
+    if kind == _ESCAPED_STRING:
+        if not _SURROGATE.search(_ESCAPE.sub(_unescape, value)):
+            return None
+        message = "\\u escape of a surrogate code point"
+    elif kind == _WORD:
+        message = f"unexpected token {value!r}"
+    elif kind == _OPEN_STRING:
+        message = _open_string_error(text, m.end())
+    elif kind == _CHAR:
+        message = f"unexpected character {value!r}"
+    elif kind in _ERRORS:
+        message = _ERRORS[kind]
+    else:
+        return None
+    return TurtleSyntaxError(message, _line(text, m.start(kind)))
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
-_NODE_KINDS = ("PNAME", "IRIREF")
-
-
 def _parse(text: str) -> list[Triple]:
-    """Recursive descent over the token stream, written out as nested loops
-    with one token of lookahead (``kind``, ``value``, ``offset``).
+    """Recursive descent over the matches of ``_TOKEN``, written out as
+    nested loops with one token of lookahead: the match ``m`` and its
+    ``kind``. Offsets are read off a match only to report an error.
 
-    A node token is checked before the next token is lexed and resolved
-    after it, so a syntax error in the next token is reported before an
-    unknown prefix. Each distinct IRI becomes one ``Iri``: ``iris`` maps an
-    IRI to its term and ``names`` a prefixed name to its term (cleared when
-    a prefix is declared). The first IRIREF that holds a character IRIREF
-    forbids is kept in ``bad_iri`` and reported once the document has
-    parsed.
+    A node token is checked before the next token is matched and resolved
+    after it. A token malformed in itself is reported when the parser
+    first looks at it, or in place of an unknown prefix or a bad prefix
+    declaration found just before it, so every error is the one a lexer
+    running a token ahead of the parser would raise. Each distinct IRI
+    becomes one ``Iri``: ``iris`` maps an IRI to its term and ``names`` a
+    prefixed name to its term (cleared when a prefix is declared). The
+    first IRIREF that holds a character IRIREF forbids is kept in
+    ``bad_iri`` and reported once the document has parsed.
     """
-    advance = _tokens(text).__next__
+    advance = _TOKEN.finditer(text).__next__
     prefixes = dict(NAMESPACES)
     prefixes.update(PREFIX_ALIASES)
     iris: dict[str, Iri] = {}
@@ -179,105 +178,130 @@ def _parse(text: str) -> list[Triple]:
     triples: list[Triple] = []
     append = triples.append
 
-    def error(message: str, at: int) -> TurtleSyntaxError:
-        return TurtleSyntaxError(message, _line(text, at))
-
     # No helper refers to itself: such a closure would be a reference
     # cycle that keeps ``text`` and the maps alive until a collection.
-    def iri(value: str, offset: int) -> Iri:
+    def unexpected(expected: str, m: re.Match) -> TurtleSyntaxError:
+        kind = m.lastindex
+        return _token_error(text, m) or TurtleSyntaxError(
+            f"expected {expected}, got {_KIND_NAMES[kind]}", _line(text, m.start(kind)))
+
+    def iri(value: str, token: re.Match) -> Iri:
         node = iris.get(value)
         if node is None:
             bad = _IRI_FORBIDDEN.search(value)
             if bad:
                 if not bad_iri:
-                    bad_iri.append(error(f"character {bad[0]!r} is not allowed in an IRI",
-                                         offset + bad.start()))
+                    bad_iri.append(TurtleSyntaxError(
+                        f"character {bad[0]!r} is not allowed in an IRI",
+                        _line(text, token.start(token.lastindex) + bad.start())))
                 return Iri(value)
             node = iris[value] = Iri(value)
         return node
 
-    def resolve(kind: str, value: str, offset: int) -> Iri:
-        """The term of a consumed PNAME or IRIREF token."""
-        if kind == "IRIREF":
-            return iri(value, offset)
+    def resolve(token: re.Match, following: re.Match) -> Iri:
+        """The term of a PNAME or IRIREF token, given the token after it."""
+        kind = token.lastindex
+        value = token[kind]
+        if kind == _IRIREF:
+            return iri(value, token)
         node = names.get(value)
         if node is None:
             prefix, _, local = value.partition(":")
             ns = prefixes.get(prefix)
             if ns is None:
-                raise UnknownPrefixError(prefix, _line(text, offset))
-            node = names[value] = iri(ns + local, offset)
+                raise _token_error(text, following) or UnknownPrefixError(
+                    prefix, _line(text, token.start(kind)))
+            node = names[value] = iri(ns + local, token)
         return node
 
-    kind, value, offset = advance()
-    while kind != "EOF":
-        if kind == "PREFIX_DIRECTIVE" or kind == "SPARQL_PREFIX":
-            sparql_form = kind == "SPARQL_PREFIX"
-            kind, value, offset = advance()
-            if kind != "PNAME":
-                raise error(f"expected PNAME, got {kind}", offset)
-            (name, name_offset), (kind, value, offset) = (value, offset), advance()
-            prefix, _, local = name.partition(":")
+    m = advance()
+    kind = m.lastindex
+    while kind != _EOF:
+        if kind == _PREFIX_DIRECTIVE or kind == _SPARQL_PREFIX:
+            sparql_form = kind == _SPARQL_PREFIX
+            m = advance()
+            if m.lastindex != _PNAME:
+                raise unexpected("PNAME", m)
+            name, m = m, advance()
+            prefix, _, local = name[_PNAME].partition(":")
             if local:
-                raise error("prefix declaration must end with a bare colon", name_offset)
-            if kind != "IRIREF":
-                raise error(f"expected IRIREF, got {kind}", offset)
-            (ns, ns_offset), (kind, value, offset) = (value, offset), advance()
-            iri(ns, ns_offset)
+                raise _token_error(text, m) or TurtleSyntaxError(
+                    "prefix declaration must end with a bare colon",
+                    _line(text, name.start(_PNAME)))
+            if m.lastindex != _IRIREF:
+                raise unexpected("IRIREF", m)
+            ns = m[_IRIREF]
+            token, m = m, advance()
+            iri(ns, token)
             prefixes[prefix] = ns
             names.clear()
+            kind = m.lastindex
             if not sparql_form:
-                if kind != "DOT":
-                    raise error(f"expected DOT, got {kind}", offset)
-                kind, value, offset = advance()
+                if kind != _DOT:
+                    raise unexpected("DOT", m)
+                m = advance()
+                kind = m.lastindex
             continue
 
-        if kind not in _NODE_KINDS:
-            raise error(f"expected an IRI or prefixed name, got {kind}", offset)
-        token, (kind, value, offset) = (kind, value, offset), advance()
-        subject = resolve(*token)
+        if kind != _PNAME and kind != _IRIREF:
+            raise unexpected("an IRI or prefixed name", m)
+        node, m = m, advance()
+        subject = resolve(node, m)
+        kind = m.lastindex
         while True:  # predicate-object list
-            if kind == "A":
-                kind, value, offset = advance()
+            if kind == _A:
+                m = advance()
+                kind = m.lastindex
                 predicate = RDF_TYPE
-            elif kind in _NODE_KINDS:
-                token, (kind, value, offset) = (kind, value, offset), advance()
-                predicate = resolve(*token)
+            elif kind == _PNAME or kind == _IRIREF:
+                node, m = m, advance()
+                predicate = resolve(node, m)
+                kind = m.lastindex
             else:
-                raise error(f"expected an IRI or prefixed name, got {kind}", offset)
+                raise unexpected("an IRI or prefixed name", m)
             while True:  # object list
-                if kind == "STRING":
-                    lexical = value
-                    kind, value, offset = advance()
-                    if kind == "LANGTAG":
-                        language = value
-                        kind, value, offset = advance()
-                        obj = Literal(lexical, language=language)
-                    elif kind == "DTYPE":
-                        kind, value, offset = advance()
-                        if kind not in _NODE_KINDS:
-                            raise error(f"expected an IRI or prefixed name, got {kind}", offset)
-                        token, (kind, value, offset) = (kind, value, offset), advance()
-                        obj = Literal(lexical, datatype=resolve(*token))
+                if kind == _PNAME or kind == _IRIREF:
+                    node, m = m, advance()
+                    obj = resolve(node, m)
+                    kind = m.lastindex
+                elif kind == _STRING or kind == _ESCAPED_STRING:
+                    lexical = m[kind]
+                    if kind == _ESCAPED_STRING:
+                        lexical = _ESCAPE.sub(_unescape, lexical)
+                        if _SURROGATE.search(lexical):
+                            raise _token_error(text, m)
+                    m = advance()
+                    kind = m.lastindex
+                    if kind == _LANGTAG:
+                        obj = Literal(lexical, None, m[_LANGTAG])
+                        m = advance()
+                        kind = m.lastindex
+                    elif kind == _DTYPE:
+                        m = advance()
+                        if m.lastindex != _PNAME and m.lastindex != _IRIREF:
+                            raise unexpected("an IRI or prefixed name", m)
+                        node, m = m, advance()
+                        obj = Literal(lexical, resolve(node, m))
+                        kind = m.lastindex
                     else:
                         obj = Literal(lexical)
-                elif kind in _NODE_KINDS:
-                    token, (kind, value, offset) = (kind, value, offset), advance()
-                    obj = resolve(*token)
                 else:
-                    raise error(f"expected an IRI or prefixed name, got {kind}", offset)
+                    raise unexpected("an IRI or prefixed name", m)
                 append(Triple(subject, predicate, obj))
-                if kind != "COMMA":
+                if kind != _COMMA:
                     break
-                kind, value, offset = advance()
-            if kind != "SEMI":
+                m = advance()
+                kind = m.lastindex
+            if kind != _SEMI:
                 break
-            kind, value, offset = advance()
-            if kind == "DOT":  # trailing semicolon
+            m = advance()
+            kind = m.lastindex
+            if kind == _DOT:  # trailing semicolon
                 break
-        if kind != "DOT":
-            raise error(f"expected DOT, got {kind}", offset)
-        kind, value, offset = advance()
+        if kind != _DOT:
+            raise unexpected("DOT", m)
+        m = advance()
+        kind = m.lastindex
     if bad_iri:
         raise bad_iri[0]
     return triples
@@ -303,7 +327,7 @@ def load_turtle(data: bytes | str) -> KnowledgeGraph:
 # ---------------------------------------------------------------------------
 
 _SAFE_LOCAL = re.compile(_LOCAL_NAME)
-_SAFE_LANGTAG = re.compile(_LANGTAG)
+_SAFE_LANGTAG = re.compile(_LANGTAG_PATTERN)
 _STRING_ESCAPES = str.maketrans(
     {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
 

@@ -27,3 +27,15 @@ def stub_gateway():
 @pytest.fixture(scope="session")
 def stub_embedder():
     return HashedBagOfWordsEmbedder()
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Repeat the ``ACCEPTANCE`` lines that tests printed, which output
+    capture would otherwise hide, grouped by test outcome."""
+    lines = [line for reports in terminalreporter.stats.values() for report in reports
+             if getattr(report, "when", None) == "call"
+             for line in report.capstdout.splitlines() if line.startswith("ACCEPTANCE ")]
+    if lines:
+        terminalreporter.section("acceptance report")
+        for line in lines:
+            terminalreporter.write_line(line)

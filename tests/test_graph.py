@@ -178,3 +178,24 @@ def test_indexes_agree_with_a_scan_of_the_triples(triples, s, p, o, order):
             (t.object for t in graph.triples
              if t.subject == node and t.predicate == RDFS_LABEL and isinstance(t.object, Literal)),
             None)
+
+
+# "x", "x"^^<> and "x"@"" differ only in whether a datatype or a language
+# is present, so their sort keys must tell them apart.
+_PRESENCE_LITERALS = st.one_of(
+    st.builds(Literal, st.sampled_from(["", "x"]), datatype=st.sampled_from([None, Iri(""), P])),
+    st.builds(Literal, st.sampled_from(["", "x"]), language=st.sampled_from([None, "", "en"])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(Triple, st.sampled_from([A, B]), st.sampled_from([P, Q]),
+                          st.one_of(_PRESENCE_LITERALS, st.sampled_from([Iri(""), A]))),
+                max_size=12),
+       st.randoms(use_true_random=False))
+def test_graph_is_independent_of_input_order(triples, rnd):
+    shuffled = list(triples)
+    rnd.shuffle(shuffled)
+    graph = KnowledgeGraph(triples)
+    assert KnowledgeGraph(shuffled) == graph
+    assert hash(KnowledgeGraph(shuffled)) == hash(graph)

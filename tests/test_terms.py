@@ -41,20 +41,34 @@ def rebuilt(term):
 
 
 @pytest.mark.parametrize("term", TERMS, ids=repr)
-def test_terms_keep_dataclass_equality_hash_and_repr(term):
+def test_terms_keep_the_frozen_dataclass_contract(term):
     twin = rebuilt(term)
     assert twin == term and twin is not term
     assert hash(twin) == hash(term)
     assert {term: 1}[twin] == 1
-    fields = tuple(getattr(term, name) for name in term.__dataclass_fields__)
+    fields = tuple(getattr(term, name) for name in term._fields)
     assert hash(term) == hash(fields)
     assert repr(term) == f"{type(term).__name__}(" + ", ".join(
-        f"{name}={value!r}" for name, value in zip(term.__dataclass_fields__, fields)) + ")"
+        f"{name}={value!r}" for name, value in zip(term._fields, fields)) + ")"
     assert term != fields and term != Iri("http://x.example/other")
+    # A term is a tuple, so a plain tuple's reflected == and ordering must
+    # not reach it.
+    assert fields != term and not (fields == term)
     with pytest.raises(TypeError):
         term < twin  # noqa: B015
+    with pytest.raises(TypeError):
+        fields < term  # noqa: B015
+    with pytest.raises(AttributeError):
+        setattr(term, term._fields[0], twin[0])
     for copied in (copy.copy(term), copy.deepcopy(term), pickle.loads(pickle.dumps(term))):
         assert copied == term and hash(copied) == hash(term)
+
+
+def test_literal_refuses_a_datatype_with_a_language():
+    with pytest.raises(ValueError, match="both a datatype and a language tag"):
+        Literal("x", XSD_INT, "en")
+    with pytest.raises(ValueError, match="both a datatype and a language tag"):
+        Literal("x", datatype=XSD_INT, language="en")
 
 
 def test_term_kinds_never_compare_equal():

@@ -20,9 +20,12 @@ from scholarkg.kg.turtle import (
     TurtleError,
     TurtleSyntaxError,
     UnknownPrefixError,
+    _parse,
     load_turtle,
     save_turtle,
 )
+
+import reference_reader
 
 EXCERPT_NODE = iri("askg-data:Excerpt-33387384e82242")
 
@@ -47,6 +50,13 @@ def test_save_load_round_trip_on_fixture(fixtures_dir):
     data = save_turtle(graph)
     assert load_turtle(data) == graph
     assert save_turtle(load_turtle(data)) == data
+
+
+def test_literals_apart_only_in_a_datatype_load_equal_in_either_order():
+    first = load_turtle('<urn:s> <urn:p> "x", "x"^^<> .')
+    second = load_turtle('<urn:s> <urn:p> "x"^^<>, "x" .')
+    assert first == second and hash(first) == hash(second)
+    assert load_turtle(save_turtle(second)) == second
 
 
 def test_canonical_block_bytes():
@@ -462,6 +472,61 @@ def test_save_load_round_trip_on_generated_graphs(graph):
     data = save_turtle(graph)
     assert load_turtle(data) == graph
     assert save_turtle(load_turtle(data)) == data
+
+
+def read_outcome(parse, text: str) -> tuple:
+    try:
+        return ("triples", parse(text))
+    except TurtleError as exc:
+        return (type(exc), str(exc), exc.line)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.lists(_FRAGMENTS | st.text(max_size=2)).map("".join)))
+@example('askg-data:a nope:p "\\ud800" .')
+@example("@prefixes ex: <urn:x> .")
+@example("askg-data:a ab <urn:x> ; PreFix1 .")
+def test_reader_reads_like_the_reference_reader(text):
+    """Equal triples, or the same error type, message and line, as the
+    reader that lexed in a generator ahead of the parser."""
+    assert read_outcome(_parse, text) == read_outcome(reference_reader._parse, text)
+
+
+def _rewrite(text: str, rnd) -> str:
+    """The same graph written another way: ``PREFIX`` directives, ``;`` and
+    ``,`` lists laid out differently, trailing semicolons, comments and
+    other whitespace. Only separators outside strings and IRIs are touched:
+    the writer escapes every newline in a string and writes no IRI with
+    whitespace."""
+    header, blank, body = text.partition("\n\n")
+    header = re.sub(r"^@prefix (\S+) (<[^>]*>) \.$",
+                    lambda m: rnd.choice([m[0], f"PREFIX {m[1]} {m[2]}", f"prefix {m[1]}{m[2]}",
+                                          f"@prefix {m[1]}{m[2]}."]),
+                    header, flags=re.M)
+    body = re.sub(r" ;\n    ", lambda m: rnd.choice([m[0], ";", " ; ", ";\t", " ;# c\n"]), body)
+    body = re.sub(r",\n        ", lambda m: rnd.choice([m[0], ",", " , ", ",#,\r\n"]), body)
+    body = re.sub(r" \.\n", lambda m: rnd.choice([m[0], ".", " ; .", ";.\n", " .# .\n"]), body)
+    return re.sub(r"\n", lambda m: rnd.choice(["\n", "\r\n", "\n# a comment\n", "\n \t\n"]),
+                  header + blank + body)
+
+
+_WRITABLE_IRIS = _IRIS.filter(lambda node: not _IRI_FORBIDDEN.search(node.value))
+_WRITABLE_GRAPHS = st.lists(st.builds(
+    Triple, _WRITABLE_IRIS, st.one_of(st.just(RDF_TYPE), _WRITABLE_IRIS),
+    st.one_of(_WRITABLE_IRIS,
+              st.builds(Literal, _LEXICALS),
+              st.builds(Literal, _LEXICALS, language=_LANGUAGES.filter(_writable_language)),
+              st.builds(Literal, _LEXICALS, datatype=_WRITABLE_IRIS))),
+    max_size=6).map(KnowledgeGraph)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_WRITABLE_GRAPHS, st.randoms(use_true_random=False))
+def test_reader_reads_rewritten_saves_like_the_reference_reader(graph, rnd):
+    text = _rewrite(save_turtle(graph).decode("utf-8"), rnd)
+    outcome = read_outcome(_parse, text)
+    assert outcome == read_outcome(reference_reader._parse, text)
+    assert outcome[0] == "triples" and KnowledgeGraph(outcome[1]) == graph
 
 
 def reference_save_turtle(graph) -> bytes:
