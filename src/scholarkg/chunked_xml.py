@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 
-from .document import DocumentModel, Paragraph, Section, Sentence, short_hash
+from .document import MAX_SECTION_DEPTH, DocumentModel, Paragraph, Section, Sentence, short_hash
 
 __all__ = [
     "ChunkedXmlError",
@@ -26,9 +26,6 @@ __all__ = [
 ]
 
 _ALLOWED_ELEMENTS = {"section", "heading", "sentence", "reference"}
-# The reader, the writer and the document walks recurse once per level,
-# so deeper nesting is refused before it can exhaust the stack.
-_MAX_SECTION_DEPTH = 100
 
 
 class ChunkedXmlError(Exception):
@@ -88,10 +85,11 @@ class _SentenceBuilder:
 
 def _parse_section(elem: ET.Element, is_root: bool,
                    last_sentence: list[_SentenceBuilder | None], depth: int = 0):
-    """Return (section_id, heading, body_items) for a section element."""
-    if depth > _MAX_SECTION_DEPTH:
+    """Return (section_id, heading, body_items) for a section element at
+    section level ``depth``; the ID-less root container is level 0."""
+    if depth > MAX_SECTION_DEPTH:
         raise ChunkedXmlValidationError(
-            f"sections are nested more than {_MAX_SECTION_DEPTH} levels deep")
+            f"sections are nested more than {MAX_SECTION_DEPTH} levels deep")
     section_id = elem.get("ID")
     if not is_root and section_id is None:
         raise ChunkedXmlValidationError("section element is missing its ID attribute")
@@ -164,7 +162,7 @@ def parse_chunked_xml(data: bytes | str) -> DocumentModel:
     last_sentence: list[_SentenceBuilder | None] = [None]
     if root.get("ID") is not None:
         # A root carrying an ID is itself a section rather than a container.
-        sections = (_realize(_parse_section(root, False, last_sentence)),)
+        sections = (_realize(_parse_section(root, False, last_sentence, 1)),)
         title = None
     else:
         _, title, body = _parse_section(root, True, last_sentence)

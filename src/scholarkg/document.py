@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, field
 
 __all__ = [
+    "MAX_SECTION_DEPTH",
     "Sentence",
     "Paragraph",
     "Section",
@@ -28,6 +29,10 @@ __all__ = [
 ]
 
 _SECTION_ID_RE = re.compile(r"^\d+(\.\d+)*$")
+
+# The readers and the walks over a model recurse once per section level,
+# so the readers refuse deeper nesting before it can exhaust the stack.
+MAX_SECTION_DEPTH = 100
 
 
 def short_hash(text: str, size: int = 7) -> str:

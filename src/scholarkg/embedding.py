@@ -137,7 +137,9 @@ _TOKEN = re.compile(r"[a-z0-9]+")
 class HashedBagOfWordsEmbedder:
     """Deterministic stub embedder.
 
-    Tokens are the lowercase alphanumeric runs of the text. Each token is
+    Tokens are the lowercase alphanumeric runs of the text. A non-blank
+    text without such a run, such as ``"* * *"`` or a line of Japanese, is
+    one token, its stripped text; blank text is refused. Each token is
     hashed with BLAKE2s (8-byte digest, little-endian) modulo the
     dimension to pick a component, component values are token counts, and
     the vector is L2-normalized. The construction depends only on the
@@ -169,8 +171,8 @@ class HashedBagOfWordsEmbedder:
     def embed(self, text: str) -> EmbeddingVector:
         if not text:
             raise ValueError("cannot embed empty text")
-        tokens = _TOKEN.findall(text.lower())
-        if not tokens:
+        tokens = _TOKEN.findall(text.lower()) or [text.strip()]
+        if not tokens[0]:
             raise ValueError("text contains no embeddable tokens")
         buckets, dimension = self._buckets, self._dimension
         counts = [0.0] * dimension

@@ -6,9 +6,10 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
-from typing import Collection, Iterable, Sequence
+from typing import Sequence
 
 from .document import (
+    MAX_SECTION_DEPTH,
     DocumentModel,
     Excerpt,
     Paragraph,
@@ -47,12 +48,8 @@ __all__ = [
     "read_outline_json",
     "ExcerptLink",
     "link_excerpts",
-    "UnknownLinkTargetError",
     "emit_rdf",
     "link_graph",
-    "excerpt_link_triples",
-    "excerpt_triples",
-    "paragraph_triples",
     "read_excerpts_jsonl",
 ]
 
@@ -124,31 +121,13 @@ def read_outline_json(data: str | bytes) -> HeadingOutline:
     return HeadingOutline(tuple(entries))
 
 
-class _SectionBuilder:
-    def __init__(self, section_id: str, heading: str):
-        self.section_id = section_id
-        self.heading = heading
-        self.body: list = []
-
-    def build(self) -> Section:
-        return Section(
-            section_id=self.section_id,
-            heading=self.heading,
-            body=tuple(b.build() if isinstance(b, _SectionBuilder) else b for b in self.body),
-        )
-
-
 def _paragraphs_from_span(text: str, doc_id: str) -> list[Paragraph]:
     paragraphs: list[Paragraph] = []
     for block in text.split("\n\n"):
-        block = block.strip()
-        if not block:
-            continue
-        sentences = tuple(Sentence(s) for s in segment_sentences(block))
-        if not sentences:
-            continue
-        body_text = " ".join(s.text for s in sentences)
-        paragraphs.append(Paragraph(paragraph_id_for(doc_id, body_text), sentences))
+        sentences = segment_sentences(block.strip())
+        if sentences:
+            paragraphs.append(Paragraph(paragraph_id_for(doc_id, " ".join(sentences)),
+                                        tuple(map(Sentence, sentences))))
     return paragraphs
 
 
@@ -158,52 +137,55 @@ def build_document_model(outline: HeadingOutline, text: str) -> DocumentModel:
     Every outline offset must lie inside ``text``. Section ids follow the
     outline levels with per-level counters ("1", "1.1", "1.2", "2", ...);
     a jump of more than one level is clamped to one below the current
-    depth. Text between consecutive headings belongs to the earlier
-    section and is split into paragraphs at blank lines, then into
-    sentences. Text before the first heading lands in an implicit
-    preamble section with id "0". The document id is ``short_hash(text)``
-    and the model has no title.
+    depth, and a section deeper than ``MAX_SECTION_DEPTH`` is refused.
+    Text between consecutive headings belongs to the earlier section and
+    is split into paragraphs at blank lines, then into sentences; a
+    section's body is its own paragraphs, then its subsections. Text
+    before the first heading lands in an implicit preamble section with
+    id "0". The document id is ``short_hash(text)`` and the model has no
+    title.
     """
-    for entry in outline.entries:
-        if entry.offset >= len(text):
-            raise ValueError(f"outline offset {entry.offset} is outside the text")
     doc_id = short_hash(text)
 
-    top: list[_SectionBuilder] = []
-    stack: list[_SectionBuilder] = []
-    counters: list[int] = []
-
+    # (depth, section id, heading, paragraphs) per section, in document order
+    records: list[tuple[int, str, str, list[Paragraph]]] = []
     preamble = text[: outline.entries[0].offset] if outline.entries else text
     if preamble.strip():
-        builder = _SectionBuilder("0", "Preamble")
-        builder.body.extend(_paragraphs_from_span(preamble, doc_id))
-        top.append(builder)
+        records.append((1, "0", "Preamble", _paragraphs_from_span(preamble, doc_id)))
 
-    for index, entry in enumerate(outline.entries):
-        depth = min(entry.level, len(stack) + 1)
-        del stack[depth - 1:]
+    counters: list[int] = []
+    ends = [entry.offset for entry in outline.entries[1:]] + [len(text)]
+    for entry, end in zip(outline.entries, ends):
+        if entry.offset >= len(text):
+            raise ValueError(f"outline offset {entry.offset} is outside the text")
+        depth = min(entry.level, len(counters) + 1)
+        if depth > MAX_SECTION_DEPTH:
+            raise ValueError(f"sections are nested more than {MAX_SECTION_DEPTH} levels deep")
         del counters[depth:]
-        while len(counters) < depth:
+        if len(counters) < depth:
             counters.append(0)
-        counters[depth - 1] += 1
-        section_id = ".".join(str(c) for c in counters[:depth])
-        builder = _SectionBuilder(section_id, entry.heading)
-        if stack:
-            stack[-1].body.append(builder)
-        else:
-            top.append(builder)
-        stack.append(builder)
-
-        start = entry.offset
-        span = text[start: outline.entries[index + 1].offset] if index + 1 < len(
-            outline.entries) else text[start:]
+        counters[-1] += 1
+        span = text[entry.offset:end]
         # Drop the heading line itself from the section body text.
         if span.lstrip().startswith(entry.heading):
             span = span.lstrip()[len(entry.heading):]
-        builder.body.extend(_paragraphs_from_span(span, doc_id))
+        records.append((depth, ".".join(map(str, counters)), entry.heading,
+                        _paragraphs_from_span(span, doc_id)))
 
-    return DocumentModel(doc_id=doc_id, title=None,
-                         sections=tuple(b.build() for b in top))
+    sections, _ = _nest(records, 0, 1)
+    return DocumentModel(doc_id=doc_id, title=None, sections=sections)
+
+
+def _nest(records: list[tuple[int, str, str, list[Paragraph]]], index: int,
+          depth: int) -> tuple[tuple[Section, ...], int]:
+    """The sections at ``depth`` from ``records[index]`` on, each holding the
+    deeper records that follow it, and the index of the first record left."""
+    sections = []
+    while index < len(records) and records[index][0] == depth:
+        _, section_id, heading, paragraphs = records[index]
+        subsections, index = _nest(records, index + 1, depth + 1)
+        sections.append(Section(section_id, heading, (*paragraphs, *subsections)))
+    return tuple(sections), index
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +215,9 @@ def link_excerpts(paragraphs: Sequence[Paragraph], excerpts: Sequence[Excerpt],
         raise ValueError("threshold must lie in [0, 1]")
     if not paragraphs:
         return []
-    ranked = sorted(zip((p.paragraph_id for p in paragraphs),
-                        embedder.embed_many([p.text for p in paragraphs])),
-                    key=operator.itemgetter(0))
-    paragraph_ids = [pid for pid, _ in ranked]
-    paragraph_vectors = [vector for _, vector in ranked]
+    vectors = embedder.embed_many([p.text for p in paragraphs])
+    paragraph_ids, paragraph_vectors = zip(*sorted(
+        zip((p.paragraph_id for p in paragraphs), vectors), key=operator.itemgetter(0)))
     excerpt_vectors = embedder.embed_many([e.in_sentence for e in excerpts])
     links: list[ExcerptLink] = []
     for excerpt, vector in zip(excerpts, excerpt_vectors):
@@ -253,61 +233,15 @@ def link_excerpts(paragraphs: Sequence[Paragraph], excerpts: Sequence[Excerpt],
 # RDF emission
 # ---------------------------------------------------------------------------
 
-class UnknownLinkTargetError(ValueError):
-    def __init__(self, excerpt_id: str, paragraph_id: str, missing: str):
-        super().__init__(
-            f"link {excerpt_id!r} -> {paragraph_id!r} references unknown {missing}")
-        self.excerpt_id = excerpt_id
-        self.paragraph_id = paragraph_id
-
-
-def paragraph_triples(paragraph: Paragraph) -> list[Triple]:
-    node = Iri(_DATA_NS + paragraph.paragraph_id)
-    return [
-        Triple(node, RDF_TYPE, PARAGRAPH),
-        Triple(node, RDFS_LABEL, Literal(paragraph.text, language="en")),
-    ]
-
-
-def excerpt_triples(excerpt: Excerpt) -> list[Triple]:
-    node = Iri(_DATA_NS + excerpt.excerpt_id)
-    return [
-        Triple(node, RDF_TYPE, EXCERPT),
-        Triple(node, RDFS_LABEL, Literal(excerpt.label, language="en")),
-        Triple(node, IN_SENTENCE, Literal(excerpt.in_sentence, datatype=XSD_STRING)),
-        Triple(node, MENTIONS, entity_iri(excerpt.mentions)),
-        Triple(node, WORD_INDEX_FROM, Literal(str(excerpt.word_index_from), datatype=XSD_INT)),
-        Triple(node, WORD_INDEX_TO, Literal(str(excerpt.word_index_to), datatype=XSD_INT)),
-    ]
-
-
-def excerpt_link_triples(excerpts: Iterable[Excerpt], links: Iterable[ExcerptLink],
-                         paragraph_ids: Collection[str]) -> list[Triple]:
-    """Triples of each excerpt node plus one ``hasExcerpt`` edge per link.
-
-    Links must reference one of ``paragraph_ids`` and one of ``excerpts``.
-    """
-    triples: list[Triple] = []
-    excerpt_ids: set[str] = set()
-    for excerpt in excerpts:
-        excerpt_ids.add(excerpt.excerpt_id)
-        triples.extend(excerpt_triples(excerpt))
-
-    for link in links:
-        if link.paragraph_id not in paragraph_ids:
-            raise UnknownLinkTargetError(link.excerpt_id, link.paragraph_id, "paragraph")
-        if link.excerpt_id not in excerpt_ids:
-            raise UnknownLinkTargetError(link.excerpt_id, link.paragraph_id, "excerpt")
-        triples.append(Triple(
-            Iri(_DATA_NS + link.paragraph_id), HAS_EXCERPT, Iri(_DATA_NS + link.excerpt_id)))
-    return triples
-
-
 def emit_rdf(model: DocumentModel) -> KnowledgeGraph:
     """The document's paragraph shapes: per paragraph, a typed node whose
     label is the paragraph text."""
-    return KnowledgeGraph(t for paragraph in collect_paragraphs(model)
-                          for t in paragraph_triples(paragraph))
+    triples = []
+    for paragraph in collect_paragraphs(model):
+        node = Iri(_DATA_NS + paragraph.paragraph_id)
+        triples += (Triple(node, RDF_TYPE, PARAGRAPH),
+                    Triple(node, RDFS_LABEL, Literal(paragraph.text, language="en")))
+    return KnowledgeGraph(triples)
 
 
 def link_graph(graph: KnowledgeGraph, excerpts: Sequence[Excerpt], embedder: Embedder,
@@ -330,9 +264,20 @@ def link_graph(graph: KnowledgeGraph, excerpts: Sequence[Excerpt], embedder: Emb
                              f"it is outside the askg-data namespace <{_DATA_NS}>")
         paragraphs.append(Paragraph(node.value[len(_DATA_NS):], (Sentence(label.lexical),)))
     links = link_excerpts(paragraphs, excerpts, embedder, threshold=threshold)
-    paragraph_ids = {p.paragraph_id for p in paragraphs}
-    linked = KnowledgeGraph([*graph, *excerpt_link_triples(excerpts, links, paragraph_ids)])
-    return linked, links
+    triples = list(graph)
+    for excerpt in excerpts:
+        node = Iri(_DATA_NS + excerpt.excerpt_id)
+        triples += (Triple(node, RDF_TYPE, EXCERPT),
+                    Triple(node, RDFS_LABEL, Literal(excerpt.label, language="en")),
+                    Triple(node, IN_SENTENCE, Literal(excerpt.in_sentence, datatype=XSD_STRING)),
+                    Triple(node, MENTIONS, entity_iri(excerpt.mentions)),
+                    Triple(node, WORD_INDEX_FROM,
+                           Literal(str(excerpt.word_index_from), datatype=XSD_INT)),
+                    Triple(node, WORD_INDEX_TO,
+                           Literal(str(excerpt.word_index_to), datatype=XSD_INT)))
+    triples += (Triple(Iri(_DATA_NS + link.paragraph_id), HAS_EXCERPT,
+                       Iri(_DATA_NS + link.excerpt_id)) for link in links)
+    return KnowledgeGraph(triples), links
 
 
 # ---------------------------------------------------------------------------
@@ -348,18 +293,23 @@ def read_excerpts_jsonl(data: str | bytes) -> list[Excerpt]:
 
     Each line is an object with ``excerpt_id``, ``label``, ``in_sentence``,
     ``mentions``, ``word_index_from`` and ``word_index_to``; the first four
-    are JSON strings and the word indices JSON integers. A bad line raises
-    ``ValueError`` naming it and the field.
+    are JSON strings and the word indices JSON integers. Excerpt ids are
+    unique within the file. A bad line raises ``ValueError`` naming it and
+    the field, or, for a repeated id, the line that first held it.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     out: list[Excerpt] = []
-    for index, raw in enumerate(data.splitlines(), start=1):
-        line = raw.strip()
+    first_lines: dict[str, int] = {}
+    for index, line in enumerate(map(str.strip, data.splitlines()), start=1):
         if not line:
             continue
         try:  # json.JSONDecodeError is a ValueError
-            out.append(Excerpt(**_record_fields(json.loads(line), _EXCERPT_FIELDS)))
+            excerpt = Excerpt(**_record_fields(json.loads(line), _EXCERPT_FIELDS))
+            first = first_lines.setdefault(excerpt.excerpt_id, index)
+            if first != index:
+                raise ValueError(f"excerpt_id {excerpt.excerpt_id!r} is already on line {first}")
         except ValueError as exc:
             raise ValueError(f"bad excerpt record on line {index}: {exc}") from exc
+        out.append(excerpt)
     return out

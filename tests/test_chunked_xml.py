@@ -168,7 +168,9 @@ def test_parser_raises_only_chunked_xml_errors(data):
      "surrogate code point (line 2, column 2)"),
     ("<section>" + '<section ID="1">' * 101 + "</section>" * 102, ChunkedXmlValidationError,
      "sections are nested more than 100 levels deep"),
-], ids=["superscript-reference", "surrogate", "101-levels"])
+    ('<section ID="1">' * 101 + "</section>" * 101, ChunkedXmlValidationError,
+     "sections are nested more than 100 levels deep"),
+], ids=["superscript-reference", "surrogate", "101-levels", "101-levels-from-an-identified-root"])
 def test_parser_refuses_what_it_cannot_represent(data, error, message):
     with pytest.raises(error) as err:
         parse_chunked_xml(data)
@@ -184,3 +186,9 @@ def test_parser_reads_a_decimal_reference_in_any_script_and_100_levels():
     for _ in range(99):
         (section,) = section.subsections()
     assert [s.text for s in section.sentences()] == ["x"]
+
+
+def test_an_identified_root_is_the_first_of_100_levels():
+    deep = parse_chunked_xml('<section ID="1">' * 100 + "<sentence>x</sentence>"
+                             + "</section>" * 100)
+    assert len(list(deep.iter_sections())) == 100

@@ -11,7 +11,7 @@ from scholarkg.cli import read_config, run
 from scholarkg.embedding import BackendConfig
 from scholarkg.gateway import StubGateway
 from scholarkg.kg.graph import paragraphs_containing
-from scholarkg.kg.terms import PARAGRAPH, entity_phrase
+from scholarkg.kg.terms import HAS_EXCERPT, PARAGRAPH, entity_phrase
 from scholarkg.kg.turtle import load_turtle
 from scholarkg.qa.engine import extract_question_patterns, query_entities_of
 
@@ -392,6 +392,79 @@ def test_link_threshold_can_reject_all(capsys, tmp_path, fixtures_dir):
     assert "linked 0 of 2 excerpts" in err
 
 
+def test_ingest_and_link_refuse_a_repeated_excerpt_id(capsys, tmp_path, fixtures_dir):
+    record = (fixtures_dir / "excerpts_doc1.jsonl").read_text("utf-8")
+    excerpts = tmp_path / "excerpts.jsonl"
+    excerpts.write_text(record + record, "utf-8")
+    refusal = (1, "", "error: bad excerpt record on line 2: "
+                      "excerpt_id 'Excerpt-8b0888e86548a2' is already on line 1\n")
+    assert invoke(capsys, "ingest", "--outline", str(fixtures_dir / "outline_doc1.json"),
+                  "--text", str(fixtures_dir / "doc1.txt"), "--excerpts", str(excerpts),
+                  "--threshold", "0.3") == refusal
+    assert invoke(capsys, "link", "--graph", str(fixtures_dir / "scholarly_sample.ttl"),
+                  "--excerpts", str(excerpts), "--threshold", "0.3") == refusal
+
+
+@pytest.mark.parametrize("levels", [100, 101, 1500])
+def test_ingest_nests_sections_at_most_100_levels_deep(capsys, tmp_path, levels):
+    text = "".join(f"H{i}\n\nBody {i}.\n\n" for i in range(levels))
+    outline = [{"level": i + 1, "heading": f"H{i}", "offset": text.index(f"H{i}\n")}
+               for i in range(levels)]
+    (tmp_path / "outline.json").write_text(json.dumps(outline), "utf-8")
+    (tmp_path / "doc.txt").write_text(text, "utf-8")
+    (tmp_path / "doc.xml").write_text(
+        "<section>" + '<section ID="1">' * levels + "<sentence>x</sentence>"
+        + "</section>" * (levels + 1), "utf-8")
+    outline_source = ("--outline", str(tmp_path / "outline.json"),
+                      "--text", str(tmp_path / "doc.txt"))
+    for source in (outline_source, ("--xml", str(tmp_path / "doc.xml"))):
+        code, out, err = invoke(capsys, "ingest", *source)
+        if levels <= 100:
+            assert code == 0, err
+            assert out.startswith("@prefix askg-data:")
+        else:
+            assert (code, out, err) == (
+                1, "", "error: sections are nested more than 100 levels deep\n")
+
+
+SEPARATOR = "* * *"
+
+
+def edges_by_label(graph) -> set[tuple[str, str]]:
+    """Each hasExcerpt edge as its paragraph's label and its excerpt node."""
+    return {(graph.label_of(t.subject).lexical, t.object.value) for t in graph
+            if t.predicate == HAS_EXCERPT}
+
+
+def test_ingest_and_link_embed_a_separator_paragraph(capsys, tmp_path, fixtures_dir):
+    plain = fixtures_dir / "doc1.txt"
+    separated = tmp_path / "doc1.txt"
+    text = plain.read_text("utf-8")
+    assert "content.\n\nBy default" in text
+    separated.write_text(
+        text.replace("content.\n\nBy default", f"content.\n\n{SEPARATOR}\n\nBy default"), "utf-8")
+    outline = str(fixtures_dir / "outline_doc1.json")
+    excerpts = str(fixtures_dir / "excerpts_doc1.jsonl")
+    graphs = []
+    for doc in (plain, separated):
+        at_once, bare, linked = (tmp_path / f"{doc.parent.name}-{name}.ttl"
+                                 for name in ("at-once", "bare", "linked"))
+        source = ("--outline", outline, "--text", str(doc))
+        code, _, err = invoke(capsys, "ingest", *source, "--excerpts", excerpts,
+                              "--out", str(at_once))
+        assert code == 0, err
+        assert invoke(capsys, "ingest", *source, "--out", str(bare))[0] == 0
+        code, _, err = invoke(capsys, "link", "--graph", str(bare), "--excerpts", excerpts,
+                              "--out", str(linked))
+        assert code == 0, err
+        assert linked.read_bytes() == at_once.read_bytes()
+        graphs.append(load_turtle(at_once.read_bytes()))
+    assert SEPARATOR in {graphs[1].label_of(node).lexical
+                         for node in graphs[1].subjects_of_type(PARAGRAPH)}
+    assert len(edges_by_label(graphs[0])) == 1
+    assert edges_by_label(graphs[1]) == edges_by_label(graphs[0])
+
+
 # ---------------------------------------------------------------------------
 # query
 # ---------------------------------------------------------------------------
@@ -549,6 +622,24 @@ def test_retrieve_baseline_over_fixture_corpus(capsys, tmp_path, fixtures_dir):
     similarities = [c["similarity"] for c in payload["chunks"]]
     assert similarities == sorted(similarities, reverse=True)
     assert "Metadata Extractor" in payload["answer"]
+
+
+def test_retrieve_baseline_embeds_a_separator_document(capsys, tmp_path, fixtures_dir):
+    payloads = []
+    for extra in ({}, {"separator.txt": SEPARATOR}):
+        corpus = tmp_path / f"corpus-{len(extra)}"
+        corpus.mkdir()
+        for name in ("doc1.txt", "doc2.txt"):
+            (corpus / name).write_text((fixtures_dir / name).read_text("utf-8"), "utf-8")
+        for name, text in extra.items():
+            (corpus / name).write_text(text, "utf-8")
+        code, stdout, err = invoke(capsys, "retrieve-baseline", "--corpus", str(corpus),
+                                   "--question", QUESTION, "--top-n", "3", "--max-tokens", "20",
+                                   "--format", "json")
+        assert code == 0, err
+        payloads.append(json.loads(stdout))
+    assert len(payloads[0]["chunks"]) == 3
+    assert payloads[1] == payloads[0]
 
 
 def test_retrieve_baseline_rejects_empty_corpus(capsys, tmp_path):

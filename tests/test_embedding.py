@@ -78,7 +78,16 @@ def test_stub_embedder_rejects_empty_input(stub_embedder):
     with pytest.raises(ValueError):
         stub_embedder.embed("")
     with pytest.raises(ValueError):
-        stub_embedder.embed("!!! ???")
+        stub_embedder.embed(" \t\n ")
+
+
+@pytest.mark.parametrize("text", ["!!! ???", "* * *", "  * * *\n", "日本語の段落。"])
+def test_stub_embedder_reads_text_without_a_run_as_one_token(stub_embedder, text):
+    # a text with no alphanumeric run is one token, its stripped text
+    (index,) = [i for i, v in enumerate(stub_embedder.embed(text).values) if v]
+    assert index == HashedBagOfWordsEmbedder.bucket(text.strip(), 256)
+    assert stub_embedder.embed(text).values[index] == 1.0
+    assert stub_embedder.embed(text) == stub_embedder.embed(f" {text.strip()} ")
 
 
 def test_bucket_is_stable():

@@ -1,23 +1,38 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from scholarkg.document import Excerpt, Paragraph, Sentence, collect_paragraphs
+import reference_builder
+from scholarkg.document import MAX_SECTION_DEPTH, Excerpt, Paragraph, Sentence, collect_paragraphs
 from scholarkg.ingest import (
     HeadingOutline,
     OutlineEntry,
-    UnknownLinkTargetError,
-    ExcerptLink,
     build_document_model,
     emit_rdf,
-    excerpt_link_triples,
     link_excerpts,
     link_graph,
     read_excerpts_jsonl,
     read_outline_json,
 )
 from scholarkg.kg.graph import KnowledgeGraph
-from scholarkg.kg.terms import PARAGRAPH, RDF_TYPE, Literal, Triple, iri
+from scholarkg.kg.terms import (
+    EXCERPT,
+    HAS_EXCERPT,
+    IN_SENTENCE,
+    MENTIONS,
+    PARAGRAPH,
+    RDF_TYPE,
+    RDFS_LABEL,
+    WORD_INDEX_FROM,
+    WORD_INDEX_TO,
+    XSD_INT,
+    XSD_STRING,
+    Literal,
+    Triple,
+    entity_iri,
+    iri,
+)
 
 TEXT = """Introduction
 
@@ -203,16 +218,6 @@ def test_emit_rdf_shapes(stub_embedder):
     assert word_from[0].object == Literal("1", datatype=iri("xsd:int"))
 
 
-def test_excerpt_link_triples_rejects_unknown_link_targets():
-    excerpt = make_excerpt("Excerpt-abc", "s", "m")
-    with pytest.raises(UnknownLinkTargetError):
-        excerpt_link_triples([excerpt], [ExcerptLink("Excerpt-abc", "not-a-paragraph", 1.0)],
-                             {"Paper-x-Paragraph-y"})
-    with pytest.raises(UnknownLinkTargetError):
-        excerpt_link_triples([excerpt], [ExcerptLink("missing", "Paper-x-Paragraph-y", 1.0)],
-                             {"Paper-x-Paragraph-y"})
-
-
 def test_link_graph_links_the_paragraphs_the_document_model_holds(stub_embedder):
     # a repeated paragraph text is one graph node but two model paragraphs
     text = TEXT + "\nWe did the work. It went well.\n"
@@ -222,12 +227,25 @@ def test_link_graph_links_the_paragraphs_the_document_model_holds(stub_embedder)
     excerpts = [make_excerpt("Excerpt-a", "We did the work.", "work"),
                 make_excerpt("Excerpt-b", "Opening paragraph, second sentence.", "opening"),
                 make_excerpt("Excerpt-c", "Unrelated words entirely.", "nothing")]
+    shapes = []
+    for e in excerpts:
+        node = iri(f"askg-data:{e.excerpt_id}")
+        shapes += [Triple(node, RDF_TYPE, EXCERPT),
+                   Triple(node, RDFS_LABEL, Literal(e.label, language="en")),
+                   Triple(node, IN_SENTENCE, Literal(e.in_sentence, datatype=XSD_STRING)),
+                   Triple(node, MENTIONS, entity_iri(e.mentions)),
+                   Triple(node, WORD_INDEX_FROM, Literal("1", datatype=XSD_INT)),
+                   Triple(node, WORD_INDEX_TO, Literal("3", datatype=XSD_INT))]
+    linked_counts = []
     for threshold in (0.0, 0.5, 0.7, 1.0):
         graph, links = link_graph(emit_rdf(model), excerpts, stub_embedder, threshold)
         assert links == link_excerpts(paragraphs, excerpts, stub_embedder, threshold)
-        ids = {p.paragraph_id for p in paragraphs}
-        assert graph == KnowledgeGraph([*emit_rdf(model),
-                                        *excerpt_link_triples(excerpts, links, ids)])
+        assert {link.paragraph_id for link in links} <= {p.paragraph_id for p in paragraphs}
+        edges = [Triple(iri(f"askg-data:{link.paragraph_id}"), HAS_EXCERPT,
+                        iri(f"askg-data:{link.excerpt_id}")) for link in links]
+        assert graph == KnowledgeGraph([*emit_rdf(model), *shapes, *edges])
+        linked_counts.append(len(links))
+    assert linked_counts == sorted(linked_counts, reverse=True) and linked_counts[0] == 3
 
 
 def test_link_graph_skips_a_paragraph_without_label(stub_embedder):
@@ -283,3 +301,78 @@ def test_read_excerpts_jsonl_reports_bad_records(line, message):
         read_excerpts_jsonl(f"{good}\n\n{line}\n")
     assert str(excinfo.value) == f"bad excerpt record on line 3: {message}"
 
+
+
+def test_read_excerpts_jsonl_refuses_a_repeated_excerpt_id():
+    good = json.dumps(EXCERPT_RECORD)
+    other = json.dumps({**EXCERPT_RECORD, "excerpt_id": "F"})
+    again = json.dumps({**EXCERPT_RECORD, "label": "another label"})
+    with pytest.raises(ValueError) as excinfo:
+        read_excerpts_jsonl(f"{good}\n{other}\n\n{again}\n")
+    assert str(excinfo.value) == (
+        "bad excerpt record on line 4: excerpt_id 'E' is already on line 1")
+
+
+def deep_outline(levels: int) -> tuple[HeadingOutline, str]:
+    """An outline whose every heading goes one level deeper."""
+    text = "".join(f"H{i}\n\nBody {i}.\n\n" for i in range(levels))
+    offsets = [text.index(f"H{i}\n") for i in range(levels)]
+    return HeadingOutline(tuple(OutlineEntry(i + 1, f"H{i}", offset)
+                                for i, offset in enumerate(offsets))), text
+
+
+def test_build_document_model_nests_up_to_the_depth_limit():
+    model = build_document_model(*deep_outline(MAX_SECTION_DEPTH))
+    sections = list(model.iter_sections())
+    assert len(sections) == MAX_SECTION_DEPTH == 100
+    assert sections[-1].section_id == ".".join(["1"] * 100)
+    assert [p.text for p in collect_paragraphs(model)] == [f"Body {i}." for i in range(100)]
+
+
+@pytest.mark.parametrize("levels", [101, 1500])
+def test_build_document_model_refuses_sections_past_the_depth_limit(levels):
+    with pytest.raises(ValueError) as excinfo:
+        build_document_model(*deep_outline(levels))
+    assert str(excinfo.value) == "sections are nested more than 100 levels deep"
+
+
+def test_build_document_model_limits_depth_not_length_or_level():
+    # 1500 sections side by side: the first heading's level 1500 is
+    # clamped to 1, and every later heading is at level 1.
+    text = "".join(f"H{i}\n\nBody {i}.\n\n" for i in range(1500))
+    entries = tuple(OutlineEntry(1500 if i == 0 else 1, f"H{i}", text.index(f"H{i}\n"))
+                    for i in range(1500))
+    model = build_document_model(HeadingOutline(entries), text)
+    assert [s.section_id for s in model.sections] == [str(i) for i in range(1, 1501)]
+
+
+# Paragraph texts drawn with repeats, one splitting into two sentences and
+# one a heading's own word, so a heading-less span can start with it.
+_PARAGRAPHS = st.sampled_from(["Alpha beta. Gamma delta.", "Repeated text here.",
+                               "Methods matter.", "* * *", "Dr. Smith went home."])
+_SECTIONS = st.lists(st.tuples(
+    st.integers(1, 5),                                   # outline level
+    st.sampled_from(["Intro", "Methods", "Results"]),    # heading
+    st.sampled_from(["at", "indented", "absent"]),       # heading at its offset or not
+    st.lists(_PARAGRAPHS, max_size=3),                   # an empty span when empty
+), max_size=12)
+
+
+def _drawn_document(preamble: list[str], sections) -> tuple[HeadingOutline, str]:
+    text = "\n\n".join(preamble) + "\n" if preamble else ""
+    entries = []
+    for level, heading, placement, paragraphs in sections:
+        offset = len(text)
+        if placement != "absent":
+            text += ("  " if placement == "indented" else "") + heading + "\n\n"
+        text += "\n\n".join(paragraphs) + "\n"
+        entries.append(OutlineEntry(level, heading, offset))
+    return HeadingOutline(tuple(entries)), text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PARAGRAPHS, max_size=2), _SECTIONS)
+def test_build_document_model_builds_like_the_reference_builder(preamble, sections):
+    outline, text = _drawn_document(preamble, sections)
+    assert build_document_model(outline, text) == reference_builder.build_document_model(
+        outline, text)
