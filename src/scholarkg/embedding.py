@@ -25,23 +25,11 @@ __all__ = [
     "Embedder",
     "HashedBagOfWordsEmbedder",
     "HttpEmbedder",
-    "EmbeddingError",
-    "EmbeddingTransportError",
-    "EmbeddingProtocolError",
     "BackendConfig",
+    "BackendError",
+    "BackendTransportError",
+    "BackendProtocolError",
 ]
-
-
-class EmbeddingError(Exception):
-    pass
-
-
-class EmbeddingTransportError(EmbeddingError):
-    """The backend was unreachable or kept failing after retries."""
-
-
-class EmbeddingProtocolError(EmbeddingError):
-    """The backend answered with a payload we cannot interpret."""
 
 
 @dataclass(frozen=True)
@@ -188,12 +176,27 @@ class HashedBagOfWordsEmbedder:
         return [self.embed(text) for text in texts]
 
 
+class BackendError(Exception):
+    """An HTTP backend, the language model or the embedder, failed."""
+
+
+class BackendTransportError(BackendError):
+    """The backend was unreachable, refused the request or kept failing
+    after retries."""
+
+
+class BackendProtocolError(BackendError):
+    """The backend answered with a payload we cannot interpret."""
+
+
 @dataclass(frozen=True)
 class BackendConfig:
     """Connection settings for an HTTP backend.
 
     The auth token is read from the environment variable named by
     ``auth_env`` at request time; it is never stored in config files.
+    ``retries`` must not be negative, and ``timeout`` must be a finite
+    positive number of seconds.
     """
 
     url: str
@@ -203,13 +206,12 @@ class BackendConfig:
     retries: int = 2
     backoff: float = 0.1
 
-
-def _auth_headers(config: BackendConfig) -> dict[str, str]:
-    headers = {"Content-Type": "application/json"}
-    token = os.environ.get(config.auth_env, "") if config.auth_env else ""
-    if token:
-        headers["Authorization"] = f"Bearer {token}"
-    return headers
+    def __post_init__(self) -> None:
+        if self.retries < 0:
+            raise ValueError(f"retries must not be negative: {self.retries}")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError(f"timeout must be a finite positive number of seconds: "
+                             f"{self.timeout}")
 
 
 # The longest wait a 429's Retry-After can ask for before a retry.
@@ -217,63 +219,8 @@ _MAX_RETRY_AFTER_S = 5.0
 _DELAY_SECONDS = re.compile(r"[0-9]+")
 
 
-def _retry_after(response) -> float:
-    """The numeric ``Retry-After`` of a response in seconds, else 0."""
-    value = response.headers.get("Retry-After", "").strip()
-    return min(float(value), _MAX_RETRY_AFTER_S) if _DELAY_SECONDS.fullmatch(value) else 0.0
-
-
-def post_with_retries(session, config: BackendConfig, payload: dict,
-                      error_cls: type[Exception]):
-    """POST ``payload``, retrying connection failures, 429 and 5xx responses.
-
-    Retry ``n`` waits ``config.backoff * n`` seconds, or longer when a 429
-    carries a numeric ``Retry-After`` (up to ``_MAX_RETRY_AFTER_S``). A zero
-    ``backoff`` never waits. Any other 4xx fails at once.
-    """
-    import requests
-
-    last_error: Exception | None = None
-    retry_after = 0.0
-    for attempt in range(config.retries + 1):
-        if attempt and config.backoff:
-            time.sleep(max(config.backoff * attempt, retry_after))
-        retry_after = 0.0
-        try:
-            response = session.post(config.url, json=payload,
-                                    headers=_auth_headers(config), timeout=config.timeout)
-        except requests.RequestException as exc:
-            last_error = error_cls(f"request to {config.url} failed: {exc}")
-            continue
-        if response.status_code == 429 or response.status_code >= 500:
-            last_error = error_cls(f"backend returned status {response.status_code}")
-            if response.status_code == 429:
-                retry_after = _retry_after(response)
-            continue
-        if response.status_code >= 400:
-            raise error_cls(f"backend returned status {response.status_code}")
-        return response
-    raise last_error if last_error is not None else error_cls("request failed")
-
-
-def _vector_of(raw) -> EmbeddingVector:
-    """A vector from one decoded JSON array of numbers."""
-    if not isinstance(raw, list) or not all(type(v) in (int, float) for v in raw):
-        raise EmbeddingProtocolError(f"embedding is not a list of numbers: {raw!r:.80}")
-    try:
-        return EmbeddingVector.of(raw)
-    except (ValueError, OverflowError) as exc:
-        raise EmbeddingProtocolError(f"malformed embedding: {exc}") from exc
-
-
-class HttpEmbedder:
-    """Client for an embedding service.
-
-    Sends ``{"model": ..., "input": [texts]}`` and accepts either an
-    OpenAI-style ``{"data": [{"embedding": [...]}]}`` payload or a plain
-    ``{"vectors": [[...]]}`` payload. All responses must share one
-    dimension.
-    """
+class _HttpBackend:
+    """The transport both HTTP clients share: one session, one config."""
 
     def __init__(self, config: BackendConfig, session=None):
         if session is None:
@@ -282,7 +229,74 @@ class HttpEmbedder:
             session = requests.Session()
         self.config = config
         self.session = session
-        self._dimension: int | None = None
+
+    def _post(self, payload: dict):
+        """POST ``payload``, with ``model`` added when set, and return the
+        decoded JSON body.
+
+        Connection failures, 429 and 5xx responses are retried: retry ``n``
+        waits ``config.backoff * n`` seconds, or longer when a 429 carries a
+        numeric ``Retry-After`` (up to ``_MAX_RETRY_AFTER_S``). A zero
+        ``backoff`` never waits. Any other 4xx fails at once.
+        """
+        import requests
+
+        config = self.config
+        if config.model:
+            payload["model"] = config.model
+        headers = {"Content-Type": "application/json"}
+        token = os.environ.get(config.auth_env, "") if config.auth_env else ""
+        if token:
+            headers["Authorization"] = f"Bearer {token}"
+        last_error: BackendError | None = None
+        retry_after = 0.0
+        for attempt in range(config.retries + 1):
+            if attempt and config.backoff:
+                time.sleep(max(config.backoff * attempt, retry_after))
+            retry_after = 0.0
+            try:
+                response = self.session.post(config.url, json=payload, headers=headers,
+                                             timeout=config.timeout)
+            except requests.RequestException as exc:
+                last_error = BackendTransportError(f"request to {config.url} failed: {exc}")
+                continue
+            status = response.status_code
+            if status == 429 or status >= 500:
+                last_error = BackendTransportError(f"backend returned status {status}")
+                delay = response.headers.get("Retry-After", "").strip()
+                if status == 429 and _DELAY_SECONDS.fullmatch(delay):
+                    retry_after = min(float(delay), _MAX_RETRY_AFTER_S)
+                continue
+            if status >= 400:
+                raise BackendTransportError(f"backend returned status {status}")
+            try:
+                return response.json()
+            except ValueError as exc:
+                raise BackendProtocolError(f"backend response is not JSON: {exc}") from exc
+        # retries is never negative, so an attempt ran and set last_error
+        raise last_error
+
+
+def _vector_of(raw) -> EmbeddingVector:
+    """A vector from one decoded JSON array of numbers."""
+    if not isinstance(raw, list) or not all(type(v) in (int, float) for v in raw):
+        raise BackendProtocolError(f"embedding is not a list of numbers: {raw!r:.80}")
+    try:
+        return EmbeddingVector.of(raw)
+    except (ValueError, OverflowError) as exc:
+        raise BackendProtocolError(f"malformed embedding: {exc}") from exc
+
+
+class HttpEmbedder(_HttpBackend):
+    """Client for an embedding service.
+
+    Sends ``{"input": [texts], "model": ...}`` and accepts either an
+    OpenAI-style ``{"data": [{"embedding": [...]}]}`` payload or a plain
+    ``{"vectors": [[...]]}`` payload. All responses must share one
+    dimension.
+    """
+
+    _dimension: int | None = None
 
     def _vectors_from_payload(self, payload) -> list[list[float]]:
         if isinstance(payload, dict):
@@ -290,36 +304,28 @@ class HttpEmbedder:
                 try:
                     return [item["embedding"] for item in payload["data"]]
                 except (TypeError, KeyError) as exc:
-                    raise EmbeddingProtocolError(f"malformed embedding payload: {exc}") from exc
+                    raise BackendProtocolError(f"malformed embedding payload: {exc}") from exc
             if "vectors" in payload:
                 return payload["vectors"]
-        raise EmbeddingProtocolError("embedding payload has neither 'data' nor 'vectors'")
+        raise BackendProtocolError("embedding payload has neither 'data' nor 'vectors'")
 
     def embed_many(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         if not texts:
             return []
         if any(not t for t in texts):
             raise ValueError("cannot embed empty text")
-        payload = {"input": list(texts)}
-        if self.config.model:
-            payload["model"] = self.config.model
-        response = post_with_retries(self.session, self.config, payload,
-                                     EmbeddingTransportError)
-        try:
-            raw = self._vectors_from_payload(response.json())
-        except ValueError as exc:
-            raise EmbeddingProtocolError(f"backend response is not JSON: {exc}") from exc
+        raw = self._vectors_from_payload(self._post({"input": list(texts)}))
         if not isinstance(raw, list):
-            raise EmbeddingProtocolError("embedding payload does not hold a list of vectors")
+            raise BackendProtocolError("embedding payload does not hold a list of vectors")
         if len(raw) != len(texts):
-            raise EmbeddingProtocolError(
+            raise BackendProtocolError(
                 f"expected {len(texts)} vectors, got {len(raw)}")
         vectors = [_vector_of(v) for v in raw]
         for vector in vectors:
             if self._dimension is None:
                 self._dimension = vector.dimension
             elif vector.dimension != self._dimension:
-                raise EmbeddingProtocolError(
+                raise BackendProtocolError(
                     f"backend changed dimension from {self._dimension} to {vector.dimension}")
         return vectors
 

@@ -10,17 +10,15 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
+from typing import Protocol
 
-from .embedding import BackendConfig, post_with_retries
+from .embedding import BackendProtocolError, _HttpBackend
 from .kg.patterns import TriplePattern, Variable, WILDCARD
 from .segmentation import segment_sentences
 
 __all__ = [
     "GatewayRequest",
     "GatewayResponse",
-    "GatewayError",
-    "GatewayTransportError",
-    "GatewayProtocolError",
     "TripleResponseError",
     "Gateway",
     "StubGateway",
@@ -30,19 +28,7 @@ __all__ = [
 ]
 
 
-class GatewayError(Exception):
-    pass
-
-
-class GatewayTransportError(GatewayError):
-    pass
-
-
-class GatewayProtocolError(GatewayError):
-    pass
-
-
-class TripleResponseError(GatewayError):
+class TripleResponseError(BackendProtocolError):
     """A triples response line did not have exactly three fields."""
 
     def __init__(self, line_index: int, line: str):
@@ -55,13 +41,10 @@ class TripleResponseError(GatewayError):
 class GatewayRequest:
     system: str
     user: str
-    max_tokens: int = 512
 
     def __post_init__(self) -> None:
         if not self.user.strip():
             raise ValueError("request user text must be non-empty")
-        if self.max_tokens <= 0:
-            raise ValueError("max_tokens must be positive")
 
 
 @dataclass(frozen=True)
@@ -71,11 +54,8 @@ class GatewayResponse:
     latency_ms: float
 
 
-class Gateway:
-    """Protocol-ish base class; backends implement ``complete``."""
-
-    def complete(self, request: GatewayRequest) -> GatewayResponse:
-        raise NotImplementedError
+class Gateway(Protocol):
+    def complete(self, request: GatewayRequest) -> GatewayResponse: ...
 
 
 # ---------------------------------------------------------------------------
@@ -295,53 +275,33 @@ class StubGateway:
 # HTTP backend
 # ---------------------------------------------------------------------------
 
-class HttpGateway:
+class HttpGateway(_HttpBackend):
     """Client for a chat-completion service.
 
-    Sends ``{"model", "messages", "max_tokens", "temperature"}``, the
-    temperature always 0.0, and reads the completion text from
-    ``choices[0].message.content`` or, failing that, a top-level
-    ``"text"`` field.
+    Sends ``{"messages", "max_tokens", "temperature", "model"}``, the
+    token limit always 512 and the temperature always 0.0, and reads the
+    completion text from ``choices[0].message.content`` or, when that is
+    not a non-empty string, a top-level ``"text"`` field.
     """
-
-    def __init__(self, config: BackendConfig, session=None):
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self.config = config
-        self.session = session
 
     def complete(self, request: GatewayRequest) -> GatewayResponse:
         messages = []
         if request.system:
             messages.append({"role": "system", "content": request.system})
         messages.append({"role": "user", "content": request.user})
-        payload = {
-            "messages": messages,
-            "max_tokens": request.max_tokens,
-            "temperature": 0.0,
-        }
-        if self.config.model:
-            payload["model"] = self.config.model
         start = time.monotonic()
-        response = post_with_retries(self.session, self.config, payload,
-                                     GatewayTransportError)
+        body = self._post({"messages": messages, "max_tokens": 512, "temperature": 0.0})
         latency_ms = (time.monotonic() - start) * 1000.0
-        try:
-            body = response.json()
-        except ValueError as exc:
-            raise GatewayProtocolError(f"backend response is not JSON: {exc}") from exc
-        text = ""
+        text = None
         if isinstance(body, dict):
             choices = body.get("choices")
             if isinstance(choices, list) and choices and isinstance(choices[0], dict):
                 message = choices[0].get("message")
-                text = message.get("content", "") if isinstance(message, dict) else ""
-            if not text:
-                text = body.get("text", "")
+                text = message.get("content") if isinstance(message, dict) else None
+            if not isinstance(text, str) or not text:
+                text = body.get("text")
         if not isinstance(text, str) or not text:
-            raise GatewayProtocolError("backend response carries no completion text")
+            raise BackendProtocolError("backend response carries no completion text")
         return GatewayResponse(
             text=text,
             backend=self.config.model or "http",

@@ -9,8 +9,8 @@ from scholarkg import embedding
 from scholarkg.document import Excerpt, Paragraph, Sentence
 from scholarkg.embedding import (
     BackendConfig,
-    EmbeddingProtocolError,
-    EmbeddingTransportError,
+    BackendProtocolError,
+    BackendTransportError,
     EmbeddingVector,
     HashedBagOfWordsEmbedder,
     HttpEmbedder,
@@ -208,7 +208,7 @@ def test_http_embedder_plain_vectors_payload():
 
 def test_http_embedder_count_mismatch():
     embedder = http_embedder([_FakeResponse(payload={"vectors": [[1.0]]})])
-    with pytest.raises(EmbeddingProtocolError, match="expected 2"):
+    with pytest.raises(BackendProtocolError, match="expected 2"):
         embedder.embed_many(["a", "b"])
 
 
@@ -232,7 +232,7 @@ def test_http_embedder_count_mismatch():
 ])
 def test_http_embedder_wrong_payload_shape_is_a_protocol_error(payload):
     embedder = http_embedder([_FakeResponse(payload=payload)])
-    with pytest.raises(EmbeddingProtocolError):
+    with pytest.raises(BackendProtocolError):
         embedder.embed_many(["a"])
 
 
@@ -242,7 +242,7 @@ def test_http_embedder_dimension_drift():
         _FakeResponse(payload={"vectors": [[1.0]]}),
     ])
     embedder.embed("a")
-    with pytest.raises(EmbeddingProtocolError, match="dimension"):
+    with pytest.raises(BackendProtocolError, match="dimension"):
         embedder.embed("b")
 
 
@@ -260,8 +260,23 @@ def test_http_embedder_transport_error_after_exhausted_retries():
     import requests
 
     embedder = http_embedder([requests.ConnectionError("down")] * 3)
-    with pytest.raises(EmbeddingTransportError):
+    with pytest.raises(BackendTransportError):
         embedder.embed("a")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("retries", -1), ("timeout", 0.0), ("timeout", -1.0), ("timeout", float("nan")),
+    ("timeout", float("inf")),
+])
+def test_backend_config_refuses_a_bad_retries_or_timeout(field, value):
+    session = _FakeSession([_FakeResponse(payload={"vectors": [[1.0]]})])
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        HttpEmbedder(BackendConfig(url="http://embed.test/v1", **{field: value}),
+                     session=session).embed("a")
+    assert session.calls == []
+    # the bounds themselves are allowed
+    config = BackendConfig(url="http://embed.test/v1", retries=0, timeout=1e-3)
+    assert HttpEmbedder(config, session=session).embed("a") == vec(1.0)
 
 
 def test_http_embedder_rejects_empty_text():
@@ -283,7 +298,7 @@ def test_http_embedder_retries_429_then_succeeds():
 
 def test_http_embedder_gives_up_after_repeated_429():
     embedder = http_embedder([_FakeResponse(status_code=429)] * 3)
-    with pytest.raises(EmbeddingTransportError, match="429"):
+    with pytest.raises(BackendTransportError, match="429"):
         embedder.embed("a")
     assert len(embedder.session.calls) == 3  # initial try plus two retries
 
@@ -291,7 +306,7 @@ def test_http_embedder_gives_up_after_repeated_429():
 @pytest.mark.parametrize("status", [400, 404, 413, 422])
 def test_http_embedder_other_4xx_fails_at_once(status):
     embedder = http_embedder([_FakeResponse(status_code=status)])
-    with pytest.raises(EmbeddingTransportError, match=str(status)):
+    with pytest.raises(BackendTransportError, match=str(status)):
         embedder.embed("a")
     assert len(embedder.session.calls) == 1
 

@@ -6,25 +6,25 @@ from hypothesis import example, given, settings, strategies as st
 from scholarkg.gateway import (
     ANSWER_MARKER,
     EXTRACT_MARKER,
-    GatewayError,
-    GatewayProtocolError,
     GatewayRequest,
-    GatewayTransportError,
     HttpGateway,
     StubGateway,
     TripleResponseError,
     format_triples,
     parse_triples_response,
 )
-from scholarkg.embedding import BackendConfig
+from scholarkg.embedding import (
+    BackendConfig,
+    BackendError,
+    BackendProtocolError,
+    BackendTransportError,
+)
 from scholarkg.kg.patterns import TriplePattern, Variable, WILDCARD
 
 
 def test_request_validation():
     with pytest.raises(ValueError):
         GatewayRequest(system="s", user="  ")
-    with pytest.raises(ValueError):
-        GatewayRequest(system="s", user="u", max_tokens=0)
 
 
 def test_parse_triples_response_terms():
@@ -209,14 +209,14 @@ def test_http_gateway_gives_up_after_retries():
         _FakeResponse(status_code=500),
         _FakeResponse(status_code=500),
     ])
-    with pytest.raises(GatewayTransportError):
+    with pytest.raises(BackendTransportError):
         gateway.complete(GatewayRequest(system="s", user="u"))
     assert len(session.calls) == 3  # initial try plus two retries
 
 
 def test_http_gateway_4xx_fails_immediately():
     gateway, session = http_gateway([_FakeResponse(status_code=401)])
-    with pytest.raises(GatewayTransportError):
+    with pytest.raises(BackendTransportError):
         gateway.complete(GatewayRequest(system="s", user="u"))
     assert len(session.calls) == 1
 
@@ -233,14 +233,14 @@ def test_http_gateway_retries_429_then_succeeds():
 
 def test_http_gateway_gives_up_after_repeated_429():
     gateway, session = http_gateway([_FakeResponse(status_code=429)] * 3)
-    with pytest.raises(GatewayTransportError, match="429"):
+    with pytest.raises(BackendTransportError, match="429"):
         gateway.complete(GatewayRequest(system="s", user="u"))
     assert len(session.calls) == 3
 
 
 def test_http_gateway_rejects_bodyless_response():
     gateway, _ = http_gateway([_FakeResponse(payload={"choices": []})])
-    with pytest.raises(GatewayProtocolError):
+    with pytest.raises(BackendProtocolError):
         gateway.complete(GatewayRequest(system="s", user="u"))
 
 
@@ -259,13 +259,15 @@ def test_http_gateway_rejects_bodyless_response():
 ])
 def test_http_gateway_wrong_payload_shape_is_a_protocol_error(payload):
     gateway, _ = http_gateway([_FakeResponse(payload=payload)])
-    with pytest.raises(GatewayProtocolError, match="no completion text"):
+    with pytest.raises(BackendProtocolError, match="no completion text"):
         gateway.complete(GatewayRequest(system="s", user="u"))
 
 
 def test_http_gateway_falls_back_to_text_past_a_malformed_choice():
-    gateway, _ = http_gateway([_FakeResponse(payload={"choices": ["x"], "text": "ok"})])
-    assert gateway.complete(GatewayRequest(system="s", user="u")).text == "ok"
+    # a choice of the wrong shape, or content that is not a string
+    for choices in (["x"], [{"message": {"content": 5}}], [{"message": {"content": ["x"]}}]):
+        gateway, _ = http_gateway([_FakeResponse(payload={"choices": choices, "text": "ok"})])
+        assert gateway.complete(GatewayRequest(system="s", user="u")).text == "ok", choices
 
 
 def test_auth_token_is_read_from_environment(monkeypatch):
@@ -286,6 +288,6 @@ _RESPONSE_FRAGMENTS = st.sampled_from(
 def test_parse_triples_response_raises_only_gateway_errors(text):
     try:
         patterns = parse_triples_response(text)
-    except GatewayError:
+    except BackendError:
         return
     assert all(isinstance(p, TriplePattern) for p in patterns)

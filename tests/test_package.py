@@ -1,6 +1,10 @@
+import ast
 import importlib
+import os
 import pkgutil
 import shlex
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -54,3 +58,35 @@ def test_readme_query_walkthrough_prints_the_readme_output(monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     assert run(argv[1:]) == 0
     assert capsys.readouterr().out == output
+
+
+def test_the_package_imports_only_the_stdlib_and_requests():
+    allowed = sys.stdlib_module_names | {"requests", "scholarkg"}
+    imported = set()
+    for path in (ROOT / "src" / "scholarkg").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update((path.name, alias.name.split(".")[0]) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add((path.name, node.module.split(".")[0]))
+    assert imported and {(name, module) for name, module in imported
+                         if module not in allowed} == set()
+
+
+def test_stub_runs_do_not_import_requests():
+    # requests costs over 100 ms and about 9 MB to import, so only the
+    # HTTP backends import it, when they are built
+    script = (
+        "import sys, scholarkg\n"
+        "from scholarkg.cli import run\n"
+        "question = 'Which tool is applied to extract text from PDF research proposals?'\n"
+        "assert run(['query', '--graph', 'tests/fixtures/scholarly_sample.ttl',\n"
+        "            '--question', question]) == 0\n"
+        "assert run(['retrieve-baseline', '--corpus', 'tests/fixtures',\n"
+        "            '--question', question]) == 0\n"
+        "print('requests' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+        str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
