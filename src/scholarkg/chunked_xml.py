@@ -3,19 +3,27 @@
 The format uses exactly four elements: ``section``, ``heading``,
 ``sentence`` and ``reference``, plus the ``ID`` attribute on sections.
 The root element is an ID-less ``<section>`` container. References may
-appear nested inside a sentence or as a sibling immediately after one;
-both attach to that sentence.
+appear nested inside a sentence or as a sibling after one; both attach
+to that sentence, a sibling even across a section boundary. A heading
+or a reference holds only text, and a sentence holds text and nested
+references.
 
-Because the format has no paragraph element, serialization flattens
-paragraph grouping into the underlying sentences. Round-tripping is the
-identity for models that came out of ``parse_chunked_xml``.
+The format has no paragraph element, so the reader makes one paragraph of
+each maximal run of consecutive sentences in a section: only a subsection
+ends a run. Its id derives from the document id and its text, as the
+outline reader's do. Serialization flattens paragraphs back into their
+sentences, so round-tripping is the identity for models that came out of
+``parse_chunked_xml``.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from functools import cached_property
+from itertools import groupby
 
-from .document import MAX_SECTION_DEPTH, DocumentModel, Paragraph, Section, Sentence, short_hash
+from .document import (MAX_SECTION_DEPTH, DocumentModel, Paragraph, Section, Sentence,
+                       paragraph_id_for, short_hash)
 
 __all__ = [
     "ChunkedXmlError",
@@ -65,8 +73,15 @@ def _sentence_text(elem: ET.Element) -> str:
     return _collapse("".join(parts))
 
 
+def _text_only(elem: ET.Element) -> str:
+    """Collapsed text of an element that may hold no child element."""
+    if len(elem):
+        raise ChunkedXmlValidationError(f"unexpected <{elem[0].tag}> inside <{elem.tag}>")
+    return _collapse(elem.text or "")
+
+
 def _parse_reference(elem: ET.Element) -> int:
-    raw = _collapse(elem.text or "")
+    raw = _text_only(elem)
     if not raw.isdecimal() or int(raw) <= 0:
         raise ChunkedXmlValidationError(f"reference content {raw!r} is not a positive integer")
     return int(raw)
@@ -79,7 +94,9 @@ class _SentenceBuilder:
         self.text = text
         self.references = references
 
-    def build(self) -> Sentence:
+    @cached_property
+    def sentence(self) -> Sentence:
+        """The finished sentence; read only once the whole tree is parsed."""
         return Sentence(text=self.text, references=tuple(self.references))
 
 
@@ -104,7 +121,7 @@ def _parse_section(elem: ET.Element, is_root: bool,
         if child.tag == "heading":
             if heading is not None:
                 raise ChunkedXmlValidationError("section has more than one heading")
-            heading = _collapse("".join(child.itertext()))
+            heading = _text_only(child)
         elif child.tag == "sentence":
             refs = []
             for sub in child:
@@ -112,7 +129,10 @@ def _parse_section(elem: ET.Element, is_root: bool,
                 if sub.tag != "reference":
                     raise ChunkedXmlValidationError(f"unexpected <{sub.tag}> inside <sentence>")
                 refs.append(_parse_reference(sub))
-            builder = _SentenceBuilder(_sentence_text(child), refs)
+            text = _sentence_text(child)
+            if not text:
+                raise ChunkedXmlValidationError("sentence has no text")
+            builder = _SentenceBuilder(text, refs)
             body.append(builder)
             last_sentence[0] = builder
         elif child.tag == "reference":
@@ -126,14 +146,17 @@ def _parse_section(elem: ET.Element, is_root: bool,
     return section_id, heading, body
 
 
-def _realize(node) -> Section:
+def _realize(node, doc_id: str) -> Section:
+    """The section of a parsed node, each run of its sentences one paragraph."""
     section_id, heading, body = node
-    items: list[Section | Sentence] = []
-    for item in body:
-        if isinstance(item, _SentenceBuilder):
-            items.append(item.build())
+    items: list[Paragraph | Section] = []
+    for is_sentence, group in groupby(body, key=lambda item: isinstance(item, _SentenceBuilder)):
+        if is_sentence:
+            sentences = tuple(builder.sentence for builder in group)
+            text = " ".join(sentence.text for sentence in sentences)
+            items.append(Paragraph(paragraph_id_for(doc_id, text), sentences))
         else:
-            items.append(_realize(item))
+            items.extend(_realize(child, doc_id) for child in group)
     return Section(section_id=section_id, heading=heading or "", body=tuple(items))
 
 
@@ -162,21 +185,20 @@ def parse_chunked_xml(data: bytes | str) -> DocumentModel:
     last_sentence: list[_SentenceBuilder | None] = [None]
     if root.get("ID") is not None:
         # A root carrying an ID is itself a section rather than a container.
-        sections = (_realize(_parse_section(root, False, last_sentence, 1)),)
+        nodes = [_parse_section(root, False, last_sentence, 1)]
         title = None
     else:
-        _, title, body = _parse_section(root, True, last_sentence)
-        sections = []
-        for item in body:
-            if isinstance(item, _SentenceBuilder):
-                raise ChunkedXmlValidationError("sentence outside any identified section")
-            sections.append(_realize(item))
-        sections = tuple(sections)
+        _, title, nodes = _parse_section(root, True, last_sentence)
+        if any(isinstance(item, _SentenceBuilder) for item in nodes):
+            raise ChunkedXmlValidationError("sentence outside any identified section")
+    title = title or None
 
-    model = DocumentModel(doc_id="", title=title or None, sections=sections)
-    canonical = serialize_chunked_xml(model)
-    return DocumentModel(doc_id=short_hash(canonical.decode("utf-8")),
-                         title=model.title, sections=model.sections)
+    # The serialization holds no paragraph id, so any id hashes it alike.
+    canonical = serialize_chunked_xml(
+        DocumentModel(doc_id="", title=title, sections=tuple(_realize(n, "") for n in nodes)))
+    doc_id = short_hash(canonical.decode("utf-8"))
+    return DocumentModel(doc_id=doc_id, title=title,
+                         sections=tuple(_realize(n, doc_id) for n in nodes))
 
 
 def _emit_section(parent: ET.Element, section: Section) -> None:
@@ -186,11 +208,9 @@ def _emit_section(parent: ET.Element, section: Section) -> None:
     for item in section.body:
         if isinstance(item, Section):
             _emit_section(elem, item)
-        elif isinstance(item, Paragraph):
+        else:
             for sentence in item.sentences:
                 _emit_sentence(elem, sentence)
-        else:
-            _emit_sentence(elem, item)
 
 
 def _emit_sentence(parent: ET.Element, sentence: Sentence) -> None:

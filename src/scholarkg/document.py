@@ -1,10 +1,15 @@
 """Hierarchical document model: documents, sections, paragraphs, sentences.
 
-All node types are frozen dataclasses, so a constructed model is immutable
-and safe to share across threads. A node stores only what it is made of; a
-paragraph's text, for one, is derived from its sentences. Structural
-problems are reported by ``validate_model`` as data rather than raised
-eagerly, which lets callers inspect a whole document in one pass.
+A document holds sections, a section holds paragraphs and subsections in
+document order, and a paragraph holds sentences; a section's body refuses
+any other item when it is built. Both document readers, the outline reader
+in ``ingest`` and ``chunked_xml``, id each paragraph with
+``paragraph_id_for``. All node types are frozen dataclasses, so a
+constructed model is immutable and safe to share across threads. A node
+stores only what it is made of; a paragraph's text, for one, is derived
+from its sentences. Other structural problems are reported by
+``validate_model`` as data rather than raised eagerly, which lets callers
+inspect a whole document in one pass.
 """
 
 from __future__ import annotations
@@ -78,27 +83,21 @@ class Paragraph:
 class Section:
     """A section with a dotted-decimal id such as ``"2"`` or ``"2.1"``.
 
-    ``body`` preserves document order and may interleave paragraphs, loose
-    sentences (as produced by the chunked XML interchange format, which has
-    no paragraph element) and nested subsections.
+    ``body`` interleaves paragraphs and subsections in document order.
     """
 
     section_id: str
     heading: str
-    body: tuple["Section | Paragraph | Sentence", ...] = ()
+    body: tuple["Paragraph | Section", ...] = ()
+
+    def __post_init__(self) -> None:
+        for item in self.body:
+            if not isinstance(item, (Paragraph, Section)):
+                raise TypeError("a section body holds paragraphs and sections, "
+                                f"not {type(item).__name__}")
 
     def subsections(self) -> tuple["Section", ...]:
         return tuple(item for item in self.body if isinstance(item, Section))
-
-    def sentences(self) -> tuple[Sentence, ...]:
-        """Direct sentences of this section, including those in paragraphs."""
-        out: list[Sentence] = []
-        for item in self.body:
-            if isinstance(item, Sentence):
-                out.append(item)
-            elif isinstance(item, Paragraph):
-                out.extend(item.sentences)
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -165,10 +164,8 @@ def _validate_section(section: Section, path: str, parent_id: str | None,
         item_path = f"{path}/body[{i}]"
         if isinstance(item, Section):
             _validate_section(item, item_path, sid, seen_ids, issues)
-        elif isinstance(item, Paragraph):
-            _validate_paragraph(item, item_path, issues)
         else:
-            _validate_sentence(item, item_path, issues)
+            _validate_paragraph(item, item_path, issues)
 
 
 def _validate_sentence(sentence: Sentence, path: str, issues: list[ValidationIssue]) -> None:
@@ -200,36 +197,15 @@ def validate_model(model: DocumentModel) -> list[ValidationIssue]:
 
 
 def collect_paragraphs(model: DocumentModel) -> list[Paragraph]:
-    """Flatten the model into a document-ordered list of paragraphs.
-
-    Runs of consecutive loose sentences inside a section body (the chunked
-    XML interchange format carries no paragraph element) are grouped into
-    implicit paragraphs whose ids are derived from the document id and the
-    paragraph text hash. Every sentence of the model lands in exactly one
-    returned paragraph.
-    """
+    """Every paragraph of the model, in document order."""
     out: list[Paragraph] = []
 
-    def emit_run(run: list[Sentence]) -> None:
-        if not run:
-            return
-        text = " ".join(s.text for s in run)
-        out.append(Paragraph(paragraph_id_for(model.doc_id, text), tuple(run)))
-
-    def walk(section: Section) -> None:
-        run: list[Sentence] = []
-        for item in section.body:
-            if isinstance(item, Sentence):
-                run.append(item)
-                continue
-            emit_run(run)
-            run = []
+    def walk(body: tuple[Paragraph | Section, ...]) -> None:
+        for item in body:
             if isinstance(item, Paragraph):
                 out.append(item)
             else:
-                walk(item)
-        emit_run(run)
+                walk(item.body)
 
-    for section in model.sections:
-        walk(section)
+    walk(model.sections)
     return out

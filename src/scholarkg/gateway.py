@@ -8,7 +8,6 @@ to the letter here because tests and downstream fixtures rely on it.
 from __future__ import annotations
 
 import re
-import time
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -51,7 +50,6 @@ class GatewayRequest:
 class GatewayResponse:
     text: str
     backend: str
-    latency_ms: float
 
 
 class Gateway(Protocol):
@@ -236,7 +234,7 @@ class StubGateway:
             text = self._answer(request.user)
         else:
             text = request.user.strip()
-        return GatewayResponse(text=text, backend=self.backend_name, latency_ms=0.0)
+        return GatewayResponse(text=text, backend=self.backend_name)
 
     def _extract(self, user_text: str) -> str:
         question = _question_from_prompt(user_text)
@@ -289,9 +287,7 @@ class HttpGateway(_HttpBackend):
         if request.system:
             messages.append({"role": "system", "content": request.system})
         messages.append({"role": "user", "content": request.user})
-        start = time.monotonic()
         body = self._post({"messages": messages, "max_tokens": 512, "temperature": 0.0})
-        latency_ms = (time.monotonic() - start) * 1000.0
         text = None
         if isinstance(body, dict):
             choices = body.get("choices")
@@ -302,8 +298,4 @@ class HttpGateway(_HttpBackend):
                 text = body.get("text")
         if not isinstance(text, str) or not text:
             raise BackendProtocolError("backend response carries no completion text")
-        return GatewayResponse(
-            text=text,
-            backend=self.config.model or "http",
-            latency_ms=latency_ms,
-        )
+        return GatewayResponse(text=text, backend=self.config.model or "http")

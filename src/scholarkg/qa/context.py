@@ -98,7 +98,6 @@ class AnswerResult:
     answer: str
     context: tuple[ScoredParagraph, ...] = field(default_factory=tuple)
     backend: str = ""
-    latency_ms: float = 0.0
 
 
 def generate_answer(question: str, context: list[ScoredParagraph],
@@ -116,7 +115,6 @@ def generate_answer(question: str, context: list[ScoredParagraph],
         answer=response.text.strip(),
         context=tuple(context),
         backend=response.backend,
-        latency_ms=response.latency_ms,
     )
 
 

@@ -1,3 +1,5 @@
+import xml.etree.ElementTree as ET
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -8,7 +10,15 @@ from scholarkg.chunked_xml import (
     parse_chunked_xml,
     serialize_chunked_xml,
 )
-from scholarkg.document import DocumentModel, Paragraph, Section, Sentence
+from scholarkg.document import (
+    DocumentModel,
+    Paragraph,
+    Section,
+    Sentence,
+    collect_paragraphs,
+    paragraph_id_for,
+    short_hash,
+)
 
 
 def test_parse_fixture_document(fixtures_dir):
@@ -16,19 +26,21 @@ def test_parse_fixture_document(fixtures_dir):
     assert [s.section_id for s in model.sections] == ["1", "2"]
     intro = model.sections[0]
     assert intro.heading == "Introduction"
-    assert len(intro.sentences()) == 2
+    (paragraph,) = intro.body
+    assert len(paragraph.sentences) == 2
     # the sibling reference attaches to the sentence before it
-    assert intro.sentences()[0].references == (1,)
-    assert intro.sentences()[1].references == ()
+    assert paragraph.sentences[0].references == (1,)
+    assert paragraph.sentences[1].references == ()
 
     related = model.sections[1]
-    (sub,) = related.subsections()
+    (sub,) = related.body
     assert sub.section_id == "2.1"
-    texts = [s.text for s in sub.sentences()]
+    (paragraph,) = sub.body
+    texts = [s.text for s in paragraph.sentences]
     assert texts[0] == "Oztaysi et al."
     assert any("Metadata Extractor & Loader (MEL)" in t for t in texts)
     # nested references belong to their enclosing sentence
-    mel = next(s for s in sub.sentences() if "MEL" in s.text)
+    mel = next(s for s in paragraph.sentences if "MEL" in s.text)
     assert mel.references == (20,)
 
 
@@ -45,7 +57,20 @@ def test_sentence_text_whitespace_is_collapsed():
     model = parse_chunked_xml(
         "<section><section ID='1'><heading>H</heading>"
         "<sentence>\n  spread   over\nlines </sentence></section></section>")
-    assert model.sections[0].sentences()[0].text == "spread over lines"
+    assert collect_paragraphs(model)[0].sentences[0].text == "spread over lines"
+
+
+def test_collect_paragraphs_groups_consecutive_sentences():
+    model = parse_chunked_xml(
+        "<section><section ID='1'><heading>H</heading>"
+        "<sentence>One.</sentence><sentence>Two.</sentence>"
+        "<section ID='1.1'><heading>Sub</heading><sentence>Three.</sentence></section>"
+        "<sentence>Four.</sentence></section></section>")
+    paragraphs = collect_paragraphs(model)
+    assert [p.text for p in paragraphs] == ["One. Two.", "Three.", "Four."]
+    # implicit ids derive from the document and the paragraph text
+    expected = f"Paper-{model.doc_id}-Paragraph-{short_hash('One. Two.', 16)}"
+    assert paragraphs[0].paragraph_id == expected
 
 
 def test_root_section_with_id_is_a_section():
@@ -71,7 +96,7 @@ def test_reference_attaches_across_section_boundary():
         "<section ID='2'><heading>B</heading><reference>7</reference>"
         "<sentence>Two.</sentence></section>"
         "</section>")
-    first = model.sections[0].sentences()[0]
+    first = collect_paragraphs(model)[0].sentences[0]
     assert first.references == (7,)
 
 
@@ -170,7 +195,21 @@ def test_parser_raises_only_chunked_xml_errors(data):
      "sections are nested more than 100 levels deep"),
     ('<section ID="1">' * 101 + "</section>" * 101, ChunkedXmlValidationError,
      "sections are nested more than 100 levels deep"),
-], ids=["superscript-reference", "surrogate", "101-levels", "101-levels-from-an-identified-root"])
+    ('<section ID="1"><sentence>First one.</sentence><sentence>  </sentence>'
+     "<sentence>Second.</sentence></section>", ChunkedXmlValidationError, "sentence has no text"),
+    ('<section><section ID="1"><sentence/></section></section>', ChunkedXmlValidationError,
+     "sentence has no text"),
+    ('<section ID="1"><sentence><reference>1</reference></sentence></section>',
+     ChunkedXmlValidationError, "sentence has no text"),
+    ('<section ID="1"><heading>H<bogus x="1">B</bogus></heading><sentence>S.</sentence>'
+     "</section>", ChunkedXmlValidationError, "unexpected <bogus> inside <heading>"),
+    ('<section ID="1"><sentence>S.</sentence><reference>3<b/>4</reference></section>',
+     ChunkedXmlValidationError, "unexpected <b> inside <reference>"),
+    ('<section ID="1"><sentence>S.<reference>3<b/>4</reference></sentence></section>',
+     ChunkedXmlValidationError, "unexpected <b> inside <reference>"),
+], ids=["superscript-reference", "surrogate", "101-levels", "101-levels-from-an-identified-root",
+        "blank-sentence", "empty-sentence", "sentence-of-a-reference", "element-in-heading",
+        "element-in-reference", "element-in-nested-reference"])
 def test_parser_refuses_what_it_cannot_represent(data, error, message):
     with pytest.raises(error) as err:
         parse_chunked_xml(data)
@@ -179,16 +218,121 @@ def test_parser_refuses_what_it_cannot_represent(data, error, message):
 
 def test_parser_reads_a_decimal_reference_in_any_script_and_100_levels():
     arabic_three = '<section ID="1"><sentence>x</sentence><reference>\u0663</reference></section>'
-    assert parse_chunked_xml(arabic_three).sections[0].sentences()[0].references == (3,)
+    assert collect_paragraphs(parse_chunked_xml(arabic_three))[0].sentences[0].references == (3,)
     deep = parse_chunked_xml(
         "<section>" + '<section ID="1">' * 100 + "<sentence>x</sentence>" + "</section>" * 101)
     section = deep.sections[0]
     for _ in range(99):
         (section,) = section.subsections()
-    assert [s.text for s in section.sentences()] == ["x"]
+    assert [p.text for p in section.body] == ["x"]
 
 
 def test_an_identified_root_is_the_first_of_100_levels():
     deep = parse_chunked_xml('<section ID="1">' * 100 + "<sentence>x</sentence>"
                              + "</section>" * 100)
     assert len(list(deep.iter_sections())) == 100
+
+
+# ---------------------------------------------------------------------------
+# Paragraph grouping against an oracle read from the element tree
+# ---------------------------------------------------------------------------
+
+_WORD = st.sampled_from(["One", "two.", "&amp;", "\u00e9t\u00e9", "x1"])
+_SPACE = st.sampled_from(["", " ", "\n", "  \t", "\n    "])
+_TEXT = st.lists(st.tuples(_SPACE, _WORD), min_size=1, max_size=3).map(
+    lambda parts: "".join(space + word for space, word in parts))
+_BLANK = st.sampled_from(["", " ", "\n  "])
+_REFERENCE = st.builds(lambda lead, n, trail: f"<reference>{lead}{n}{trail}</reference>",
+                       _BLANK, st.integers(1, 99), _BLANK)
+
+
+@st.composite
+def _sentence(draw):
+    lead_is_text = draw(st.booleans())
+    parts = [draw(_TEXT if lead_is_text else _BLANK)]
+    for reference in draw(st.lists(_REFERENCE, max_size=2)):
+        parts += [reference, draw(_TEXT | _BLANK)]
+    parts.append(draw((_TEXT | _BLANK) if lead_is_text else _TEXT))
+    return "<sentence>" + "".join(parts) + "</sentence>"
+
+
+def _section_of(subsections):
+    @st.composite
+    def section(draw):
+        children = draw(st.lists(_sentence() | _REFERENCE | subsections, max_size=5))
+        if draw(st.booleans()):
+            heading = "<heading>" + draw(_TEXT | _BLANK) + "</heading>"
+            children.insert(draw(st.integers(0, len(children))), heading)
+        spaces = draw(st.lists(_BLANK, min_size=len(children) + 1, max_size=len(children) + 1))
+        body = "".join(space + child for space, child in zip(spaces, children + [""]))
+        return f'<section ID="{draw(st.sampled_from(["1", "2.1"]))}">{body}</section>'
+    return section()
+
+
+_SECTIONS = st.recursive(_section_of(st.nothing()), _section_of, max_leaves=8)
+_DOCUMENTS = _SECTIONS | st.builds(
+    lambda title, sections: "<section>" + title + "".join(sections) + "</section>",
+    st.sampled_from(["", "<heading>Title</heading>", "<heading/>"]),
+    st.lists(_SECTIONS, max_size=3))
+
+
+class _NoPrecedingSentence(Exception):
+    pass
+
+
+def _oracle_runs(data: str) -> list:
+    """((text, references), ...) per paragraph: one per maximal run of
+    sentences of a section, which only a subsection ends; a sibling
+    reference cites from the sentence before it in document order."""
+    references: dict[ET.Element, list[int]] = {}
+    runs: list[list[ET.Element]] = []
+    last: list[ET.Element] = []
+
+    def text_of(sentence: ET.Element) -> str:
+        return " ".join("".join([sentence.text or ""] + [r.tail or "" for r in sentence]).split())
+
+    def walk(section: ET.Element) -> None:
+        run: list[ET.Element] = []
+        for child in section:
+            if child.tag == "sentence":
+                references[child] = [int(r.text) for r in child]
+                last[:] = [child]
+                run.append(child)
+            elif child.tag == "reference":
+                if not last:
+                    raise _NoPrecedingSentence
+                references[last[0]].append(int(child.text))
+            elif child.tag == "section":
+                if run:
+                    runs.append(run)
+                run = []
+                walk(child)
+        if run:
+            runs.append(run)
+
+    walk(ET.fromstring(data))
+    return [tuple((text_of(s), tuple(references[s])) for s in run) for run in runs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENTS)
+@example('<section ID="1"><sentence>a</sentence><heading>H</heading><reference>2</reference>'
+         '<sentence>b<reference>3</reference></sentence>'
+         '<section ID="1.1"><reference>4</reference><sentence>c</sentence></section>'
+         "<sentence>d</sentence></section>")
+def test_reader_groups_sentence_runs_like_the_element_tree_oracle(data):
+    try:
+        runs = _oracle_runs(data)
+    except _NoPrecedingSentence:
+        with pytest.raises(ChunkedXmlValidationError, match="no preceding sentence"):
+            parse_chunked_xml(data)
+        return
+    model = parse_chunked_xml(data)
+    expected = [(paragraph_id_for(model.doc_id, " ".join(text for text, _ in run)), run)
+                for run in runs]
+    assert [(p.paragraph_id, tuple((s.text, s.references) for s in p.sentences))
+            for p in collect_paragraphs(model)] == expected
+    canonical = serialize_chunked_xml(model)
+    again = parse_chunked_xml(canonical)
+    assert again == model
+    assert serialize_chunked_xml(again) == canonical

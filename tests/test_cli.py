@@ -273,6 +273,23 @@ def test_ingest_chunked_xml_to_stdout(capsys, fixtures_dir):
     assert load_turtle(stdout.encode("utf-8"))
 
 
+@pytest.mark.parametrize("body, message", [
+    ("<sentence>First one.</sentence><sentence>  </sentence><sentence>Second.</sentence>",
+     "sentence has no text"),
+    ("<sentence/>", "sentence has no text"),
+    ("<heading>H<bogus x='1'>B</bogus></heading><sentence>S.</sentence>",
+     "unexpected <bogus> inside <heading>"),
+    ("<sentence>S.</sentence><reference>3<b/>4</reference>", "unexpected <b> inside <reference>"),
+])
+def test_ingest_refuses_chunked_xml_it_cannot_represent(capsys, tmp_path, fixtures_dir,
+                                                        body, message):
+    (tmp_path / "doc.xml").write_text(f"<section><section ID='1'>{body}</section></section>",
+                                      "utf-8")
+    for excerpts in ((), ("--excerpts", str(fixtures_dir / "excerpts_doc1.jsonl"))):
+        assert invoke(capsys, "ingest", "--xml", str(tmp_path / "doc.xml"), *excerpts) == (
+            1, "", f"error: {message}\n")
+
+
 def test_ingest_reports_a_bad_outline_record(capsys, tmp_path, fixtures_dir):
     outline = tmp_path / "outline.json"
     outline.write_text('[{"level": 1, "offset": 7}]', "utf-8")

@@ -134,7 +134,6 @@ def test_generate_answer_uses_stub_context(stub_gateway):
     assert result.answer == MEL_SENTENCE
     assert result.backend == "stub"
     assert result.context == tuple(context)
-    assert result.latency_ms >= 0.0
 
 
 def test_generate_answer_rejects_blank_question(stub_gateway):

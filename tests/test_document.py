@@ -44,10 +44,12 @@ def valid_model() -> DocumentModel:
         doc_id="d1",
         title="A Title",
         sections=(
-            Section("1", "Introduction", (Sentence("Hello there."),)),
+            Section("1", "Introduction", (make_paragraph("p1", "Hello there."),)),
             Section("2", "Methods", (
                 Section("2.1", "Setup", (make_paragraph("p21", "Configured."),)),
-                Section("2.2", "Runs", (Sentence("Ran twice.", references=(3,)),)),
+                Section("2.2", "Runs", (
+                    Paragraph("p22", (Sentence("Ran twice.", references=(3,)),)),
+                )),
             )),
         ),
     )
@@ -86,7 +88,7 @@ def test_validate_model_rejects_nested_top_level_id():
 
 def test_validate_model_flags_empty_texts_and_bad_references():
     model = DocumentModel("d", None, (
-        Section("1", "", (Sentence(""), Sentence("ok", references=(0,)))),
+        Section("1", "", (Paragraph("p", (Sentence(""), Sentence("ok", references=(0,)))),)),
     ))
     messages = [i.message for i in validate_model(model)]
     assert len(messages) == 3  # empty heading, empty sentence, reference < 1
@@ -98,20 +100,21 @@ def test_collect_paragraphs_keeps_explicit_paragraphs():
     assert [p.text for p in paragraphs] == ["Hello there.", "Configured.", "Ran twice."]
 
 
-def test_collect_paragraphs_groups_consecutive_sentences():
+def test_collect_paragraphs_walks_subsections_in_document_order():
     model = DocumentModel("doc", None, (
         Section("1", "H", (
-            Sentence("One."),
-            Sentence("Two."),
-            Section("1.1", "Sub", (Sentence("Three."),)),
-            Sentence("Four."),
+            make_paragraph("p1", "One.", "Two."),
+            Section("1.1", "Sub", (make_paragraph("p11", "Three."),)),
+            make_paragraph("p2", "Four."),
         )),
     ))
-    paragraphs = collect_paragraphs(model)
-    assert [p.text for p in paragraphs] == ["One. Two.", "Three.", "Four."]
-    # implicit ids derive from the document and the paragraph text
-    expected = f"Paper-doc-Paragraph-{short_hash('One. Two.', 16)}"
-    assert paragraphs[0].paragraph_id == expected
+    assert [p.paragraph_id for p in collect_paragraphs(model)] == ["p1", "p11", "p2"]
+
+
+@pytest.mark.parametrize("item", [Sentence("Loose."), "text", None])
+def test_section_body_holds_only_paragraphs_and_sections(item):
+    with pytest.raises(TypeError, match=f"not {type(item).__name__}$"):
+        Section("1", "H", (make_paragraph("p1", "One."), item))
 
 
 def test_iter_sections_is_depth_first_in_document_order():

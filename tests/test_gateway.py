@@ -132,7 +132,6 @@ def test_stub_fallback_echoes_user(stub_gateway):
     response = stub_gateway.complete(GatewayRequest(system="plain", user="hello"))
     assert response.text == "hello"
     assert response.backend == "stub"
-    assert response.latency_ms == 0.0
 
 
 class _FakeResponse:
