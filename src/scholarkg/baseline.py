@@ -28,7 +28,6 @@ class Chunk:
 
     chunk_id: str
     document_id: str
-    index: int
     text: str
 
 
@@ -61,7 +60,6 @@ def chunk_document(doc_id: str, text: str, max_tokens: int = 100,
         Chunk(
             chunk_id=f"{doc_id}-{index:04d}",
             document_id=doc_id,
-            index=index,
             text=" ".join(tokens[start:start + max_tokens]),
         )
         for index, start in enumerate(starts)

@@ -40,7 +40,6 @@ from .ingest import (
 from .kg.graph import graph_stats
 from .kg.turtle import load_turtle, save_turtle
 from .qa.context import answer_question
-from .qa.engine import load_template
 
 __all__ = ["run", "main"]
 
@@ -230,13 +229,8 @@ def _cmd_retrieve_baseline(args: argparse.Namespace) -> int:
     retrieved = retrieve_top_k(chunks, args.question, k=args.top_n,
                                embedder=_make_embedder(args))
 
-    gateway = _make_gateway(args)
-    block = "\n\n".join(r.chunk.text for r in retrieved) or "(no context)"
-    response = gateway.complete(GatewayRequest(
-        system="",
-        user=load_template("answer.txt").format(
-            question=args.question, context=block),
-    ))
+    response = _make_gateway(args).complete(
+        GatewayRequest.answer(args.question, [r.chunk.text for r in retrieved]))
     print(f"{len(chunks)} chunks from {len(documents)} documents",
           file=sys.stderr)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Iterable, Protocol
 
 from .embedding import BackendProtocolError, _HttpBackend
 from .kg.patterns import TriplePattern, Variable, WILDCARD
@@ -44,6 +44,17 @@ class GatewayRequest:
     def __post_init__(self) -> None:
         if not self.user.strip():
             raise ValueError("request user text must be non-empty")
+
+    @classmethod
+    def extraction(cls, question: str) -> GatewayRequest:
+        """The request for ``question``'s triple patterns."""
+        return cls(system="", user=_EXTRACT_PROMPT.format(question=question))
+
+    @classmethod
+    def answer(cls, question: str, texts: Iterable[str]) -> GatewayRequest:
+        """The request to answer ``question`` from ``texts``, joined by blank lines."""
+        return cls(system="", user=_ANSWER_PROMPT.format(
+            question=question, context="\n\n".join(texts) or "(no context)"))
 
 
 @dataclass(frozen=True)
@@ -97,12 +108,36 @@ def format_triples(patterns: list[TriplePattern]) -> str:
 # Stub backend
 # ---------------------------------------------------------------------------
 
-# Markers the prompt templates embed so the stub can tell tasks apart.
-# They are searched for in the whole prompt (system and user text), so a
-# template works whether it is sent as a system prompt or formatted into
-# the user message.
+# Markers the prompts embed so the stub can tell tasks apart. They are
+# searched for in the whole prompt (system and user text), so a prompt
+# works whether it is sent as a system prompt or in the user message.
 EXTRACT_MARKER = "subject | predicate | object"
 ANSWER_MARKER = "only the provided context"
+
+_EXTRACT_PROMPT = f"""You decompose a natural-language question about scholarly documents into
+knowledge-graph triple patterns.
+
+Write one pattern per line in the form: {EXTRACT_MARKER}
+
+Use the words of the question for grounded components. Use ? for a
+component the question leaves open, and ?name for a component that must
+take the same value across several patterns. Output only the patterns,
+with no commentary.
+
+Question: {{question}}
+"""
+
+_ANSWER_PROMPT = f"""You answer questions about scholarly documents.
+Use {ANSWER_MARKER}: it consists of paragraphs taken verbatim
+from the documents. Quote or paraphrase the context; if the context does
+not contain the answer, say that it does not. Do not use outside
+knowledge.
+
+Question: {{question}}
+
+Context:
+{{context}}
+"""
 
 _WH_WORDS = {"which", "what", "who", "whom", "whose", "where", "when", "why", "how"}
 _AUXILIARIES = {
@@ -151,7 +186,8 @@ def _clause_to_pattern(clause: str) -> TriplePattern | None:
 
     Rules, applied in order:
 
-    1. Strip trailing sentence punctuation and split on whitespace.
+    1. Read ``|`` as a space, strip trailing sentence punctuation and
+       split on whitespace.
     2. Drop a leading wh-word.
     3. The subject is every token before the first auxiliary verb
        (capitalized on output); with no auxiliary the first token alone
@@ -164,7 +200,7 @@ def _clause_to_pattern(clause: str) -> TriplePattern | None:
        preposition the remainder after the verb group is the object, or
        a wildcard when nothing remains.
     """
-    tokens = clause.strip().rstrip("?.!").split()
+    tokens = clause.replace("|", " ").strip().rstrip("?.!").split()
     if not tokens:
         return None
     if tokens[0].lower() in _WH_WORDS:
@@ -207,20 +243,24 @@ def _question_from_prompt(user_text: str) -> str:
 
 
 def _context_from_prompt(user_text: str) -> str:
-    _, marker, rest = user_text.partition("Context:")
+    _, marker, rest = f"\n{user_text}".partition("\nContext:\n")
     return rest.strip() if marker else ""
 
 
 class StubGateway:
     """Deterministic offline backend.
 
+    The first marker in the prompt names the task, so a question quoting
+    the other cannot reroute it. The question is the rest of the first
+    user line starting with ``Question:``, else the whole user text.
+
     * Triple extraction prompts get one ``s | p | o`` line per clause of
       the question, produced by the documented subject-verb-object rules.
       Clauses are separated by ``;`` or by ``and`` followed by a wh-word.
-    * Answer prompts get the context sentence containing the most
-      distinct question keywords (ties go to the earlier sentence).
-      Keywords are the question's lowercase alphanumeric tokens minus a
-      stopword list.
+    * Answer prompts get the sentence of the context (the user text after
+      its first ``Context:`` line) containing the most distinct question
+      keywords (ties go to the earlier sentence). Keywords are the
+      question's lowercase alphanumeric tokens minus a stopword list.
     * Anything else echoes the user text.
     """
 
@@ -228,9 +268,10 @@ class StubGateway:
 
     def complete(self, request: GatewayRequest) -> GatewayResponse:
         prompt = f"{request.system}\n{request.user}"
-        if EXTRACT_MARKER in prompt:
+        extract_at, answer_at = prompt.find(EXTRACT_MARKER), prompt.find(ANSWER_MARKER)
+        if extract_at >= 0 and not 0 <= answer_at < extract_at:
             text = self._extract(request.user)
-        elif ANSWER_MARKER in prompt:
+        elif answer_at >= 0:
             text = self._answer(request.user)
         else:
             text = request.user.strip()

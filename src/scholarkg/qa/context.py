@@ -16,13 +16,12 @@ from ..embedding import Embedder, cosine_similarities
 from ..gateway import Gateway, GatewayRequest, format_triples
 from ..kg.graph import KnowledgeGraph, keyword_frequency, paragraphs_containing
 from ..kg.patterns import CompoundQuery
-from ..kg.terms import Iri, entity_phrase
+from ..kg.terms import NAMESPACES, Iri, entity_phrase
 from .engine import (
     CandidateTripleSet,
     RankedEntity,
     default_relaxation_dictionary,
     extract_question_patterns,
-    load_template,
     query_entities_of,
     rank_candidates,
     resolve_query,
@@ -107,10 +106,7 @@ def generate_answer(question: str, context: list[ScoredParagraph],
         raise ValueError("question must be non-empty")
     if not context:
         raise ValueError("context must be non-empty")
-    block = "\n\n".join(p.text for p in context)
-    request = GatewayRequest(system="", user=load_template("answer.txt").format(
-        question=question.strip(), context=block))
-    response = gateway.complete(request)
+    response = gateway.complete(GatewayRequest.answer(question.strip(), [p.text for p in context]))
     return AnswerResult(
         answer=response.text.strip(),
         context=tuple(context),
@@ -167,12 +163,23 @@ class QueryAnswer:
         return "\n".join(lines) + "\n"
 
 
+_SPARQL_SELECT = "".join(f"PREFIX {prefix}: <{NAMESPACES[prefix]}>\n"
+                         for prefix in ("askg-onto", "askg-data", "rdfs")) + """
+SELECT DISTINCT ?paragraph ?text
+WHERE {{
+  ?paragraph a askg-onto:Paragraph ;
+             rdfs:label ?text .
+  FILTER({conditions}) .
+}}
+"""
+
+
 def _sparql_of(query_entities: set[str]) -> str:
     """The context lookup as SPARQL: paragraphs whose label contains any
     of the phrases that ``select_context`` searches for."""
     conditions = "\n      || ".join(
         f'CONTAINS(LCASE(?text), "{entity_phrase(key)}")' for key in sorted(query_entities))
-    return load_template("sparql_select.txt").format(conditions=conditions)
+    return _SPARQL_SELECT.format(conditions=conditions)
 
 
 def answer_question(graph: KnowledgeGraph, question: str, gateway: Gateway,

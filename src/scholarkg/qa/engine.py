@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
 from typing import Callable, Iterable
 
 from ..gateway import Gateway, GatewayRequest, parse_triples_response
@@ -51,13 +50,7 @@ __all__ = [
     "triple_entities",
     "rank_candidates",
     "RankedEntity",
-    "load_template",
 ]
-
-
-def load_template(name: str) -> str:
-    """Read a prompt template bundled with the package."""
-    return resources.files("scholarkg.qa").joinpath("templates", name).read_text("utf-8")
 
 
 class QuestionParseError(Exception):
@@ -78,9 +71,7 @@ def extract_question_patterns(question: str, gateway: Gateway) -> CompoundQuery:
     """
     if not question.strip():
         raise ValueError("question must be non-empty")
-    template = load_template("extract_patterns.txt")
-    request = GatewayRequest(system="", user=template.format(question=question.strip()))
-    response = gateway.complete(request)
+    response = gateway.complete(GatewayRequest.extraction(question.strip()))
     raw_patterns = parse_triples_response(response.text)
 
     def normalize(term):

@@ -28,7 +28,6 @@ def test_single_chunk_when_text_fits():
     assert len(chunks) == 1
     assert len(chunks[0].text.split()) == 100
     assert chunks[0].chunk_id == "doc-0000"
-    assert chunks[0].index == 0
 
 
 def test_second_chunk_starts_at_stride():
@@ -72,7 +71,6 @@ def test_empty_text_yields_no_chunks():
 def test_chunk_ids_are_zero_padded_and_ordered():
     chunks = chunk_document("doc", words(1000))
     assert [c.chunk_id for c in chunks][:3] == ["doc-0000", "doc-0001", "doc-0002"]
-    assert all(c.index == i for i, c in enumerate(chunks))
     assert all(c.document_id == "doc" for c in chunks)
 
 
@@ -97,9 +95,9 @@ def test_chunk_corpus_orders_documents_by_id():
 def test_retrieve_top_k_ranks_by_similarity():
     embedder = HashedBagOfWordsEmbedder()
     chunks = [
-        Chunk("a-0000", "a", 0, "metadata extraction from pdf proposals"),
-        Chunk("b-0000", "b", 0, "databases store json documents"),
-        Chunk("c-0000", "c", 0, "unrelated poetry about gardens"),
+        Chunk("a-0000", "a", "metadata extraction from pdf proposals"),
+        Chunk("b-0000", "b", "databases store json documents"),
+        Chunk("c-0000", "c", "unrelated poetry about gardens"),
     ]
     hits = retrieve_top_k(chunks, "how is metadata extracted from pdf proposals",
                           2, embedder)
@@ -111,8 +109,8 @@ def test_retrieve_top_k_ranks_by_similarity():
 def test_retrieve_top_k_breaks_ties_by_chunk_id():
     embedder = HashedBagOfWordsEmbedder()
     chunks = [
-        Chunk("b-0000", "b", 0, "same words here"),
-        Chunk("a-0000", "a", 0, "same words here"),
+        Chunk("b-0000", "b", "same words here"),
+        Chunk("a-0000", "a", "same words here"),
     ]
     hits = retrieve_top_k(chunks, "same words here", 2, embedder)
     assert [h.chunk.chunk_id for h in hits] == ["a-0000", "b-0000"]
@@ -121,7 +119,7 @@ def test_retrieve_top_k_breaks_ties_by_chunk_id():
 
 def test_retrieve_top_k_validates_arguments():
     embedder = HashedBagOfWordsEmbedder()
-    chunk = Chunk("a-0000", "a", 0, "text")
+    chunk = Chunk("a-0000", "a", "text")
     with pytest.raises(ValueError):
         retrieve_top_k([chunk], "q", 0, embedder)
     with pytest.raises(ValueError):
@@ -131,7 +129,7 @@ def test_retrieve_top_k_validates_arguments():
 
 def test_retrieve_top_k_caps_at_available_chunks():
     embedder = HashedBagOfWordsEmbedder()
-    chunks = [Chunk("a-0000", "a", 0, "alpha beta")]
+    chunks = [Chunk("a-0000", "a", "alpha beta")]
     hits = retrieve_top_k(chunks, "alpha", 10, embedder)
     assert len(hits) == 1
 
@@ -162,7 +160,7 @@ class _VectorSession:
 @pytest.mark.parametrize("n_chunks", [0, 1, 64, 65, 641])
 def test_retrieve_top_k_embeds_chunks_64_per_request(n_chunks):
     chunks = chunk_document("doc", words(95 * n_chunks + 5, prefix="t"))[:n_chunks]
-    chunks += [Chunk(f"x-{i:04d}", "x", i, words(3 + i % 7, prefix="t"))
+    chunks += [Chunk(f"x-{i:04d}", "x", words(3 + i % 7, prefix="t"))
                for i in range(n_chunks - len(chunks))]
     session = _VectorSession()
     embedder = HttpEmbedder(BackendConfig(url="http://embed.test/v1", backoff=0.0),

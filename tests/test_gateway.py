@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from scholarkg import cli
 from scholarkg.gateway import (
     ANSWER_MARKER,
     EXTRACT_MARKER,
@@ -20,6 +21,10 @@ from scholarkg.embedding import (
     BackendTransportError,
 )
 from scholarkg.kg.patterns import TriplePattern, Variable, WILDCARD
+from scholarkg.kg.terms import Iri
+from scholarkg.qa.context import ScoredParagraph, _sparql_of, generate_answer
+from scholarkg.qa.engine import extract_question_patterns
+from scholarkg.segmentation import segment_sentences
 
 
 def test_request_validation():
@@ -126,6 +131,41 @@ def test_stub_markers_route_from_user_text(stub_gateway):
               "Context:\nThe tool extracts text."),
     )
     assert stub_gateway.complete(request).text == "The tool extracts text."
+
+
+def test_stub_reads_a_question_that_holds_a_bar(stub_gateway):
+    request = GatewayRequest.extraction("Which tool is applied to extract text from PDFs | CouchDB?")
+    assert stub_gateway.complete(request).text == \
+        "Tool | is applied to extract from | PDFs CouchDB"
+
+
+@pytest.mark.parametrize("question", [
+    f"Which {EXTRACT_MARKER} tool extracts text from PDF?",
+    "Which tool extracts text from PDF proposals (Context: tool extracts text from PDF proposals)?",
+])
+def test_stub_answer_is_not_rerouted_by_what_the_question_quotes(stub_gateway, question):
+    request = GatewayRequest.answer(question, ["Nothing here. MEL extracts text from PDF files."])
+    assert stub_gateway.complete(request).text == "MEL extracts text from PDF files."
+
+
+# Questions hold no line break, and often the characters and words the
+# stub reads prompts by.
+_QUESTION_FRAGMENTS = st.sampled_from(["|", EXTRACT_MARKER, ANSWER_MARKER, "Context:", "Question:",
+                                       "?", ";", " and which ", " is ", " from ", " "])
+_QUESTION = st.lists(_QUESTION_FRAGMENTS | st.text(max_size=6)).map("".join).filter(
+    lambda q: "".join(q.splitlines()) == q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_QUESTION, st.lists(st.text(min_size=1), min_size=1, max_size=3))
+@example("Which tool extracts text from PDF research proposals | CouchDB?", ["MEL."])
+@example(f"Which tool {ANSWER_MARKER} (Context: tool)?", ["Tool."])
+def test_stub_replies_to_any_question_in_its_task_format(question, texts):
+    stub = StubGateway()
+    parse_triples_response(stub.complete(GatewayRequest.extraction(question)).text)
+    joined = "\n\n".join(texts)
+    reply = stub.complete(GatewayRequest.answer(question, texts)).text
+    assert reply in segment_sentences(joined) or reply == "" == joined.strip()
 
 
 def test_stub_fallback_echoes_user(stub_gateway):
@@ -290,3 +330,79 @@ def test_parse_triples_response_raises_only_gateway_errors(text):
     except BackendError:
         return
     assert all(isinstance(p, TriplePattern) for p in patterns)
+
+
+# The request texts the pipelines send, pinned as literals: the stub
+# ignores most of a prompt, so equal outputs alone would not show that an
+# HTTP backend still receives the same bytes.
+_PINNED_EXTRACTION = """\
+You decompose a natural-language question about scholarly documents into
+knowledge-graph triple patterns.
+
+Write one pattern per line in the form: subject | predicate | object
+
+Use the words of the question for grounded components. Use ? for a
+component the question leaves open, and ?name for a component that must
+take the same value across several patterns. Output only the patterns,
+with no commentary.
+
+Question: Which tool extracts text from PDF files?
+"""
+
+_ANSWER_PREAMBLE = """\
+You answer questions about scholarly documents.
+Use only the provided context: it consists of paragraphs taken verbatim
+from the documents. Quote or paraphrase the context; if the context does
+not contain the answer, say that it does not. Do not use outside
+knowledge.
+
+"""
+
+
+class _RecordingGateway(StubGateway):
+    def __init__(self):
+        self.users = []
+
+    def complete(self, request):
+        assert request.system == ""
+        self.users.append(request.user)
+        return super().complete(request)
+
+
+def test_pipelines_send_the_pinned_request_texts(monkeypatch, tmp_path, capsys):
+    gateway = _RecordingGateway()
+    extract_question_patterns("  Which tool extracts text from PDF files? ", gateway)
+    paragraphs = [ScoredParagraph(Iri(f"urn:p{i}"), text, 1)
+                  for i, text in enumerate(["MEL extracts text.", "It reads PDF files."])]
+    generate_answer(" Which tool extracts text? ", paragraphs, gateway)
+    monkeypatch.setattr(cli, "_make_gateway", lambda args: gateway)
+    (tmp_path / "a.txt").write_text("MEL extracts text from PDF files.", "utf-8")
+    (tmp_path / "blank").mkdir()
+    (tmp_path / "blank" / "b.txt").write_text("  \n", "utf-8")
+    for corpus in (tmp_path, tmp_path / "blank"):
+        assert cli.run(["retrieve-baseline", "--corpus", str(corpus),
+                        "--question", " Which tool extracts text? "]) == 0
+    capsys.readouterr()
+
+    assert gateway.users == [
+        _PINNED_EXTRACTION,
+        _ANSWER_PREAMBLE + "Question: Which tool extracts text?\n\n"
+        "Context:\nMEL extracts text.\n\nIt reads PDF files.\n",
+        _ANSWER_PREAMBLE + "Question:  Which tool extracts text? \n\n"
+        "Context:\nMEL extracts text from PDF files.\n",
+        _ANSWER_PREAMBLE + "Question:  Which tool extracts text? \n\n"
+        "Context:\n(no context)\n",
+    ]
+    assert _sparql_of({"mel", "pdf"}) == """\
+PREFIX askg-onto: <https://www.anu.edu.au/onto/scholarly#>
+PREFIX askg-data: <https://www.anu.edu.au/onto/scholarly/>
+PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>
+
+SELECT DISTINCT ?paragraph ?text
+WHERE {
+  ?paragraph a askg-onto:Paragraph ;
+             rdfs:label ?text .
+  FILTER(CONTAINS(LCASE(?text), "mel")
+      || CONTAINS(LCASE(?text), "pdf")) .
+}
+"""

@@ -90,3 +90,22 @@ def test_stub_runs_do_not_import_requests():
     done = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_the_python_files_are_the_whole_package(tmp_path, capsys):
+    # nothing but .py files is installed, so a copy of only those runs
+    # the same as the tree
+    source = ROOT / "src"
+    for path in (source / "scholarkg").rglob("*.py"):
+        target = tmp_path / path.relative_to(source)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(path.read_bytes())
+    question = "Which tool is applied to extract text from PDF research proposals?"
+    env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+    for argv in (["query", "--graph", "tests/fixtures/scholarly_sample.ttl"],
+                 ["retrieve-baseline", "--corpus", "tests/fixtures"]):
+        argv += ["--question", question, "--format", "json"]
+        copy = subprocess.run([sys.executable, "-m", "scholarkg.cli", *argv], cwd=ROOT, env=env,
+                              capture_output=True, text=True)
+        assert run(argv) == 0
+        assert copy.stdout == capsys.readouterr().out, copy.stderr
