@@ -7,11 +7,11 @@ this process:
 
 * ``load_turtle`` on the graph's bytes, ``KnowledgeGraph()`` included;
 * ``KnowledgeGraph()`` alone, on the loaded graph's triples;
-* ``qa.engine._anchors`` on the loaded graph;
+* ``qa.engine._anchor_matcher`` on the loaded graph: the one walk of
+  its edges into the joined anchor text and the mention-key map;
 * ``resolve_query`` of the corpus's first question (its patterns taken
   from the stub gateway beforehand, ``max_depth=2``) on the loaded graph,
-  each run reading fresh anchors, so the phrase haystacks that the
-  anchors build on first use are counted here;
+  each run building a fresh matcher, so the walk is counted here too;
 * ``embed_many`` of the baseline's chunk texts of the corpus (the
   ``retrieve-baseline`` input), by a fresh stub embedder each run;
 * ``retrieve_top_k`` of those chunks for the corpus's first question
@@ -72,7 +72,7 @@ from scholarkg.kg.graph import KnowledgeGraph  # noqa: E402
 from scholarkg.kg.turtle import load_turtle, save_turtle  # noqa: E402
 from scholarkg.qa.context import answer_question  # noqa: E402
 from scholarkg.qa.engine import (  # noqa: E402
-    _anchors,
+    _anchor_matcher,
     default_relaxation_dictionary,
     extract_question_patterns,
     resolve_query,
@@ -117,7 +117,7 @@ def stage_times(seed: int, papers: int, repeats: int) -> dict:
         "chunks": len(chunks),
         "load_turtle": timed(lambda: load_turtle(data), repeats),
         "KnowledgeGraph": timed(lambda: KnowledgeGraph(graph.triples), repeats),
-        "_anchors": timed(lambda: _anchors(graph), repeats),
+        "_anchor_matcher": timed(lambda: _anchor_matcher(graph), repeats),
         "resolve_query": timed(lambda: resolve_query(graph, query, dictionary, max_depth=2),
                                repeats),
         "embed_many": timed(lambda: HashedBagOfWordsEmbedder().embed_many(texts), repeats),

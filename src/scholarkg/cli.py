@@ -226,11 +226,15 @@ def _cmd_retrieve_baseline(args: argparse.Namespace) -> int:
     documents = _read_corpus(args.corpus)
     chunks = chunk_corpus(documents, max_tokens=args.max_tokens,
                           overlap_ratio=args.overlap_ratio)
+    if not chunks:
+        raise ValueError(f"no text to retrieve from: the documents under {args.corpus} "
+                         "hold no token")
     retrieved = retrieve_top_k(chunks, args.question, k=args.top_n,
                                embedder=_make_embedder(args))
 
+    # stripped as query strips it, so both sides send the same request bytes
     response = _make_gateway(args).complete(
-        GatewayRequest.answer(args.question, [r.chunk.text for r in retrieved]))
+        GatewayRequest.answer(args.question.strip(), [r.chunk.text for r in retrieved]))
     print(f"{len(chunks)} chunks from {len(documents)} documents",
           file=sys.stderr)
 

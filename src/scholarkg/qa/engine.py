@@ -5,24 +5,29 @@ matches them against the graph (relaxing the query breadth-first when the
 exact form finds nothing), and scores the entities of the matched triples
 by frequency and purity.
 
-Matching reads the graph's paragraph and excerpt anchors once per
-question. Each distinct pattern is evaluated against those anchors once,
-so a relaxed query costs an intersection of cached anchor sets rather
-than a graph scan. An anchor keeps its text lowercased and builds the
-whole-word phrase haystack on first use, only for a phrase whose every
-word is a substring of that text. Ranking tallies every entity in one
-pass over the candidates.
+Matching is term at a time. Per question it walks the graph's label,
+link, mention and sentence edges once, into one lowered text of every
+paragraph and excerpt anchor (joined, with each anchor's start offset)
+and one map from mention key to anchors. Each distinct ground term is
+then evaluated once: the anchors that mention it, united with those
+whose text holds its phrase as whole words, found by one regex search
+of the joined text. A pattern is the intersection of its terms' anchor
+sets, so a relaxed query costs intersections of cached sets rather than
+a graph scan, and witness triples are built only for matched anchors.
+Ranking tallies every entity in one pass over the candidates.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterable
+from itertools import accumulate
+from typing import Callable, Iterable, Iterator
 
 from ..gateway import Gateway, GatewayRequest, parse_triples_response
 from ..kg.graph import KnowledgeGraph
-from ..kg.patterns import CompoundQuery, PatternTerm, TriplePattern, WILDCARD, is_ground
+from ..kg.patterns import CompoundQuery, TriplePattern, WILDCARD, is_ground
 from ..kg.terms import (
     EXCERPT,
     HAS_EXCERPT,
@@ -35,7 +40,6 @@ from ..kg.terms import (
     Triple,
     entity_phrase,
     normalize_entity_key,
-    phrase_haystack,
 )
 from .relaxation import RelaxationDictionary, RelaxedQuery, relax_set
 
@@ -135,50 +139,119 @@ def default_relaxation_dictionary(query: CompoundQuery) -> RelaxationDictionary:
 # Soft matching of natural-language patterns
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Anchor:
-    node: Iri
-    lowered: str | None     # lowercased label (+ source sentence for excerpts), if any
-    mention_keys: frozenset[str]
-    witnesses: tuple[Triple, ...]
-
-    @cached_property
-    def text(self) -> str:
-        """The phrase haystack of ``lowered``, built on first use."""
-        return "" if self.lowered is None else phrase_haystack(self.lowered)
+# A word of a phrase haystack (``kg.terms.phrase_haystack``).
+_WORD = re.compile(r"[a-z0-9]+")
+_WORD_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789"
 
 
-def _anchors(graph: KnowledgeGraph) -> list[_Anchor]:
-    """Paragraph anchors, which own their excerpts' mentions, then excerpt anchors.
+def _anchor_matcher(graph: KnowledgeGraph) -> Callable[[CompoundQuery], frozenset[Triple]]:
+    """A matcher over ``graph`` that walks its edges once.
 
-    The label, link, mention and sentence edges are each grouped by
-    subject once, from the graph's predicate index, in graph order.
+    The anchors are the paragraphs, in IRI order, then the excerpts. A
+    paragraph owns its excerpts' mentions; an excerpt's text is its label
+    and its ``inSentence`` literals. The walk groups the label, link,
+    mention and sentence edges by subject once, joins the anchors' lowered
+    texts into one string with each anchor's start offset, and maps each
+    mention key to its anchors. Each distinct ground term's anchor set is
+    computed on first use and cached; a pattern's set is the intersection
+    of its ground terms' sets, a query's anchors are the intersection of
+    its patterns' sets, and its result is the union of their witnesses,
+    which are built only for those anchors.
     """
     labels, links, mentions, sentences = (
         _by_subject(graph.match(predicate=p))
         for p in (RDFS_LABEL, HAS_EXCERPT, MENTIONS, IN_SENTENCE))
-
-    def anchor(node: Iri, node_links: list[Triple], node_mentions: list[Triple],
-               node_sentences: list[Triple]) -> _Anchor:
+    anchors = [(node, True) for node in graph.subjects_of_type(PARAGRAPH)]
+    anchors += [(node, False) for node in graph.subjects_of_type(EXCERPT)]
+    texts: list[str] = []
+    no_text: set[int] = set()
+    anchors_of_key: dict[str, list[int]] = {}
+    key_of: dict[Iri | Literal, str] = {}
+    for i, (node, is_paragraph) in enumerate(anchors):
         label = graph.label_of(node)
-        text_parts = [label.lexical] if label else []
-        text_parts += [t.object.lexical for t in node_sentences if isinstance(t.object, Literal)]
-        return _Anchor(
-            node=node,
-            lowered=" ".join(text_parts).lower() if text_parts else None,
-            mention_keys=frozenset(m.object.entity_key() for m in node_mentions),
-            witnesses=(*labels.get(node, ()), *node_links, *node_mentions),
-        )
+        parts = [label.lexical] if label else []
+        if is_paragraph:
+            mentioners = [edge.object for edge in links.get(node, ())
+                          if isinstance(edge.object, Iri)]
+        else:
+            parts += [t.object.lexical for t in sentences.get(node, ())
+                      if isinstance(t.object, Literal)]
+            mentioners = [node]
+        if not parts:
+            no_text.add(i)
+        texts.append(" ".join(parts).lower())
+        for mentioner in mentioners:
+            for mention in mentions.get(mentioner, ()):
+                key = key_of.get(mention.object)
+                if key is None:
+                    key = key_of[mention.object] = mention.object.entity_key()
+                ids = anchors_of_key.setdefault(key, [])
+                if not ids or ids[-1] != i:
+                    ids.append(i)
+    joined = "\n".join(texts)
+    # starts[i] is the offset of anchor i's text; starts[-1] lies past the end
+    starts = list(accumulate((len(text) + 1 for text in texts), initial=0))
 
-    anchors = []
-    for node in graph.subjects_of_type(PARAGRAPH):
+    def with_phrase(words: list[str]) -> Iterator[int]:
+        """The anchors whose text holds ``words`` as consecutive whole words.
+
+        The regex starts with the literal first word, so ``re`` scans for
+        that literal; the character before it is checked here. A rejected
+        match is searched again from its start + 1, since matches overlap.
+        """
+        regex = re.compile("[^a-z0-9]+".join(words) + "(?![a-z0-9])")
+        position = 0
+        while match := regex.search(joined, position):
+            start = match.start()
+            anchor = bisect_right(starts, start) - 1
+            if ((start and joined[start - 1] in _WORD_CHARS)
+                    or match.end() >= starts[anchor + 1]):  # inside a word, or across anchors
+                position = start + 1
+            else:
+                yield anchor
+                position = starts[anchor + 1]
+
+    def term_anchors(term: str) -> frozenset[int]:
+        phrase = entity_phrase(term)
+        found = set(anchors_of_key.get(term, ()))
+        if not phrase:  # found in "  ", the haystack of a text without words
+            found.update(i for i, text in enumerate(texts)
+                         if i not in no_text and not _WORD.search(text))
+        else:
+            words = phrase.split(" ")
+            if all(_WORD.fullmatch(word) for word in words):
+                found.update(with_phrase(words))
+        return frozenset(found)
+
+    def witnesses(i: int) -> list[Triple]:
+        node, is_paragraph = anchors[i]
+        if not is_paragraph:
+            return [*labels.get(node, ()), *mentions.get(node, ())]
         node_links = links.get(node, [])
-        excerpt_mentions = [m for edge in node_links if isinstance(edge.object, Iri)
-                            for m in mentions.get(edge.object, ())]
-        anchors.append(anchor(node, node_links, excerpt_mentions, []))
-    for node in graph.subjects_of_type(EXCERPT):
-        anchors.append(anchor(node, [], mentions.get(node, []), sentences.get(node, [])))
-    return anchors
+        return [*labels.get(node, ()), *node_links,
+                *(m for edge in node_links if isinstance(edge.object, Iri)
+                  for m in mentions.get(edge.object, ()))]
+
+    every = frozenset(range(len(anchors)))
+    of_term: dict[str, frozenset[int]] = {}
+    of_pattern: dict[TriplePattern, frozenset[int]] = {}
+
+    def anchors_of(pattern: TriplePattern) -> frozenset[int]:
+        if pattern not in of_pattern:
+            sets = []
+            for term in pattern.terms:
+                if is_ground(term):
+                    if term not in of_term:
+                        of_term[term] = term_anchors(term)
+                    sets.append(of_term[term])
+            of_pattern[pattern] = frozenset.intersection(*sets) if sets else every
+        return of_pattern[pattern]
+
+    def match(query: CompoundQuery) -> frozenset[Triple]:
+        hits = frozenset.intersection(*(anchors_of(p) for p in query.patterns))
+        return frozenset().union(*(witnesses(i) for i in hits))
+
+    return match
 
 
 def _by_subject(triples: Iterable[Triple]) -> dict[Iri, list[Triple]]:
@@ -186,47 +259,6 @@ def _by_subject(triples: Iterable[Triple]) -> dict[Iri, list[Triple]]:
     for t in triples:
         grouped.setdefault(t.subject, []).append(t)
     return grouped
-
-
-def _has_phrase(anchor: _Anchor, phrase: str) -> bool:
-    """Whether ``phrase`` occurs as whole words in the anchor's text.
-
-    Every haystack word is a substring of ``lowered``, so the phrase can
-    occur only if each of its words is one too; the haystack is built only
-    for such a phrase.
-    """
-    lowered = anchor.lowered
-    return (lowered is not None and all(word in lowered for word in phrase.split(" "))
-            and f" {phrase} " in anchor.text)
-
-
-def _term_matches(term: PatternTerm, anchor: _Anchor) -> bool:
-    return (not is_ground(term) or term in anchor.mention_keys
-            or _has_phrase(anchor, entity_phrase(term)))
-
-
-def _anchor_matcher(graph: KnowledgeGraph) -> Callable[[CompoundQuery], frozenset[Triple]]:
-    """A matcher over ``graph`` that reads its anchors once.
-
-    Each distinct pattern's set of satisfying anchors is computed on first
-    use and cached; a query's anchors are the intersection of its
-    patterns' sets, and its result is the union of their witnesses.
-    """
-    anchors = _anchors(graph)
-    satisfying: dict[TriplePattern, frozenset[int]] = {}
-
-    def anchors_of(pattern: TriplePattern) -> frozenset[int]:
-        if pattern not in satisfying:
-            satisfying[pattern] = frozenset(
-                i for i, anchor in enumerate(anchors)
-                if all(_term_matches(term, anchor) for term in pattern.terms))
-        return satisfying[pattern]
-
-    def match(query: CompoundQuery) -> frozenset[Triple]:
-        hits = frozenset.intersection(*(anchors_of(p) for p in query.patterns))
-        return frozenset().union(*(anchors[i].witnesses for i in hits))
-
-    return match
 
 
 def match_candidates(graph: KnowledgeGraph, query: CompoundQuery) -> frozenset[Triple]:
@@ -275,8 +307,8 @@ def resolve_query(graph: KnowledgeGraph, query: CompoundQuery,
     and returned. If nothing matches within ``max_depth``, the result is
     empty with depth ``max_depth + 1``.
 
-    The graph's anchors are read once per call and each distinct pattern
-    is evaluated against them once; every relaxed query after that is an
+    The graph's edges are walked once per call and each distinct ground
+    term is evaluated once; every relaxed query after that is an
     intersection of cached anchor sets. A query produces only when its
     anchors have at least one witness triple.
     """

@@ -1,4 +1,5 @@
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -211,15 +212,87 @@ def test_phrase_words_inside_longer_words_do_not_match():
         == frozenset(graph.match(subject=paragraph, predicate=RDFS_LABEL))
 
 
-def test_resolve_query_reads_anchors_once(sample_graph, monkeypatch):
-    reads = []
-    real_anchors = engine._anchors
-    monkeypatch.setattr(engine, "_anchors", lambda graph: reads.append(graph) or real_anchors(graph))
-    # exhaustion at depth 2 visits every relaxation of a 1-pattern query
+class _CountingGraph(KnowledgeGraph):
+    """A graph that records the predicate of every ``match`` call."""
+
+    def __init__(self, triples):
+        super().__init__(triples)
+        self.reads = []
+
+    def match(self, subject=None, predicate=None, object=None):
+        assert subject is None and object is None, "a per-node scan"
+        self.reads.append(predicate)
+        return super().match(predicate=predicate)
+
+
+def test_resolve_query_walks_the_edges_once_and_each_term_once(sample_graph, monkeypatch):
+    graph = _CountingGraph(sample_graph)
+    phrased = []
+    monkeypatch.setattr(engine, "entity_phrase",
+                        lambda term: phrased.append(term) or entity_phrase(term))
+    # exhaustion at depth 2 visits every relaxation of a 1-pattern query,
+    # and every relaxed pattern holds some of the same three terms
     query = cq(("woolly_mammoth", "migrates_through", "permafrost"))
-    result = resolve_query(sample_graph, query, default_relaxation_dictionary(query))
+    result = resolve_query(graph, query, default_relaxation_dictionary(query))
     assert result.exhausted
-    assert reads == [sample_graph]
+    assert graph.reads == [RDFS_LABEL, HAS_EXCERPT, MENTIONS, IN_SENTENCE]
+    assert sorted(phrased) == ["migrates_through", "permafrost", "woolly_mammoth"]
+
+
+def labelled(*texts: str, excerpt_sentence: str | None = None) -> KnowledgeGraph:
+    """Paragraphs P0, P1, ... labelled ``texts``, and an excerpt E
+    labelled with the last text whose sentence is ``excerpt_sentence``."""
+    triples = []
+    for i, text in enumerate(texts):
+        node = iri(f"askg-data:P{i}")
+        triples += [Triple(node, RDF_TYPE, PARAGRAPH), Triple(node, RDFS_LABEL, Literal(text))]
+    if excerpt_sentence is not None:
+        excerpt = iri("askg-data:E")
+        triples += [Triple(excerpt, RDF_TYPE, EXCERPT),
+                    Triple(excerpt, RDFS_LABEL, Literal(texts[-1])),
+                    Triple(excerpt, IN_SENTENCE, Literal(excerpt_sentence))]
+    return KnowledgeGraph(triples)
+
+
+def matched_nodes(graph: KnowledgeGraph, key: str) -> list[str]:
+    """The local names of the labelled nodes that match ``key``."""
+    matched = match_candidates(graph, cq((key, WILDCARD, WILDCARD)))
+    return sorted(t.subject.local_name() for t in matched if t.predicate == RDFS_LABEL)
+
+
+def test_a_phrase_starts_at_a_word_start():
+    graph = labelled("axyz tool", "éxyz tool", "9xyz", "_xyz")
+    # "é" and "_" are not word characters, so "éxyz" and "_xyz" hold the word "xyz"
+    assert matched_nodes(graph, "xyz") == ["P1", "P3"]
+    assert matched_nodes(graph, "xyz_tool") == ["P1"]
+
+
+def test_an_overlapping_match_is_searched_again_after_a_rejected_one():
+    # "a a" first occurs inside "ba a", which is refused; the next
+    # occurrence overlaps it
+    graph = labelled("ba a a", "ba a b")
+    assert matched_nodes(graph, "a_a") == ["P0"]
+    assert matched_nodes(graph, "a_a_b") == []
+
+
+def test_a_phrase_does_not_match_across_two_anchors():
+    # the joined texts run "... pdf" into "text tool ..." and "pdf, text"
+    # into the excerpt's "pdf, text tool text."
+    graph = labelled("Reads a pdf", "text tool.", "pdf, text", excerpt_sentence="Tool text.")
+    assert matched_nodes(graph, "pdf_text") == ["E", "P2"]
+    assert matched_nodes(graph, "a_pdf_text") == []
+    assert matched_nodes(graph, "text_pdf") == []
+    # an excerpt's label and its sentence are one text
+    assert matched_nodes(graph, "text_tool") == ["E", "P1"]
+
+
+def test_phrases_that_are_not_haystack_words_match_no_text():
+    graph = labelled("a b", "A__B x_", "!?", "")
+    for key in ("a__b", "_a", "a_", "A_b", "a-b", "a.b", "a_b_", "x_"):
+        assert matched_nodes(graph, key) == [], key
+    assert matched_nodes(graph, "a_b") == ["P0", "P1"]
+    # the empty phrase matches the texts that hold no word, as "  " does
+    assert matched_nodes(graph, "") == ["P2", "P3"]
 
 
 def test_resolve_query_validates_depth(sample_graph):
@@ -337,7 +410,7 @@ def reference_term_matches(term, anchor, haystack: str) -> bool:
 
 def reference_match(graph: KnowledgeGraph, query: CompoundQuery) -> frozenset[Triple]:
     matched: set[Triple] = set()
-    for anchor in engine._anchors(graph):
+    for anchor in reference_anchors(graph):
         haystack = "" if anchor.lowered is None else phrase_haystack(anchor.lowered)
         if all(
             all(reference_term_matches(term, anchor, haystack) for term in pattern.terms)
@@ -393,14 +466,25 @@ def reference_rank(candidates: list[Triple], query_entities: set[str]) -> list[R
     return ranked
 
 
-def reference_anchors(graph: KnowledgeGraph) -> list:
-    """The per-node construction: 2-4 ``graph.match`` scans for each node."""
+class ReferenceAnchor(NamedTuple):
+    node: Iri
+    lowered: str | None     # lowercased label (+ source sentences for an excerpt), if any
+    mention_keys: frozenset[str]
+    witnesses: tuple[Triple, ...]
+
+
+def reference_anchors(graph: KnowledgeGraph) -> list[ReferenceAnchor]:
+    """The per-node construction: 2-4 ``graph.match`` scans for each node.
+
+    Paragraphs, in IRI order, own their excerpts' mentions; excerpts
+    follow, with their sentences in their text.
+    """
     def anchor(node, links, mentioners, sentences):
         label = graph.label_of(node)
         text_parts = [label.lexical] if label else []
         text_parts += [t.object.lexical for t in sentences if isinstance(t.object, Literal)]
         mentions = [m for n in mentioners for m in graph.match(subject=n, predicate=MENTIONS)]
-        return engine._Anchor(
+        return ReferenceAnchor(
             node=node,
             lowered=" ".join(text_parts).lower() if text_parts else None,
             mention_keys=frozenset(m.object.entity_key() for m in mentions),
@@ -417,15 +501,51 @@ def reference_anchors(graph: KnowledgeGraph) -> list:
     return anchors
 
 
+# Texts and keys at the edges of whole-word matching: a word after a
+# non-ASCII letter ("éxyz" holds "xyz"), a repeated word ("a a" in
+# "ba a a"), text without words, and keys that are no haystack phrase.
+TRICKY_TEXTS = ["éxyz", "axyz tool", "ba a a", "a a", "", "!?", "Pdf", "text.", "xyz_a",
+                "İx tool", "K json"]
+TRICKY_KEYS = ["", "_x", "x_", "a__b", "Mel", "pdf.text", "json-text", "xyz", "a_a", "a",
+               "x", "i", "k_json", "xyz_a", "tool_xyz"]
+
+
+def phrase_keys(rng: random.Random, anchors: list[ReferenceAnchor]) -> list[str]:
+    """Keys of a random run of 1-3 words in each anchor's text, an
+    excerpt's label and sentence included, and of the last word of one
+    anchor's text with the first of the next one's."""
+    texts = [words for anchor in anchors if anchor.lowered is not None
+             if (words := phrase_haystack(anchor.lowered).split())]
+    keys = []
+    for words in texts:
+        start = rng.randrange(len(words))
+        keys.append("_".join(words[start:start + rng.randint(1, 3)]))
+    keys += [f"{before[-1]}_{after[0]}" for before, after in zip(texts, texts[1:])]
+    return keys
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.randoms(use_true_random=False))
-def test_anchors_agree_with_the_per_node_construction(rng):
+def test_matcher_agrees_with_the_per_node_construction(rng):
     graph = random_anchor_graph(rng)
-    if rng.random() < 0.5:  # a mention or label that is a literal, an edge to an entity
-        node = rng.choice(sorted({t.subject for t in graph}, key=lambda n: n.value))
-        graph = KnowledgeGraph((*graph, Triple(node, MENTIONS, Literal(random_phrase(rng))),
-                                Triple(node, RDFS_LABEL, entity_iri(rng.choice(KEYS)))))
-    assert engine._anchors(graph) == reference_anchors(graph)
+    nodes = sorted({t.subject for t in graph}, key=lambda n: n.value)
+    extra = [Triple(rng.choice(nodes), rng.choice([RDFS_LABEL, IN_SENTENCE, MENTIONS]),
+                    Literal(rng.choice(TRICKY_TEXTS + [random_phrase(rng)])))
+             for _ in range(rng.randint(0, 4))]
+    if rng.random() < 0.3:  # a label that is an entity IRI
+        extra.append(Triple(rng.choice(nodes), RDFS_LABEL, entity_iri(rng.choice(KEYS))))
+    graph = KnowledgeGraph((*graph, *extra))
+    keys = KEYS + TRICKY_KEYS + phrase_keys(rng, reference_anchors(graph))
+
+    def term():
+        return WILDCARD if rng.random() < 0.35 else rng.choice(keys)
+
+    query = CompoundQuery(tuple(TriplePattern(term(), term(), term())
+                                for _ in range(rng.randint(1, 2))))
+    assert match_candidates(graph, query) == reference_match(graph, query)
+    dictionary = default_relaxation_dictionary(query)
+    assert resolve_query(graph, query, dictionary) \
+        == reference_resolve(graph, query, dictionary, max_depth=2)
 
 
 def test_engine_agrees_with_reference_scan_on_random_graphs():

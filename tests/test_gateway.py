@@ -379,19 +379,22 @@ def test_pipelines_send_the_pinned_request_texts(monkeypatch, tmp_path, capsys):
     (tmp_path / "a.txt").write_text("MEL extracts text from PDF files.", "utf-8")
     (tmp_path / "blank").mkdir()
     (tmp_path / "blank" / "b.txt").write_text("  \n", "utf-8")
-    for corpus in (tmp_path, tmp_path / "blank"):
-        assert cli.run(["retrieve-baseline", "--corpus", str(corpus),
-                        "--question", " Which tool extracts text? "]) == 0
-    capsys.readouterr()
+    question = ["--question", " Which tool extracts text? "]
+    assert cli.run(["retrieve-baseline", "--corpus", str(tmp_path), *question,
+                    "--format", "json"]) == 0
+    # the request takes the stripped question; the output keeps it as given
+    assert json.loads(capsys.readouterr().out)["question"] == " Which tool extracts text? "
+    # a corpus with no token is refused before any request is sent
+    assert cli.run(["retrieve-baseline", "--corpus", str(tmp_path / "blank"), *question]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "hold no token" in err
 
     assert gateway.users == [
         _PINNED_EXTRACTION,
         _ANSWER_PREAMBLE + "Question: Which tool extracts text?\n\n"
         "Context:\nMEL extracts text.\n\nIt reads PDF files.\n",
-        _ANSWER_PREAMBLE + "Question:  Which tool extracts text? \n\n"
+        _ANSWER_PREAMBLE + "Question: Which tool extracts text?\n\n"
         "Context:\nMEL extracts text from PDF files.\n",
-        _ANSWER_PREAMBLE + "Question:  Which tool extracts text? \n\n"
-        "Context:\n(no context)\n",
     ]
     assert _sparql_of({"mel", "pdf"}) == """\
 PREFIX askg-onto: <https://www.anu.edu.au/onto/scholarly#>
