@@ -22,6 +22,7 @@ from pathlib import Path
 from . import __version__
 from .baseline import chunk_corpus, retrieve_top_k
 from .chunked_xml import parse_chunked_xml
+from .document import validate_model
 from .embedding import BackendConfig, HashedBagOfWordsEmbedder, HttpEmbedder
 from .evaluation import (
     QuestionComparison,
@@ -172,6 +173,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         model = build_document_model(outline, Path(args.text).read_text("utf-8"))
     else:
         raise ValueError("ingest needs --xml or both --outline and --text")
+    issues = validate_model(model)
+    if issues:
+        raise ValueError(f"invalid document: {issues[0].path}: {issues[0].message}")
 
     graph, links = emit_rdf(model), []
     if args.excerpts:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from .terms import (
     EXCERPT,
@@ -29,64 +31,83 @@ __all__ = [
 
 
 class KnowledgeGraph:
-    """An immutable, deduplicated set of triples indexed by predicate.
+    """An immutable, deduplicated set of triples, bucketed by predicate.
 
-    The constructor sorts the triples into ``triple_sort_key`` order and
-    groups them by predicate in one pass. Each bucket keeps the graph
-    order, so each node's first label and each type's subjects are read
-    off the ``rdfs:label`` and ``rdf:type`` buckets.
+    The constructor only deduplicates and buckets; each order is built on
+    first use and kept. The first read of a predicate (``by_subject``,
+    ``match(predicate=…)``, and ``label_of`` and ``subjects_of_type`` for
+    ``rdfs:label`` and ``rdf:type``) groups its bucket by subject: subjects
+    in IRI order, and only a group of more than one triple sorted by
+    ``triple_sort_key``. Iterating, comparing, hashing or saving the graph
+    sorts it whole into that order; a query never does. A lazy value
+    depends on the triples alone and is stored in one assignment, so
+    threads racing to build it store equal values, never a partial one.
     """
 
-    __slots__ = ("_triples", "_by_predicate", "_labels", "_types")
+    __slots__ = ("_by_predicate", "_groups", "_triples", "_types")
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        # dict.fromkeys deduplicates and keeps the input order, whose
-        # sorted runs the sort reuses.
-        self._triples: tuple[Triple, ...] = tuple(
-            sorted(dict.fromkeys(triples), key=triple_sort_key))
-        by_predicate: dict[Iri, list[Triple]] = {}
-        for t in self._triples:
-            by_predicate.setdefault(t.predicate, []).append(t)
-        self._by_predicate = {k: tuple(v) for k, v in by_predicate.items()}
-        labels: dict[Iri, Literal] = {}
-        for t in self._by_predicate.get(RDFS_LABEL, ()):
-            if isinstance(t.object, Literal):
-                labels.setdefault(t.subject, t.object)
-        types: dict[Iri, list[Iri]] = {}
-        for t in self._by_predicate.get(RDF_TYPE, ()):
-            types.setdefault(t.object, []).append(t.subject)
-        self._labels = labels
-        self._types = {k: tuple(v) for k, v in types.items()}
+        by_predicate = self._by_predicate = defaultdict(list)
+        for t in dict.fromkeys(triples):
+            by_predicate[t[1]].append(t)
+        self._groups: dict[Iri, dict[Iri, tuple[Triple, ...]]] = {}
+        self._triples: tuple[Triple, ...] | None = None
+        self._types: dict[Iri, tuple[Iri, ...]] | None = None
 
     @property
     def triples(self) -> tuple[Triple, ...]:
+        """Every triple, in ``triple_sort_key`` order."""
+        if self._triples is None:
+            # each bucket's input-order runs are reused by the sort
+            self._triples = tuple(sorted(
+                (t for bucket in self._by_predicate.values() for t in bucket),
+                key=triple_sort_key))
         return self._triples
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return sum(map(len, self._by_predicate.values()))
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(self._triples)
+        return iter(self.triples)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KnowledgeGraph):
             return NotImplemented
-        return self._triples == other._triples
+        return self.triples == other.triples
 
     def __hash__(self) -> int:
-        return hash(self._triples)
+        return hash(self.triples)
+
+    def _grouped(self, predicate: Iri) -> dict[Iri, tuple[Triple, ...]]:
+        if predicate not in self._groups:
+            unordered: dict[Iri, list[Triple]] = defaultdict(list)
+            for t in self._by_predicate.get(predicate, ()):
+                unordered[t[0]].append(t)
+            self._groups[predicate] = {
+                subject: tuple(group) if len(group) == 1
+                else tuple(sorted(group, key=triple_sort_key))
+                for subject, group in sorted(unordered.items(), key=lambda item: item[0].value)}
+        return self._groups[predicate]
+
+    def by_subject(self, predicate: Iri) -> Mapping[Iri, tuple[Triple, ...]]:
+        """The triples of ``predicate`` grouped by subject: subjects in IRI
+        order, each group in the graph's triple order."""
+        return MappingProxyType(self._grouped(predicate))
 
     def match(self, subject: Iri | None = None, predicate: Iri | None = None,
               object: "Iri | Literal | None" = None) -> tuple[Triple, ...]:
         """Triples matching the given concrete terms; ``None`` matches any.
 
-        The result is in the graph's triple order: the predicate's bucket,
-        or all triples, filtered on subject and object.
+        The result is in the graph's triple order: the subject's group of
+        the predicate, the predicate's groups, or all triples, filtered on
+        the terms not yet bound.
         """
-        if predicate is not None:
-            candidates = self._by_predicate.get(predicate, ())
+        if predicate is None:
+            candidates = self.triples
+        elif subject is None:
+            candidates = tuple(t for group in self._grouped(predicate).values() for t in group)
         else:
-            candidates = self._triples
+            candidates, subject = self._grouped(predicate).get(subject, ()), None
         if subject is None and object is None:
             return candidates
         return tuple(
@@ -96,13 +117,21 @@ class KnowledgeGraph:
         )
 
     def subjects_of_type(self, type_iri: Iri) -> tuple[Iri, ...]:
-        """The subjects typed ``type_iri``, in IRI order: the order of
-        their type triples, since ``triple_sort_key`` leads with the
-        subject's IRI."""
+        """The subjects typed ``type_iri``, in IRI order."""
+        if self._types is None:
+            types: dict[Iri, list[Iri]] = {}
+            for subject, group in self._grouped(RDF_TYPE).items():
+                for t in group:
+                    types.setdefault(t.object, []).append(subject)
+            self._types = {k: tuple(v) for k, v in types.items()}
         return self._types.get(type_iri, ())
 
     def label_of(self, node: Iri) -> Literal | None:
-        return self._labels.get(node)
+        """The node's first literal label in the graph's triple order."""
+        for t in self._grouped(RDFS_LABEL).get(node, ()):
+            if isinstance(t.object, Literal):
+                return t.object
+        return None
 
 
 def paragraphs_containing(graph: KnowledgeGraph,

@@ -6,7 +6,8 @@ Supported: ``@prefix``/``PREFIX`` directives, ``a``, predicate lists with
 bare numeric or boolean literals are rejected. The five canonical
 prefixes are pre-bound, so listing-shaped data loads without a header.
 Whitespace is exactly space, tab, CR and LF; ``#`` starts a comment that
-runs to the end of the line.
+runs to the end of the line. A string without escapes is lexed with the
+``@lang`` or ``^^`` prefixed name written right after it, as one token.
 
 Malformed input raises ``UnknownPrefixError`` for an undeclared prefix
 and ``TurtleSyntaxError`` for everything else, each with the line of the
@@ -60,11 +61,16 @@ class UnknownPrefixError(TurtleError):
 # ---------------------------------------------------------------------------
 
 _LOCAL_NAME = r"[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?"
+_PNAME_PATTERN = rf"[A-Za-z][A-Za-z0-9_-]*:(?:{_LOCAL_NAME})?"
 _LANGTAG_PATTERN = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 _STRING_BODY = r'[^"\\\n]*(?:\\(?:[\\"nrtbf]|u[0-9A-Fa-f]{4})[^"\\\n]*)*'
 
-# Whitespace and comments, then one token. Each alternative has exactly
-# one capturing group, so a match's ``lastindex`` is its token kind. The
+# Whitespace and comments, then one token. Each alternative has one
+# capturing group, so a match's ``lastindex`` (the group closed last) is
+# its token kind, but for a string without escapes: group 5 holds its
+# lexical form, and an ``@lang`` or ``^^pname`` right after the quote is
+# read with it, into group 6 or 7, as the LANGTAG, or DTYPE and PNAME,
+# tokens would read it (``@prefix`` is left to PREFIX_DIRECTIVE). The
 # alternatives are tried in order and the last matches any character, so
 # a match never fails and never backtracks into the skipped prefix. The
 # common tokens come first, so most matches try few alternatives.
@@ -77,9 +83,9 @@ _STRING_BODY = r'[^"\\\n]*(?:\\(?:[\\"nrtbf]|u[0-9A-Fa-f]{4})[^"\\\n]*)*'
 # input and are reported as errors.
 _TOKEN = re.compile(
     r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*(?:"
-    rf"([A-Za-z][A-Za-z0-9_-]*:(?:{_LOCAL_NAME})?)"
+    rf"({_PNAME_PATTERN})"
     r"|(;)|(\.)|(,)"
-    r'|"([^"\\\n]*)"'
+    rf'|"([^"\\\n]*)"(?:@(?!prefix(?![A-Za-z0-9-]))({_LANGTAG_PATTERN})|\^\^({_PNAME_PATTERN}))?'
     rf'|"({_STRING_BODY})"'
     rf"|(@prefix)(?![A-Za-z0-9-])|@({_LANGTAG_PATTERN})|(@)"
     r"|(\^\^)|<([^>]*)>"
@@ -90,13 +96,14 @@ _TOKEN = re.compile(
     r"|(.))"
 )
 # The name of each token kind in error messages, at the number of its
-# group in ``_TOKEN`` (group 0 is the whole match).
-_KIND_NAMES = ("", "PNAME", "SEMI", "DOT", "COMMA", "STRING", "STRING", "PREFIX_DIRECTIVE",
-               "LANGTAG", "BAD_AT", "DTYPE", "IRIREF", "A", "SPARQL_PREFIX", "WORD", "EOF",
-               "BNODE", "OPEN_IRI", "OPEN_STRING", "CHAR")
-(_PNAME, _SEMI, _DOT, _COMMA, _STRING, _ESCAPED_STRING, _PREFIX_DIRECTIVE, _LANGTAG, _BAD_AT,
- _DTYPE, _IRIREF, _A, _SPARQL_PREFIX, _WORD, _EOF, _BNODE, _OPEN_IRI, _OPEN_STRING,
- _CHAR) = range(1, len(_KIND_NAMES))
+# group in ``_TOKEN`` (group 0 is the whole match). A string read with its
+# suffix is one STRING token.
+_KIND_NAMES = ("", "PNAME", "SEMI", "DOT", "COMMA", "STRING", "STRING", "STRING", "STRING",
+               "PREFIX_DIRECTIVE", "LANGTAG", "BAD_AT", "DTYPE", "IRIREF", "A", "SPARQL_PREFIX",
+               "WORD", "EOF", "BNODE", "OPEN_IRI", "OPEN_STRING", "CHAR")
+(_PNAME, _SEMI, _DOT, _COMMA, _STRING, _TAGGED_STRING, _TYPED_STRING, _ESCAPED_STRING,
+ _PREFIX_DIRECTIVE, _LANGTAG, _BAD_AT, _DTYPE, _IRIREF, _A, _SPARQL_PREFIX, _WORD, _EOF, _BNODE,
+ _OPEN_IRI, _OPEN_STRING, _CHAR) = range(1, len(_KIND_NAMES))
 _ERRORS = {
     _BNODE: "blank nodes and collections are not supported",
     _OPEN_IRI: "unterminated IRI",
@@ -165,8 +172,11 @@ def _parse(text: str) -> list[Triple]:
     declaration found just before it, so every error is the one a lexer
     running a token ahead of the parser would raise. Each distinct IRI
     becomes one ``Iri``: ``iris`` maps an IRI to its term and ``names`` a
-    prefixed name to its term (cleared when a prefix is declared). The
-    first IRIREF that holds a character IRIREF forbids is kept in
+    prefixed name to its term (cleared when a prefix is declared); a node
+    token is looked up there in place, and ``resolve`` runs only on a
+    miss. Terms are built by ``tuple.__new__``, past their classes' one
+    check (not both a datatype and a language), which the grammar keeps.
+    The first IRIREF that holds a character IRIREF forbids is kept in
     ``bad_iri`` and reported once the document has parsed.
     """
     advance = _TOKEN.finditer(text).__next__
@@ -177,6 +187,7 @@ def _parse(text: str) -> list[Triple]:
     bad_iri: list[TurtleSyntaxError] = []
     triples: list[Triple] = []
     append = triples.append
+    new = tuple.__new__
 
     # No helper refers to itself: such a closure would be a reference
     # cycle that keeps ``text`` and the maps alive until a collection.
@@ -246,24 +257,29 @@ def _parse(text: str) -> list[Triple]:
         if kind != _PNAME and kind != _IRIREF:
             raise unexpected("an IRI or prefixed name", m)
         node, m = m, advance()
-        subject = resolve(node, m)
+        subject = (names if kind == _PNAME else iris).get(node[kind]) or resolve(node, m)
         kind = m.lastindex
         while True:  # predicate-object list
             if kind == _A:
                 m = advance()
-                kind = m.lastindex
                 predicate = RDF_TYPE
             elif kind == _PNAME or kind == _IRIREF:
                 node, m = m, advance()
-                predicate = resolve(node, m)
-                kind = m.lastindex
+                predicate = (names if kind == _PNAME else iris).get(node[kind]) or resolve(node, m)
             else:
                 raise unexpected("an IRI or prefixed name", m)
+            kind = m.lastindex
             while True:  # object list
                 if kind == _PNAME or kind == _IRIREF:
                     node, m = m, advance()
-                    obj = resolve(node, m)
-                    kind = m.lastindex
+                    obj = (names if kind == _PNAME else iris).get(node[kind]) or resolve(node, m)
+                elif kind == _TAGGED_STRING:
+                    obj = new(Literal, (m[_STRING], None, m[_TAGGED_STRING]))
+                    m = advance()
+                elif kind == _TYPED_STRING:
+                    node, m = m, advance()
+                    obj = new(Literal, (node[_STRING], names.get(node[_TYPED_STRING])
+                                        or resolve(node, m), None))
                 elif kind == _STRING or kind == _ESCAPED_STRING:
                     lexical = m[kind]
                     if kind == _ESCAPED_STRING:
@@ -273,21 +289,20 @@ def _parse(text: str) -> list[Triple]:
                     m = advance()
                     kind = m.lastindex
                     if kind == _LANGTAG:
-                        obj = Literal(lexical, None, m[_LANGTAG])
+                        obj = new(Literal, (lexical, None, m[_LANGTAG]))
                         m = advance()
-                        kind = m.lastindex
                     elif kind == _DTYPE:
                         m = advance()
                         if m.lastindex != _PNAME and m.lastindex != _IRIREF:
                             raise unexpected("an IRI or prefixed name", m)
                         node, m = m, advance()
-                        obj = Literal(lexical, resolve(node, m))
-                        kind = m.lastindex
+                        obj = new(Literal, (lexical, resolve(node, m), None))
                     else:
-                        obj = Literal(lexical)
+                        obj = new(Literal, (lexical, None, None))
                 else:
                     raise unexpected("an IRI or prefixed name", m)
-                append(Triple(subject, predicate, obj))
+                kind = m.lastindex
+                append(new(Triple, (subject, predicate, obj)))
                 if kind != _COMMA:
                     break
                 m = advance()

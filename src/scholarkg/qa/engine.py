@@ -149,18 +149,17 @@ def _anchor_matcher(graph: KnowledgeGraph) -> Callable[[CompoundQuery], frozense
 
     The anchors are the paragraphs, in IRI order, then the excerpts. A
     paragraph owns its excerpts' mentions; an excerpt's text is its label
-    and its ``inSentence`` literals. The walk groups the label, link,
-    mention and sentence edges by subject once, joins the anchors' lowered
-    texts into one string with each anchor's start offset, and maps each
-    mention key to its anchors. Each distinct ground term's anchor set is
-    computed on first use and cached; a pattern's set is the intersection
-    of its ground terms' sets, a query's anchors are the intersection of
-    its patterns' sets, and its result is the union of their witnesses,
-    which are built only for those anchors.
+    and its ``inSentence`` literals. The walk reads the label, link,
+    mention and sentence edges grouped by subject (``by_subject``), joins
+    the anchors' lowered texts into one string with each anchor's start
+    offset, and maps each mention key to its anchors. Each distinct ground
+    term's anchor set is computed on first use and cached; a pattern's set
+    is the intersection of its ground terms' sets, a query's anchors are
+    the intersection of its patterns' sets, and its result is the union of
+    their witnesses, which are built only for those anchors.
     """
     labels, links, mentions, sentences = (
-        _by_subject(graph.match(predicate=p))
-        for p in (RDFS_LABEL, HAS_EXCERPT, MENTIONS, IN_SENTENCE))
+        graph.by_subject(p) for p in (RDFS_LABEL, HAS_EXCERPT, MENTIONS, IN_SENTENCE))
     anchors = [(node, True) for node in graph.subjects_of_type(PARAGRAPH)]
     anchors += [(node, False) for node in graph.subjects_of_type(EXCERPT)]
     texts: list[str] = []
@@ -227,7 +226,7 @@ def _anchor_matcher(graph: KnowledgeGraph) -> Callable[[CompoundQuery], frozense
         node, is_paragraph = anchors[i]
         if not is_paragraph:
             return [*labels.get(node, ()), *mentions.get(node, ())]
-        node_links = links.get(node, [])
+        node_links = links.get(node, ())
         return [*labels.get(node, ()), *node_links,
                 *(m for edge in node_links if isinstance(edge.object, Iri)
                   for m in mentions.get(edge.object, ()))]
@@ -252,13 +251,6 @@ def _anchor_matcher(graph: KnowledgeGraph) -> Callable[[CompoundQuery], frozense
         return frozenset().union(*(witnesses(i) for i in hits))
 
     return match
-
-
-def _by_subject(triples: Iterable[Triple]) -> dict[Iri, list[Triple]]:
-    grouped: dict[Iri, list[Triple]] = {}
-    for t in triples:
-        grouped.setdefault(t.subject, []).append(t)
-    return grouped
 
 
 def match_candidates(graph: KnowledgeGraph, query: CompoundQuery) -> frozenset[Triple]:

@@ -290,6 +290,31 @@ def test_ingest_refuses_chunked_xml_it_cannot_represent(capsys, tmp_path, fixtur
             1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("sections, issue", [
+    ("<section ID='x'><heading></heading><sentence>S.</sentence></section>"
+     "<section ID='x'><heading>H</heading><sentence>T.</sentence></section>",
+     "section[0]: section id 'x' is not dotted-decimal"),
+    ("<section ID='1'><heading>H</heading><sentence>S.</sentence></section>"
+     "<section ID='1'><heading>H</heading><sentence>T.</sentence></section>",
+     "section[1]: duplicate section id '1' (also at section[0])"),
+    ("<section ID='1'><sentence>S.</sentence></section>", "section[0]: section heading is empty"),
+    (None, "section[0]: section heading is empty"),
+])
+def test_ingest_refuses_a_document_model_that_does_not_validate(capsys, tmp_path, fixtures_dir,
+                                                                sections, issue):
+    if sections is None:  # an outline whose heading is blank
+        (tmp_path / "outline.json").write_text('[{"level": 1, "heading": " ", "offset": 0}]',
+                                               "utf-8")
+        (tmp_path / "doc.txt").write_text(" \n\nSome text here.\n", "utf-8")
+        source = ("--outline", str(tmp_path / "outline.json"), "--text", str(tmp_path / "doc.txt"))
+    else:
+        (tmp_path / "doc.xml").write_text(f"<section>{sections}</section>", "utf-8")
+        source = ("--xml", str(tmp_path / "doc.xml"))
+    for excerpts in ((), ("--excerpts", str(fixtures_dir / "excerpts_doc1.jsonl"))):
+        assert invoke(capsys, "ingest", *source, *excerpts) == (
+            1, "", f"error: invalid document: {issue}\n")
+
+
 def test_ingest_reports_a_bad_outline_record(capsys, tmp_path, fixtures_dir):
     outline = tmp_path / "outline.json"
     outline.write_text('[{"level": 1, "offset": 7}]', "utf-8")
@@ -430,8 +455,9 @@ def test_ingest_nests_sections_at_most_100_levels_deep(capsys, tmp_path, levels)
     (tmp_path / "outline.json").write_text(json.dumps(outline), "utf-8")
     (tmp_path / "doc.txt").write_text(text, "utf-8")
     (tmp_path / "doc.xml").write_text(
-        "<section>" + '<section ID="1">' * levels + "<sentence>x</sentence>"
-        + "</section>" * (levels + 1), "utf-8")
+        "<section>" + "".join(f'<section ID="1{".1" * i}"><heading>H{i}</heading>'
+                              for i in range(levels))
+        + "<sentence>x</sentence>" + "</section>" * (levels + 1), "utf-8")
     outline_source = ("--outline", str(tmp_path / "outline.json"),
                       "--text", str(tmp_path / "doc.txt"))
     for source in (outline_source, ("--xml", str(tmp_path / "doc.xml"))):

@@ -4,6 +4,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scholarkg.embedding import HashedBagOfWordsEmbedder
 from scholarkg.gateway import StubGateway
 from scholarkg.kg.graph import KnowledgeGraph
 from scholarkg.kg.patterns import CompoundQuery, TriplePattern, WILDCARD, is_ground
@@ -36,6 +37,7 @@ from scholarkg.qa.engine import (
     resolve_query,
     triple_entities,
 )
+from scholarkg.qa.context import answer_question
 from scholarkg.qa.relaxation import RelaxationDictionary, RelaxedQuery, relax_set
 
 from anchor_graphs import KEYS, random_anchor_graph, random_phrase, random_question
@@ -213,16 +215,19 @@ def test_phrase_words_inside_longer_words_do_not_match():
 
 
 class _CountingGraph(KnowledgeGraph):
-    """A graph that records the predicate of every ``match`` call."""
+    """A graph that records the predicate of every per-subject read and
+    fails on any ``match``, which scans a bucket or the whole graph."""
 
     def __init__(self, triples):
         super().__init__(triples)
         self.reads = []
 
-    def match(self, subject=None, predicate=None, object=None):
-        assert subject is None and object is None, "a per-node scan"
+    def by_subject(self, predicate):
         self.reads.append(predicate)
-        return super().match(predicate=predicate)
+        return super().by_subject(predicate)
+
+    def match(self, subject=None, predicate=None, object=None):
+        raise AssertionError(f"a scan: match({subject}, {predicate}, {object})")
 
 
 def test_resolve_query_walks_the_edges_once_and_each_term_once(sample_graph, monkeypatch):
@@ -237,6 +242,23 @@ def test_resolve_query_walks_the_edges_once_and_each_term_once(sample_graph, mon
     assert result.exhausted
     assert graph.reads == [RDFS_LABEL, HAS_EXCERPT, MENTIONS, IN_SENTENCE]
     assert sorted(phrased) == ["migrates_through", "permafrost", "woolly_mammoth"]
+
+
+class _UnorderedGraph(KnowledgeGraph):
+    """A graph that fails when its whole-graph triple order is built."""
+
+    @property
+    def triples(self):
+        raise AssertionError("the whole-graph order was built")
+
+
+def test_answer_question_never_builds_the_whole_graph_order(sample_graph):
+    question = "Which tool is applied to extract text from PDF research proposals?"
+    graph = _UnorderedGraph(sample_graph.triples)
+    assert len(graph) == len(sample_graph)
+    answer = answer_question(graph, question, StubGateway(), HashedBagOfWordsEmbedder())
+    assert answer.to_dict() == answer_question(
+        sample_graph, question, StubGateway(), HashedBagOfWordsEmbedder()).to_dict()
 
 
 def labelled(*texts: str, excerpt_sentence: str | None = None) -> KnowledgeGraph:

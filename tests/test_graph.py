@@ -199,3 +199,53 @@ def test_graph_is_independent_of_input_order(triples, rnd):
     graph = KnowledgeGraph(triples)
     assert KnowledgeGraph(shuffled) == graph
     assert hash(KnowledgeGraph(shuffled)) == hash(graph)
+
+
+# ---------------------------------------------------------------------------
+# Lazy orders: the same answers whichever read comes first
+# ---------------------------------------------------------------------------
+
+def _reads(s, p, o, shuffled):
+    """Each read of a graph, by name, as a function of the graph."""
+    masks = itertools.product((False, True), repeat=3)
+    reads = {f"match{mask}": (lambda g, query=tuple(
+                 term if bound else None for term, bound in zip((s, p, o), mask)):
+                 g.match(*query)) for mask in masks}
+    reads.update({f"label_of {node}": (lambda g, node=node: g.label_of(node)) for node in _NODES})
+    reads.update({f"subjects_of_type {node}": (lambda g, node=node: g.subjects_of_type(node))
+                  for node in _NODES})
+    reads.update({f"by_subject {predicate}": (lambda g, predicate=predicate:
+                                              dict(g.by_subject(predicate)))
+                  for predicate in _PREDICATES})
+    reads.update({"len": len, "triples": lambda g: g.triples, "iter": list, "hash": hash,
+                  "eq": lambda g: g == KnowledgeGraph(shuffled)})
+    return reads
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RANDOM_TRIPLES, st.sampled_from(_NODES), st.sampled_from(_PREDICATES), _OBJECTS,
+       st.randoms(use_true_random=False))
+def test_reads_give_the_same_answers_in_any_order(triples, s, p, o, rnd):
+    shuffled = list(triples)
+    rnd.shuffle(shuffled)
+    reads = _reads(s, p, o, shuffled)
+    # the answers of a graph whose whole order was built first
+    ordered = KnowledgeGraph(triples)
+    assert ordered.triples == tuple(sorted(set(triples), key=triple_sort_key))
+    expected = {name: read(ordered) for name, read in reads.items()}
+    assert expected["hash"] == hash(ordered.triples) and expected["eq"]
+    names = list(reads)
+    rnd.shuffle(names)
+    graph = KnowledgeGraph(triples)
+    for name in names:
+        assert reads[name](graph) == expected[name], name
+
+
+def test_by_subject_groups_in_iri_order_and_is_read_only():
+    g = KnowledgeGraph([Triple(B, P, C), Triple(A, P, Literal("x")), Triple(A, P, B)])
+    groups = g.by_subject(P)
+    assert list(groups.items()) == [(A, (Triple(A, P, B), Triple(A, P, Literal("x")))),
+                                    (B, (Triple(B, P, C),))]
+    assert g.by_subject(Q) == {}
+    with pytest.raises(TypeError):
+        groups[C] = ()

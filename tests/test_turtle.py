@@ -307,6 +307,18 @@ READER_ERRORS = [
      TurtleSyntaxError, "unterminated string literal", 1),
     ('nope:a\n rdfs:label "x" .',
      UnknownPrefixError, "unknown prefix 'nope'", 1),
+    # A string is read with an @lang or ^^pname written right after it, as
+    # one token; errors read as if the suffix were tokens of its own.
+    ('askg-data:a rdfs:label "x"@en "y"@en .',
+     TurtleSyntaxError, "expected DOT, got STRING", 1),
+    ('askg-data:a rdfs:label "x"@prefix .',
+     TurtleSyntaxError, "expected DOT, got PREFIX_DIRECTIVE", 1),
+    ('askg-data:a rdfs:label "y" .\naskg-data:b rdfs:label "x"^^zz:int .',
+     UnknownPrefixError, "unknown prefix 'zz'", 2),
+    ('askg-data:a rdfs:label "x"^^zz:int [ ] .',
+     TurtleSyntaxError, "blank nodes and collections are not supported", 1),
+    ('askg-data:a rdfs:label "x"^^xsd:int^^xsd:int .',
+     TurtleSyntaxError, "expected DOT, got DTYPE", 1),
 ]
 
 
@@ -402,6 +414,7 @@ _FRAGMENTS = st.sampled_from([
     "askg-data:a", "rdfs:label", "ex:", "a", "PREFIX", "@prefix", "<http://x/>", "<", ">",
     '"', '"x"', "\\", "\\u", "00e9", "\\q", "\n", " ", "\t", "\x0c", "#", ".", ";", ",",
     "^^", "@en", "@", "[", "(", "_:b", "xsd:int", "é", "foo", "42", ":",
+    '"x"@en', '"x"@prefix', '"x"^^xsd:int', '"x"^^zz:t', '"x"^^xsd:',
 ])
 
 
@@ -495,10 +508,19 @@ def test_reader_reads_like_the_reference_reader(text):
 def _rewrite(text: str, rnd) -> str:
     """The same graph written another way: ``PREFIX`` directives, ``;`` and
     ``,`` lists laid out differently, trailing semicolons, comments and
-    other whitespace. Only separators outside strings and IRIs are touched:
+    other whitespace, also before a literal's ``@lang`` or ``^^`` and after
+    its ``^^``. Only separators outside strings and IRIs are touched:
     the writer escapes every newline in a string and writes no IRI with
     whitespace."""
     header, blank, body = text.partition("\n\n")
+
+    def spaced_suffix(m: re.Match) -> str:
+        if not m[2]:
+            return m[0]
+        after = rnd.choice(["", " ", "#^^\n"]) if m[2] == "^^" else ""
+        return m[1] + rnd.choice(["", "", " ", "\t", " # c\n"]) + m[2] + after
+
+    body = re.sub(r'("(?:[^"\\\n]|\\.)*")(@|\^\^)?', spaced_suffix, body)  # each string
     header = re.sub(r"^@prefix (\S+) (<[^>]*>) \.$",
                     lambda m: rnd.choice([m[0], f"PREFIX {m[1]} {m[2]}", f"prefix {m[1]}{m[2]}",
                                           f"@prefix {m[1]}{m[2]}."]),
