@@ -31,8 +31,14 @@ the timed region, so each pays for the first reads it makes, as a cold
 
 For the ingest side it takes the first ``ingest-corpus`` paper
 (``bench/gen.py``'s ``ingest_papers``) of each of 10, 45 and 80
-paragraphs, builds its document model from the outline and text, and
-times:
+paragraphs and times:
+
+* the two document readers, which ``ingest``'s parse stage runs:
+  ``parse_chunked_xml`` of the paper's chunked XML, as UTF-8 bytes as
+  ``ingest --xml`` reads them, and ``build_document_model`` of its
+  outline, read beforehand, and its text;
+
+and, on the document model built from the outline and text:
 
 * ``link_excerpts`` of its excerpts to its paragraphs (the threshold
   0.7), by a fresh stub embedder each run, so the embedding is counted;
@@ -67,6 +73,7 @@ import gen  # noqa: E402
 import speed  # noqa: E402
 
 from scholarkg.baseline import chunk_corpus, retrieve_top_k  # noqa: E402
+from scholarkg.chunked_xml import parse_chunked_xml  # noqa: E402
 from scholarkg.document import collect_paragraphs  # noqa: E402
 from scholarkg.embedding import HashedBagOfWordsEmbedder  # noqa: E402
 from scholarkg.gateway import StubGateway  # noqa: E402
@@ -161,8 +168,10 @@ def ingest_stage_times(seed: int, repeats: int) -> list[dict]:
     sizes = []
     for n_paragraphs in INGEST_PARAGRAPHS:
         paper = papers[n_paragraphs]
-        text, outline = paper.plain_text()
-        model = build_document_model(read_outline_json(json.dumps(outline)), text)
+        text, records = paper.plain_text()
+        outline = read_outline_json(json.dumps(records))
+        xml = paper.chunked_xml().encode("utf-8")
+        model = build_document_model(outline, text)
         paragraphs = collect_paragraphs(model)
         excerpts = read_excerpts_jsonl(paper.excerpts_jsonl())
         graph, links = link_graph(emit_rdf(model), excerpts, HashedBagOfWordsEmbedder())
@@ -173,6 +182,8 @@ def ingest_stage_times(seed: int, repeats: int) -> list[dict]:
             "links": len(links),
             "triples": len(graph),
             "bytes": len(save_turtle(graph)),
+            "parse_chunked_xml": timed(lambda: parse_chunked_xml(xml), repeats),
+            "build_document_model": timed(lambda: build_document_model(outline, text), repeats),
             "link_excerpts": timed(lambda: link_excerpts(
                 paragraphs, excerpts, HashedBagOfWordsEmbedder()), repeats),
             "save_turtle": timed(lambda: save_turtle(graph), repeats),

@@ -11,16 +11,20 @@ references.
 The format has no paragraph element, so the reader makes one paragraph of
 each maximal run of consecutive sentences in a section: only a subsection
 ends a run. Its id derives from the document id and its text, as the
-outline reader's do. Serialization flattens paragraphs back into their
-sentences, so round-tripping is the identity for models that came out of
-``parse_chunked_xml``.
+outline reader's do. As it validates, the reader writes the canonical
+tree that ``serialize_chunked_xml`` writes for the model: each section's
+heading first, then its sentences, each holding its references, and
+subsections in document order. The document id is the hash of that
+tree's serialization, so round-tripping is the identity for models that
+came out of ``parse_chunked_xml``. A ``str`` is read as the text it
+holds, whatever encoding its XML declaration names.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from functools import cached_property
 from itertools import groupby
+from operator import attrgetter
 
 from .document import (MAX_SECTION_DEPTH, DocumentModel, Paragraph, Section, Sentence,
                        paragraph_id_for, short_hash)
@@ -87,31 +91,13 @@ def _parse_reference(elem: ET.Element) -> int:
     return int(raw)
 
 
-class _SentenceBuilder:
-    """Mutable sentence accumulator so sibling references can attach late."""
-
-    def __init__(self, text: str, references: list[int]):
-        self.text = text
-        self.references = references
-
-    @cached_property
-    def sentence(self) -> Sentence:
-        """The finished sentence; read only once the whole tree is parsed."""
-        return Sentence(text=self.text, references=tuple(self.references))
-
-
-def _parse_section(elem: ET.Element, is_root: bool,
-                   last_sentence: list[_SentenceBuilder | None], depth: int = 0):
-    """Return (section_id, heading, body_items) for a section element at
-    section level ``depth``; the ID-less root container is level 0."""
-    if depth > MAX_SECTION_DEPTH:
-        raise ChunkedXmlValidationError(
-            f"sections are nested more than {MAX_SECTION_DEPTH} levels deep")
-    section_id = elem.get("ID")
-    if not is_root and section_id is None:
-        raise ChunkedXmlValidationError("section element is missing its ID attribute")
+def _read_section(elem: ET.Element, canonical: ET.Element, last: ET.Element | None,
+                  depth: int) -> ET.Element | None:
+    """Validate the children of a section element at section level ``depth``
+    (the ID-less root container is level 0) and write their canonical form
+    into ``canonical``. ``last`` is the canonical element of the sentence
+    before the section in document order; the one after it is returned."""
     heading: str | None = None
-    body: list = []
     if elem.text and elem.text.strip():
         raise ChunkedXmlValidationError("unexpected text content directly inside <section>")
     for child in elem:
@@ -122,6 +108,7 @@ def _parse_section(elem: ET.Element, is_root: bool,
             if heading is not None:
                 raise ChunkedXmlValidationError("section has more than one heading")
             heading = _text_only(child)
+            _emit_heading(canonical, heading)
         elif child.tag == "sentence":
             refs = []
             for sub in child:
@@ -132,32 +119,40 @@ def _parse_section(elem: ET.Element, is_root: bool,
             text = _sentence_text(child)
             if not text:
                 raise ChunkedXmlValidationError("sentence has no text")
-            builder = _SentenceBuilder(text, refs)
-            body.append(builder)
-            last_sentence[0] = builder
+            last = _emit_sentence(canonical, text, refs)
         elif child.tag == "reference":
             # A sibling reference cites from the nearest preceding sentence
             # in document order, even across a section boundary.
-            if last_sentence[0] is None:
+            if last is None:
                 raise ChunkedXmlValidationError("reference element has no preceding sentence")
-            last_sentence[0].references.append(_parse_reference(child))
+            ET.SubElement(last, "reference").text = str(_parse_reference(child))
         else:  # nested section
-            body.append(_parse_section(child, False, last_sentence, depth + 1))
-    return section_id, heading, body
+            if depth >= MAX_SECTION_DEPTH:
+                raise ChunkedXmlValidationError(
+                    f"sections are nested more than {MAX_SECTION_DEPTH} levels deep")
+            section_id = child.get("ID")
+            if section_id is None:
+                raise ChunkedXmlValidationError("section element is missing its ID attribute")
+            last = _read_section(child, ET.SubElement(canonical, "section", {"ID": section_id}),
+                                 last, depth + 1)
+    return last
 
 
-def _realize(node, doc_id: str) -> Section:
-    """The section of a parsed node, each run of its sentences one paragraph."""
-    section_id, heading, body = node
+def _realize(elem: ET.Element, doc_id: str) -> tuple[str, tuple[Paragraph | Section, ...]]:
+    """The heading and body of a canonical section element, each run of its
+    sentences one paragraph."""
+    heading = ""
     items: list[Paragraph | Section] = []
-    for is_sentence, group in groupby(body, key=lambda item: isinstance(item, _SentenceBuilder)):
-        if is_sentence:
-            sentences = tuple(builder.sentence for builder in group)
+    for tag, group in groupby(elem, key=attrgetter("tag")):
+        if tag == "heading":
+            heading = next(group).text
+        elif tag == "sentence":
+            sentences = tuple(Sentence(s.text, tuple(int(r.text) for r in s)) for s in group)
             text = " ".join(sentence.text for sentence in sentences)
             items.append(Paragraph(paragraph_id_for(doc_id, text), sentences))
         else:
-            items.extend(_realize(child, doc_id) for child in group)
-    return Section(section_id=section_id, heading=heading or "", body=tuple(items))
+            items.extend(Section(s.get("ID"), *_realize(s, doc_id)) for s in group)
+    return heading, tuple(items)
 
 
 def parse_chunked_xml(data: bytes | str) -> DocumentModel:
@@ -168,7 +163,7 @@ def parse_chunked_xml(data: bytes | str) -> DocumentModel:
     """
     if isinstance(data, str):
         try:
-            data = data.encode("utf-8")
+            data.encode("utf-8")
         except UnicodeEncodeError as exc:  # only a surrogate cannot be encoded
             line_start = data.rfind("\n", 0, exc.start) + 1
             raise ChunkedXmlParseError("surrogate code point", data.count("\n", 0, exc.start) + 1,
@@ -182,42 +177,50 @@ def parse_chunked_xml(data: bytes | str) -> DocumentModel:
     if root.tag != "section":
         raise ChunkedXmlValidationError(f"root element must be <section>, got <{root.tag}>")
 
-    last_sentence: list[_SentenceBuilder | None] = [None]
-    if root.get("ID") is not None:
+    tree = ET.Element("section")
+    section_id = root.get("ID")
+    if section_id is not None:
         # A root carrying an ID is itself a section rather than a container.
-        nodes = [_parse_section(root, False, last_sentence, 1)]
-        title = None
+        _read_section(root, ET.SubElement(tree, "section", {"ID": section_id}), None, 1)
     else:
-        _, title, nodes = _parse_section(root, True, last_sentence)
-        if any(isinstance(item, _SentenceBuilder) for item in nodes):
+        _read_section(root, tree, None, 0)
+        if tree.find("sentence") is not None:
             raise ChunkedXmlValidationError("sentence outside any identified section")
-    title = title or None
+    doc_id = short_hash(_canonical_bytes(tree).decode("utf-8"))
+    title, sections = _realize(tree, doc_id)
+    return DocumentModel(doc_id=doc_id, title=title or None, sections=sections)
 
-    # The serialization holds no paragraph id, so any id hashes it alike.
-    canonical = serialize_chunked_xml(
-        DocumentModel(doc_id="", title=title, sections=tuple(_realize(n, "") for n in nodes)))
-    doc_id = short_hash(canonical.decode("utf-8"))
-    return DocumentModel(doc_id=doc_id, title=title,
-                         sections=tuple(_realize(n, doc_id) for n in nodes))
+
+def _emit_heading(elem: ET.Element, heading: str | None) -> None:
+    """Make a non-empty heading the first child of a section element."""
+    if heading:
+        elem.insert(0, ET.Element("heading"))
+        elem[0].text = heading
+
+
+def _emit_sentence(parent: ET.Element, text: str,
+                   references: list[int] | tuple[int, ...]) -> ET.Element:
+    elem = ET.SubElement(parent, "sentence")
+    elem.text = text
+    for ref in references:
+        ET.SubElement(elem, "reference").text = str(ref)
+    return elem
 
 
 def _emit_section(parent: ET.Element, section: Section) -> None:
     elem = ET.SubElement(parent, "section", {"ID": section.section_id})
-    if section.heading:
-        ET.SubElement(elem, "heading").text = section.heading
+    _emit_heading(elem, section.heading)
     for item in section.body:
         if isinstance(item, Section):
             _emit_section(elem, item)
         else:
             for sentence in item.sentences:
-                _emit_sentence(elem, sentence)
+                _emit_sentence(elem, sentence.text, sentence.references)
 
 
-def _emit_sentence(parent: ET.Element, sentence: Sentence) -> None:
-    elem = ET.SubElement(parent, "sentence")
-    elem.text = sentence.text
-    for ref in sentence.references:
-        ET.SubElement(elem, "reference").text = str(ref)
+def _canonical_bytes(root: ET.Element) -> bytes:
+    ET.indent(root, space="  ")
+    return ET.tostring(root, encoding="utf-8", xml_declaration=False)
 
 
 def serialize_chunked_xml(model: DocumentModel) -> bytes:
@@ -228,10 +231,7 @@ def serialize_chunked_xml(model: DocumentModel) -> bytes:
     element.
     """
     root = ET.Element("section")
-    if model.title:
-        ET.SubElement(root, "heading").text = model.title
+    _emit_heading(root, model.title)
     for section in model.sections:
         _emit_section(root, section)
-    tree = ET.ElementTree(root)
-    ET.indent(tree, space="  ")
-    return ET.tostring(root, encoding="utf-8", xml_declaration=False)
+    return _canonical_bytes(root)

@@ -96,23 +96,12 @@ class Section:
                 raise TypeError("a section body holds paragraphs and sections, "
                                 f"not {type(item).__name__}")
 
-    def subsections(self) -> tuple["Section", ...]:
-        return tuple(item for item in self.body if isinstance(item, Section))
-
 
 @dataclass(frozen=True)
 class DocumentModel:
     doc_id: str
     title: str | None
     sections: tuple[Section, ...] = ()
-
-    def iter_sections(self):
-        """Depth-first walk over all sections in document order."""
-        stack = list(reversed(self.sections))
-        while stack:
-            section = stack.pop()
-            yield section
-            stack.extend(reversed(section.subsections()))
 
 
 @dataclass(frozen=True)

@@ -293,15 +293,17 @@ def read_excerpts_jsonl(data: str | bytes) -> list[Excerpt]:
 
     Each line is an object with ``excerpt_id``, ``label``, ``in_sentence``,
     ``mentions``, ``word_index_from`` and ``word_index_to``; the first four
-    are JSON strings and the word indices JSON integers. Excerpt ids are
-    unique within the file. A bad line raises ``ValueError`` naming it and
-    the field, or, for a repeated id, the line that first held it.
+    are JSON strings and the word indices JSON integers. Only ``"\\n"`` ends
+    a line, since a JSON string may hold U+0085, U+2028 and U+2029 raw.
+    Excerpt ids are unique within the file. A bad line raises ``ValueError``
+    naming it and the field, or, for a repeated id, the line that first held
+    it.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     out: list[Excerpt] = []
     first_lines: dict[str, int] = {}
-    for index, line in enumerate(map(str.strip, data.splitlines()), start=1):
+    for index, line in enumerate(map(str.strip, data.split("\n")), start=1):
         if not line:
             continue
         try:  # json.JSONDecodeError is a ValueError

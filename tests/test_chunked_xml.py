@@ -1,8 +1,12 @@
+import re
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference_chunked_xml
+from scholarkg import chunked_xml
 from scholarkg.chunked_xml import (
     ChunkedXmlError,
     ChunkedXmlParseError,
@@ -11,6 +15,7 @@ from scholarkg.chunked_xml import (
     serialize_chunked_xml,
 )
 from scholarkg.document import (
+    MAX_SECTION_DEPTH,
     DocumentModel,
     Paragraph,
     Section,
@@ -120,6 +125,36 @@ def test_stray_text_in_section_is_rejected():
         parse_chunked_xml("<section><section ID='1'>loose words</section></section>")
 
 
+@pytest.mark.parametrize("encoding", ["ISO-8859-1", "windows-1252", "UTF-16", "UTF-8"])
+def test_a_str_is_read_as_the_text_it_holds_whatever_encoding_it_declares(encoding):
+    text = (f"<?xml version='1.0' encoding='{encoding}'?><section><heading>Caf\u00e9</heading>"
+            "<section ID='1'><sentence>Na\u00efve \u00e0 la carte.</sentence></section></section>")
+    model = parse_chunked_xml(text)
+    assert model.title == "Caf\u00e9"
+    assert model == parse_chunked_xml(text.encode(encoding))
+
+
+def test_parser_builds_each_paragraph_and_section_once(monkeypatch):
+    built = Counter()
+
+    def counted(cls):
+        class Counted(cls):
+            def __init__(self, *args, **kwargs):
+                built[cls.__name__] += 1
+                super().__init__(*args, **kwargs)
+        return Counted
+
+    monkeypatch.setattr(chunked_xml, "Paragraph", counted(Paragraph))
+    monkeypatch.setattr(chunked_xml, "Section", counted(Section))
+    model = parse_chunked_xml(
+        "<section><heading>T</heading><section ID='1'><sentence>One.</sentence>"
+        "<sentence>Two.</sentence><section ID='1.1'><sentence>Three.</sentence></section>"
+        "<sentence>Four.</sentence></section><section ID='2'><sentence>Five.</sentence>"
+        "</section></section>")
+    assert [p.text for p in collect_paragraphs(model)] == ["One. Two.", "Three.", "Four.", "Five."]
+    assert built == {"Paragraph": 4, "Section": 3}
+
+
 def test_malformed_xml_reports_position():
     with pytest.raises(ChunkedXmlParseError) as err:
         parse_chunked_xml("<section><sentence>oops</section>")
@@ -186,7 +221,7 @@ def test_parser_raises_only_chunked_xml_errors(data):
         pass
 
 
-@pytest.mark.parametrize("data, error, message", [
+REFUSALS = [
     ('<section><section ID="1"><sentence>x<reference>\u00b2</reference></sentence></section>'
      "</section>", ChunkedXmlValidationError, "reference content '\u00b2' is not a positive integer"),
     ("<section>\nab\ud800</section>", ChunkedXmlParseError,
@@ -207,9 +242,13 @@ def test_parser_raises_only_chunked_xml_errors(data):
      ChunkedXmlValidationError, "unexpected <b> inside <reference>"),
     ('<section ID="1"><sentence>S.<reference>3<b/>4</reference></sentence></section>',
      ChunkedXmlValidationError, "unexpected <b> inside <reference>"),
-], ids=["superscript-reference", "surrogate", "101-levels", "101-levels-from-an-identified-root",
-        "blank-sentence", "empty-sentence", "sentence-of-a-reference", "element-in-heading",
-        "element-in-reference", "element-in-nested-reference"])
+]
+
+
+@pytest.mark.parametrize("data, error, message", REFUSALS, ids=[
+    "superscript-reference", "surrogate", "101-levels", "101-levels-from-an-identified-root",
+    "blank-sentence", "empty-sentence", "sentence-of-a-reference", "element-in-heading",
+    "element-in-reference", "element-in-nested-reference"])
 def test_parser_refuses_what_it_cannot_represent(data, error, message):
     with pytest.raises(error) as err:
         parse_chunked_xml(data)
@@ -221,16 +260,24 @@ def test_parser_reads_a_decimal_reference_in_any_script_and_100_levels():
     assert collect_paragraphs(parse_chunked_xml(arabic_three))[0].sentences[0].references == (3,)
     deep = parse_chunked_xml(
         "<section>" + '<section ID="1">' * 100 + "<sentence>x</sentence>" + "</section>" * 101)
-    section = deep.sections[0]
-    for _ in range(99):
-        (section,) = section.subsections()
-    assert [p.text for p in section.body] == ["x"]
+    assert innermost_of(deep, 100).body[0].text == "x"
 
 
 def test_an_identified_root_is_the_first_of_100_levels():
     deep = parse_chunked_xml('<section ID="1">' * 100 + "<sentence>x</sentence>"
                              + "</section>" * 100)
-    assert len(list(deep.iter_sections())) == 100
+    assert innermost_of(deep, 100).body[0].text == "x"
+
+
+def innermost_of(model: DocumentModel, levels: int) -> Section:
+    """The section ``levels`` deep in a model of one section per level,
+    each holding only the next one."""
+    (section,) = model.sections
+    for _ in range(levels - 1):
+        (section,) = section.body
+    assert isinstance(section, Section) and len(section.body) == 1
+    assert isinstance(section.body[0], Paragraph)
+    return section
 
 
 # ---------------------------------------------------------------------------
@@ -336,3 +383,61 @@ def test_reader_groups_sentence_runs_like_the_element_tree_oracle(data):
     again = parse_chunked_xml(canonical)
     assert again == model
     assert serialize_chunked_xml(again) == canonical
+
+
+# ---------------------------------------------------------------------------
+# Differential against the reader that built each model twice
+# ---------------------------------------------------------------------------
+
+_MALFORMED = st.sampled_from([
+    "<sentence>  </sentence>", "<sentence/>", "<sentence><reference>1</reference></sentence>",
+    "<sentence>Loose.</sentence>", "<heading>Again</heading>", "<heading/>",
+    '<heading>H<bogus x="1">B</bogus></heading>', "<reference>3<b/>4</reference>",
+    "<sentence>S.<reference>3<b/>4</reference></sentence>", "<sentence>S.<heading/></sentence>",
+    "<reference>\u00b2</reference>", "<reference>0</reference>", "<reference>\u0663</reference>",
+    "<reference>7</reference>", "<para/>", "loose words", '<section lang="en"/>',
+    "<section><sentence>No id.</sentence></section>", '<section ID="9"/>',
+])
+
+
+@st.composite
+def _with_a_malformed_fragment(draw):
+    """A drawn document with one fragment put after one of its tags."""
+    document = draw(_DOCUMENTS)
+    tags = re.finditer(r"<section[^>]*>|</(?:sentence|heading|reference)>", document)
+    at = draw(st.sampled_from([tag.end() for tag in tags]))
+    return document[:at] + draw(_MALFORMED) + document[at:]
+
+
+@st.composite
+def _deep(draw):
+    """One section per level around one sentence, under an ID-less root or
+    not, with the ID left off at most one level."""
+    levels = draw(st.integers(MAX_SECTION_DEPTH - 2, MAX_SECTION_DEPTH + 2))
+    without_id = draw(st.none() | st.sampled_from([0, levels - 1]) | st.integers(0, levels - 1))
+    opening = "".join("<section>" if level == without_id else f'<section ID="{level}">'
+                      for level in range(levels))
+    nested = opening + draw(_sentence()) + draw(_REFERENCE | st.just("")) + "</section>" * levels
+    return nested if draw(st.booleans()) else "<section>" + nested + "</section>"
+
+
+def _outcome(parse, data):
+    try:
+        return parse(data)
+    except ChunkedXmlError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENTS | _with_a_malformed_fragment() | _deep()
+       | st.sampled_from([data for data, _, _ in REFUSALS]))
+@example('<section><heading>T</heading><section ID="1"><sentence>a</sentence>'
+         '<heading>H</heading></section><reference>2</reference><heading> </heading></section>')
+@example('<section ID="1"><heading/><sentence>a</sentence><heading>H</heading></section>')
+@example('<section><sentence>Loose.</sentence><section ID="1"><sentence>a</sentence></section>'
+         "</section>")
+@example('<section><section ID="1"><sentence>a</sentence></section>tail</section>')
+@example("<sentence>a</sentence>")
+def test_reader_reads_like_the_reference_reader(data):
+    assert _outcome(parse_chunked_xml, data) == _outcome(reference_chunked_xml.parse_chunked_xml,
+                                                         data)

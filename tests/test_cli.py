@@ -333,6 +333,23 @@ def test_link_reports_a_non_string_excerpt_field(capsys, tmp_path, fixtures_dir)
         1, "", "error: bad excerpt record on line 1: 'mentions' must be a string, got None\n")
 
 
+@pytest.mark.parametrize("char", ["\u0085", "\u2028", "\u2029"])
+def test_ingest_reads_an_excerpt_label_that_holds_a_unicode_line_break(capsys, tmp_path,
+                                                                       fixtures_dir, char):
+    record = json.loads((fixtures_dir / "excerpts_doc1.jsonl").read_text("utf-8"))
+    record["label"] = f"Apache{char}Tika"
+    excerpts = tmp_path / "excerpts.jsonl"
+    excerpts.write_text(json.dumps(record, ensure_ascii=False) + "\n", "utf-8")
+    assert char in excerpts.read_text("utf-8")
+    out = tmp_path / "out.ttl"
+    code, _, err = invoke(capsys, "ingest",
+                          "--outline", str(fixtures_dir / "outline_doc1.json"),
+                          "--text", str(fixtures_dir / "doc1.txt"),
+                          "--excerpts", str(excerpts), "--out", str(out))
+    assert (code, "1 excerpt links" in err) == (0, True), err
+    assert f"Apache{char}Tika" in {t.object[0] for t in load_turtle(out.read_bytes())}
+
+
 def test_ingest_requires_a_source(capsys):
     code, _, err = invoke(capsys, "ingest")
     assert code == 1

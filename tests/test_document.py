@@ -117,11 +117,6 @@ def test_section_body_holds_only_paragraphs_and_sections(item):
         Section("1", "H", (make_paragraph("p1", "One."), item))
 
 
-def test_iter_sections_is_depth_first_in_document_order():
-    model = valid_model()
-    assert [s.section_id for s in model.iter_sections()] == ["1", "2", "2.1", "2.2"]
-
-
 @pytest.mark.parametrize("doc_id", ["b6bab9d7b1722e", "", "a-b", "Paper-x", "x-Paragraph-y"])
 @pytest.mark.parametrize("text", ["A sentence.", ""])
 def test_document_id_of_inverts_paragraph_id_for(doc_id, text):

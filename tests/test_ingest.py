@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_builder
-from scholarkg.document import MAX_SECTION_DEPTH, Excerpt, Paragraph, Sentence, collect_paragraphs
+from scholarkg.document import (MAX_SECTION_DEPTH, Excerpt, Paragraph, Section, Sentence,
+                                collect_paragraphs)
 from scholarkg.ingest import (
     HeadingOutline,
     OutlineEntry,
@@ -112,6 +113,13 @@ def test_build_document_model_sections_and_paragraphs():
     assert paragraphs[0].paragraph_id.startswith(f"Paper-{model.doc_id}-Paragraph-")
 
 
+def walk_sections(sections):
+    """The sections and their subsections, depth first in document order."""
+    for section in sections:
+        yield section
+        yield from walk_sections(item for item in section.body if isinstance(item, Section))
+
+
 def test_build_document_model_nested_levels():
     text = "Top\n\nbody one.\n\nDeep\n\nbody two.\n\nNext\n\nbody three.\n"
     nested = HeadingOutline((
@@ -120,7 +128,7 @@ def test_build_document_model_nested_levels():
         OutlineEntry(1, "Next", text.index("Next")),
     ))
     model = build_document_model(nested, text)
-    assert [s.section_id for s in model.iter_sections()] == ["1", "1.1", "2"]
+    assert [s.section_id for s in walk_sections(model.sections)] == ["1", "1.1", "2"]
 
 
 def test_build_document_model_clamps_skipped_levels():
@@ -130,7 +138,7 @@ def test_build_document_model_clamps_skipped_levels():
         OutlineEntry(4, "VeryDeep", text.index("VeryDeep")),
     ))
     model = build_document_model(skipping, text)
-    assert [s.section_id for s in model.iter_sections()] == ["1", "1.1"]
+    assert [s.section_id for s in walk_sections(model.sections)] == ["1", "1.1"]
 
 
 def test_build_document_model_preamble():
@@ -323,7 +331,7 @@ def deep_outline(levels: int) -> tuple[HeadingOutline, str]:
 
 def test_build_document_model_nests_up_to_the_depth_limit():
     model = build_document_model(*deep_outline(MAX_SECTION_DEPTH))
-    sections = list(model.iter_sections())
+    sections = list(walk_sections(model.sections))
     assert len(sections) == MAX_SECTION_DEPTH == 100
     assert sections[-1].section_id == ".".join(["1"] * 100)
     assert [p.text for p in collect_paragraphs(model)] == [f"Body {i}." for i in range(100)]
