@@ -45,6 +45,9 @@ and, on the document model built from the outline and text:
   ``pairs`` is paragraphs x excerpts, one similarity each;
 * ``save_turtle`` of the linked graph, as ``ingest --excerpts`` writes it.
 
+For the CLI itself it times ``cli.build_parser()``, which ``cli.run``
+calls once per command.
+
 Each figure is the median and the minimum of ``--repeats`` runs, in
 wall-clock milliseconds and in reference milliseconds: each run's wall
 time scaled by ``bench/speed.py``'s ``calibrate()``, taken just before
@@ -72,6 +75,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 import gen  # noqa: E402
 import speed  # noqa: E402
 
+from scholarkg import cli  # noqa: E402
 from scholarkg.baseline import chunk_corpus, retrieve_top_k  # noqa: E402
 from scholarkg.chunked_xml import parse_chunked_xml  # noqa: E402
 from scholarkg.document import collect_paragraphs  # noqa: E402
@@ -199,7 +203,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     print(json.dumps({"seed": args.seed, "repeats": args.repeats,
                       "sizes": [stage_times(args.seed, n, args.repeats) for n in args.papers],
-                      "ingest_sizes": ingest_stage_times(args.seed, args.repeats)},
+                      "ingest_sizes": ingest_stage_times(args.seed, args.repeats),
+                      "build_parser": timed(cli.build_parser, args.repeats)},
                      indent=1))
     return 0
 

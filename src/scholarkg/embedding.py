@@ -15,7 +15,6 @@ import os
 import re
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Protocol, Sequence
 
 __all__ = [
@@ -36,18 +35,27 @@ __all__ = [
 class EmbeddingVector:
     """A fixed-dimension vector of finite floats.
 
-    The L2 norm and the nonzero support are computed on first use and
-    kept outside the dataclass fields, so ``==``, ``hash`` and ``repr``
-    see only ``values``.
+    The nonzero support and the L2 norm are computed when the vector is
+    made and kept outside the dataclass fields, so ``==``, ``hash`` and
+    ``repr`` see only ``values``. The support is the ascending indices of
+    the components that are true, that is ``!= 0.0`` (±0.0 is dropped,
+    and NaN never gets this far), and their values.
     """
 
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.values:
+        values = self.values
+        if not values:
             raise ValueError("an embedding vector cannot be empty")
-        if not all(map(math.isfinite, self.values)):
+        if not all(map(math.isfinite, values)):
             raise ValueError("embedding components must be finite")
+        indices = tuple(itertools.compress(range(len(values)), values))
+        nonzero = tuple(map(values.__getitem__, indices))
+        object.__setattr__(self, "_support", (indices, nonzero))
+        # The squares of the support in ascending order: the dense sum
+        # minus its +0.0 terms, which cannot change a sum that starts at +0.0.
+        object.__setattr__(self, "_norm", math.sqrt(sum(map(operator.mul, nonzero, nonzero))))
 
     @property
     def dimension(self) -> int:
@@ -56,23 +64,6 @@ class EmbeddingVector:
     @classmethod
     def of(cls, values: Iterable[float]) -> "EmbeddingVector":
         return cls(tuple(float(v) for v in values))
-
-    @cached_property
-    def _norm(self) -> float:
-        # The squares of the support in ascending order: the dense sum
-        # minus its +0.0 terms, which cannot change a sum that starts at +0.0.
-        values = self._support[1]
-        return math.sqrt(sum(map(operator.mul, values, values)))
-
-    @cached_property
-    def _support(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        """Ascending indices of the nonzero components, and their values.
-
-        A component is kept when it is true, that is ``!= 0.0``: ±0.0 is
-        dropped, and NaN never gets this far.
-        """
-        indices = tuple(itertools.compress(range(len(self.values)), self.values))
-        return indices, tuple(map(self.values.__getitem__, indices))
 
 
 def cosine_similarities(u: EmbeddingVector,
@@ -120,6 +111,8 @@ class Embedder(Protocol):
 
 
 _TOKEN = re.compile(r"[a-z0-9]+")
+# The stub embedder's vector dimension.
+STUB_DIMENSION = 256
 
 
 class HashedBagOfWordsEmbedder:
@@ -128,28 +121,20 @@ class HashedBagOfWordsEmbedder:
     Tokens are the lowercase alphanumeric runs of the text. A non-blank
     text without such a run, such as ``"* * *"`` or a line of Japanese, is
     one token, its stripped text; blank text is refused. Each token is
-    hashed with BLAKE2s (8-byte digest, little-endian) modulo the
-    dimension to pick a component, component values are token counts, and
-    the vector is L2-normalized. The construction depends only on the
-    bytes of the text, so it is stable across processes, and as a bag of
-    words it is invariant under token reordering.
+    hashed with BLAKE2s (8-byte digest, little-endian) modulo
+    ``STUB_DIMENSION`` to pick a component, component values are token
+    counts, and the vector is L2-normalized. The construction depends
+    only on the bytes of the text, so it is stable across processes, and
+    as a bag of words it is invariant under token reordering.
 
     Each instance keeps a plain dict from token to component, so a token
     is hashed once per instance however often it recurs. The dict grows
     with the distinct tokens the instance has seen and is never trimmed;
-    make a new instance to start empty. The dimension is read-only, since
-    the dict's components hold for one dimension only.
+    make a new instance to start empty.
     """
 
-    def __init__(self, dimension: int = 256):
-        if dimension < 1:
-            raise ValueError("dimension must be positive")
-        self._dimension = dimension
+    def __init__(self) -> None:
         self._buckets: dict[str, int] = {}
-
-    @property
-    def dimension(self) -> int:
-        return self._dimension
 
     @staticmethod
     def bucket(token: str, dimension: int) -> int:
@@ -162,12 +147,12 @@ class HashedBagOfWordsEmbedder:
         tokens = _TOKEN.findall(text.lower()) or [text.strip()]
         if not tokens[0]:
             raise ValueError("text contains no embeddable tokens")
-        buckets, dimension = self._buckets, self._dimension
-        counts = [0.0] * dimension
+        buckets = self._buckets
+        counts = [0.0] * STUB_DIMENSION
         for token in tokens:
             index = buckets.get(token)
             if index is None:
-                index = buckets[token] = self.bucket(token, dimension)
+                index = buckets[token] = self.bucket(token, STUB_DIMENSION)
             counts[index] += 1.0
         norm = math.sqrt(sum(map(operator.mul, counts, counts)))
         return EmbeddingVector(tuple([c / norm for c in counts]))

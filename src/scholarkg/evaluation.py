@@ -12,9 +12,9 @@ import math
 import re
 import statistics
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .embedding import Embedder, EmbeddingVector, cosine_similarity
+from .embedding import Embedder, cosine_similarity
 from .kg.terms import entity_phrase, phrase_haystack
 
 __all__ = [
@@ -82,28 +82,14 @@ def entity_overlap(a: set[str], b: set[str]) -> tuple[float, float]:
     return (ratio, distance)
 
 
-def _mean_pooled(texts: Sequence[str], embedder: Embedder) -> EmbeddingVector:
-    vectors = embedder.embed_many(texts)
-    dimension = vectors[0].dimension
-    return EmbeddingVector.of(
-        sum(v.values[i] for v in vectors) / len(vectors)
-        for i in range(dimension)
-    )
+def embedding_distance(text_a: str, text_b: str, embedder: Embedder) -> float:
+    """Cosine similarity between the embeddings of two texts.
 
-
-def embedding_distance(context_a: Sequence[str], context_b: Sequence[str],
-                       embedder: Embedder) -> float:
-    """Cosine similarity between two groups of texts.
-
-    Each group is embedded in one batch and mean-pooled into one vector;
-    the result is the cosine similarity of the pooled vectors, so
-    identical groups score 1.0 and unrelated groups score near 0.0. An
-    empty group is an error.
+    Both texts are embedded in one batch, so identical texts score 1.0
+    and unrelated texts score near 0.0. The embedder refuses an empty
+    text with ``ValueError``.
     """
-    if not context_a or not context_b:
-        raise ValueError("both context lists must be non-empty")
-    return cosine_similarity(_mean_pooled(context_a, embedder),
-                             _mean_pooled(context_b, embedder))
+    return cosine_similarity(*embedder.embed_many([text_a, text_b]))
 
 
 def cronbach_alpha(ratings: list[list[float]]) -> float:
@@ -195,6 +181,6 @@ def build_report(comparisons: list[QuestionComparison],
                                         set(c.baseline_entities))
         overlap_rows.append((c.label, round(ratio, 4), round(jaccard, 4)))
         distance_rows.append((c.label, round(
-            embedding_distance([c.graph_answer], [c.baseline_answer], embedder), 4)))
+            embedding_distance(c.graph_answer, c.baseline_answer, embedder), 4)))
     return EvaluationReport(overlap_rows=tuple(overlap_rows),
                             distance_rows=tuple(distance_rows))

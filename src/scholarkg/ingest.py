@@ -209,11 +209,12 @@ def link_excerpts(paragraphs: Sequence[Paragraph], excerpts: Sequence[Excerpt],
     scored in one ``cosine_similarities`` call per excerpt over the
     paragraphs in id order; the argmax paragraph wins (ties break toward
     the lexicographically smaller paragraph id), but only links at or
-    above ``threshold`` are kept.
+    above ``threshold`` are kept. Without paragraphs or without excerpts
+    nothing is embedded and nothing is linked.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
-    if not paragraphs:
+    if not paragraphs or not excerpts:
         return []
     vectors = embedder.embed_many([p.text for p in paragraphs])
     paragraph_ids, paragraph_vectors = zip(*sorted(

@@ -45,6 +45,13 @@ class ScoredParagraph:
         return document_id_of(self.node.local_name())
 
 
+def _check_selection(top_n: int, diverse_k: int) -> None:
+    if top_n < 1 or diverse_k < 1:
+        raise ValueError("top_n and diverse_k must be positive")
+    if diverse_k > top_n:
+        raise ValueError("diverse_k must not exceed top_n")
+
+
 def select_context(graph: KnowledgeGraph, query_entities: set[str],
                    top_n: int = 10, diverse_k: int = 5,
                    embedder: Embedder | None = None) -> list[ScoredParagraph]:
@@ -57,10 +64,7 @@ def select_context(graph: KnowledgeGraph, query_entities: set[str],
     to the higher keyword frequency, then the smaller node IRI). Without
     an embedder the top ``diverse_k`` by frequency are returned.
     """
-    if top_n < 1 or diverse_k < 1:
-        raise ValueError("top_n and diverse_k must be positive")
-    if diverse_k > top_n:
-        raise ValueError("diverse_k must not exceed top_n")
+    _check_selection(top_n, diverse_k)
     names = [entity_phrase(key) for key in sorted(query_entities)]
     scored = [
         ScoredParagraph(
@@ -190,8 +194,12 @@ def answer_question(graph: KnowledgeGraph, question: str, gateway: Gateway,
     entities, select the context paragraphs and generate the answer.
 
     Raises ``ValueError`` when no paragraph names the question's
-    entities, since the answer would have no grounding.
+    entities, since the answer would have no grounding. The options are
+    checked before the gateway is asked anything.
     """
+    if max_depth < 0:
+        raise ValueError("max_depth must be non-negative")
+    _check_selection(top_n, diverse_k)
     query = extract_question_patterns(question, gateway)
     dictionary = default_relaxation_dictionary(query)
     candidates = resolve_query(graph, query, dictionary, max_depth=max_depth)

@@ -185,6 +185,29 @@ def test_answer_question_renders_what_query_prints(capsys, fixtures_dir, sample_
     assert capsys.readouterr().out == expected
 
 
+class RecordingGateway(StubGateway):
+    def __init__(self):
+        self.requests = []
+
+    def complete(self, request):
+        self.requests.append(request)
+        return super().complete(request)
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"max_depth": -1}, "max_depth must be non-negative"),
+    ({"diverse_k": 0}, "top_n and diverse_k must be positive"),
+    ({"top_n": 0}, "top_n and diverse_k must be positive"),
+    ({"top_n": 3}, "diverse_k must not exceed top_n"),
+    ({"max_depth": -1, "diverse_k": 0}, "max_depth must be non-negative"),
+])
+def test_answer_question_refuses_bad_options_before_any_request(sample_graph, options, message):
+    gateway = RecordingGateway()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        answer_question(sample_graph, QUESTION, gateway, HashedBagOfWordsEmbedder(), **options)
+    assert gateway.requests == []
+
+
 def test_answer_question_refuses_an_ungroundable_question(sample_graph):
     with pytest.raises(ValueError, match="cannot ground an answer"):
         answer_question(sample_graph, "Which zebra eats quinoa?", StubGateway(),

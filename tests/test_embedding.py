@@ -156,8 +156,6 @@ def test_stub_embedder_hashes_each_distinct_token_once(monkeypatch):
     assert sorted(calls) == ["alpha", "beta", "gamma"]
     HashedBagOfWordsEmbedder().embed("alpha")
     assert calls.count("alpha") == 2           # a fresh instance starts empty
-    with pytest.raises(AttributeError):        # the memo holds for one dimension
-        embedder.dimension = 7
 
 
 class _FakeResponse:
@@ -595,15 +593,13 @@ def test_select_context_embeds_the_shortlist_in_one_request(stub_embedder):
                                     embedder=stub_embedder)
 
 
-def test_embedding_distance_embeds_each_group_in_one_request(stub_embedder):
-    groups = (["graph answer one", "graph answer two"], ["baseline answer"])
-    embedder = http_embedder([
-        _FakeResponse(payload={"vectors": [list(stub_embedder.embed(t).values)
-                                           for t in group]})
-        for group in groups])
-    distance = embedding_distance(*groups, embedder)
-    assert [call["input"] for call in embedder.session.calls] == list(groups)
-    assert distance == embedding_distance(*groups, stub_embedder)
+def test_embedding_distance_embeds_both_texts_in_one_request(stub_embedder):
+    texts = ["graph answer one", "baseline answer"]
+    embedder = http_embedder([_FakeResponse(payload={
+        "vectors": [list(stub_embedder.embed(t).values) for t in texts]})])
+    distance = embedding_distance(*texts, embedder)
+    assert [call["input"] for call in embedder.session.calls] == [texts]
+    assert distance == embedding_distance(*texts, stub_embedder)
 
 
 def test_stub_embed_many_is_embed_per_text(stub_embedder):

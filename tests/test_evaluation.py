@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from scholarkg.embedding import HashedBagOfWordsEmbedder
+from scholarkg.embedding import STUB_DIMENSION, HashedBagOfWordsEmbedder
 from scholarkg.evaluation import (
     EvaluationReport,
     QuestionComparison,
@@ -50,10 +50,9 @@ def test_entity_overlap_ratio_uses_larger_set():
     assert ratio == pytest.approx(0.5)
 
 
-def test_embedding_distance_one_for_identical_lists():
+def test_embedding_distance_one_for_identical_texts():
     embedder = HashedBagOfWordsEmbedder()
-    texts = ["alpha beta", "gamma delta"]
-    assert embedding_distance(texts, list(texts), embedder) \
+    assert embedding_distance("alpha beta gamma delta", "delta gamma beta alpha", embedder) \
         == pytest.approx(1.0, abs=1e-12)
 
 
@@ -62,42 +61,24 @@ def test_embedding_distance_zero_for_orthogonal_singletons():
     a, b = "metadata", "couchdb"
     # the two tokens occupy different buckets, so the vectors are
     # orthogonal one-hots
-    assert HashedBagOfWordsEmbedder.bucket(a, embedder.dimension) \
-        != HashedBagOfWordsEmbedder.bucket(b, embedder.dimension)
-    assert embedding_distance([a], [b], embedder) == pytest.approx(0.0, abs=1e-12)
+    assert HashedBagOfWordsEmbedder.bucket(a, STUB_DIMENSION) \
+        != HashedBagOfWordsEmbedder.bucket(b, STUB_DIMENSION)
+    assert embedding_distance(a, b, embedder) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_embedding_distance_shrinks_with_divergence():
     embedder = HashedBagOfWordsEmbedder()
-    near = embedding_distance(["alpha beta gamma"], ["alpha beta delta"], embedder)
-    far = embedding_distance(["alpha beta gamma"], ["epsilon zeta eta"], embedder)
+    near = embedding_distance("alpha beta gamma", "alpha beta delta", embedder)
+    far = embedding_distance("alpha beta gamma", "epsilon zeta eta", embedder)
     assert -1.0 <= far < near < 1.0
 
 
-def test_embedding_distance_mean_pools_each_list():
+def test_embedding_distance_rejects_an_empty_text():
     embedder = HashedBagOfWordsEmbedder()
-    list_a = ["alpha beta", "beta gamma", "gamma delta"]
-    list_b = ["alpha gamma", "delta delta beta", "epsilon"]
-
-    def pooled(texts):
-        vectors = [embedder.embed(t).values for t in texts]
-        return [sum(col) / len(vectors) for col in zip(*vectors)]
-
-    def cosine(u, v):
-        dot = sum(x * y for x, y in zip(u, v))
-        return dot / math.sqrt(sum(x * x for x in u) * sum(y * y for y in v))
-
-    expected = cosine(pooled(list_a), pooled(list_b))
-    assert embedding_distance(list_a, list_b, embedder) \
-        == pytest.approx(expected, abs=1e-12)
-
-
-def test_embedding_distance_rejects_empty_lists():
-    embedder = HashedBagOfWordsEmbedder()
-    with pytest.raises(ValueError):
-        embedding_distance([], ["x"], embedder)
-    with pytest.raises(ValueError):
-        embedding_distance(["x"], [], embedder)
+    with pytest.raises(ValueError, match="cannot embed empty text"):
+        embedding_distance("", "x", embedder)
+    with pytest.raises(ValueError, match="cannot embed empty text"):
+        embedding_distance("x", "", embedder)
 
 
 def test_extract_entity_set_finds_capitalized_spans():

@@ -1,4 +1,4 @@
-"""`query` and `retrieve-baseline` end to end over real HTTP.
+"""`query`, `retrieve-baseline`, `eval` and `link` end to end over real HTTP.
 
 A stdlib server on 127.0.0.1 plays both services: its chat endpoint
 answers with the stub gateway's completion and its embeddings endpoint
@@ -24,6 +24,7 @@ class _Handler(http.server.BaseHTTPRequestHandler):
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         self.server.paths.append(self.path)
+        self.server.bodies.append(body)
         if self.path == "/chat":
             messages = {m["role"]: m["content"] for m in body["messages"]}
             request = GatewayRequest(system=messages.get("system", ""), user=messages["user"])
@@ -53,7 +54,7 @@ class _Handler(http.server.BaseHTTPRequestHandler):
 @pytest.fixture(scope="module")
 def server():
     httpd = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-    httpd.paths = []
+    httpd.paths, httpd.bodies = [], []
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
     yield httpd
@@ -72,6 +73,7 @@ def backends(server, tmp_path, monkeypatch):
 
     def write(gateway="/chat", embedder="/embeddings", extra=""):
         server.paths.clear()
+        server.bodies.clear()
         base = f"http://127.0.0.1:{server.server_port}"
         config = tmp_path / "backends.conf"
         config.write_text(f"gateway-url = {base}{gateway}\ngateway-model = chat-model\n"
@@ -144,5 +146,45 @@ def test_bad_retries_or_timeout_is_refused_before_any_request(capsys, backends, 
     config = backends(extra=f"embedder = http\n{line}\n")
     code, out, err = invoke(capsys, *commands(fixtures_dir)["retrieve-baseline"],
                             "--config", config)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert server.paths == []
+
+
+def test_http_eval_embeds_both_answers_of_a_question_in_one_request(capsys, backends, server,
+                                                                    fixtures_dir):
+    answers = fixtures_dir / "answers.json"
+    records = json.loads(answers.read_text("utf-8"))
+    argv = ["eval", "--answers", str(answers), "--format", "json"]
+    stub = invoke(capsys, *argv)
+    http = invoke(capsys, *argv, "--embedder", "http", "--config", backends())
+    assert stub[0] == 0, stub[2]
+    assert http == stub
+    assert [body["input"] for body in server.bodies] == [
+        [record["graph_answer"], record["baseline_answer"]] for record in records]
+
+
+def test_link_of_no_excerpts_sends_no_request(capsys, backends, server, fixtures_dir,
+                                              tmp_path):
+    bare, linked, excerpts = tmp_path / "bare.ttl", tmp_path / "linked.ttl", tmp_path / "e.jsonl"
+    assert invoke(capsys, "ingest", "--outline", str(fixtures_dir / "outline_doc1.json"),
+                  "--text", str(fixtures_dir / "doc1.txt"), "--out", str(bare))[0] == 0
+    excerpts.write_text("", "utf-8")
+    code, out, err = invoke(capsys, "link", "--graph", str(bare), "--excerpts", str(excerpts),
+                            "--out", str(linked), "--embedder", "http", "--config", backends())
+    assert (code, out, err) == (0, "", "linked 0 of 0 excerpts\n")
+    assert linked.read_bytes() == bare.read_bytes()
+    assert server.paths == []
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--max-depth", "-1"], "max_depth must be non-negative"),
+    (["--diverse-k", "0"], "top_n and diverse_k must be positive"),
+    (["--top-n", "3"], "diverse_k must not exceed top_n"),
+])
+def test_a_bad_query_option_is_refused_before_any_request(capsys, backends, server,
+                                                          fixtures_dir, options, message):
+    code, out, err = invoke(capsys, "query", "--graph", str(fixtures_dir / "scholarly_sample.ttl"),
+                            "--question", QUESTION, *options, "--backend", "http",
+                            "--embedder", "http", "--config", backends())
     assert (code, out, err) == (1, "", f"error: {message}\n")
     assert server.paths == []

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 import reference_builder
 from scholarkg.document import (MAX_SECTION_DEPTH, Excerpt, Paragraph, Section, Sentence,
                                 collect_paragraphs)
+from scholarkg.embedding import HashedBagOfWordsEmbedder
 from scholarkg.ingest import (
     HeadingOutline,
     OutlineEntry,
@@ -203,6 +204,26 @@ def test_link_excerpts_breaks_ties_toward_the_smaller_paragraph_id(stub_embedder
 
 def test_link_excerpts_empty_paragraphs(stub_embedder):
     assert link_excerpts([], [make_excerpt("E", "s", "m")], stub_embedder) == []
+
+
+class RecordingEmbedder(HashedBagOfWordsEmbedder):
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def embed_many(self, texts):
+        self.calls.append(len(texts))
+        return super().embed_many(texts)
+
+
+def test_link_excerpts_embeds_nothing_without_both_sides():
+    paragraphs = collect_paragraphs(build_document_model(outline(), TEXT))
+    embedder = RecordingEmbedder()
+    assert link_excerpts(paragraphs, [], embedder) == []
+    assert link_excerpts([], [make_excerpt("E", "s", "m")], embedder) == []
+    assert embedder.calls == []
+    link_excerpts(paragraphs, [make_excerpt("E", "s", "m")], embedder)
+    assert embedder.calls == [len(paragraphs), 1]
 
 
 def test_emit_rdf_shapes(stub_embedder):
