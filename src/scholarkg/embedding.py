@@ -14,6 +14,7 @@ import operator
 import os
 import re
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence
 
@@ -48,10 +49,12 @@ class EmbeddingVector:
         values = self.values
         if not values:
             raise ValueError("an embedding vector cannot be empty")
-        if not all(map(math.isfinite, values)):
+        # A sum is finite only when every term is; the per-component check
+        # runs only for a bad term or a sum that overflowed.
+        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
             raise ValueError("embedding components must be finite")
         indices = tuple(itertools.compress(range(len(values)), values))
-        nonzero = tuple(map(values.__getitem__, indices))
+        nonzero = tuple(itertools.compress(values, values))
         object.__setattr__(self, "_support", (indices, nonzero))
         # The squares of the support in ascending order: the dense sum
         # minus its +0.0 terms, which cannot change a sum that starts at +0.0.
@@ -115,6 +118,14 @@ _TOKEN = re.compile(r"[a-z0-9]+")
 STUB_DIMENSION = 256
 
 
+class _Buckets(dict):
+    """Token to stub component, hashed on first lookup."""
+
+    def __missing__(self, token: str) -> int:
+        index = self[token] = HashedBagOfWordsEmbedder.bucket(token, STUB_DIMENSION)
+        return index
+
+
 class HashedBagOfWordsEmbedder:
     """Deterministic stub embedder.
 
@@ -127,14 +138,15 @@ class HashedBagOfWordsEmbedder:
     only on the bytes of the text, so it is stable across processes, and
     as a bag of words it is invariant under token reordering.
 
-    Each instance keeps a plain dict from token to component, so a token
-    is hashed once per instance however often it recurs. The dict grows
-    with the distinct tokens the instance has seen and is never trimmed;
-    make a new instance to start empty.
+    Each instance keeps a memo from token to component, a dict that hashes
+    a token on its first lookup, so a token is hashed once per instance
+    however often it recurs. The memo grows with the distinct tokens the
+    instance has seen and is never trimmed; make a new instance to start
+    empty.
     """
 
     def __init__(self) -> None:
-        self._buckets: dict[str, int] = {}
+        self._buckets = _Buckets()
 
     @staticmethod
     def bucket(token: str, dimension: int) -> int:
@@ -147,15 +159,14 @@ class HashedBagOfWordsEmbedder:
         tokens = _TOKEN.findall(text.lower()) or [text.strip()]
         if not tokens[0]:
             raise ValueError("text contains no embeddable tokens")
-        buckets = self._buckets
-        counts = [0.0] * STUB_DIMENSION
-        for token in tokens:
-            index = buckets.get(token)
-            if index is None:
-                index = buckets[token] = self.bucket(token, STUB_DIMENSION)
-            counts[index] += 1.0
-        norm = math.sqrt(sum(map(operator.mul, counts, counts)))
-        return EmbeddingVector(tuple([c / norm for c in counts]))
+        counts = Counter(map(self._buckets.__getitem__, tokens))
+        # The counts are integers, so the sum of their squares is exact in
+        # any order and equals the dense float sum; so does each quotient.
+        norm = math.sqrt(sum(map(operator.mul, counts.values(), counts.values())))
+        values = [0.0] * STUB_DIMENSION
+        for index, count in counts.items():
+            values[index] = count / norm
+        return EmbeddingVector(tuple(values))
 
     def embed_many(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         return [self.embed(text) for text in texts]

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import operator
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -203,14 +204,16 @@ def link_excerpts(paragraphs: Sequence[Paragraph], excerpts: Sequence[Excerpt],
                   embedder: Embedder, threshold: float = 0.7) -> list[ExcerptLink]:
     """Link each excerpt to its most similar paragraph.
 
-    Paragraph texts and then excerpt sentences are embedded in one
-    ``embed_many`` call each, in input order. Similarity is the cosine
-    between an excerpt's sentence vector and each paragraph's vector,
-    scored in one ``cosine_similarities`` call per excerpt over the
-    paragraphs in id order; the argmax paragraph wins (ties break toward
-    the lexicographically smaller paragraph id), but only links at or
-    above ``threshold`` are kept. Without paragraphs or without excerpts
-    nothing is embedded and nothing is linked.
+    Paragraph texts are embedded in one ``embed_many`` call, in input
+    order, and then the distinct excerpt sentences in another, each once,
+    in the order they first occur. Similarity is the cosine between a
+    sentence's vector and each paragraph's vector, scored in one
+    ``cosine_similarities`` call per distinct sentence over the paragraphs
+    in id order; the argmax paragraph wins (ties break toward the
+    lexicographically smaller paragraph id). Each excerpt takes its
+    sentence's best paragraph and similarity, and only links at or above
+    ``threshold`` are kept, in excerpt order. Without paragraphs or
+    without excerpts nothing is embedded and nothing is linked.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
@@ -219,14 +222,17 @@ def link_excerpts(paragraphs: Sequence[Paragraph], excerpts: Sequence[Excerpt],
     vectors = embedder.embed_many([p.text for p in paragraphs])
     paragraph_ids, paragraph_vectors = zip(*sorted(
         zip((p.paragraph_id for p in paragraphs), vectors), key=operator.itemgetter(0)))
-    excerpt_vectors = embedder.embed_many([e.in_sentence for e in excerpts])
-    links: list[ExcerptLink] = []
-    for excerpt, vector in zip(excerpts, excerpt_vectors):
+    sentences = list(dict.fromkeys(e.in_sentence for e in excerpts))
+    best = {}
+    for sentence, vector in zip(sentences, embedder.embed_many(sentences)):
         similarities = cosine_similarities(vector, paragraph_vectors)
-        best = max(similarities)
-        if best >= threshold:
-            links.append(ExcerptLink(excerpt.excerpt_id,
-                                     paragraph_ids[similarities.index(best)], best))
+        similarity = max(similarities)
+        best[sentence] = paragraph_ids[similarities.index(similarity)], similarity
+    links: list[ExcerptLink] = []
+    for excerpt in excerpts:
+        paragraph_id, similarity = best[excerpt.in_sentence]
+        if similarity >= threshold:
+            links.append(ExcerptLink(excerpt.excerpt_id, paragraph_id, similarity))
     return links
 
 
@@ -265,7 +271,7 @@ def link_graph(graph: KnowledgeGraph, excerpts: Sequence[Excerpt], embedder: Emb
                              f"it is outside the askg-data namespace <{_DATA_NS}>")
         paragraphs.append(Paragraph(node.value[len(_DATA_NS):], (Sentence(label.lexical),)))
     links = link_excerpts(paragraphs, excerpts, embedder, threshold=threshold)
-    triples = list(graph)
+    triples = list(graph.unordered())
     for excerpt in excerpts:
         node = Iri(_DATA_NS + excerpt.excerpt_id)
         triples += (Triple(node, RDF_TYPE, EXCERPT),
@@ -287,6 +293,7 @@ def link_graph(graph: KnowledgeGraph, excerpts: Sequence[Excerpt], embedder: Emb
 
 _EXCERPT_FIELDS = {"excerpt_id": str, "label": str, "in_sentence": str, "mentions": str,
                    "word_index_from": int, "word_index_to": int}
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def read_excerpts_jsonl(data: str | bytes) -> list[Excerpt]:
@@ -294,11 +301,13 @@ def read_excerpts_jsonl(data: str | bytes) -> list[Excerpt]:
 
     Each line is an object with ``excerpt_id``, ``label``, ``in_sentence``,
     ``mentions``, ``word_index_from`` and ``word_index_to``; the first four
-    are JSON strings and the word indices JSON integers. Only ``"\\n"`` ends
-    a line, since a JSON string may hold U+0085, U+2028 and U+2029 raw.
-    Excerpt ids are unique within the file. A bad line raises ``ValueError``
-    naming it and the field, or, for a repeated id, the line that first held
-    it.
+    are JSON strings and the word indices JSON integers. A string holding a
+    lone surrogate (a ``\\ud800``-``\\udfff`` escape not paired with
+    another) is refused, since it can be neither embedded nor saved as
+    UTF-8. Only ``"\\n"`` ends a line, since a JSON string may hold
+    U+0085, U+2028 and U+2029 raw. Excerpt ids are unique within the file.
+    A bad line raises ``ValueError`` naming it and the field, or, for a
+    repeated id, the line that first held it.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -308,7 +317,13 @@ def read_excerpts_jsonl(data: str | bytes) -> list[Excerpt]:
         if not line:
             continue
         try:  # json.JSONDecodeError is a ValueError
-            excerpt = Excerpt(**_record_fields(json.loads(line), _EXCERPT_FIELDS))
+            fields = _record_fields(json.loads(line), _EXCERPT_FIELDS)
+            for name, value in fields.items():
+                surrogate = type(value) is str and _SURROGATE.search(value)
+                if surrogate:
+                    raise ValueError(f"{name!r} holds a lone surrogate "
+                                     f"U+{ord(surrogate[0]):04X}")
+            excerpt = Excerpt(**fields)
             first = first_lines.setdefault(excerpt.excerpt_id, index)
             if first != index:
                 raise ValueError(f"excerpt_id {excerpt.excerpt_id!r} is already on line {first}")

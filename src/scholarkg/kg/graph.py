@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
 from dataclasses import asdict, dataclass
 from types import MappingProxyType
@@ -38,10 +39,11 @@ class KnowledgeGraph:
     ``match(predicate=…)``, and ``label_of`` and ``subjects_of_type`` for
     ``rdfs:label`` and ``rdf:type``) groups its bucket by subject: subjects
     in IRI order, and only a group of more than one triple sorted by
-    ``triple_sort_key``. Iterating, comparing, hashing or saving the graph
-    sorts it whole into that order; a query never does. A lazy value
-    depends on the triples alone and is stored in one assignment, so
-    threads racing to build it store equal values, never a partial one.
+    ``triple_sort_key``. Iterating, comparing or hashing the graph sorts it
+    whole into that order; a query never does, nor does ``unordered``,
+    which saving, statistics and linking read. A lazy value depends on
+    the triples alone and is stored in one assignment, so threads racing
+    to build it store equal values, never a partial one.
     """
 
     __slots__ = ("_by_predicate", "_groups", "_triples", "_types")
@@ -63,6 +65,11 @@ class KnowledgeGraph:
                 (t for bucket in self._by_predicate.values() for t in bucket),
                 key=triple_sort_key))
         return self._triples
+
+    def unordered(self) -> Iterator[Triple]:
+        """Every triple, in no promised order, without building the
+        whole-graph order: for a reader that orders or counts them itself."""
+        return itertools.chain.from_iterable(self._by_predicate.values())
 
     def __len__(self) -> int:
         return sum(map(len, self._by_predicate.values()))
@@ -205,7 +212,7 @@ def graph_stats(graph: KnowledgeGraph) -> GraphStats:
     entities: set[Iri] = set()
     predicates: set[Iri] = set()
     type_objects: set = set()
-    for t in graph:
+    for t in graph.unordered():
         entities.add(t.subject)
         predicates.add(t.predicate)
         if isinstance(t.object, Iri):

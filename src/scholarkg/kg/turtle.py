@@ -32,6 +32,7 @@ reads as the directive), and any term holding a surrogate code point.
 from __future__ import annotations
 
 import re
+from typing import Iterable
 
 from .graph import KnowledgeGraph
 from .terms import Iri, Literal, NAMESPACES, PREFIX_ALIASES, RDF_TYPE, RDFS_LABEL, Triple
@@ -391,14 +392,27 @@ def save_turtle(graph: KnowledgeGraph) -> bytes:
     """Serialize a graph to canonical Turtle bytes.
 
     The output starts with the canonical prefix header and groups triples
-    by subject with ``;``/``,`` continuation, deterministically ordered.
-    Each distinct term is rendered once per call.
+    by subject with ``;``/``,`` continuation: subjects and each predicate's
+    objects sorted by their rendered text, predicates by rank and then
+    text. A term's rendering is unique to it, so the bytes do not depend on
+    the order the triples are read in, and they are read unordered, without
+    the graph's whole-graph sort. Each distinct term is rendered once per
+    call. Which term a ``TurtleError`` names depends on the order the terms
+    are rendered in, so a graph that cannot be written is read again in the
+    graph's order, and the error names the term that order reaches first.
     """
+    try:
+        return _canonical_turtle(graph.unordered())
+    except TurtleError:
+        return _canonical_turtle(graph)
+
+
+def _canonical_turtle(triples: Iterable[Triple]) -> bytes:
     lines = [f"@prefix {prefix}: <{NAMESPACES[prefix]}> ." for prefix in sorted(NAMESPACES)]
     lines.append("")
 
     by_subject: dict[Iri, dict[Iri, list]] = {}
-    for t in graph:
+    for t in triples:
         by_subject.setdefault(t.subject, {}).setdefault(t.predicate, []).append(t.object)
 
     rendered = _Rendered()

@@ -2,7 +2,8 @@
 
 The engine's differential tests and the acceptance checks of matching and
 relaxation draw their inputs from these builders, so both exercise the
-same odd graph shapes.
+same odd graph shapes. ``UnorderedGraph`` checks that a reader of a graph
+never builds its whole-graph order.
 """
 
 import random
@@ -29,6 +30,14 @@ WORDS = ["mel", "tika", "couchdb", "json", "pdf", "text", "tool", "Apache", "cam
 KEYS = ["mel", "tika", "couchdb", "json", "pdf", "text", "tool", "apache",
         "apache_tika", "pdf_text", "text_tool", "mel_json"]
 SIDE_PREDICATES = [iri("askg-onto:cites"), iri("askg-onto:partOf")]
+
+
+class UnorderedGraph(KnowledgeGraph):
+    """A graph that fails when its whole-graph triple order is built."""
+
+    @property
+    def triples(self):
+        raise AssertionError("the whole-graph order was built")
 
 
 def random_phrase(rng: random.Random) -> str:

@@ -8,7 +8,7 @@ import pytest
 
 from scholarkg import __version__, cli
 from scholarkg.cli import read_config, run
-from scholarkg.embedding import BackendConfig
+from scholarkg.embedding import BackendConfig, HashedBagOfWordsEmbedder
 from scholarkg.gateway import StubGateway
 from scholarkg.kg.graph import paragraphs_containing
 from scholarkg.kg.terms import HAS_EXCERPT, PARAGRAPH, entity_phrase
@@ -331,6 +331,27 @@ def test_link_reports_a_non_string_excerpt_field(capsys, tmp_path, fixtures_dir)
                             "--excerpts", str(excerpts))
     assert (code, out, err) == (
         1, "", "error: bad excerpt record on line 1: 'mentions' must be a string, got None\n")
+
+
+@pytest.mark.parametrize("sentence", ["\ud800", "tool \ud800"])
+def test_ingest_and_link_refuse_a_lone_surrogate_before_embedding(capsys, tmp_path,
+                                                                  fixtures_dir, monkeypatch,
+                                                                  sentence):
+    calls = []
+    monkeypatch.setattr(HashedBagOfWordsEmbedder, "embed_many",
+                        lambda self, texts: calls.append(texts))
+    record = json.loads((fixtures_dir / "excerpts_doc1.jsonl").read_text("utf-8"))
+    excerpts = tmp_path / "excerpts.jsonl"
+    excerpts.write_text(json.dumps({**record, "in_sentence": sentence}) + "\n", "utf-8")
+    assert "\\ud800" in excerpts.read_text("utf-8")
+    refusal = (1, "", "error: bad excerpt record on line 1: "
+                      "'in_sentence' holds a lone surrogate U+D800\n")
+    assert invoke(capsys, "link", "--graph", str(fixtures_dir / "scholarly_sample.ttl"),
+                  "--excerpts", str(excerpts)) == refusal
+    assert invoke(capsys, "ingest", "--outline", str(fixtures_dir / "outline_doc1.json"),
+                  "--text", str(fixtures_dir / "doc1.txt"),
+                  "--excerpts", str(excerpts)) == refusal
+    assert calls == []
 
 
 @pytest.mark.parametrize("char", ["\u0085", "\u2028", "\u2029"])

@@ -4,7 +4,9 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import reference_embedder
 from scholarkg import embedding
 from scholarkg.document import Excerpt, Paragraph, Sentence
 from scholarkg.embedding import (
@@ -36,6 +38,17 @@ def test_vector_validation():
     with pytest.raises(ValueError):
         vec(1.0, float("inf"))
     assert vec(1, 2).dimension == 2
+    # finite components whose sum overflows are accepted
+    for values in [(1e308, 1e308), (-1e308, -1e308), (1e308, 1e308, -1e308, -1e308)]:
+        assert vec(*values).values == values
+    # a non-finite component is refused wherever it sits, also beside an
+    # overflowing sum or another non-finite component
+    for bad in (math.inf, -math.inf, math.nan):
+        for row in ([bad], [bad, 1.0, 0.0], [0.0, bad, 1.0], [1.0, 0.0, bad],
+                    [1e308, 1e308, bad], [bad, -bad, 1.0]):
+            with pytest.raises(ValueError) as caught:
+                EmbeddingVector(tuple(row))
+            assert str(caught.value) == "embedding components must be finite", row
 
 
 def test_cosine_similarity_known_value():
@@ -156,6 +169,40 @@ def test_stub_embedder_hashes_each_distinct_token_once(monkeypatch):
     assert sorted(calls) == ["alpha", "beta", "gamma"]
     HashedBagOfWordsEmbedder().embed("alpha")
     assert calls.count("alpha") == 2           # a fresh instance starts empty
+
+
+def embedding_outcome(embedder, text: str) -> tuple:
+    """The vector's values, support and norm as ``repr``, or the error."""
+    try:
+        vector = embedder.embed(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return repr(vector.values), repr(vector._support), repr(vector._norm)
+
+
+# Repeated words in mixed case, digits, punctuation and blanks, "é", "İ"
+# (whose lowercase is "i" and a combining dot), the Kelvin sign (whose
+# lowercase is "k") and CJK text.
+_PIECES = st.sampled_from([
+    "graph", "Graph", "GRAPH", "query", "x", "42", "2024", "v2", "a1b2", "é", "café", "İ",
+    "İstanbul", "\u212a", "\u212aelvin", "日本語", "段落。", "!!!", "* * *", "-", ",", ".",
+    " ", "\t", "\n", ""])
+_TEXTS = st.one_of(
+    st.lists(st.one_of(_PIECES, st.text(max_size=4)), max_size=40).map(" ".join),
+    st.lists(_PIECES, max_size=12).map("".join),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TEXTS, min_size=1, max_size=6))
+@example(["graph graph Graph 42", "", " \t\n ", "!!! ???", "İ \u212a é 日本語", "graph"])
+def test_stub_embedder_matches_the_per_token_reference_bit_for_bit(texts):
+    """Each text gives the reference's values, support and norm, or its
+    error, also when the embedder's memo already holds the tokens."""
+    embedder, reference = HashedBagOfWordsEmbedder(), reference_embedder.HashedBagOfWordsEmbedder()
+    for text in texts + texts:
+        assert embedding_outcome(embedder, text) == embedding_outcome(reference, text), text
 
 
 class _FakeResponse:
@@ -606,3 +653,65 @@ def test_stub_embed_many_is_embed_per_text(stub_embedder):
     texts = ["alpha beta", "gamma", "alpha beta"]
     assert stub_embedder.embed_many(texts) == [stub_embedder.embed(t) for t in texts]
     assert stub_embedder.embed_many([]) == []
+
+
+# ---------------------------------------------------------------------------
+# One score per distinct excerpt sentence
+# ---------------------------------------------------------------------------
+
+class _RecordingEmbedder(HashedBagOfWordsEmbedder):
+    def __init__(self) -> None:
+        super().__init__()
+        self.batches: list[list[str]] = []
+
+    def embed_many(self, texts):
+        self.batches.append(list(texts))
+        return super().embed_many(texts)
+
+
+def test_link_excerpts_embeds_each_distinct_sentence_once(stub_embedder):
+    paragraphs, excerpts = linking_inputs()
+    repeated = [Excerpt(f"R{i}", "label", sentence, "m", 0, 1)
+                for i, (_, sentence) in enumerate(EXCERPT_SENTENCES[1::-1] * 2)]
+    excerpts = excerpts + repeated
+    sentences = [sentence for _, sentence in EXCERPT_SENTENCES]
+    embedder = _RecordingEmbedder()
+    links = link_excerpts(paragraphs, excerpts, embedder, threshold=0.3)
+    assert embedder.batches == [PARAGRAPH_TEXTS, sentences]
+    assert [(l.excerpt_id, l.paragraph_id, l.similarity.hex()) for l in links] == \
+        reference_links(paragraphs, excerpts, stub_embedder, 0.3)
+    # an HTTP embedder is sent each distinct sentence once, in first-seen order
+    http = http_embedder([
+        _FakeResponse(payload={"vectors": [list(stub_embedder.embed(t).values)
+                                           for t in PARAGRAPH_TEXTS]}),
+        _FakeResponse(payload={"vectors": [list(stub_embedder.embed(t).values)
+                                           for t in sentences]}),
+    ])
+    assert link_excerpts(paragraphs, excerpts, http, threshold=0.3) == links
+    assert [call["input"] for call in http.session.calls] == [PARAGRAPH_TEXTS, sentences]
+
+
+_LINK_WORDS = st.sampled_from(["tool", "text", "pdf", "graph", "tika", "mel", "Tool"])
+_LINK_TEXTS = st.lists(_LINK_WORDS, min_size=1, max_size=4).map(" ".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LINK_TEXTS, min_size=1, max_size=6),
+       st.lists(_LINK_TEXTS, min_size=1, max_size=4).flatmap(
+           lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=10)),
+       st.randoms(use_true_random=False),
+       st.sampled_from([0.0, 0.5, 0.7, 1.0]))
+def test_link_excerpts_with_repeated_sentences_links_like_the_reference(
+        paragraph_texts, sentences, rnd, threshold):
+    """Repeated sentences, and paragraphs that tie (the same text), in any
+    id order: each excerpt gets the link the per-excerpt reference gives."""
+    ids = [f"P{i}" for i in range(len(paragraph_texts))]
+    rnd.shuffle(ids)
+    paragraphs = [Paragraph(pid, (Sentence(text),)) for pid, text in zip(ids, paragraph_texts)]
+    excerpts = [Excerpt(f"E{i}", "label", sentence, "m", 0, 1)
+                for i, sentence in enumerate(sentences)]
+    embedder = _RecordingEmbedder()
+    links = link_excerpts(paragraphs, excerpts, embedder, threshold=threshold)
+    assert embedder.batches[1] == list(dict.fromkeys(sentences))
+    assert [(l.excerpt_id, l.paragraph_id, l.similarity.hex()) for l in links] == \
+        reference_links(paragraphs, excerpts, HashedBagOfWordsEmbedder(), threshold)

@@ -40,7 +40,8 @@ from scholarkg.qa.engine import (
 from scholarkg.qa.context import answer_question
 from scholarkg.qa.relaxation import RelaxationDictionary, RelaxedQuery, relax_set
 
-from anchor_graphs import KEYS, random_anchor_graph, random_phrase, random_question
+from anchor_graphs import (KEYS, UnorderedGraph, random_anchor_graph, random_phrase,
+                           random_question)
 
 QUESTION = "Which tool is applied to extract text from PDF research proposals?"
 
@@ -244,17 +245,9 @@ def test_resolve_query_walks_the_edges_once_and_each_term_once(sample_graph, mon
     assert sorted(phrased) == ["migrates_through", "permafrost", "woolly_mammoth"]
 
 
-class _UnorderedGraph(KnowledgeGraph):
-    """A graph that fails when its whole-graph triple order is built."""
-
-    @property
-    def triples(self):
-        raise AssertionError("the whole-graph order was built")
-
-
 def test_answer_question_never_builds_the_whole_graph_order(sample_graph):
     question = "Which tool is applied to extract text from PDF research proposals?"
-    graph = _UnorderedGraph(sample_graph.triples)
+    graph = UnorderedGraph(sample_graph.triples)
     assert len(graph) == len(sample_graph)
     answer = answer_question(graph, question, StubGateway(), HashedBagOfWordsEmbedder())
     assert answer.to_dict() == answer_question(

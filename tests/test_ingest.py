@@ -323,6 +323,16 @@ EXCERPT_RECORD = {"excerpt_id": "E", "label": "l", "in_sentence": "s",
      "'label' must be a string, got 1.5"),
     (json.dumps({**EXCERPT_RECORD, "excerpt_id": ["E"]}),
      "'excerpt_id' must be a string, got ['E']"),
+    (json.dumps({**EXCERPT_RECORD, "in_sentence": "\ud800"}),
+     "'in_sentence' holds a lone surrogate U+D800"),
+    (json.dumps({**EXCERPT_RECORD, "in_sentence": "tool \udfff"}),
+     "'in_sentence' holds a lone surrogate U+DFFF"),
+    (json.dumps({**EXCERPT_RECORD, "label": "\udc00\ud83d"}),
+     "'label' holds a lone surrogate U+DC00"),
+    (json.dumps({**EXCERPT_RECORD, "excerpt_id": "E\udbff"}),
+     "'excerpt_id' holds a lone surrogate U+DBFF"),
+    (json.dumps({**EXCERPT_RECORD, "mentions": "\ud83dm"}),
+     "'mentions' holds a lone surrogate U+D83D"),
 ])
 def test_read_excerpts_jsonl_reports_bad_records(line, message):
     good = json.dumps(EXCERPT_RECORD)
@@ -330,6 +340,13 @@ def test_read_excerpts_jsonl_reports_bad_records(line, message):
         read_excerpts_jsonl(f"{good}\n\n{line}\n")
     assert str(excinfo.value) == f"bad excerpt record on line 3: {message}"
 
+
+
+def test_read_excerpts_jsonl_reads_a_surrogate_pair_escape_as_one_character():
+    line = json.dumps({**EXCERPT_RECORD, "in_sentence": "tool \U0001F600"})
+    assert "\\ud83d\\ude00" in line
+    (excerpt,) = read_excerpts_jsonl(line)
+    assert excerpt.in_sentence == "tool \U0001F600"
 
 
 def test_read_excerpts_jsonl_refuses_a_repeated_excerpt_id():

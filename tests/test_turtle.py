@@ -5,7 +5,10 @@ import string
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from scholarkg.kg.graph import KnowledgeGraph
+from scholarkg.document import DocumentModel, Excerpt, Paragraph, Section, Sentence
+from scholarkg.embedding import HashedBagOfWordsEmbedder
+from scholarkg.ingest import emit_rdf, link_graph
+from scholarkg.kg.graph import KnowledgeGraph, graph_stats
 from scholarkg.kg.terms import (
     Iri,
     Literal,
@@ -26,6 +29,7 @@ from scholarkg.kg.turtle import (
 )
 
 import reference_reader
+from anchor_graphs import UnorderedGraph
 
 EXCERPT_NODE = iri("askg-data:Excerpt-33387384e82242")
 
@@ -603,3 +607,24 @@ def test_save_turtle_renders_like_a_render_per_use_writer(graph):
     """Same bytes, or the same first unwritable term, as a writer that
     renders every term at each use; the terms recur across triples."""
     assert save_outcome(save_turtle, graph) == save_outcome(reference_save_turtle, graph)
+
+
+def test_writing_linking_and_counting_never_build_the_whole_graph_order(sample_graph):
+    """``save_turtle``, ``link_graph`` and ``graph_stats`` give the bytes and
+    results of readers that take the graph in its order, without that order."""
+    graph = UnorderedGraph(sample_graph.triples)
+    assert save_turtle(graph) == reference_save_turtle(sample_graph)
+    assert graph_stats(graph) == graph_stats(sample_graph)
+    model = DocumentModel("d", None, (Section("1", "H", (
+        Paragraph("Paper-d-Paragraph-a", (Sentence("Apache Tika extracts text."),)),
+        Paragraph("Paper-d-Paragraph-b", (Sentence("Mel reads the database."),)))),))
+    excerpts = [Excerpt(f"Excerpt-{i}", "label", sentence, "tika", 0, 1)
+                for i, sentence in enumerate(["Tika extracts text.", "Mel reads.",
+                                              "Tika extracts text."])]
+    bare = emit_rdf(model)
+    linked, links = link_graph(UnorderedGraph(bare.triples), excerpts,
+                               HashedBagOfWordsEmbedder(), 0.0)
+    expected, expected_links = link_graph(bare, excerpts, HashedBagOfWordsEmbedder(), 0.0)
+    assert links == expected_links and len(links) == 3
+    assert linked.triples == expected.triples
+    assert save_turtle(UnorderedGraph(linked.triples)) == reference_save_turtle(expected)
