@@ -50,7 +50,7 @@ and, on the document model built from the outline and text:
   the graph as ``ingest --excerpts`` does.
 
 For the CLI itself it times ``cli.build_parser()``, which ``cli.run``
-calls once per command.
+calls once per process, on its first command.
 
 Each figure is the median and the minimum of ``--repeats`` runs, in
 wall-clock milliseconds and in reference milliseconds: each run's wall

@@ -13,8 +13,7 @@ import resolve_query`` name the same object. The command-line interface
 lives in :mod:`scholarkg.cli` and is not re-exported.
 """
 
-from . import (baseline, chunked_xml, document, embedding, evaluation, gateway, ingest, kg, qa,
-               segmentation)
+from . import baseline, chunked_xml, document, embedding, evaluation, gateway, ingest, kg, qa
 from .baseline import *  # noqa: F403
 from .chunked_xml import *  # noqa: F403
 from .document import *  # noqa: F403
@@ -22,7 +21,6 @@ from .embedding import *  # noqa: F403
 from .evaluation import *  # noqa: F403
 from .gateway import *  # noqa: F403
 from .ingest import *  # noqa: F403
-from .segmentation import *  # noqa: F403
 from .kg.graph import *  # noqa: F403
 from .kg.patterns import *  # noqa: F403
 from .kg.terms import *  # noqa: F403
@@ -36,7 +34,6 @@ __version__ = "0.1.0"
 __all__ = ["__version__"] + [
     name
     for module in (baseline, chunked_xml, document, embedding, evaluation, gateway, ingest,
-                   segmentation, kg.graph, kg.patterns, kg.terms, kg.turtle,
-                   qa.context, qa.engine, qa.relaxation)
+                   kg.graph, kg.patterns, kg.terms, kg.turtle, qa.context, qa.engine, qa.relaxation)
     for name in module.__all__
 ]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -30,7 +31,7 @@ from .evaluation import (
     cronbach_alpha,
     extract_entity_set,
 )
-from .gateway import GatewayRequest, HttpGateway, StubGateway
+from .gateway import HttpGateway, StubGateway
 from .ingest import (
     build_document_model,
     emit_rdf,
@@ -40,7 +41,7 @@ from .ingest import (
 )
 from .kg.graph import graph_stats
 from .kg.turtle import load_turtle, save_turtle
-from .qa.context import answer_question
+from .qa.context import answer_question, generate_answer
 
 __all__ = ["run", "main"]
 
@@ -235,10 +236,7 @@ def _cmd_retrieve_baseline(args: argparse.Namespace) -> int:
                          "hold no token")
     retrieved = retrieve_top_k(chunks, args.question, k=args.top_n,
                                embedder=_make_embedder(args))
-
-    # stripped as query strips it, so both sides send the same request bytes
-    response = _make_gateway(args).complete(
-        GatewayRequest.answer(args.question.strip(), [r.chunk.text for r in retrieved]))
+    answer = generate_answer(args.question, [r.chunk for r in retrieved], _make_gateway(args))
     print(f"{len(chunks)} chunks from {len(documents)} documents",
           file=sys.stderr)
 
@@ -249,9 +247,9 @@ def _cmd_retrieve_baseline(args: argparse.Namespace) -> int:
              "similarity": round(r.similarity, 4), "text": r.chunk.text}
             for r in retrieved
         ],
-        "answer": response.text.strip(),
+        "answer": answer.answer,
     }
-    lines = [f"Answer: {response.text.strip()}", "", "Chunks:"]
+    lines = [f"Answer: {answer.answer}", "", "Chunks:"]
     for r in retrieved:
         lines.append(f"  {r.chunk.chunk_id} (similarity {r.similarity:.4f})")
     _emit(payload, "\n".join(lines) + "\n", args)
@@ -416,11 +414,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run`` uses, built on its first call in the process."""
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
     """Run the CLI; returns the exit code instead of raising."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits on --help and usage errors
         code = exc.code
         return code if isinstance(code, int) else 2

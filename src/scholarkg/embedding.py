@@ -200,7 +200,6 @@ class BackendConfig:
     auth_env: str = ""
     timeout: float = 30.0
     retries: int = 2
-    backoff: float = 0.1
 
     def __post_init__(self) -> None:
         if self.retries < 0:
@@ -210,7 +209,8 @@ class BackendConfig:
                              f"{self.timeout}")
 
 
-# The longest wait a 429's Retry-After can ask for before a retry.
+# Retry n waits _BACKOFF_S * n s, or a 429's Retry-After up to the cap.
+_BACKOFF_S = 0.1
 _MAX_RETRY_AFTER_S = 5.0
 _DELAY_SECONDS = re.compile(r"[0-9]+")
 
@@ -231,9 +231,9 @@ class _HttpBackend:
         decoded JSON body.
 
         Connection failures, 429 and 5xx responses are retried: retry ``n``
-        waits ``config.backoff * n`` seconds, or longer when a 429 carries a
-        numeric ``Retry-After`` (up to ``_MAX_RETRY_AFTER_S``). A zero
-        ``backoff`` never waits. Any other 4xx fails at once.
+        waits ``_BACKOFF_S * n`` seconds, or longer when a 429 carries a
+        numeric ``Retry-After`` (up to ``_MAX_RETRY_AFTER_S``). Any other
+        4xx fails at once.
         """
         import requests
 
@@ -247,8 +247,8 @@ class _HttpBackend:
         last_error: BackendError | None = None
         retry_after = 0.0
         for attempt in range(config.retries + 1):
-            if attempt and config.backoff:
-                time.sleep(max(config.backoff * attempt, retry_after))
+            if attempt:
+                time.sleep(max(_BACKOFF_S * attempt, retry_after))
             retry_after = 0.0
             try:
                 response = self.session.post(config.url, json=payload, headers=headers,

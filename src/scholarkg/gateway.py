@@ -11,9 +11,9 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Protocol
 
+from .document import segment_sentences
 from .embedding import BackendProtocolError, _HttpBackend
 from .kg.patterns import TriplePattern, Variable, WILDCARD
-from .segmentation import segment_sentences
 
 __all__ = [
     "GatewayRequest",

@@ -18,6 +18,7 @@ from .document import (
     Sentence,
     collect_paragraphs,
     paragraph_id_for,
+    segment_sentences,
     short_hash,
 )
 from .embedding import Embedder, cosine_similarities
@@ -40,7 +41,6 @@ from .kg.terms import (
     XSD_STRING,
     entity_iri,
 )
-from .segmentation import segment_sentences
 
 __all__ = [
     "OutlineEntry",
@@ -304,8 +304,9 @@ def read_excerpts_jsonl(data: str | bytes) -> list[Excerpt]:
     are JSON strings and the word indices JSON integers. A string holding a
     lone surrogate (a ``\\ud800``-``\\udfff`` escape not paired with
     another) is refused, since it can be neither embedded nor saved as
-    UTF-8. Only ``"\\n"`` ends a line, since a JSON string may hold
-    U+0085, U+2028 and U+2029 raw. Excerpt ids are unique within the file.
+    UTF-8, and so is a blank ``in_sentence``, which cannot be embedded.
+    Only ``"\\n"`` ends a line, since a JSON string may hold U+0085,
+    U+2028 and U+2029 raw. Excerpt ids are unique within the file.
     A bad line raises ``ValueError`` naming it and the field, or, for a
     repeated id, the line that first held it.
     """
@@ -323,6 +324,8 @@ def read_excerpts_jsonl(data: str | bytes) -> list[Excerpt]:
                 if surrogate:
                     raise ValueError(f"{name!r} holds a lone surrogate "
                                      f"U+{ord(surrogate[0]):04X}")
+            if not fields["in_sentence"].strip():
+                raise ValueError("'in_sentence' is blank")
             excerpt = Excerpt(**fields)
             first = first_lines.setdefault(excerpt.excerpt_id, index)
             if first != index:

@@ -53,16 +53,16 @@ def _check_selection(top_n: int, diverse_k: int) -> None:
 
 
 def select_context(graph: KnowledgeGraph, query_entities: set[str],
-                   top_n: int = 10, diverse_k: int = 5,
-                   embedder: Embedder | None = None) -> list[ScoredParagraph]:
+                   top_n: int = 10, diverse_k: int = 5, *,
+                   embedder: Embedder) -> list[ScoredParagraph]:
     """Pick a small, diverse set of paragraphs naming the query entities.
 
     Candidates are every paragraph containing at least one entity name.
     The ``top_n`` highest keyword-frequency paragraphs survive; from
     those, ``diverse_k`` are chosen greedily, each new pick maximising
     its minimum embedding distance to the already-picked ones (ties go
-    to the higher keyword frequency, then the smaller node IRI). Without
-    an embedder the top ``diverse_k`` by frequency are returned.
+    to the higher keyword frequency, then the smaller node IRI). A
+    shortlist of at most ``diverse_k`` is returned as it is, unembedded.
     """
     _check_selection(top_n, diverse_k)
     names = [entity_phrase(key) for key in sorted(query_entities)]
@@ -78,8 +78,6 @@ def select_context(graph: KnowledgeGraph, query_entities: set[str],
     shortlist = scored[:top_n]
     if len(shortlist) <= diverse_k:
         return shortlist
-    if embedder is None:
-        return shortlist[:diverse_k]
 
     vectors = dict(zip((p.node for p in shortlist),
                        embedder.embed_many([p.text for p in shortlist])))
@@ -96,16 +94,16 @@ def select_context(graph: KnowledgeGraph, query_entities: set[str],
 
 @dataclass(frozen=True)
 class AnswerResult:
-    """An answer with the paragraphs that grounded it."""
+    """An answer with the context items (paragraphs or chunks) that grounded it."""
 
     answer: str
-    context: tuple[ScoredParagraph, ...] = field(default_factory=tuple)
+    context: tuple = field(default_factory=tuple)
     backend: str = ""
 
 
-def generate_answer(question: str, context: list[ScoredParagraph],
+def generate_answer(question: str, context: list,
                     gateway: Gateway) -> AnswerResult:
-    """Answer the question from the selected paragraphs only."""
+    """Answer the stripped question from the context items' ``.text`` only."""
     if not question.strip():
         raise ValueError("question must be non-empty")
     if not context:
@@ -187,7 +185,7 @@ def _sparql_of(query_entities: set[str]) -> str:
 
 
 def answer_question(graph: KnowledgeGraph, question: str, gateway: Gateway,
-                    embedder: Embedder | None, *, top_n: int = 10, diverse_k: int = 5,
+                    embedder: Embedder, *, top_n: int = 10, diverse_k: int = 5,
                     max_depth: int = 2) -> QueryAnswer:
     """Answer ``question`` from ``graph``: extract its triple patterns,
     resolve them with relaxation up to ``max_depth``, rank the matched

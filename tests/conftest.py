@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from scholarkg import embedding
 from scholarkg.embedding import HashedBagOfWordsEmbedder
 from scholarkg.gateway import StubGateway
 from scholarkg.kg.turtle import load_turtle
@@ -27,6 +28,14 @@ def stub_gateway():
 @pytest.fixture(scope="session")
 def stub_embedder():
     return HashedBagOfWordsEmbedder()
+
+
+@pytest.fixture()
+def retry_waits(monkeypatch) -> list[float]:
+    """The seconds each HTTP backend retry would wait; none is waited."""
+    slept: list[float] = []
+    monkeypatch.setattr(embedding.time, "sleep", slept.append)
+    return slept
 
 
 def pytest_terminal_summary(terminalreporter):

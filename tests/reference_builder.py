@@ -8,9 +8,8 @@ against: on every drawn outline both must give equal document models.
 """
 
 from scholarkg.document import (DocumentModel, Paragraph, Section, Sentence, paragraph_id_for,
-                                short_hash)
+                                segment_sentences, short_hash)
 from scholarkg.ingest import HeadingOutline
-from scholarkg.segmentation import segment_sentences
 
 
 class _SectionBuilder:

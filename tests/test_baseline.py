@@ -163,8 +163,7 @@ def test_retrieve_top_k_embeds_chunks_64_per_request(n_chunks):
     chunks += [Chunk(f"x-{i:04d}", "x", words(3 + i % 7, prefix="t"))
                for i in range(n_chunks - len(chunks))]
     session = _VectorSession()
-    embedder = HttpEmbedder(BackendConfig(url="http://embed.test/v1", backoff=0.0),
-                            session=session)
+    embedder = HttpEmbedder(BackendConfig(url="http://embed.test/v1"), session=session)
     question = "which t1 t2 t3 words"
     hits = retrieve_top_k(chunks, question, 10, embedder)
     assert [len(batch) for batch in session.calls] == \

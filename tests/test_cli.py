@@ -13,6 +13,8 @@ from scholarkg.gateway import StubGateway
 from scholarkg.kg.graph import paragraphs_containing
 from scholarkg.kg.terms import HAS_EXCERPT, PARAGRAPH, entity_phrase
 from scholarkg.kg.turtle import load_turtle
+from scholarkg.qa import context as qa_context
+from scholarkg.qa.context import generate_answer
 from scholarkg.qa.engine import extract_question_patterns, query_entities_of
 
 QUESTION = "Which tool is applied to extract text from PDF research proposals?"
@@ -236,6 +238,20 @@ def test_missing_file_is_domain_error(capsys):
     code, _, err = invoke(capsys, "stats", "--graph", "/no/such/file.ttl")
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_run_builds_one_parser_that_outlives_a_usage_error(capsys, monkeypatch, fixtures_dir):
+    stats = ["stats", "--graph", str(fixtures_dir / "scholarly_sample.ttl"), "--format", "json"]
+    expected = invoke(capsys, *stats)
+    assert expected[0] == 0
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(build()) or built[-1])
+    cli._parser.cache_clear()
+    code, out, err = invoke(capsys, *stats[:-1], "yaml")
+    assert (code, out) == (2, "") and "invalid choice: 'yaml'" in err
+    assert invoke(capsys, *stats) == expected
+    assert len(built) == 1
+    assert build() is not build()
 
 
 def test_version_flag(capsys):
@@ -703,6 +719,57 @@ def test_retrieve_baseline_over_fixture_corpus(capsys, tmp_path, fixtures_dir):
     similarities = [c["similarity"] for c in payload["chunks"]]
     assert similarities == sorted(similarities, reverse=True)
     assert "Metadata Extractor" in payload["answer"]
+
+
+BASELINE_ANSWER = ("Data Extraction A Metadata Extractor & Loader (MEL) tool is applied to "
+                   "extract text from PDF research proposals and save it in a JSON file with "
+                   "metadata sets and content.")
+BASELINE_CHUNKS = [
+    {"chunk_id": "doc1-0000", "document": "doc1", "similarity": 0.3399,
+     "text": "Introduction Scholarly documents hold detailed findings that are hard to "
+             "search directly. We build a knowledge graph of paragraphs, excerpts and "
+             "mentioned entities from research documents, and answer questions against it. "
+             + BASELINE_ANSWER + " By default, all JSON files are stored in CouchDB database "
+             "based on the proposal index."},
+    {"chunk_id": "doc2-0000", "document": "doc2", "similarity": 0.2697,
+     "text": "Background Our comparison covers packages for text handling in scholarly "
+             "settings; the trade-offs shape the extraction stack we adopt. Content Analysis "
+             "The most comprehensive and current state-of-the-art tool for content extraction "
+             "and analysis is Apache Tika, which is a complete and complex Java-based "
+             "general-purpose system. While MEL core goals resemble the ones of Apache Tika, "
+             "the main difference and benefit of MEL as compared to Apache Tika is that it is "
+             "a lightweight Python-based package for the metadata extraction of common file "
+             "formats aimed to be used in a KGCP."},
+]
+
+
+def test_retrieve_baseline_prints_the_pinned_output(capsys, fixtures_dir):
+    argv = ["retrieve-baseline", "--corpus", str(fixtures_dir), "--question", QUESTION]
+    expected_json = json.dumps({"question": QUESTION, "chunks": BASELINE_CHUNKS,
+                                "answer": BASELINE_ANSWER}, indent=2) + "\n"
+    expected_text = (f"Answer: {BASELINE_ANSWER}\n\nChunks:\n"
+                     "  doc1-0000 (similarity 0.3399)\n  doc2-0000 (similarity 0.2697)\n")
+    err = "2 chunks from 2 documents\n"
+    assert invoke(capsys, *argv, "--format", "json") == (0, expected_json, err)
+    assert invoke(capsys, *argv, "--format", "text") == (0, expected_text, err)
+
+
+@pytest.mark.parametrize("command", ["query", "retrieve-baseline"])
+def test_each_pipeline_run_answers_through_generate_answer_once(capsys, monkeypatch,
+                                                                fixtures_dir, command):
+    calls = []
+
+    def counted(question, context, gateway):
+        calls.append(question)
+        return generate_answer(question, context, gateway)
+
+    for module in (cli, qa_context):
+        monkeypatch.setattr(module, "generate_answer", counted)
+    source = (["--graph", str(fixtures_dir / "scholarly_sample.ttl")] if command == "query"
+              else ["--corpus", str(fixtures_dir)])
+    for runs, fmt in enumerate(["json", "text"], start=1):
+        assert invoke(capsys, command, *source, "--question", QUESTION, "--format", fmt)[0] == 0
+        assert calls == [QUESTION] * runs
 
 
 def test_retrieve_baseline_embeds_a_separator_document(capsys, tmp_path, fixtures_dir):

@@ -53,8 +53,8 @@ def test_document_id_empty_for_foreign_nodes():
     assert p.document_id == ""
 
 
-def test_select_context_scores_by_keyword_frequency(sample_graph):
-    chosen = select_context(sample_graph, {"mel", "apache_tika"})
+def test_select_context_scores_by_keyword_frequency(sample_graph, stub_embedder):
+    chosen = select_context(sample_graph, {"mel", "apache_tika"}, embedder=stub_embedder)
     assert chosen
     # the comparison paragraph names both entities repeatedly and leads
     assert chosen[0].keyword_frequency >= chosen[-1].keyword_frequency
@@ -62,36 +62,28 @@ def test_select_context_scores_by_keyword_frequency(sample_graph):
     assert frequencies == sorted(frequencies, reverse=True)
 
 
-def test_select_context_orders_ties_by_node_iri():
+def test_select_context_orders_ties_by_node_iri(stub_embedder):
     a = paragraph_node("doc1", "aa")
     b = paragraph_node("doc1", "bb")
     graph = graph_of((b, "silver lining"), (a, "silver spoon"))
-    chosen = select_context(graph, {"silver"})
+    chosen = select_context(graph, {"silver"}, embedder=stub_embedder)
     assert [p.node for p in chosen] == [a, b]
 
 
-def test_select_context_validates_arguments(sample_graph):
+def test_select_context_validates_arguments(sample_graph, stub_embedder):
     with pytest.raises(ValueError):
-        select_context(sample_graph, {"mel"}, top_n=0)
+        select_context(sample_graph, {"mel"}, top_n=0, embedder=stub_embedder)
     with pytest.raises(ValueError):
-        select_context(sample_graph, {"mel"}, diverse_k=0)
+        select_context(sample_graph, {"mel"}, diverse_k=0, embedder=stub_embedder)
     with pytest.raises(ValueError):
-        select_context(sample_graph, {"mel"}, top_n=3, diverse_k=4)
+        select_context(sample_graph, {"mel"}, top_n=3, diverse_k=4, embedder=stub_embedder)
     with pytest.raises(ValueError):
-        select_context(sample_graph, set())
+        select_context(sample_graph, set(), embedder=stub_embedder)
 
 
-def test_select_context_truncates_without_embedder():
-    nodes = [paragraph_node("doc1", f"{i:02d}") for i in range(8)]
-    graph = graph_of(*(
-        (node, "common topic " + "common " * (8 - i)) for i, node in enumerate(nodes)))
-    chosen = select_context(graph, {"common"}, top_n=6, diverse_k=3)
-    assert len(chosen) == 3
-    assert [p.node for p in chosen] == nodes[:3]
-
-
-def test_select_context_returns_shortlist_when_small(sample_graph):
-    chosen = select_context(sample_graph, {"couchdb"}, top_n=10, diverse_k=5)
+def test_select_context_returns_shortlist_when_small(sample_graph, stub_embedder):
+    chosen = select_context(sample_graph, {"couchdb"}, top_n=10, diverse_k=5,
+                            embedder=stub_embedder)
     assert 1 <= len(chosen) <= 5
     assert all("CouchDB" in p.text for p in chosen)
 

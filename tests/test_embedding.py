@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_embedder
-from scholarkg import embedding
 from scholarkg.document import Excerpt, Paragraph, Sentence
 from scholarkg.embedding import (
     BackendConfig,
@@ -231,8 +230,7 @@ class _FakeSession:
 
 
 def http_embedder(responses, **config) -> HttpEmbedder:
-    config = BackendConfig(url="http://embed.test/v1", model="embed-model",
-                           **{"backoff": 0.0, **config})
+    config = BackendConfig(url="http://embed.test/v1", model="embed-model", **config)
     return HttpEmbedder(config, session=_FakeSession(responses))
 
 
@@ -291,7 +289,7 @@ def test_http_embedder_dimension_drift():
         embedder.embed("b")
 
 
-def test_http_embedder_retries_transport_failures():
+def test_http_embedder_retries_transport_failures(retry_waits):
     import requests
 
     embedder = http_embedder([
@@ -301,7 +299,7 @@ def test_http_embedder_retries_transport_failures():
     assert embedder.embed("a") == vec(1.0)
 
 
-def test_http_embedder_transport_error_after_exhausted_retries():
+def test_http_embedder_transport_error_after_exhausted_retries(retry_waits):
     import requests
 
     embedder = http_embedder([requests.ConnectionError("down")] * 3)
@@ -331,7 +329,7 @@ def test_http_embedder_rejects_empty_text():
     assert embedder.embed_many([]) == []
 
 
-def test_http_embedder_retries_429_then_succeeds():
+def test_http_embedder_retries_429_then_succeeds(retry_waits):
     embedder = http_embedder([
         _FakeResponse(status_code=429, headers={"Retry-After": "1"}),
         _FakeResponse(status_code=429),
@@ -339,9 +337,10 @@ def test_http_embedder_retries_429_then_succeeds():
     ])
     assert embedder.embed("a") == vec(1.0)
     assert len(embedder.session.calls) == 3
+    assert retry_waits == [1.0, 0.2]
 
 
-def test_http_embedder_gives_up_after_repeated_429():
+def test_http_embedder_gives_up_after_repeated_429(retry_waits):
     embedder = http_embedder([_FakeResponse(status_code=429)] * 3)
     with pytest.raises(BackendTransportError, match="429"):
         embedder.embed("a")
@@ -356,9 +355,7 @@ def test_http_embedder_other_4xx_fails_at_once(status):
     assert len(embedder.session.calls) == 1
 
 
-def test_429_retry_after_sets_the_wait_up_to_a_cap(monkeypatch):
-    slept = []
-    monkeypatch.setattr(embedding.time, "sleep", slept.append)
+def test_429_retry_after_sets_the_wait_up_to_a_cap(retry_waits):
     embedder = http_embedder([
         _FakeResponse(status_code=429, headers={"Retry-After": "3"}),
         _FakeResponse(status_code=429, headers={"Retry-After": "3600"}),
@@ -366,21 +363,12 @@ def test_429_retry_after_sets_the_wait_up_to_a_cap(monkeypatch):
         _FakeResponse(status_code=503, headers={"Retry-After": "4"}),
         _FakeResponse(status_code=429, headers={"Retry-After": "0"}),
         _FakeResponse(payload={"vectors": [[1.0]]}),
-    ], backoff=0.25, retries=5)
+    ], retries=5)
     assert embedder.embed("a") == vec(1.0)
-    # a numeric Retry-After on a 429 lengthens the backoff, up to 5 s; a
-    # date, a 5xx's header and a shorter value leave backoff * attempt
-    assert slept == [3.0, 5.0, 0.75, 1.0, 1.25]
+    # a numeric Retry-After on a 429 lengthens the 0.1 s * attempt backoff,
+    # up to 5 s; a date, a 5xx's header and a shorter value leave it
+    assert retry_waits == [3.0, 5.0, 0.1 * 3, 0.1 * 4, 0.1 * 5]
     assert len(embedder.session.calls) == 6
-
-
-def test_zero_backoff_never_sleeps_on_429(monkeypatch):
-    monkeypatch.setattr(embedding.time, "sleep", pytest.fail)
-    embedder = http_embedder([
-        _FakeResponse(status_code=429, headers={"Retry-After": "30"}),
-        _FakeResponse(payload={"vectors": [[1.0]]}),
-    ])
-    assert embedder.embed("a") == vec(1.0)
 
 
 # ---------------------------------------------------------------------------

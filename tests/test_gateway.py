@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from scholarkg import cli
+from scholarkg.document import segment_sentences
 from scholarkg.gateway import (
     ANSWER_MARKER,
     EXTRACT_MARKER,
@@ -24,7 +25,6 @@ from scholarkg.kg.patterns import TriplePattern, Variable, WILDCARD
 from scholarkg.kg.terms import Iri
 from scholarkg.qa.context import ScoredParagraph, _sparql_of, generate_answer
 from scholarkg.qa.engine import extract_question_patterns
-from scholarkg.segmentation import segment_sentences
 
 
 def test_request_validation():
@@ -201,8 +201,7 @@ class _FakeSession:
 
 def http_gateway(responses) -> tuple[HttpGateway, _FakeSession]:
     session = _FakeSession(responses)
-    config = BackendConfig(url="http://backend.test/v1/chat", model="test-model",
-                           backoff=0.0)
+    config = BackendConfig(url="http://backend.test/v1/chat", model="test-model")
     return HttpGateway(config, session=session), session
 
 
@@ -233,7 +232,7 @@ def test_http_gateway_accepts_plain_text_field():
     assert gateway.complete(GatewayRequest(system="s", user="u")).text == "plain"
 
 
-def test_http_gateway_retries_5xx_then_succeeds():
+def test_http_gateway_retries_5xx_then_succeeds(retry_waits):
     gateway, session = http_gateway([
         _FakeResponse(status_code=503),
         _FakeResponse(payload={"text": "recovered"}),
@@ -242,7 +241,7 @@ def test_http_gateway_retries_5xx_then_succeeds():
     assert len(session.calls) == 2
 
 
-def test_http_gateway_gives_up_after_retries():
+def test_http_gateway_gives_up_after_retries(retry_waits):
     gateway, session = http_gateway([
         _FakeResponse(status_code=500),
         _FakeResponse(status_code=500),
@@ -260,7 +259,7 @@ def test_http_gateway_4xx_fails_immediately():
     assert len(session.calls) == 1
 
 
-def test_http_gateway_retries_429_then_succeeds():
+def test_http_gateway_retries_429_then_succeeds(retry_waits):
     gateway, session = http_gateway([
         _FakeResponse(status_code=429),
         _FakeResponse(status_code=429),
@@ -270,7 +269,7 @@ def test_http_gateway_retries_429_then_succeeds():
     assert len(session.calls) == 3
 
 
-def test_http_gateway_gives_up_after_repeated_429():
+def test_http_gateway_gives_up_after_repeated_429(retry_waits):
     gateway, session = http_gateway([_FakeResponse(status_code=429)] * 3)
     with pytest.raises(BackendTransportError, match="429"):
         gateway.complete(GatewayRequest(system="s", user="u"))
@@ -313,7 +312,7 @@ def test_auth_token_is_read_from_environment(monkeypatch):
     monkeypatch.setenv("TEST_GATEWAY_TOKEN", "sekrit")
     session = _FakeSession([_FakeResponse(payload={"text": "ok"})])
     config = BackendConfig(url="http://backend.test/v1/chat",
-                           auth_env="TEST_GATEWAY_TOKEN", backoff=0.0)
+                           auth_env="TEST_GATEWAY_TOKEN")
     HttpGateway(config, session=session).complete(GatewayRequest(system="s", user="u"))
     assert session.calls[0]["headers"]["Authorization"] == "Bearer sekrit"
 

@@ -176,6 +176,21 @@ def test_link_of_no_excerpts_sends_no_request(capsys, backends, server, fixtures
     assert server.paths == []
 
 
+@pytest.mark.parametrize("sentence", ["", "   "])
+def test_a_blank_excerpt_sentence_is_refused_before_any_request(capsys, backends, server,
+                                                                fixtures_dir, tmp_path, sentence):
+    record = json.loads((fixtures_dir / "excerpts_doc1.jsonl").read_text("utf-8"))
+    excerpts = tmp_path / "e.jsonl"
+    excerpts.write_text(json.dumps({**record, "in_sentence": sentence}) + "\n", "utf-8")
+    refusal = (1, "", "error: bad excerpt record on line 1: 'in_sentence' is blank\n")
+    http = ["--excerpts", str(excerpts), "--embedder", "http", "--config", backends()]
+    assert invoke(capsys, "link", "--graph", str(fixtures_dir / "scholarly_sample.ttl"),
+                  *http) == refusal
+    assert invoke(capsys, "ingest", "--outline", str(fixtures_dir / "outline_doc1.json"),
+                  "--text", str(fixtures_dir / "doc1.txt"), *http) == refusal
+    assert server.paths == []
+
+
 @pytest.mark.parametrize("options, message", [
     (["--max-depth", "-1"], "max_depth must be non-negative"),
     (["--diverse-k", "0"], "top_n and diverse_k must be positive"),

@@ -333,6 +333,8 @@ EXCERPT_RECORD = {"excerpt_id": "E", "label": "l", "in_sentence": "s",
      "'excerpt_id' holds a lone surrogate U+DBFF"),
     (json.dumps({**EXCERPT_RECORD, "mentions": "\ud83dm"}),
      "'mentions' holds a lone surrogate U+D83D"),
+    (json.dumps({**EXCERPT_RECORD, "in_sentence": ""}), "'in_sentence' is blank"),
+    (json.dumps({**EXCERPT_RECORD, "in_sentence": "   "}), "'in_sentence' is blank"),
 ])
 def test_read_excerpts_jsonl_reports_bad_records(line, message):
     good = json.dumps(EXCERPT_RECORD)
@@ -340,6 +342,11 @@ def test_read_excerpts_jsonl_reports_bad_records(line, message):
         read_excerpts_jsonl(f"{good}\n\n{line}\n")
     assert str(excinfo.value) == f"bad excerpt record on line 3: {message}"
 
+
+
+def test_read_excerpts_jsonl_accepts_a_sentence_without_letters_or_digits():
+    (excerpt,) = read_excerpts_jsonl(json.dumps({**EXCERPT_RECORD, "in_sentence": "* * *"}))
+    assert excerpt.in_sentence == "* * *"
 
 
 def test_read_excerpts_jsonl_reads_a_surrogate_pair_escape_as_one_character():

@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scholarkg.segmentation import ABBREVIATIONS, segment_sentences
+from scholarkg.document import ABBREVIATIONS, segment_sentences
 
 
 def test_plain_sentences():
