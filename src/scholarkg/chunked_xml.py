@@ -11,13 +11,13 @@ references.
 The format has no paragraph element, so the reader makes one paragraph of
 each maximal run of consecutive sentences in a section: only a subsection
 ends a run. Its id derives from the document id and its text, as the
-outline reader's do. As it validates, the reader writes the canonical
-tree that ``serialize_chunked_xml`` writes for the model: each section's
-heading first, then its sentences, each holding its references, and
-subsections in document order. The document id is the hash of that
-tree's serialization, so round-tripping is the identity for models that
-came out of ``parse_chunked_xml``. A ``str`` is read as the text it
-holds, whatever encoding its XML declaration names.
+outline reader's do. As it validates, the reader writes the model's
+canonical tree: each section's heading first, then its sentences, each
+holding its references nested, and subsections in document order. The
+document id is the hash of that tree's serialization, so reading the
+canonical tree of a model that came out of ``parse_chunked_xml`` gives
+that model again. A ``str`` is read as the text it holds, whatever
+encoding its XML declaration names.
 """
 
 from __future__ import annotations
@@ -34,14 +34,13 @@ __all__ = [
     "ChunkedXmlParseError",
     "ChunkedXmlValidationError",
     "parse_chunked_xml",
-    "serialize_chunked_xml",
 ]
 
 _ALLOWED_ELEMENTS = {"section", "heading", "sentence", "reference"}
 
 
 class ChunkedXmlError(Exception):
-    """Base error for the chunked XML reader and writer."""
+    """Base error for the chunked XML reader."""
 
 
 class ChunkedXmlParseError(ChunkedXmlError):
@@ -108,18 +107,19 @@ def _read_section(elem: ET.Element, canonical: ET.Element, last: ET.Element | No
             if heading is not None:
                 raise ChunkedXmlValidationError("section has more than one heading")
             heading = _text_only(child)
-            _emit_heading(canonical, heading)
+            if heading:  # the canonical heading comes first
+                canonical.insert(0, ET.Element("heading"))
+                canonical[0].text = heading
         elif child.tag == "sentence":
-            refs = []
+            last = ET.SubElement(canonical, "sentence")
             for sub in child:
                 _check_element(sub)
                 if sub.tag != "reference":
                     raise ChunkedXmlValidationError(f"unexpected <{sub.tag}> inside <sentence>")
-                refs.append(_parse_reference(sub))
-            text = _sentence_text(child)
-            if not text:
+                ET.SubElement(last, "reference").text = str(_parse_reference(sub))
+            last.text = _sentence_text(child)
+            if not last.text:
                 raise ChunkedXmlValidationError("sentence has no text")
-            last = _emit_sentence(canonical, text, refs)
         elif child.tag == "reference":
             # A sibling reference cites from the nearest preceding sentence
             # in document order, even across a section boundary.
@@ -186,52 +186,7 @@ def parse_chunked_xml(data: bytes | str) -> DocumentModel:
         _read_section(root, tree, None, 0)
         if tree.find("sentence") is not None:
             raise ChunkedXmlValidationError("sentence outside any identified section")
-    doc_id = short_hash(_canonical_bytes(tree).decode("utf-8"))
+    ET.indent(tree, space="  ")
+    doc_id = short_hash(ET.tostring(tree, encoding="unicode"))
     title, sections = _realize(tree, doc_id)
     return DocumentModel(doc_id=doc_id, title=title or None, sections=sections)
-
-
-def _emit_heading(elem: ET.Element, heading: str | None) -> None:
-    """Make a non-empty heading the first child of a section element."""
-    if heading:
-        elem.insert(0, ET.Element("heading"))
-        elem[0].text = heading
-
-
-def _emit_sentence(parent: ET.Element, text: str,
-                   references: list[int] | tuple[int, ...]) -> ET.Element:
-    elem = ET.SubElement(parent, "sentence")
-    elem.text = text
-    for ref in references:
-        ET.SubElement(elem, "reference").text = str(ref)
-    return elem
-
-
-def _emit_section(parent: ET.Element, section: Section) -> None:
-    elem = ET.SubElement(parent, "section", {"ID": section.section_id})
-    _emit_heading(elem, section.heading)
-    for item in section.body:
-        if isinstance(item, Section):
-            _emit_section(elem, item)
-        else:
-            for sentence in item.sentences:
-                _emit_sentence(elem, sentence.text, sentence.references)
-
-
-def _canonical_bytes(root: ET.Element) -> bytes:
-    ET.indent(root, space="  ")
-    return ET.tostring(root, encoding="utf-8", xml_declaration=False)
-
-
-def serialize_chunked_xml(model: DocumentModel) -> bytes:
-    """Serialize a model to canonical chunked XML (UTF-8).
-
-    References are always written nested inside their sentence, and
-    paragraph grouping is flattened since the format has no paragraph
-    element.
-    """
-    root = ET.Element("section")
-    _emit_heading(root, model.title)
-    for section in model.sections:
-        _emit_section(root, section)
-    return _canonical_bytes(root)

@@ -271,7 +271,7 @@ def link_graph(graph: KnowledgeGraph, excerpts: Sequence[Excerpt], embedder: Emb
                              f"it is outside the askg-data namespace <{_DATA_NS}>")
         paragraphs.append(Paragraph(node.value[len(_DATA_NS):], (Sentence(label.lexical),)))
     links = link_excerpts(paragraphs, excerpts, embedder, threshold=threshold)
-    triples = list(graph.unordered())
+    triples = list(graph)
     for excerpt in excerpts:
         node = Iri(_DATA_NS + excerpt.excerpt_id)
         triples += (Triple(node, RDF_TYPE, EXCERPT),

@@ -24,7 +24,6 @@ from .terms import (
 
 __all__ = [
     "KnowledgeGraph",
-    "paragraphs_containing",
     "keyword_frequency",
     "GraphStats",
     "graph_stats",
@@ -34,56 +33,34 @@ __all__ = [
 class KnowledgeGraph:
     """An immutable, deduplicated set of triples, bucketed by predicate.
 
-    The constructor only deduplicates and buckets; each order is built on
-    first use and kept. The first read of a predicate (``by_subject``,
-    ``match(predicate=…)``, and ``label_of`` and ``subjects_of_type`` for
-    ``rdfs:label`` and ``rdf:type``) groups its bucket by subject: subjects
-    in IRI order, and only a group of more than one triple sorted by
-    ``triple_sort_key``. Iterating, comparing or hashing the graph sorts it
-    whole into that order; a query never does, nor does ``unordered``,
-    which saving, statistics and linking read. A lazy value depends on
-    the triples alone and is stored in one assignment, so threads racing
-    to build it store equal values, never a partial one.
+    Iterating the graph yields each distinct triple once, predicate by
+    predicate in the order the predicates first appear in the input, each
+    predicate's triples in input order. An RDF graph has no order to compare
+    by, so a graph compares and hashes by identity; compare ``set(g)``.
+    The constructor only deduplicates and buckets. The one order a graph
+    builds is per predicate, on its first read (``by_subject``, ``match``,
+    and ``label_of`` and ``subjects_of_type`` for ``rdfs:label`` and
+    ``rdf:type``): the bucket grouped by subject, subjects in IRI order, and
+    only a group of more than one triple sorted by ``triple_sort_key``. A
+    lazy value depends on the triples alone and is stored in one
+    assignment, so threads racing to build it store equal values, never a
+    partial one.
     """
 
-    __slots__ = ("_by_predicate", "_groups", "_triples", "_types")
+    __slots__ = ("_by_predicate", "_groups", "_types")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         by_predicate = self._by_predicate = defaultdict(list)
         for t in dict.fromkeys(triples):
             by_predicate[t[1]].append(t)
         self._groups: dict[Iri, dict[Iri, tuple[Triple, ...]]] = {}
-        self._triples: tuple[Triple, ...] | None = None
         self._types: dict[Iri, tuple[Iri, ...]] | None = None
-
-    @property
-    def triples(self) -> tuple[Triple, ...]:
-        """Every triple, in ``triple_sort_key`` order."""
-        if self._triples is None:
-            # each bucket's input-order runs are reused by the sort
-            self._triples = tuple(sorted(
-                (t for bucket in self._by_predicate.values() for t in bucket),
-                key=triple_sort_key))
-        return self._triples
-
-    def unordered(self) -> Iterator[Triple]:
-        """Every triple, in no promised order, without building the
-        whole-graph order: for a reader that orders or counts them itself."""
-        return itertools.chain.from_iterable(self._by_predicate.values())
 
     def __len__(self) -> int:
         return sum(map(len, self._by_predicate.values()))
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(self.triples)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, KnowledgeGraph):
-            return NotImplemented
-        return self.triples == other.triples
-
-    def __hash__(self) -> int:
-        return hash(self.triples)
+        return itertools.chain.from_iterable(self._by_predicate.values())
 
     def _grouped(self, predicate: Iri) -> dict[Iri, tuple[Triple, ...]]:
         if predicate not in self._groups:
@@ -98,30 +75,22 @@ class KnowledgeGraph:
 
     def by_subject(self, predicate: Iri) -> Mapping[Iri, tuple[Triple, ...]]:
         """The triples of ``predicate`` grouped by subject: subjects in IRI
-        order, each group in the graph's triple order."""
+        order, each group in ``triple_sort_key`` order."""
         return MappingProxyType(self._grouped(predicate))
 
-    def match(self, subject: Iri | None = None, predicate: Iri | None = None,
+    def match(self, *, subject: Iri | None = None, predicate: Iri,
               object: "Iri | Literal | None" = None) -> tuple[Triple, ...]:
-        """Triples matching the given concrete terms; ``None`` matches any.
-
-        The result is in the graph's triple order: the subject's group of
-        the predicate, the predicate's groups, or all triples, filtered on
-        the terms not yet bound.
-        """
-        if predicate is None:
-            candidates = self.triples
-        elif subject is None:
-            candidates = tuple(t for group in self._grouped(predicate).values() for t in group)
+        """The triples of ``predicate`` with the given subject and object;
+        ``None`` matches any. The result is in the predicate's group order:
+        the subject's group, or all groups, filtered on the object."""
+        groups = self._grouped(predicate)
+        if subject is None:
+            candidates = tuple(t for group in groups.values() for t in group)
         else:
-            candidates, subject = self._grouped(predicate).get(subject, ()), None
-        if subject is None and object is None:
+            candidates = groups.get(subject, ())
+        if object is None:
             return candidates
-        return tuple(
-            t for t in candidates
-            if (subject is None or t.subject == subject)
-            and (object is None or t.object == object)
-        )
+        return tuple(t for t in candidates if t.object == object)
 
     def subjects_of_type(self, type_iri: Iri) -> tuple[Iri, ...]:
         """The subjects typed ``type_iri``, in IRI order."""
@@ -134,31 +103,11 @@ class KnowledgeGraph:
         return self._types.get(type_iri, ())
 
     def label_of(self, node: Iri) -> Literal | None:
-        """The node's first literal label in the graph's triple order."""
+        """The node's first literal label in ``triple_sort_key`` order."""
         for t in self._grouped(RDFS_LABEL).get(node, ()):
             if isinstance(t.object, Literal):
                 return t.object
         return None
-
-
-def paragraphs_containing(graph: KnowledgeGraph,
-                          names: Iterable[str]) -> list[tuple[Iri, str]]:
-    """Paragraph nodes whose label contains any of the names, case-insensitively.
-
-    Results are sorted by node IRI.
-    """
-    lowered = [n.lower() for n in names if n]
-    if not lowered:
-        raise ValueError("at least one non-empty name is required")
-    out: list[tuple[Iri, str]] = []
-    for node in graph.subjects_of_type(PARAGRAPH):
-        label = graph.label_of(node)
-        if label is None:
-            continue
-        text = label.lexical.lower()
-        if any(n in text for n in lowered):
-            out.append((node, label.lexical))
-    return out
 
 
 def keyword_frequency(label: str, keywords: Iterable[str]) -> int:
@@ -212,7 +161,7 @@ def graph_stats(graph: KnowledgeGraph) -> GraphStats:
     entities: set[Iri] = set()
     predicates: set[Iri] = set()
     type_objects: set = set()
-    for t in graph.unordered():
+    for t in graph:
         entities.add(t.subject)
         predicates.add(t.predicate)
         if isinstance(t.object, Iri):

@@ -200,8 +200,8 @@ def triple_sort_key(triple: Triple) -> tuple:
     before any literal, a literal by lexical form, datatype IRI and
     language, then whether it has a datatype and whether it has a
     language, so that ``"x"``, ``"x"^^<>`` and ``"x"@""`` get distinct keys
-    and a graph's order never depends on its input order. One flat tuple
-    is built and compared faster than a nested one."""
+    and a graph's per-subject groups never depend on its input order. One
+    flat tuple is built and compared faster than a nested one."""
     o = triple.object
     if isinstance(o, Iri):
         return (triple.subject.value, triple.predicate.value, 0, o.value, "", "")

@@ -22,17 +22,17 @@ and a token out of place. An IRI holding a character that W3C
 the rest of the document has parsed, at the line of that character.
 
 The writer is canonical: subjects, predicates and objects are emitted in
-a fixed order, so saving the same graph always produces identical bytes
-and ``load(save(g)) == g``. It raises ``TurtleError`` for what the
-reader would refuse: an IRI holding a character ``IRIREF`` forbids, a
-language tag that is not a full ``LANGTAG`` (or is ``prefix``, which
-reads as the directive), and any term holding a surrogate code point.
+a fixed order, so saving the same graph always produces identical bytes,
+and loading them gives a graph with an equal triple set. It raises
+``TurtleError`` for what the reader would refuse: an IRI holding a
+character ``IRIREF`` forbids, a language tag that is not a full
+``LANGTAG`` (or is ``prefix``, which reads as the directive), and any
+term holding a surrogate code point.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable
 
 from .graph import KnowledgeGraph
 from .terms import Iri, Literal, NAMESPACES, PREFIX_ALIASES, RDF_TYPE, RDFS_LABEL, Triple
@@ -395,24 +395,15 @@ def save_turtle(graph: KnowledgeGraph) -> bytes:
     by subject with ``;``/``,`` continuation: subjects and each predicate's
     objects sorted by their rendered text, predicates by rank and then
     text. A term's rendering is unique to it, so the bytes do not depend on
-    the order the triples are read in, and they are read unordered, without
-    the graph's whole-graph sort. Each distinct term is rendered once per
-    call. Which term a ``TurtleError`` names depends on the order the terms
-    are rendered in, so a graph that cannot be written is read again in the
-    graph's order, and the error names the term that order reaches first.
+    the order the graph iterates in. Each distinct term is rendered once
+    per call, all subjects first, in that order, so which term a
+    ``TurtleError`` names depends on the graph's input alone.
     """
-    try:
-        return _canonical_turtle(graph.unordered())
-    except TurtleError:
-        return _canonical_turtle(graph)
-
-
-def _canonical_turtle(triples: Iterable[Triple]) -> bytes:
     lines = [f"@prefix {prefix}: <{NAMESPACES[prefix]}> ." for prefix in sorted(NAMESPACES)]
     lines.append("")
 
     by_subject: dict[Iri, dict[Iri, list]] = {}
-    for t in triples:
+    for t in graph:
         by_subject.setdefault(t.subject, {}).setdefault(t.predicate, []).append(t.object)
 
     rendered = _Rendered()

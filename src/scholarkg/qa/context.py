@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from ..document import document_id_of
 from ..embedding import Embedder, cosine_similarities
 from ..gateway import Gateway, GatewayRequest, format_triples
-from ..kg.graph import KnowledgeGraph, keyword_frequency, paragraphs_containing
+from ..kg.graph import KnowledgeGraph, keyword_frequency
 from ..kg.patterns import CompoundQuery
-from ..kg.terms import NAMESPACES, Iri, entity_phrase
+from ..kg.terms import NAMESPACES, PARAGRAPH, Iri, entity_phrase
 from .engine import (
     CandidateTripleSet,
     RankedEntity,
@@ -57,7 +57,8 @@ def select_context(graph: KnowledgeGraph, query_entities: set[str],
                    embedder: Embedder) -> list[ScoredParagraph]:
     """Pick a small, diverse set of paragraphs naming the query entities.
 
-    Candidates are every paragraph containing at least one entity name.
+    Candidates are every labelled paragraph containing at least one
+    entity name, case-insensitively; one name at least must be non-empty.
     The ``top_n`` highest keyword-frequency paragraphs survive; from
     those, ``diverse_k`` are chosen greedily, each new pick maximising
     its minimum embedding distance to the already-picked ones (ties go
@@ -66,14 +67,15 @@ def select_context(graph: KnowledgeGraph, query_entities: set[str],
     """
     _check_selection(top_n, diverse_k)
     names = [entity_phrase(key) for key in sorted(query_entities)]
-    scored = [
-        ScoredParagraph(
-            node=node,
-            text=text,
-            keyword_frequency=keyword_frequency(text, names),
-        )
-        for node, text in paragraphs_containing(graph, names)
-    ]
+    if not any(names):
+        raise ValueError("at least one non-empty name is required")
+    scored = []
+    for node in graph.subjects_of_type(PARAGRAPH):
+        label = graph.label_of(node)
+        if label is not None:
+            frequency = keyword_frequency(label.lexical, names)
+            if frequency:
+                scored.append(ScoredParagraph(node, label.lexical, frequency))
     scored.sort(key=lambda p: (-p.keyword_frequency, p.node.value))
     shortlist = scored[:top_n]
     if len(shortlist) <= diverse_k:

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_chunked_xml
+from reference_chunked_xml import serialize_chunked_xml
 from scholarkg import chunked_xml
 from scholarkg.chunked_xml import (
     ChunkedXmlError,
     ChunkedXmlParseError,
     ChunkedXmlValidationError,
     parse_chunked_xml,
-    serialize_chunked_xml,
 )
 from scholarkg.document import (
     MAX_SECTION_DEPTH,

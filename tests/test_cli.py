@@ -10,11 +10,10 @@ from scholarkg import __version__, cli
 from scholarkg.cli import read_config, run
 from scholarkg.embedding import BackendConfig, HashedBagOfWordsEmbedder
 from scholarkg.gateway import StubGateway
-from scholarkg.kg.graph import paragraphs_containing
-from scholarkg.kg.terms import HAS_EXCERPT, PARAGRAPH, entity_phrase
+from scholarkg.kg.terms import HAS_EXCERPT, PARAGRAPH
 from scholarkg.kg.turtle import load_turtle
 from scholarkg.qa import context as qa_context
-from scholarkg.qa.context import generate_answer
+from scholarkg.qa.context import generate_answer, select_context
 from scholarkg.qa.engine import extract_question_patterns, query_entities_of
 
 QUESTION = "Which tool is applied to extract text from PDF research proposals?"
@@ -440,6 +439,22 @@ def test_ingest_rejects_excerpt_id_that_cannot_be_written(capsys, tmp_path, fixt
     assert "'>'" in err
 
 
+def test_ingest_names_the_first_unwritable_excerpt_id_in_record_order(capsys, tmp_path,
+                                                                     fixtures_dir):
+    record = json.loads((fixtures_dir / "excerpts_doc1.jsonl").read_text("utf-8"))
+    excerpts = tmp_path / "excerpts.jsonl"
+    excerpts.write_text("".join(json.dumps(dict(record, excerpt_id=excerpt_id)) + "\n"
+                                for excerpt_id in ("Excerpt b 2", "Excerpt a 1")), "utf-8")
+    code, _, err = invoke(capsys, "ingest",
+                          "--outline", str(fixtures_dir / "outline_doc1.json"),
+                          "--text", str(fixtures_dir / "doc1.txt"),
+                          "--excerpts", str(excerpts),
+                          "--out", str(tmp_path / "out.ttl"))
+    assert code == 1
+    assert err == ("error: cannot write IRI "
+                   "'https://www.anu.edu.au/onto/scholarly/Excerpt b 2': it contains ' '\n")
+
+
 def write_paragraph_graph(path, node: str, fixtures_dir) -> None:
     """A one-paragraph graph whose label is the doc1 excerpt's sentence."""
     record = json.loads((fixtures_dir / "excerpts_doc1.jsonl").read_text("utf-8"))
@@ -633,8 +648,11 @@ def test_query_sparql_selects_the_context_candidates(capsys, fixtures_dir, sampl
          if sparql_selects(payload["sparql"], sample_graph.label_of(node).lexical)),
         key=lambda node: node.value)
     entities = query_entities_of(extract_question_patterns(question, StubGateway()))
-    phrases = [entity_phrase(key) for key in sorted(entities)]
-    assert selected == [node for node, _ in paragraphs_containing(sample_graph, phrases)]
+    # a shortlist as long as the graph's paragraphs keeps every candidate
+    everything = len(sample_graph.subjects_of_type(PARAGRAPH))
+    candidates = select_context(sample_graph, entities, top_n=everything, diverse_k=everything,
+                                embedder=HashedBagOfWordsEmbedder())
+    assert selected == sorted((p.node for p in candidates), key=lambda node: node.value)
     assert {node.value for node in selected} >= set(payload["provenance"])
 
 

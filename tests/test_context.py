@@ -77,8 +77,21 @@ def test_select_context_validates_arguments(sample_graph, stub_embedder):
         select_context(sample_graph, {"mel"}, diverse_k=0, embedder=stub_embedder)
     with pytest.raises(ValueError):
         select_context(sample_graph, {"mel"}, top_n=3, diverse_k=4, embedder=stub_embedder)
-    with pytest.raises(ValueError):
-        select_context(sample_graph, set(), embedder=stub_embedder)
+    for entities in (set(), {""}):
+        with pytest.raises(ValueError, match="at least one non-empty name is required"):
+            select_context(sample_graph, entities, embedder=stub_embedder)
+
+
+def test_select_context_keeps_each_paragraph_naming_any_entity(stub_embedder):
+    a, b, c, d, e = (paragraph_node("doc1", tag) for tag in ("a", "b", "c", "d", "e"))
+    graph = graph_of((a, "MEL extracts text."), (b, "Apache Tika parses files."),
+                     (c, "MEL wraps Apache Tika."), (d, "Nothing here."),
+                     (e, "A camel is no tool."))
+    # every paragraph fits the shortlist, so none is dropped and none embedded
+    chosen = select_context(graph, {"mel", "apache_tika", ""}, top_n=5, diverse_k=5,
+                            embedder=stub_embedder)
+    # a name matches case-insensitively and inside a longer word
+    assert [(p.node, p.keyword_frequency) for p in chosen] == [(c, 2), (a, 1), (b, 1), (e, 1)]
 
 
 def test_select_context_returns_shortlist_when_small(sample_graph, stub_embedder):

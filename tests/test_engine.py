@@ -4,7 +4,6 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scholarkg.embedding import HashedBagOfWordsEmbedder
 from scholarkg.gateway import StubGateway
 from scholarkg.kg.graph import KnowledgeGraph
 from scholarkg.kg.patterns import CompoundQuery, TriplePattern, WILDCARD, is_ground
@@ -37,11 +36,9 @@ from scholarkg.qa.engine import (
     resolve_query,
     triple_entities,
 )
-from scholarkg.qa.context import answer_question
 from scholarkg.qa.relaxation import RelaxationDictionary, RelaxedQuery, relax_set
 
-from anchor_graphs import (KEYS, UnorderedGraph, random_anchor_graph, random_phrase,
-                           random_question)
+from anchor_graphs import KEYS, random_anchor_graph, random_phrase, random_question
 
 QUESTION = "Which tool is applied to extract text from PDF research proposals?"
 
@@ -217,7 +214,7 @@ def test_phrase_words_inside_longer_words_do_not_match():
 
 class _CountingGraph(KnowledgeGraph):
     """A graph that records the predicate of every per-subject read and
-    fails on any ``match``, which scans a bucket or the whole graph."""
+    fails on any ``match``, which scans a predicate's bucket."""
 
     def __init__(self, triples):
         super().__init__(triples)
@@ -227,7 +224,7 @@ class _CountingGraph(KnowledgeGraph):
         self.reads.append(predicate)
         return super().by_subject(predicate)
 
-    def match(self, subject=None, predicate=None, object=None):
+    def match(self, *, subject=None, predicate, object=None):
         raise AssertionError(f"a scan: match({subject}, {predicate}, {object})")
 
 
@@ -243,15 +240,6 @@ def test_resolve_query_walks_the_edges_once_and_each_term_once(sample_graph, mon
     assert result.exhausted
     assert graph.reads == [RDFS_LABEL, HAS_EXCERPT, MENTIONS, IN_SENTENCE]
     assert sorted(phrased) == ["migrates_through", "permafrost", "woolly_mammoth"]
-
-
-def test_answer_question_never_builds_the_whole_graph_order(sample_graph):
-    question = "Which tool is applied to extract text from PDF research proposals?"
-    graph = UnorderedGraph(sample_graph.triples)
-    assert len(graph) == len(sample_graph)
-    answer = answer_question(graph, question, StubGateway(), HashedBagOfWordsEmbedder())
-    assert answer.to_dict() == answer_question(
-        sample_graph, question, StubGateway(), HashedBagOfWordsEmbedder()).to_dict()
 
 
 def labelled(*texts: str, excerpt_sentence: str | None = None) -> KnowledgeGraph:
