@@ -72,6 +72,20 @@ def paragraph(node_suffix: str, text: str) -> list[Triple]:
     ]
 
 
+def test_paragraphs_containing_requires_a_name():
+    g = KnowledgeGraph(paragraph("1", "text"))
+    for names in (set(), {""}):
+        with pytest.raises(ValueError, match="at least one non-empty name is required"):
+            select_context(g, names, embedder=HashedBagOfWordsEmbedder())
+
+
+def test_paragraphs_containing_is_sorted_by_node():
+    g = KnowledgeGraph(paragraph("b", "mel") + paragraph("a", "mel"))
+    nodes = [p.node.value for p in select_context(g, {"mel"},
+                                                   embedder=HashedBagOfWordsEmbedder())]
+    assert nodes == sorted(nodes) and len(nodes) == 2
+
+
 def test_paragraphs_come_in_iri_order_from_shuffled_triples():
     # suffixes whose IRI order differs from their insertion and length order
     suffixes = ["b", "a", "a0", "B", "10", "9", "z-1", "_", "aa", "A"]
