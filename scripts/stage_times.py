@@ -22,12 +22,19 @@ this process:
 * ``retrieve_top_k`` of those chunks for the corpus's first question
   (k = 10), by a fresh stub embedder each run;
 * ``answer_question`` of the corpus's first question (the default
-  options), with fresh stub backends each run.
+  options), with fresh stub backends each run;
+* ``cli_query`` and ``cli_retrieve_baseline``: one in-process
+  ``cli.run`` of ``query`` and of ``retrieve-baseline`` of that question
+  with ``--format json``, over the graph and the baseline's documents
+  written to a temporary directory, its output discarded: the
+  end-to-end CLI time of each side, reading the files included.
 
 ``first_reads``, ``_anchor_matcher``, ``resolve_query`` and
 ``answer_question`` run on a graph built afresh before each run, outside
 the timed region, so each pays for the first reads it makes, as a cold
-``query`` does.
+``query`` does. The library rows run with the cyclic garbage collector
+on, as a library caller's code does; the ``cli_`` rows run with it
+paused, as ``cli.run`` pauses it for a command.
 
 For the ingest side it takes the first ``ingest-corpus`` paper
 (``bench/gen.py``'s ``ingest_papers``) of each of 10, 45 and 80
@@ -67,9 +74,12 @@ checkout's root, with the ``scholarkg`` to time on ``PYTHONPATH``
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -125,6 +135,29 @@ def timed(fn, repeats: int, make=None) -> dict:
             "ref_min_ms": round(1000 * min(reference), 2)}
 
 
+def cli_run(argv: list[str]) -> None:
+    """``cli.run(argv)`` with its output discarded; a failing command raises."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.run(argv)
+    if code:
+        raise RuntimeError(f"{argv[0]} exited with {code}")
+
+
+def cli_times(data: bytes, documents: dict[str, str], question: str, repeats: int) -> dict:
+    """The ``cli_query`` and ``cli_retrieve_baseline`` rows."""
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, corpus = Path(tmp, "graph.ttl"), Path(tmp, "corpus")
+        graph.write_bytes(data)
+        corpus.mkdir()
+        for key, text in documents.items():
+            (corpus / f"{key}.txt").write_text(text, "utf-8")
+        ask = ["--question", question, "--format", "json"]
+        return {"cli_query": timed(lambda: cli_run(
+                    ["query", "--graph", str(graph), *ask]), repeats),
+                "cli_retrieve_baseline": timed(lambda: cli_run(
+                    ["retrieve-baseline", "--corpus", str(corpus), *ask]), repeats)}
+
+
 def stage_times(seed: int, papers: int, repeats: int) -> dict:
     corpus = gen.corpus(seed, "cli", papers, PARAGRAPHS_PER_PAPER, gen.CLI_BLOCK,
                         gen.CLI_BLOCKS, gen.CLI_RANKS)
@@ -133,8 +166,9 @@ def stage_times(seed: int, papers: int, repeats: int) -> dict:
     triples = _parse(text)
     graph = KnowledgeGraph(triples)
     # the documents bench/gen.py writes for retrieve-baseline
-    chunks = chunk_corpus({paper.key: "\n\n".join(" ".join(s) for _, s in paper.paragraphs())
-                           + "\n" for paper in corpus.papers})
+    documents = {paper.key: "\n\n".join(" ".join(s) for _, s in paper.paragraphs()) + "\n"
+                 for paper in corpus.papers}
+    chunks = chunk_corpus(documents)
     texts = [chunk.text for chunk in chunks]
     question = corpus.questions[0].text
     query = extract_question_patterns(question, StubGateway())
@@ -166,6 +200,7 @@ def stage_times(seed: int, papers: int, repeats: int) -> dict:
             chunks, question, k=10, embedder=HashedBagOfWordsEmbedder()), repeats),
         "answer_question": timed(lambda g: answer_question(
             g, question, StubGateway(), HashedBagOfWordsEmbedder()), repeats, fresh),
+        **cli_times(data, documents, question, repeats),
     }
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import json
 import os
 import sys
@@ -151,11 +152,11 @@ def _load_graph(path: str):
     return load_turtle(Path(path).read_bytes())
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(data: bytes, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, "utf-8")
+        Path(out).write_bytes(data)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode("utf-8"))
 
 
 def _emit(payload: dict, text: str, args: argparse.Namespace) -> None:
@@ -182,7 +183,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     if args.excerpts:
         excerpts = read_excerpts_jsonl(Path(args.excerpts).read_text("utf-8"))
         graph, links = link_graph(graph, excerpts, _make_embedder(args), args.threshold)
-    _write_output(save_turtle(graph).decode("utf-8"), args.out)
+    _write_output(save_turtle(graph), args.out)
     print(f"document {model.doc_id}: {len(graph)} triples, "
           f"{len(links)} excerpt links", file=sys.stderr)
     return 0
@@ -192,7 +193,7 @@ def _cmd_link(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     excerpts = read_excerpts_jsonl(Path(args.excerpts).read_text("utf-8"))
     linked, links = link_graph(graph, excerpts, _make_embedder(args), args.threshold)
-    _write_output(save_turtle(linked).decode("utf-8"), args.out)
+    _write_output(save_turtle(linked), args.out)
     for link in links:
         print(f"{link.excerpt_id} -> {link.paragraph_id} "
               f"(similarity {link.similarity:.4f})", file=sys.stderr)
@@ -421,18 +422,29 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Run the CLI; returns the exit code instead of raising."""
+    """Run the CLI; returns the exit code instead of raising.
+
+    The cyclic garbage collector is paused for the command and restored
+    to its prior state afterwards; the command's own objects form no
+    cycle. The pause is process-wide: other threads run without it too.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:  # argparse exits on --help and usage errors
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    try:
-        _resolve_options(args)
-        return args.func(args)
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:  # argparse exits on --help and usage errors
+            code = exc.code
+            return code if isinstance(code, int) else 2
+        try:
+            _resolve_options(args)
+            return args.func(args)
+        except Exception as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def main() -> None:

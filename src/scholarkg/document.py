@@ -191,15 +191,13 @@ def validate_model(model: DocumentModel) -> list[ValidationIssue]:
 def collect_paragraphs(model: DocumentModel) -> list[Paragraph]:
     """Every paragraph of the model, in document order."""
     out: list[Paragraph] = []
-
-    def walk(body: tuple[Paragraph | Section, ...]) -> None:
-        for item in body:
-            if isinstance(item, Paragraph):
-                out.append(item)
-            else:
-                walk(item.body)
-
-    walk(model.sections)
+    pending: list[Paragraph | Section] = list(reversed(model.sections))
+    while pending:
+        item = pending.pop()
+        if isinstance(item, Paragraph):
+            out.append(item)
+        else:
+            pending.extend(reversed(item.body))
     return out
 
 

@@ -1,8 +1,10 @@
 import argparse
+import gc
 import json
 import re
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -13,6 +15,7 @@ from scholarkg.gateway import StubGateway
 from scholarkg.kg.terms import HAS_EXCERPT, PARAGRAPH
 from scholarkg.kg.turtle import load_turtle
 from scholarkg.qa import context as qa_context
+from scholarkg.qa import engine as qa_engine
 from scholarkg.qa.context import generate_answer, select_context
 from scholarkg.qa.engine import extract_question_patterns, query_entities_of
 
@@ -423,6 +426,19 @@ def test_link_attaches_excerpts_to_existing_graph(capsys, tmp_path, fixtures_dir
         assert invoke(capsys, "link", "--graph", str(bare), "--excerpts", excerpts,
                       "--out", str(linked))[0] == 0
         assert linked.read_bytes() == at_once.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["ingest", "link"])
+def test_out_file_holds_the_bytes_written_to_stdout(capsys, tmp_path, fixtures_dir, command):
+    source = (["--outline", str(fixtures_dir / "outline_doc1.json"),
+               "--text", str(fixtures_dir / "doc1.txt")] if command == "ingest"
+              else ["--graph", str(fixtures_dir / "scholarly_sample.ttl")])
+    argv = [command, *source, "--excerpts", str(fixtures_dir / "excerpts_doc1.jsonl")]
+    code, stdout, _ = invoke(capsys, *argv)
+    assert code == 0 and stdout
+    out = tmp_path / "out.ttl"
+    assert invoke(capsys, *argv, "--out", str(out))[:2] == (0, "")
+    assert out.read_bytes() == stdout.encode("utf-8")
 
 
 def test_ingest_rejects_excerpt_id_that_cannot_be_written(capsys, tmp_path, fixtures_dir):
@@ -966,6 +982,113 @@ def test_stats_json(capsys, fixtures_dir):
   "entities": 12
 }
 """
+
+
+# ---------------------------------------------------------------------------
+# The cyclic garbage collector
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("argv, code", [
+    (["query", "--graph", "FIXTURES/scholarly_sample.ttl", "--question", QUESTION], 0),
+    (["stats", "--graph", "/no/such/file.ttl"], 1),
+    (["stats", "--no-such-flag"], 2),
+    (["--version"], 0),
+], ids=["success", "domain-error", "usage-error", "version"])
+def test_run_restores_the_collector_state_on_every_exit(capsys, fixtures_dir, enabled,
+                                                        argv, code):
+    argv = [arg.replace("FIXTURES", str(fixtures_dir)) for arg in argv]
+    was_enabled = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        frozen = gc.get_freeze_count()
+        result = invoke(capsys, *argv)[0]
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert result == code
+
+
+def test_run_pauses_the_collector_from_parse_to_output(capsys, monkeypatch, fixtures_dir):
+    seen = []
+    parser = cli._parser()
+    monkeypatch.setattr(cli, "_parser", lambda: seen.append(("parse", gc.isenabled())) or parser)
+    monkeypatch.setattr(cli, "load_turtle",
+                        lambda data: seen.append(("load", gc.isenabled())) or load_turtle(data))
+    assert gc.isenabled()
+    code, _, _ = invoke(capsys, "query", "--graph", str(fixtures_dir / "scholarly_sample.ttl"),
+                        "--question", QUESTION)
+    assert code == 0
+    assert seen == [("parse", False), ("load", False)]
+    assert gc.isenabled()
+
+
+def _package_garbage(capsys, argv: list[str]) -> tuple[int, list[str]]:
+    """The exit code of ``argv`` and the ``scholarkg`` objects it left in
+    reference cycles, by type (a function by its own module).
+
+    Under ``gc.DEBUG_SAVEALL`` a collection keeps every unreachable
+    object in ``gc.garbage`` instead of freeing it.
+    """
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code = invoke(capsys, *argv)[0]
+        gc.collect()
+        names = set()
+        for obj in gc.garbage:
+            owner = obj if isinstance(obj, types.FunctionType) else type(obj)
+            if (owner.__module__ or "").partition(".")[0] == "scholarkg":
+                names.add(f"{owner.__module__}.{owner.__qualname__}")
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    return code, sorted(names)
+
+
+_COMMANDS = {
+    "query": ["query", "--graph", "FIXTURES/scholarly_sample.ttl", "--question", QUESTION,
+              "--format", "json"],
+    "retrieve-baseline": ["retrieve-baseline", "--corpus", "FIXTURES", "--question", QUESTION,
+                          "--format", "json"],
+    "ingest": ["ingest", "--xml", "FIXTURES/chunked_paper.xml",
+               "--excerpts", "FIXTURES/excerpts_doc1.jsonl", "--out", "OUT"],
+    "ingest-outline": ["ingest", "--outline", "FIXTURES/outline_doc1.json",
+                       "--text", "FIXTURES/doc1.txt",
+                       "--excerpts", "FIXTURES/excerpts_doc1.jsonl", "--out", "OUT"],
+    "link": ["link", "--graph", "FIXTURES/scholarly_sample.ttl",
+             "--excerpts", "FIXTURES/excerpts_doc2.jsonl", "--out", "OUT"],
+    "stats": ["stats", "--graph", "FIXTURES/scholarly_sample.ttl"],
+    "eval": ["eval", "--answers", "FIXTURES/answers.json", "--ratings", "FIXTURES/ratings.csv",
+             "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_no_command_leaves_a_package_object_in_a_reference_cycle(capsys, tmp_path,
+                                                                 fixtures_dir, command):
+    # The CLI runs with the collector paused, so only reference counting
+    # frees what a command leaves; a cycle would hold it until the next
+    # collection. The stdlib json encoder's closures may form one.
+    argv = [str(tmp_path / "out.ttl") if arg == "OUT"
+            else arg.replace("FIXTURES", str(fixtures_dir)) for arg in _COMMANDS[command]]
+    assert _package_garbage(capsys, argv) == (0, [])
+
+
+def test_the_cycle_check_sees_a_graph_that_a_cycle_holds(capsys, monkeypatch, fixtures_dir):
+    matcher = qa_engine._anchor_matcher
+
+    def held(graph):
+        box = [graph]
+        box.append(box)
+        return matcher(graph)
+
+    monkeypatch.setattr(qa_engine, "_anchor_matcher", held)
+    argv = [arg.replace("FIXTURES", str(fixtures_dir)) for arg in _COMMANDS["query"]]
+    code, names = _package_garbage(capsys, argv)
+    assert code == 0
+    assert {"scholarkg.kg.graph.KnowledgeGraph", "scholarkg.kg.terms.Triple"} <= set(names)
 
 
 # ---------------------------------------------------------------------------
