@@ -168,13 +168,13 @@ def _emit(payload: dict, text: str, args: argparse.Namespace) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    if args.xml:
+    if args.xml and not (args.outline or args.text):
         model = parse_chunked_xml(Path(args.xml).read_bytes())
-    elif args.outline and args.text:
+    elif args.outline and args.text and not args.xml:
         outline = read_outline_json(Path(args.outline).read_text("utf-8"))
         model = build_document_model(outline, Path(args.text).read_text("utf-8"))
     else:
-        raise ValueError("ingest needs --xml or both --outline and --text")
+        raise ValueError("ingest needs --xml or both --outline and --text, not --xml with either")
     issues = validate_model(model)
     if issues:
         raise ValueError(f"invalid document: {issues[0].path}: {issues[0].message}")
@@ -316,18 +316,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         payload.update(report.to_dict())
         text_parts.append(report.to_text())
     if args.ratings:
-        with open(args.ratings, newline="", encoding="utf-8") as handle:
-            rows = list(csv.reader(handle))
+        with open(args.ratings, newline="", encoding="utf-8-sig") as handle:
+            rows = [row for row in csv.reader(handle) if row]
         ratings: list[list[float]] = []
-        for row in rows:
-            if not row:
-                continue
+        for index, row in enumerate(rows):
             try:
                 ratings.append([float(cell) for cell in row])
             except ValueError:
-                if ratings:
-                    raise ValueError("non-numeric rating row after data rows")
-                continue  # header row
+                if index:  # only the first row may be a header
+                    raise ValueError(f"non-numeric rating row: {row!r}")
         alpha = cronbach_alpha(ratings)
         payload["cronbach_alpha"] = round(alpha, 4)
         text_parts.append(f"Cronbach alpha: {alpha:.4f}\n")

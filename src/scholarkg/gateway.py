@@ -201,9 +201,7 @@ def _clause_to_pattern(clause: str) -> TriplePattern | None:
        a wildcard when nothing remains.
     """
     tokens = clause.replace("|", " ").strip().rstrip("?.!").split()
-    if not tokens:
-        return None
-    if tokens[0].lower() in _WH_WORDS:
+    if tokens and tokens[0].lower() in _WH_WORDS:
         tokens = tokens[1:]
     if not tokens:
         return None
@@ -281,8 +279,6 @@ class StubGateway:
         question = _question_from_prompt(user_text)
         lines = []
         for clause in _CLAUSE_SPLIT.split(question):
-            if clause is None or not clause.strip():
-                continue
             # a split on ";" can leave the conjunction behind
             clause = re.sub(r"^\s*(?:and|or)\s+", "", clause, flags=re.IGNORECASE)
             pattern = _clause_to_pattern(clause)
@@ -299,15 +295,9 @@ class StubGateway:
             t for t in re.findall(r"[a-z0-9]+", question.lower())
             if t not in _STOPWORDS
         }
-        best_sentence = ""
-        best_score = -1
-        for sentence in segment_sentences(context):
-            lowered = sentence.lower()
-            score = sum(1 for k in keywords if k in lowered)
-            if score > best_score:
-                best_score = score
-                best_sentence = sentence
-        return best_sentence
+        # max keeps the first of equal scores
+        return max(segment_sentences(context), default="",
+                   key=lambda sentence: sum(map(sentence.lower().__contains__, keywords)))
 
 
 # ---------------------------------------------------------------------------

@@ -395,6 +395,16 @@ def test_ingest_requires_a_source(capsys):
     assert "needs --xml or both --outline and --text" in err
 
 
+@pytest.mark.parametrize("sources", [["--outline", "outline_doc1.json", "--text", "doc1.txt"],
+                                     ["--outline", "outline_doc1.json"], ["--text", "doc1.txt"]])
+def test_ingest_refuses_xml_with_an_outline_or_text(capsys, monkeypatch, fixtures_dir, sources):
+    monkeypatch.chdir(fixtures_dir)
+    code, out, err = invoke(capsys, "ingest", "--xml", "chunked_paper.xml", *sources)
+    assert (code, out) == (1, "")
+    assert err == ("error: ingest needs --xml or both --outline and --text, "
+                   "not --xml with either\n")
+
+
 def test_link_attaches_excerpts_to_existing_graph(capsys, tmp_path, fixtures_dir):
     bare = tmp_path / "bare.ttl"
     invoke(capsys, "ingest",
@@ -919,6 +929,23 @@ def test_eval_rejects_corrupt_ratings(capsys, tmp_path):
     code, _, err = invoke(capsys, "eval", "--ratings", str(bad))
     assert code == 1
     assert "non-numeric rating row" in err
+
+
+def test_eval_refuses_a_non_numeric_row_after_the_first(capsys, tmp_path):
+    ratings = tmp_path / "ratings.csv"
+    ratings.write_text("rater,a,b\nx,1,2\n3,4,5\n6,7,8\n", "utf-8")
+    code, out, err = invoke(capsys, "eval", "--ratings", str(ratings))
+    assert (code, out) == (1, "")
+    assert err == "error: non-numeric rating row: ['x', '1', '2']\n"
+
+
+def test_eval_reads_a_byte_order_mark_as_no_rating(capsys, tmp_path):
+    # 0.9474 is the alpha of these three rows written without the mark
+    ratings = tmp_path / "ratings.csv"
+    for header in ("", "q1,q2,q3\n"):
+        ratings.write_text(header + "4,5,3\n2,2,1\n5,4,4\n", "utf-8-sig")
+        assert invoke(capsys, "eval", "--ratings", str(ratings)) == (
+            0, "Cronbach alpha: 0.9474\n", ""), header
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

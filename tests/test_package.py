@@ -1,7 +1,6 @@
 import ast
 import importlib
 import os
-import pkgutil
 import shlex
 import subprocess
 import sys
@@ -10,29 +9,12 @@ from pathlib import Path
 
 import pytest
 
-import scholarkg
 from scholarkg.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def public_modules() -> list[types.ModuleType]:
-    """Every module of the package except the CLI, in import order."""
-    return [importlib.import_module(info.name)
-            for info in pkgutil.walk_packages(scholarkg.__path__, "scholarkg.")
-            if not info.ispkg and info.name != "scholarkg.cli"]
-
-
-def test_top_level_exports_each_module_public_name_once():
-    expected = ["__version__"] + [name for m in public_modules() for name in m.__all__]
-    assert sorted(scholarkg.__all__) == sorted(expected)
-    assert len(set(scholarkg.__all__)) == len(scholarkg.__all__)
-    for module in public_modules():
-        for name in module.__all__:
-            assert getattr(scholarkg, name) is getattr(module, name), (module.__name__, name)
-
-
-@pytest.mark.parametrize("package", ["scholarkg.kg", "scholarkg.qa"])
+@pytest.mark.parametrize("package", ["scholarkg", "scholarkg.kg", "scholarkg.qa"])
 def test_subpackages_name_nothing(package):
     module = importlib.import_module(package)
     assert not hasattr(module, "__all__")
@@ -60,6 +42,14 @@ def test_readme_query_walkthrough_prints_the_readme_output(monkeypatch, capsys):
     assert capsys.readouterr().out == output
 
 
+def python(script: str) -> str:
+    """The stdout of ``script`` run by a fresh interpreter on this tree."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+        str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_the_package_imports_only_the_stdlib_and_requests():
     allowed = sys.stdlib_module_names | {"requests", "scholarkg"}
     imported = set()
@@ -85,11 +75,17 @@ def test_stub_runs_do_not_import_requests():
         "assert run(['retrieve-baseline', '--corpus', 'tests/fixtures',\n"
         "            '--question', question]) == 0\n"
         "print('requests' in sys.modules)\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
-        str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "False"
+    assert python(script).splitlines()[-1] == "False"
+
+
+def test_importing_the_turtle_module_loads_only_the_modules_it_uses():
+    # the package root re-exports nothing, so importing one module does
+    # not load the whole package
+    script = ("import sys, scholarkg.kg.turtle\n"
+              "print(*sorted(name for name in sys.modules\n"
+              "              if name.split('.')[0] == 'scholarkg'))\n")
+    assert python(script).split() == ["scholarkg", "scholarkg.kg", "scholarkg.kg.graph",
+                                      "scholarkg.kg.terms", "scholarkg.kg.turtle"]
 
 
 def test_the_python_files_are_the_whole_package(tmp_path, capsys):
