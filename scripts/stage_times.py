@@ -10,8 +10,8 @@ this process:
   alone, on the parsed triples;
 * ``first_reads``: the reads that build a graph's lazy per-subject groups
   the first time a query reads them (``by_subject`` of the label, link,
-  mention and sentence predicates, and ``subjects_of_type``, which groups
-  the type triples);
+  mention and sentence predicates, and ``subjects_of_type``, which indexes
+  the type triples by their object);
 * ``qa.engine._anchor_matcher``: the one walk of the graph's edges into
   the joined anchor text and the mention-key map;
 * ``resolve_query`` of the corpus's first question (its patterns taken

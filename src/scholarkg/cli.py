@@ -116,7 +116,7 @@ def _resolve_options(args: argparse.Namespace) -> None:
     """
     config = {}
     if args.config:
-        text = Path(args.config).read_text("utf-8")
+        text = Path(args.config).read_text("utf-8-sig")
         config = {name: _config_value(name, raw)
                   for name, raw in read_config(text).items()}
     for name, (default, _) in _OPTIONS.items():
@@ -171,7 +171,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     if args.xml and not (args.outline or args.text):
         model = parse_chunked_xml(Path(args.xml).read_bytes())
     elif args.outline and args.text and not args.xml:
-        outline = read_outline_json(Path(args.outline).read_text("utf-8"))
+        outline = read_outline_json(Path(args.outline).read_text("utf-8-sig"))
         model = build_document_model(outline, Path(args.text).read_text("utf-8"))
     else:
         raise ValueError("ingest needs --xml or both --outline and --text, not --xml with either")
@@ -181,7 +181,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
     graph, links = emit_rdf(model), []
     if args.excerpts:
-        excerpts = read_excerpts_jsonl(Path(args.excerpts).read_text("utf-8"))
+        excerpts = read_excerpts_jsonl(Path(args.excerpts).read_text("utf-8-sig"))
         graph, links = link_graph(graph, excerpts, _make_embedder(args), args.threshold)
     _write_output(save_turtle(graph), args.out)
     print(f"document {model.doc_id}: {len(graph)} triples, "
@@ -191,7 +191,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _cmd_link(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
-    excerpts = read_excerpts_jsonl(Path(args.excerpts).read_text("utf-8"))
+    excerpts = read_excerpts_jsonl(Path(args.excerpts).read_text("utf-8-sig"))
     linked, links = link_graph(graph, excerpts, _make_embedder(args), args.threshold)
     _write_output(save_turtle(linked), args.out)
     for link in links:
@@ -305,13 +305,20 @@ def _read_answer_records(records) -> list[QuestionComparison]:
     return comparisons
 
 
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     embedder = _make_embedder(args)
 
     payload: dict = {}
     text_parts: list[str] = []
     if args.answers:
-        records = json.loads(Path(args.answers).read_text("utf-8"))
+        records = json.loads(Path(args.answers).read_text("utf-8-sig"))
         report = build_report(_read_answer_records(records), embedder)
         payload.update(report.to_dict())
         text_parts.append(report.to_text())
@@ -320,11 +327,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             rows = [row for row in csv.reader(handle) if row]
         ratings: list[list[float]] = []
         for index, row in enumerate(rows):
-            try:
-                ratings.append([float(cell) for cell in row])
-            except ValueError:
-                if index:  # only the first row may be a header
-                    raise ValueError(f"non-numeric rating row: {row!r}")
+            cells = [_number(cell) for cell in row]
+            if None not in cells:
+                ratings.append(cells)
+            elif index or any(cell is not None for cell in cells):
+                # only a first row without a single number is a header
+                raise ValueError(f"non-numeric rating row: {row!r}")
         alpha = cronbach_alpha(ratings)
         payload["cronbach_alpha"] = round(alpha, 4)
         text_parts.append(f"Cronbach alpha: {alpha:.4f}\n")

@@ -19,7 +19,6 @@ from .terms import (
     RDFS_LABEL,
     SECTION,
     Triple,
-    triple_sort_key,
 )
 
 __all__ = [
@@ -33,16 +32,15 @@ __all__ = [
 class KnowledgeGraph:
     """An immutable, deduplicated set of triples, bucketed by predicate.
 
-    Iterating the graph yields each distinct triple once, predicate by
-    predicate in the order the predicates first appear in the input, each
-    predicate's triples in input order. An RDF graph has no order to compare
-    by, so a graph compares and hashes by identity; compare ``set(g)``.
-    The constructor only deduplicates and buckets. The one order a graph
-    builds is per predicate, on its first read (``by_subject``, ``match``,
-    and ``label_of`` and ``subjects_of_type`` for ``rdfs:label`` and
-    ``rdf:type``): the bucket grouped by subject, subjects in IRI order, and
-    only a group of more than one triple sorted by ``triple_sort_key``. A
-    lazy value depends on the triples alone and is stored in one
+    An RDF graph is a set of triples, and this one keeps no order of its
+    own: every read follows the input order. Iterating yields each distinct
+    triple once, predicate by predicate in the order the predicates first
+    appear in the input, each predicate's triples in input order. A graph
+    compares and hashes by identity; compare ``set(g)``. The constructor
+    only deduplicates and buckets. ``by_subject`` and ``label_of`` group a
+    predicate's bucket by subject on its first read, and
+    ``subjects_of_type`` indexes the ``rdf:type`` bucket on its first call.
+    A lazy value depends on the input alone and is stored in one
     assignment, so threads racing to build it store equal values, never a
     partial one.
     """
@@ -64,50 +62,35 @@ class KnowledgeGraph:
 
     def _grouped(self, predicate: Iri) -> dict[Iri, tuple[Triple, ...]]:
         if predicate not in self._groups:
-            unordered: dict[Iri, list[Triple]] = defaultdict(list)
+            groups: dict[Iri, list[Triple]] = defaultdict(list)
             for t in self._by_predicate.get(predicate, ()):
-                unordered[t[0]].append(t)
-            self._groups[predicate] = {
-                subject: tuple(group) if len(group) == 1
-                else tuple(sorted(group, key=triple_sort_key))
-                for subject, group in sorted(unordered.items(), key=lambda item: item[0].value)}
+                groups[t[0]].append(t)
+            self._groups[predicate] = {subject: tuple(group) for subject, group in groups.items()}
         return self._groups[predicate]
 
     def by_subject(self, predicate: Iri) -> Mapping[Iri, tuple[Triple, ...]]:
-        """The triples of ``predicate`` grouped by subject: subjects in IRI
-        order, each group in ``triple_sort_key`` order."""
+        """The triples of ``predicate`` grouped by subject, in input order."""
         return MappingProxyType(self._grouped(predicate))
 
-    def match(self, *, subject: Iri | None = None, predicate: Iri,
-              object: "Iri | Literal | None" = None) -> tuple[Triple, ...]:
-        """The triples of ``predicate`` with the given subject and object;
-        ``None`` matches any. The result is in the predicate's group order:
-        the subject's group, or all groups, filtered on the object."""
-        groups = self._grouped(predicate)
-        if subject is None:
-            candidates = tuple(t for group in groups.values() for t in group)
-        else:
-            candidates = groups.get(subject, ())
-        if object is None:
-            return candidates
-        return tuple(t for t in candidates if t.object == object)
+    def match(self, *, predicate: Iri) -> tuple[Triple, ...]:
+        """The triples of ``predicate``, in input order."""
+        return tuple(self._by_predicate.get(predicate, ()))
 
     def subjects_of_type(self, type_iri: Iri) -> tuple[Iri, ...]:
-        """The subjects typed ``type_iri``, in IRI order."""
+        """The subjects typed ``type_iri``, in input order."""
         if self._types is None:
-            types: dict[Iri, list[Iri]] = {}
-            for subject, group in self._grouped(RDF_TYPE).items():
-                for t in group:
-                    types.setdefault(t.object, []).append(subject)
+            types: dict[Iri, list[Iri]] = defaultdict(list)
+            for t in self._by_predicate.get(RDF_TYPE, ()):
+                types[t[2]].append(t[0])
             self._types = {k: tuple(v) for k, v in types.items()}
         return self._types.get(type_iri, ())
 
     def label_of(self, node: Iri) -> Literal | None:
-        """The node's first literal label in ``triple_sort_key`` order."""
-        for t in self._grouped(RDFS_LABEL).get(node, ()):
-            if isinstance(t.object, Literal):
-                return t.object
-        return None
+        """The node's literal label with the least lexical form (the first
+        in input order among equal forms), or ``None``."""
+        return min((t.object for t in self._grouped(RDFS_LABEL).get(node, ())
+                    if isinstance(t.object, Literal)),
+                   key=lambda label: label.lexical, default=None)
 
 
 def keyword_frequency(label: str, keywords: Iterable[str]) -> int:

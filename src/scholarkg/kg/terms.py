@@ -34,7 +34,6 @@ __all__ = [
     "normalize_entity_key",
     "entity_phrase",
     "phrase_haystack",
-    "triple_sort_key",
     "RDF_TYPE",
     "RDFS_LABEL",
     "XSD_INT",
@@ -193,19 +192,3 @@ def phrase_haystack(text: str) -> str:
 def entity_iri(key: str) -> Iri:
     """IRI of the academic entity node for a normalized key."""
     return Iri(ACADEMIC_ENTITY_PREFIX + key)
-
-
-def triple_sort_key(triple: Triple) -> tuple:
-    """Subject IRI, predicate IRI, then the object: an IRI by its value
-    before any literal, a literal by lexical form, datatype IRI and
-    language, then whether it has a datatype and whether it has a
-    language, so that ``"x"``, ``"x"^^<>`` and ``"x"@""`` get distinct keys
-    and a graph's per-subject groups never depend on its input order. One
-    flat tuple is built and compared faster than a nested one."""
-    o = triple.object
-    if isinstance(o, Iri):
-        return (triple.subject.value, triple.predicate.value, 0, o.value, "", "")
-    return (triple.subject.value, triple.predicate.value, 1, o.lexical,
-            o.datatype.value if o.datatype else "", o.language or "",
-            o.datatype is not None, o.language is not None)
-

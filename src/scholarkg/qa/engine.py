@@ -147,9 +147,11 @@ _WORD_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789"
 def _anchor_matcher(graph: KnowledgeGraph) -> Callable[[CompoundQuery], frozenset[Triple]]:
     """A matcher over ``graph`` that walks its edges once.
 
-    The anchors are the paragraphs, in IRI order, then the excerpts. A
-    paragraph owns its excerpts' mentions; an excerpt's text is its label
-    and its ``inSentence`` literals. The walk reads the label, link,
+    The anchors are the paragraphs, in input order, then the excerpts. A
+    paragraph's text is its least lexical label (``label_of``), and it owns
+    its excerpts' mentions; an excerpt's text is its least lexical label
+    and its ``inSentence`` literals in lexical order, so the text does not
+    depend on the graph's input order. The walk reads the label, link,
     mention and sentence edges grouped by subject (``by_subject``), joins
     the anchors' lowered texts into one string with each anchor's start
     offset, and maps each mention key to its anchors. Each distinct ground
@@ -173,8 +175,8 @@ def _anchor_matcher(graph: KnowledgeGraph) -> Callable[[CompoundQuery], frozense
             mentioners = [edge.object for edge in links.get(node, ())
                           if isinstance(edge.object, Iri)]
         else:
-            parts += [t.object.lexical for t in sentences.get(node, ())
-                      if isinstance(t.object, Literal)]
+            parts += sorted(t.object.lexical for t in sentences.get(node, ())
+                            if isinstance(t.object, Literal))
             mentioners = [node]
         if not parts:
             no_text.add(i)

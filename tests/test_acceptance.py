@@ -45,7 +45,6 @@ from scholarkg.kg.terms import (
     Literal,
     Triple,
     iri,
-    triple_sort_key,
 )
 from scholarkg.kg.turtle import load_turtle, save_turtle
 from scholarkg.qa.context import answer_question
@@ -152,16 +151,16 @@ def holds_phrase(text: list[str], phrase: list[str]) -> bool:
 
 
 def brute_force_match(graph: KnowledgeGraph, query: CompoundQuery) -> frozenset[Triple]:
-    """The phrase matcher restated over a scan of the graph's triples in
-    ``triple_sort_key`` order.
+    """The phrase matcher restated over a scan of the graph's triples.
 
     Each Paragraph and each Excerpt node is read from its own edges: the
-    first literal label (plus, for an excerpt, its ``inSentence`` texts)
-    gives its words; a paragraph takes the mentions of the excerpts it
-    links, an excerpt its own. A node satisfying every term of every
-    pattern contributes its label, link and mention triples.
+    least lexical form of its literal labels (plus, for an excerpt, its
+    ``inSentence`` texts in lexical order) gives its words; a paragraph
+    takes the mentions of the excerpts it links, an excerpt its own. A node
+    satisfying every term of every pattern contributes its label, link and
+    mention triples.
     """
-    triples = sorted(graph, key=triple_sort_key)
+    triples = list(graph)
 
     def edges(node, predicate) -> list[Triple]:
         return [t for t in triples if t.subject == node and t.predicate == predicate]
@@ -171,8 +170,8 @@ def brute_force_match(graph: KnowledgeGraph, query: CompoundQuery) -> frozenset[
         for node in [t.subject for t in triples
                      if t.predicate == RDF_TYPE and t.object == kind]:
             labels = edges(node, RDFS_LABEL)
-            texts = [next((t.object.lexical for t in labels
-                           if isinstance(t.object, Literal)), "")]
+            texts = [min((t.object.lexical for t in labels
+                          if isinstance(t.object, Literal)), default="")]
             if kind == PARAGRAPH:
                 links = edges(node, HAS_EXCERPT)
                 mentions = [m for link in links if isinstance(link.object, Iri)
@@ -180,8 +179,8 @@ def brute_force_match(graph: KnowledgeGraph, query: CompoundQuery) -> frozenset[
             else:
                 links = []
                 mentions = edges(node, MENTIONS)
-                texts += [t.object.lexical for t in edges(node, IN_SENTENCE)
-                          if isinstance(t.object, Literal)]
+                texts += sorted(t.object.lexical for t in edges(node, IN_SENTENCE)
+                                if isinstance(t.object, Literal))
             text = words(" ".join(texts))
             keys = {m.object.entity_key() for m in mentions}
 

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -948,6 +949,16 @@ def test_eval_reads_a_byte_order_mark_as_no_rating(capsys, tmp_path):
             0, "Cronbach alpha: 0.9474\n", ""), header
 
 
+def test_eval_refuses_a_first_row_that_holds_a_number(capsys, fixtures_dir, tmp_path):
+    # a first row is a header only when none of its cells is a number
+    rows = (fixtures_dir / "ratings.csv").read_text("utf-8").splitlines()[1:]
+    ratings = tmp_path / "ratings.csv"
+    ratings.write_text("4,,3,4\n" + "\n".join(rows) + "\n", "utf-8")
+    code, out, err = invoke(capsys, "eval", "--ratings", str(ratings))
+    assert (code, out) == (1, "")
+    assert err == "error: non-numeric rating row: ['4', '', '3', '4']\n"
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_eval_rejects_non_finite_ratings(capsys, tmp_path, cell, fmt):
@@ -963,6 +974,33 @@ def test_eval_refuses_ratings_too_large_for_a_float(capsys, tmp_path):
     code, out, err = invoke(capsys, "eval", "--ratings", str(ratings))
     assert (code, out) == (1, "")
     assert err == "error: ratings are too large: their variance overflows a float\n"
+
+
+# Each option that names a UTF-8 file, with a command reading it; FIXTURES/
+# is the fixtures directory and TMP/ the test's own directory.
+_MARKED_READS = {
+    "--outline": ["ingest", "--outline", "FIXTURES/outline_doc1.json",
+                  "--text", "FIXTURES/doc1.txt"],
+    "--excerpts": ["link", "--graph", "FIXTURES/scholarly_sample.ttl",
+                   "--excerpts", "FIXTURES/excerpts_doc2.jsonl"],
+    "--answers": ["eval", "--answers", "FIXTURES/answers.json"],
+    "--config": ["stats", "--graph", "FIXTURES/scholarly_sample.ttl",
+                 "--config", "TMP/settings.conf"],
+}
+
+
+@pytest.mark.parametrize("option", list(_MARKED_READS))
+def test_a_byte_order_mark_is_read_as_no_text(capsys, fixtures_dir, tmp_path, option):
+    (tmp_path / "settings.conf").write_text("format = json\n", "utf-8")
+    argv = [arg.replace("FIXTURES", str(fixtures_dir)).replace("TMP", str(tmp_path))
+            for arg in _MARKED_READS[option]]
+    plain = invoke(capsys, *argv)
+    assert plain[0] == 0
+    at = argv.index(option) + 1
+    marked = tmp_path / "marked"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(argv[at]).read_bytes())
+    argv[at] = str(marked)
+    assert invoke(capsys, *argv) == plain
 
 
 # ---------------------------------------------------------------------------

@@ -209,7 +209,7 @@ def test_phrase_words_inside_longer_words_do_not_match():
     for key in ("gabak", "gabak_tool", "gabakx_tool"):
         assert match_candidates(graph, cq((key, WILDCARD, WILDCARD))) == frozenset(), key
     assert match_candidates(graph, cq(("gabakx_toolkit", WILDCARD, WILDCARD))) \
-        == frozenset(graph.match(subject=paragraph, predicate=RDFS_LABEL))
+        == frozenset(graph.match(predicate=RDFS_LABEL))
 
 
 class _CountingGraph(KnowledgeGraph):
@@ -224,8 +224,8 @@ class _CountingGraph(KnowledgeGraph):
         self.reads.append(predicate)
         return super().by_subject(predicate)
 
-    def match(self, *, subject=None, predicate, object=None):
-        raise AssertionError(f"a scan: match({subject}, {predicate}, {object})")
+    def match(self, *, predicate):
+        raise AssertionError(f"a scan: match(predicate={predicate})")
 
 
 def test_resolve_query_walks_the_edges_once_and_each_term_once(sample_graph, monkeypatch):
@@ -477,30 +477,39 @@ class ReferenceAnchor(NamedTuple):
 
 
 def reference_anchors(graph: KnowledgeGraph) -> list[ReferenceAnchor]:
-    """The per-node construction: 2-4 ``graph.match`` scans for each node.
+    """The per-node construction: each edge read by scanning
+    ``graph.match`` of its predicate for the node.
 
-    Paragraphs, in IRI order, own their excerpts' mentions; excerpts
-    follow, with their sentences in their text.
+    Paragraphs, in input order, own their excerpts' mentions; excerpts
+    follow, with their sentences in their text. A text is the least lexical
+    form of the node's literal labels, then its sentences in lexical order.
     """
+    def edges(node, predicate) -> tuple[Triple, ...]:
+        return tuple(t for t in graph.match(predicate=predicate) if t.subject == node)
+
     def anchor(node, links, mentioners, sentences):
-        label = graph.label_of(node)
-        text_parts = [label.lexical] if label else []
-        text_parts += [t.object.lexical for t in sentences if isinstance(t.object, Literal)]
-        mentions = [m for n in mentioners for m in graph.match(subject=n, predicate=MENTIONS)]
+        labels = [t.object.lexical for t in edges(node, RDFS_LABEL)
+                  if isinstance(t.object, Literal)]
+        text_parts = [min(labels)] if labels else []
+        text_parts += sorted(t.object.lexical for t in sentences if isinstance(t.object, Literal))
+        mentions = [m for n in mentioners for m in edges(n, MENTIONS)]
         return ReferenceAnchor(
             node=node,
             lowered=" ".join(text_parts).lower() if text_parts else None,
             mention_keys=frozenset(m.object.entity_key() for m in mentions),
-            witnesses=(*graph.match(subject=node, predicate=RDFS_LABEL), *links, *mentions),
+            witnesses=(*edges(node, RDFS_LABEL), *links, *mentions),
         )
 
+    def typed(kind) -> list[Iri]:
+        return [t.subject for t in graph.match(predicate=RDF_TYPE) if t.object == kind]
+
     anchors = []
-    for node in graph.subjects_of_type(PARAGRAPH):
-        links = graph.match(subject=node, predicate=HAS_EXCERPT)
+    for node in typed(PARAGRAPH):
+        links = edges(node, HAS_EXCERPT)
         excerpts = [edge.object for edge in links if isinstance(edge.object, Iri)]
         anchors.append(anchor(node, links, excerpts, ()))
-    for node in graph.subjects_of_type(EXCERPT):
-        anchors.append(anchor(node, (), [node], graph.match(subject=node, predicate=IN_SENTENCE)))
+    for node in typed(EXCERPT):
+        anchors.append(anchor(node, (), [node], edges(node, IN_SENTENCE)))
     return anchors
 
 

@@ -239,11 +239,11 @@ def test_emit_rdf_shapes(stub_embedder):
     assert len(graph) == 13
     para_node = iri(f"askg-data:{paragraphs[1].paragraph_id}")
     exc_node = iri("askg-data:Excerpt-abc")
-    assert graph.match(subject=para_node, predicate=iri("askg-onto:hasExcerpt"))[0].object == exc_node
+    assert graph.by_subject(iri("askg-onto:hasExcerpt"))[para_node][0].object == exc_node
     assert graph.label_of(para_node) == Literal("Second paragraph stands alone.", language="en")
-    mentions = graph.match(subject=exc_node, predicate=iri("askg-onto:mentions"))
+    mentions = graph.by_subject(iri("askg-onto:mentions"))[exc_node]
     assert mentions[0].object == iri("askg-data:AcademicEntity-standalone")
-    word_from = graph.match(subject=exc_node, predicate=iri("askg-onto:wordIndexFrom"))
+    word_from = graph.by_subject(iri("askg-onto:wordIndexFrom"))[exc_node]
     assert word_from[0].object == Literal("1", datatype=iri("xsd:int"))
 
 
