@@ -57,7 +57,21 @@ and, on the document model built from the outline and text:
   the graph as ``ingest --excerpts`` does.
 
 For the CLI itself it times ``cli.build_parser()``, which ``cli.run``
-calls once per process, on its first command.
+calls once per process, on its first command, and a command's start-up
+in fresh interpreters (``startup``):
+
+* ``import_cli_no_cache``: ``python -c "import scholarkg.cli"`` with
+  ``PYTHONDONTWRITEBYTECODE=1``, on a copy of the package's ``.py`` files
+  in a temporary directory, so the package has no bytecode, as in the
+  benchmark's set-up on a fresh checkout;
+* ``import_cli_cached``: the same import of the package itself with its
+  bytecode (and the standard library's) kept under ``-X
+  pycache_prefix=<temporary directory>``, written by one run beforehand,
+  so nothing is written into the tree;
+
+and, per size, ``fresh_query``: ``python -m scholarkg.cli query
+--format json`` of the question over the graph file, in a fresh
+interpreter with that bytecode cache, as a user runs it.
 
 Each figure is the median and the minimum of ``--repeats`` runs, in
 wall-clock milliseconds and in reference milliseconds: each run's wall
@@ -77,7 +91,9 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -114,6 +130,7 @@ from scholarkg.qa.engine import (  # noqa: E402
     resolve_query,
 )
 
+PACKAGE = Path(cli.__file__).resolve().parent
 PARAGRAPHS_PER_PAPER = gen.CLI_PARAGRAPHS
 INGEST_PARAGRAPHS = (10, 45, 80)
 
@@ -143,8 +160,37 @@ def cli_run(argv: list[str]) -> None:
         raise RuntimeError(f"{argv[0]} exited with {code}")
 
 
+def fresh(argv: list[str], path: Path, **env: str) -> None:
+    """``python argv`` in a fresh interpreter with ``path`` as its
+    ``PYTHONPATH``, its output discarded; a failing command raises."""
+    environ = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    subprocess.run([sys.executable, *argv], env={**environ, "PYTHONPATH": str(path), **env},
+                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=True)
+
+
+def cached(tmp: str, *argv: str) -> list[str]:
+    """``argv`` with its bytecode kept under ``tmp``."""
+    return ["-X", f"pycache_prefix={Path(tmp, 'pycache')}", *argv]
+
+
+def startup_times(repeats: int) -> dict:
+    """The ``startup`` rows."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp, "src")
+        for path in PACKAGE.rglob("*.py"):
+            target = copy / "scholarkg" / path.relative_to(PACKAGE)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(path.read_bytes())
+        load = ["-c", "import scholarkg.cli"]
+        fresh(cached(tmp, *load), PACKAGE.parent)
+        return {"import_cli_no_cache": timed(lambda: fresh(
+                    load, copy, PYTHONDONTWRITEBYTECODE="1"), repeats),
+                "import_cli_cached": timed(lambda: fresh(
+                    cached(tmp, *load), PACKAGE.parent), repeats)}
+
+
 def cli_times(data: bytes, documents: dict[str, str], question: str, repeats: int) -> dict:
-    """The ``cli_query`` and ``cli_retrieve_baseline`` rows."""
+    """The ``cli_query``, ``cli_retrieve_baseline`` and ``fresh_query`` rows."""
     with tempfile.TemporaryDirectory() as tmp:
         graph, corpus = Path(tmp, "graph.ttl"), Path(tmp, "corpus")
         graph.write_bytes(data)
@@ -152,10 +198,13 @@ def cli_times(data: bytes, documents: dict[str, str], question: str, repeats: in
         for key, text in documents.items():
             (corpus / f"{key}.txt").write_text(text, "utf-8")
         ask = ["--question", question, "--format", "json"]
+        query = cached(tmp, "-m", "scholarkg.cli", "query", "--graph", str(graph), *ask)
+        fresh(query, PACKAGE.parent)
         return {"cli_query": timed(lambda: cli_run(
                     ["query", "--graph", str(graph), *ask]), repeats),
                 "cli_retrieve_baseline": timed(lambda: cli_run(
-                    ["retrieve-baseline", "--corpus", str(corpus), *ask]), repeats)}
+                    ["retrieve-baseline", "--corpus", str(corpus), *ask]), repeats),
+                "fresh_query": timed(lambda: fresh(query, PACKAGE.parent), repeats)}
 
 
 def stage_times(seed: int, papers: int, repeats: int) -> dict:
@@ -248,7 +297,8 @@ def main(argv: list[str] | None = None) -> int:
     print(json.dumps({"seed": args.seed, "repeats": args.repeats,
                       "sizes": [stage_times(args.seed, n, args.repeats) for n in args.papers],
                       "ingest_sizes": ingest_stage_times(args.seed, args.repeats),
-                      "build_parser": timed(cli.build_parser, args.repeats)},
+                      "build_parser": timed(cli.build_parser, args.repeats),
+                      "startup": startup_times(args.repeats)},
                      indent=1))
     return 0
 

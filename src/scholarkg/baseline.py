@@ -8,9 +8,10 @@ graph-backed pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .embedding import Embedder, cosine_similarities
+from .kg.terms import _Value
 
 __all__ = ["Chunk", "chunk_document", "chunk_corpus", "RetrievedChunk",
            "retrieve_top_k"]
@@ -22,13 +23,10 @@ __all__ = ["Chunk", "chunk_document", "chunk_corpus", "RetrievedChunk",
 _EMBED_BATCH = 64
 
 
-@dataclass(frozen=True)
-class Chunk:
+class Chunk(_Value, namedtuple("_ChunkFields", "chunk_id document_id text")):
     """A token window of a document."""
 
-    chunk_id: str
-    document_id: str
-    text: str
+    __slots__ = ()
 
 
 def chunk_document(doc_id: str, text: str, max_tokens: int = 100,
@@ -77,10 +75,8 @@ def chunk_corpus(documents: dict[str, str], max_tokens: int = 100,
     return chunks
 
 
-@dataclass(frozen=True)
-class RetrievedChunk:
-    chunk: Chunk
-    similarity: float
+class RetrievedChunk(_Value, namedtuple("_RetrievedChunkFields", "chunk similarity")):
+    __slots__ = ()
 
 
 def retrieve_top_k(chunks: list[Chunk], question: str, k: int,

@@ -4,8 +4,9 @@ A document holds sections, a section holds paragraphs and subsections in
 document order, and a paragraph holds sentences; a section's body refuses
 any other item when it is built. Both document readers, the outline reader
 in ``ingest`` and ``chunked_xml``, id each paragraph with
-``paragraph_id_for``. All node types are frozen dataclasses, so a
-constructed model is immutable and safe to share across threads. A node
+``paragraph_id_for``. All node types are immutable value classes (named
+tuples under ``kg.terms``'s one base), so a constructed model is safe to
+share across threads. A node
 stores only what it is made of; a paragraph's text, for one, is derived
 from its sentences. Other structural problems are reported by
 ``validate_model`` as data rather than raised eagerly, which lets callers
@@ -17,7 +18,9 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
+
+from .kg.terms import _Value
 
 __all__ = [
     "MAX_SECTION_DEPTH",
@@ -62,76 +65,68 @@ def document_id_of(paragraph_id: str) -> str:
     return head[len("Paper-"):]
 
 
-@dataclass(frozen=True)
-class Sentence:
-    """A single sentence with the numeric references cited from it."""
+class Sentence(_Value, namedtuple("_SentenceFields", "text references", defaults=((),))):
+    """A single sentence (``text``) with the numeric ``references`` cited
+    from it."""
 
-    text: str
-    references: tuple[int, ...] = ()
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Paragraph:
+class Paragraph(_Value, namedtuple("_ParagraphFields", "paragraph_id sentences")):
     """A paragraph's identifier and its sentences, in order."""
 
-    paragraph_id: str
-    sentences: tuple[Sentence, ...]
+    __slots__ = ()
 
     @property
     def text(self) -> str:
         return " ".join(s.text for s in self.sentences)
 
 
-@dataclass(frozen=True)
-class Section:
-    """A section with a dotted-decimal id such as ``"2"`` or ``"2.1"``.
+class Section(_Value, namedtuple("_SectionFields", "section_id heading body")):
+    """A section with a dotted-decimal id such as ``"2"`` or ``"2.1"`` and
+    a heading.
 
     ``body`` interleaves paragraphs and subsections in document order.
     """
 
-    section_id: str
-    heading: str
-    body: tuple["Paragraph | Section", ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for item in self.body:
+    def __new__(cls, section_id: str, heading: str, body: tuple = ()):
+        for item in body:
             if not isinstance(item, (Paragraph, Section)):
                 raise TypeError("a section body holds paragraphs and sections, "
                                 f"not {type(item).__name__}")
+        return tuple.__new__(cls, (section_id, heading, body))
 
 
-@dataclass(frozen=True)
-class DocumentModel:
-    doc_id: str
-    title: str | None
-    sections: tuple[Section, ...] = ()
+class DocumentModel(_Value, namedtuple("_DocumentModelFields", "doc_id title sections",
+                                         defaults=((),))):
+    """A document's id, its title or ``None``, and its top-level sections."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Excerpt:
+class Excerpt(_Value, namedtuple("_ExcerptFields", "excerpt_id label in_sentence mentions "
+                                   "word_index_from word_index_to")):
     """An extracted text span with its provenance and mentioned entity key."""
 
-    excerpt_id: str
-    label: str
-    in_sentence: str
-    mentions: str
-    word_index_from: int
-    word_index_to: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.word_index_from < 0 or self.word_index_to < 0:
+    def __new__(cls, excerpt_id: str, label: str, in_sentence: str, mentions: str,
+                word_index_from: int, word_index_to: int):
+        if word_index_from < 0 or word_index_to < 0:
             raise ValueError("word indices must be non-negative")
-        if self.word_index_from > self.word_index_to:
+        if word_index_from > word_index_to:
             raise ValueError(
-                f"word_index_from {self.word_index_from} exceeds "
-                f"word_index_to {self.word_index_to}"
+                f"word_index_from {word_index_from} exceeds "
+                f"word_index_to {word_index_to}"
             )
+        return tuple.__new__(cls, (excerpt_id, label, in_sentence, mentions,
+                                   word_index_from, word_index_to))
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    path: str
-    message: str
+class ValidationIssue(_Value, namedtuple("_ValidationIssueFields", "path message")):
+    __slots__ = ()
 
 
 def _validate_section(section: Section, path: str, parent_id: str | None,

@@ -14,9 +14,10 @@ import operator
 import os
 import re
 import time
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from typing import Iterable, Protocol, Sequence
+
+from .kg.terms import _Value
 
 __all__ = [
     "EmbeddingVector",
@@ -32,33 +33,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EmbeddingVector:
-    """A fixed-dimension vector of finite floats.
+class EmbeddingVector(_Value, namedtuple("_EmbeddingVectorFields", "values")):
+    """A fixed-dimension vector of finite floats, ``values``.
 
     The nonzero support and the L2 norm are computed when the vector is
-    made and kept outside the dataclass fields, so ``==``, ``hash`` and
-    ``repr`` see only ``values``. The support is the ascending indices of
-    the components that are true, that is ``!= 0.0`` (±0.0 is dropped,
-    and NaN never gets this far), and their values.
+    made and kept outside the fields, in the instance's ``__dict__``, so
+    ``==``, ``hash`` and ``repr`` see only ``values``. The support is the
+    ascending indices of the components that are true, that is ``!= 0.0``
+    (±0.0 is dropped, and NaN never gets this far), and their values.
     """
 
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        values = self.values
+    def __new__(cls, values: tuple[float, ...]):
         if not values:
             raise ValueError("an embedding vector cannot be empty")
         # A sum is finite only when every term is; the per-component check
         # runs only for a bad term or a sum that overflowed.
         if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
             raise ValueError("embedding components must be finite")
+        self = tuple.__new__(cls, (values,))
         indices = tuple(itertools.compress(range(len(values)), values))
         nonzero = tuple(itertools.compress(values, values))
-        object.__setattr__(self, "_support", (indices, nonzero))
         # The squares of the support in ascending order: the dense sum
         # minus its +0.0 terms, which cannot change a sum that starts at +0.0.
-        object.__setattr__(self, "_norm", math.sqrt(sum(map(operator.mul, nonzero, nonzero))))
+        self.__dict__.update(_support=(indices, nonzero),
+                             _norm=math.sqrt(sum(map(operator.mul, nonzero, nonzero))))
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
 
     @property
     def dimension(self) -> int:
@@ -185,8 +190,8 @@ class BackendProtocolError(BackendError):
     """The backend answered with a payload we cannot interpret."""
 
 
-@dataclass(frozen=True)
-class BackendConfig:
+class BackendConfig(_Value, namedtuple("_BackendConfigFields",
+                                        "url model auth_env timeout retries")):
     """Connection settings for an HTTP backend.
 
     The auth token is read from the environment variable named by
@@ -195,18 +200,16 @@ class BackendConfig:
     positive number of seconds.
     """
 
-    url: str
-    model: str = ""
-    auth_env: str = ""
-    timeout: float = 30.0
-    retries: int = 2
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ValueError(f"retries must not be negative: {self.retries}")
-        if not (math.isfinite(self.timeout) and self.timeout > 0):
+    def __new__(cls, url: str, model: str = "", auth_env: str = "",
+                timeout: float = 30.0, retries: int = 2):
+        if retries < 0:
+            raise ValueError(f"retries must not be negative: {retries}")
+        if not (math.isfinite(timeout) and timeout > 0):
             raise ValueError(f"timeout must be a finite positive number of seconds: "
-                             f"{self.timeout}")
+                             f"{timeout}")
+        return tuple.__new__(cls, (url, model, auth_env, timeout, retries))
 
 
 # Retry n waits _BACKOFF_S * n s, or a 429's Retry-After up to the cap.

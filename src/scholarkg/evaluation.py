@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 import re
 import statistics
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable
 
 from .embedding import Embedder, cosine_similarity
-from .kg.terms import entity_phrase, phrase_haystack
+from .kg.terms import _Value, entity_phrase, phrase_haystack
 
 __all__ = [
     "extract_entity_set",
@@ -129,23 +129,22 @@ def cronbach_alpha(ratings: list[list[float]]) -> float:
     return alpha
 
 
-@dataclass(frozen=True)
-class QuestionComparison:
-    """One question's answers from both pipelines, ready to score."""
+class QuestionComparison(_Value, namedtuple(
+        "_QuestionComparisonFields",
+        "label graph_entities baseline_entities graph_answer baseline_answer")):
+    """One question's answers from both pipelines, ready to score: its
+    label, each pipeline's entity set (a frozenset) and each answer."""
 
-    label: str
-    graph_entities: frozenset[str]
-    baseline_entities: frozenset[str]
-    graph_answer: str
-    baseline_answer: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
-    """Per-question metric rows, identical in the text and JSON forms."""
+class EvaluationReport(_Value, namedtuple("_EvaluationReportFields",
+                                           "overlap_rows distance_rows")):
+    """Per-question metric rows, identical in the text and JSON forms:
+    ``(label, ratio, jaccard)`` overlap rows and ``(label, distance)``
+    distance rows."""
 
-    overlap_rows: tuple[tuple[str, float, float], ...]
-    distance_rows: tuple[tuple[str, float], ...]
+    __slots__ = ()
 
     def to_text(self) -> str:
         lines = ["Question | Overlap Entity Ratio | Jaccard Distance"]

@@ -8,12 +8,13 @@ to the letter here because tests and downstream fixtures rely on it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Protocol
 
 from .document import segment_sentences
 from .embedding import BackendProtocolError, _HttpBackend
 from .kg.patterns import TriplePattern, Variable, WILDCARD
+from .kg.terms import _Value
 
 __all__ = [
     "GatewayRequest",
@@ -36,14 +37,13 @@ class TripleResponseError(BackendProtocolError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class GatewayRequest:
-    system: str
-    user: str
+class GatewayRequest(_Value, namedtuple("_GatewayRequestFields", "system user")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.user.strip():
+    def __new__(cls, system: str, user: str):
+        if not user.strip():
             raise ValueError("request user text must be non-empty")
+        return tuple.__new__(cls, (system, user))
 
     @classmethod
     def extraction(cls, question: str) -> GatewayRequest:
@@ -57,10 +57,8 @@ class GatewayRequest:
             question=question, context="\n\n".join(texts) or "(no context)"))
 
 
-@dataclass(frozen=True)
-class GatewayResponse:
-    text: str
-    backend: str
+class GatewayResponse(_Value, namedtuple("_GatewayResponseFields", "text backend")):
+    __slots__ = ()
 
 
 class Gateway(Protocol):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import operator
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 from .document import (
@@ -39,6 +39,7 @@ from .kg.terms import (
     WORD_INDEX_TO,
     XSD_INT,
     XSD_STRING,
+    _Value,
     entity_iri,
 )
 
@@ -57,29 +58,28 @@ __all__ = [
 _DATA_NS = NAMESPACES["askg-data"]
 
 
-@dataclass(frozen=True)
-class OutlineEntry:
-    level: int
-    heading: str
-    offset: int
+class OutlineEntry(_Value, namedtuple("_OutlineEntryFields", "level heading offset")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.level < 1:
-            raise ValueError(f"outline level must be >= 1, got {self.level}")
-        if self.offset < 0:
+    def __new__(cls, level: int, heading: str, offset: int):
+        if level < 1:
+            raise ValueError(f"outline level must be >= 1, got {level}")
+        if offset < 0:
             raise ValueError("outline offset must be non-negative")
+        return tuple.__new__(cls, (level, heading, offset))
 
 
-@dataclass(frozen=True)
-class HeadingOutline:
-    """Document headings with their levels and character offsets."""
+class HeadingOutline(_Value, namedtuple("_HeadingOutlineFields", "entries")):
+    """Document headings with their levels and character offsets, as a
+    tuple of ``OutlineEntry``."""
 
-    entries: tuple[OutlineEntry, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        offsets = [e.offset for e in self.entries]
+    def __new__(cls, entries: tuple):
+        offsets = [e.offset for e in entries]
         if any(b <= a for a, b in zip(offsets, offsets[1:])):
             raise ValueError("outline offsets must be strictly increasing")
+        return tuple.__new__(cls, (entries,))
 
 
 _KIND_NAMES = {int: "an integer", str: "a string"}
@@ -193,11 +193,8 @@ def _nest(records: list[tuple[int, str, str, list[Paragraph]]], index: int,
 # Excerpt linking
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExcerptLink:
-    excerpt_id: str
-    paragraph_id: str
-    similarity: float
+class ExcerptLink(_Value, namedtuple("_ExcerptLinkFields", "excerpt_id paragraph_id similarity")):
+    __slots__ = ()
 
 
 def link_excerpts(paragraphs: Sequence[Paragraph], excerpts: Sequence[Excerpt],
@@ -259,8 +256,28 @@ def link_graph(graph: KnowledgeGraph, excerpts: Sequence[Excerpt], embedder: Emb
     Per excerpt: a typed node with label, source sentence, mentioned
     entity, and word-index range; per link, a ``hasExcerpt`` edge. A
     paragraph node without a label is skipped; one outside the askg-data
-    namespace cannot carry a link edge and is refused.
+    namespace cannot carry a link edge and is refused. So is, before
+    anything is embedded, an excerpt whose node is already the subject of
+    a triple in ``graph`` that the excerpt's own shape does not hold, since
+    the graph would merge two excerpts into one node; linking the same
+    excerpt again adds nothing.
     """
+    triples = list(graph)
+    shapes: dict[Iri, list[Triple]] = {}
+    for excerpt in excerpts:
+        node = Iri(_DATA_NS + excerpt.excerpt_id)
+        shapes.setdefault(node, []).extend((
+            Triple(node, RDF_TYPE, EXCERPT),
+            Triple(node, RDFS_LABEL, Literal(excerpt.label, language="en")),
+            Triple(node, IN_SENTENCE, Literal(excerpt.in_sentence, datatype=XSD_STRING)),
+            Triple(node, MENTIONS, entity_iri(excerpt.mentions)),
+            Triple(node, WORD_INDEX_FROM, Literal(str(excerpt.word_index_from), datatype=XSD_INT)),
+            Triple(node, WORD_INDEX_TO, Literal(str(excerpt.word_index_to), datatype=XSD_INT))))
+    clashing = {t.subject for t in triples if t.subject in shapes and t not in shapes[t.subject]}
+    for excerpt in excerpts:
+        if Iri(_DATA_NS + excerpt.excerpt_id) in clashing:
+            raise ValueError(f"excerpt {excerpt.excerpt_id!r} is already in the graph "
+                             "with other triples")
     paragraphs = []
     for node in graph.subjects_of_type(PARAGRAPH):
         label = graph.label_of(node)
@@ -271,17 +288,8 @@ def link_graph(graph: KnowledgeGraph, excerpts: Sequence[Excerpt], embedder: Emb
                              f"it is outside the askg-data namespace <{_DATA_NS}>")
         paragraphs.append(Paragraph(node.value[len(_DATA_NS):], (Sentence(label.lexical),)))
     links = link_excerpts(paragraphs, excerpts, embedder, threshold=threshold)
-    triples = list(graph)
-    for excerpt in excerpts:
-        node = Iri(_DATA_NS + excerpt.excerpt_id)
-        triples += (Triple(node, RDF_TYPE, EXCERPT),
-                    Triple(node, RDFS_LABEL, Literal(excerpt.label, language="en")),
-                    Triple(node, IN_SENTENCE, Literal(excerpt.in_sentence, datatype=XSD_STRING)),
-                    Triple(node, MENTIONS, entity_iri(excerpt.mentions)),
-                    Triple(node, WORD_INDEX_FROM,
-                           Literal(str(excerpt.word_index_from), datatype=XSD_INT)),
-                    Triple(node, WORD_INDEX_TO,
-                           Literal(str(excerpt.word_index_to), datatype=XSD_INT)))
+    for shape in shapes.values():
+        triples += shape
     triples += (Triple(Iri(_DATA_NS + link.paragraph_id), HAS_EXCERPT,
                        Iri(_DATA_NS + link.excerpt_id)) for link in links)
     return KnowledgeGraph(triples), links

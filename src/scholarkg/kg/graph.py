@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
-from dataclasses import asdict, dataclass
+from collections import defaultdict, namedtuple
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -19,6 +18,7 @@ from .terms import (
     RDFS_LABEL,
     SECTION,
     Triple,
+    _Value,
 )
 
 __all__ = [
@@ -99,20 +99,15 @@ def keyword_frequency(label: str, keywords: Iterable[str]) -> int:
     return sum(text.count(k.lower()) for k in keywords if k)
 
 
-@dataclass(frozen=True)
-class GraphStats:
-    papers: int
-    sections: int
-    paragraphs: int
-    average_words_per_paragraph: float
-    excerpts: int
-    linked_excerpts: int
-    linked_excerpt_percentage: float
-    paragraph_excerpt_links: int
-    relationship_types: int
-    entity_types: int
-    triples: int
-    entities: int
+class GraphStats(_Value, namedtuple(
+        "_GraphStatsFields",
+        "papers sections paragraphs average_words_per_paragraph excerpts linked_excerpts "
+        "linked_excerpt_percentage paragraph_excerpt_links relationship_types entity_types "
+        "triples entities")):
+    """Corpus-level counts of a graph; the average and the percentage are
+    floats, every other field an int."""
+
+    __slots__ = ()
 
     def rows(self) -> list[tuple[str, object]]:
         return [
@@ -131,7 +126,7 @@ class GraphStats:
         ]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def graph_stats(graph: KnowledgeGraph) -> GraphStats:

@@ -13,8 +13,10 @@ not joined on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Union
+
+from .terms import _Value
 
 __all__ = [
     "Variable",
@@ -26,11 +28,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(_Value, namedtuple("_VariableFields", "name")):
     """A ``?name`` position; matches any term without binding."""
 
-    name: str
+    __slots__ = ()
 
 
 WILDCARD = Variable("")
@@ -42,17 +43,18 @@ def is_ground(term: PatternTerm) -> bool:
     return isinstance(term, str)
 
 
-@dataclass(frozen=True)
-class TriplePattern:
-    subject: PatternTerm
-    predicate: PatternTerm
-    object: PatternTerm
+class TriplePattern(_Value, namedtuple("_TriplePatternFields", "subject predicate object")):
+    """Three pattern terms, each a phrase or a :class:`Variable`."""
 
-    def __post_init__(self) -> None:
-        for position, term in zip(("subject", "predicate", "object"), self.terms):
+    __slots__ = ()
+
+    def __new__(cls, subject: PatternTerm, predicate: PatternTerm, object: PatternTerm):
+        terms = (subject, predicate, object)
+        for position, term in zip(cls._fields, terms):
             if not isinstance(term, (Variable, str)):
                 raise TypeError(
                     f"pattern {position} must be a phrase or a Variable, not {term!r}")
+        return tuple.__new__(cls, terms)
 
     @property
     def terms(self) -> tuple[PatternTerm, PatternTerm, PatternTerm]:
@@ -69,15 +71,16 @@ class TriplePattern:
         return any(is_ground(t) for t in self.terms)
 
 
-@dataclass(frozen=True)
-class CompoundQuery:
-    """A conjunction of triple patterns; never empty."""
+class CompoundQuery(_Value, namedtuple("_CompoundQueryFields", "patterns")):
+    """A conjunction of triple patterns; never empty. Its length,
+    iteration and ``in`` are over its patterns."""
 
-    patterns: tuple[TriplePattern, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.patterns:
+    def __new__(cls, patterns: tuple[TriplePattern, ...]):
+        if not patterns:
             raise ValueError("a compound query must contain at least one pattern")
+        return tuple.__new__(cls, (patterns,))
 
     @property
     def n(self) -> int:
@@ -88,3 +91,6 @@ class CompoundQuery:
 
     def __len__(self) -> int:
         return len(self.patterns)
+
+    def __contains__(self, pattern) -> bool:
+        return pattern in self.patterns

@@ -1,21 +1,27 @@
-"""RDF terms and the namespace vocabulary of the scholarly graph.
+"""RDF terms, the namespace vocabulary of the scholarly graph, and the
+base of every value class in the package.
 
-``Iri``, ``Literal`` and ``Triple`` are tuples of their fields (named
-tuples under one private base), so they are built and hashed in C, and
-keep the contract of a frozen dataclass:
+``Iri``, ``Literal`` and ``Triple`` here, and the value classes of the
+other modules (the document model, requests and responses, patterns,
+queries, results), are named tuples under one private base, ``_Value``:
+a value is the tuple of its fields, so it is built and hashed in C, and
+it keeps the contract of a frozen dataclass:
 
-* a term equals only a term of its own type with equal fields, and never
-  a plain tuple, in either direction;
-* its hash is ``hash(fields)``, and ``pickle`` and ``copy`` rebuild it
-  from its fields, so a copy in a process with another hash seed is
-  rehashed;
-* terms are not ordered, not even against plain tuples;
-* its repr is ``Iri(value='…')``, and so on for the others.
+* a value equals only a value of its own type with equal fields, and
+  never a plain tuple, in either direction;
+* its hash is ``hash(fields)``;
+* ``pickle`` and ``copy`` rebuild it through its constructor from its
+  fields, so its checks run again, and a copy in a process with another
+  hash seed is rehashed;
+* values are not ordered, not even against plain tuples;
+* its repr is ``Iri(value='…')``, and so on for the others;
+* assigning a field or a new attribute raises ``AttributeError``.
 
-Being a tuple, a term is also a sequence of its fields, with ``len``,
-iteration and ``in``; ``json.dumps`` would write it as an array; and
-assigning an attribute raises ``AttributeError`` (the base class of the
-dataclasses' ``FrozenInstanceError``).
+A class whose constructor checks its arguments does so in ``__new__``.
+Being a tuple, a value is also a sequence of its fields, with ``len``,
+iteration and ``in`` (except where a class defines them over its items,
+as ``CompoundQuery`` and ``RelaxationDictionary`` do), and ``json.dumps``
+would write it as an array.
 """
 
 from __future__ import annotations
@@ -64,12 +70,12 @@ NAMESPACES = {
 PREFIX_ALIASES = {"askg": NAMESPACES["askg-onto"]}
 
 
-class _Term(tuple):
-    """Equality, hash and ordering of a term, as the module docstring sets
-    out. ``==`` answers ``False``, not ``NotImplemented``, for another type,
-    and the orderings raise themselves, so that a plain tuple's reflected
-    operation never decides; the named-tuple base gives the fields, repr
-    and pickling."""
+class _Value(tuple):
+    """Equality, hash, ordering and copying of a value class, as the module
+    docstring sets out. ``==`` answers ``False``, not ``NotImplemented``,
+    for another type, and the orderings raise themselves, so that a plain
+    tuple's reflected operation never decides; the named-tuple base gives
+    the fields and the repr."""
 
     __slots__ = ()
 
@@ -82,12 +88,17 @@ class _Term(tuple):
     __hash__ = tuple.__hash__
 
     def _unordered(self, other):
-        raise TypeError(f"{type(self).__name__} terms are not ordered")
+        raise TypeError(f"{type(self).__name__} values are not ordered")
 
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
+    def __reduce__(self):
+        # ``self[:]`` is the plain tuple of the fields, even for a class
+        # that iterates something else
+        return self.__class__, self[:]
 
-class Iri(_Term, namedtuple("_IriFields", "value")):
+
+class Iri(_Value, namedtuple("_IriFields", "value")):
     """An absolute IRI."""
 
     __slots__ = ()
@@ -120,7 +131,7 @@ class Iri(_Term, namedtuple("_IriFields", "value")):
         return local.lower()
 
 
-class Literal(_Term, namedtuple("_LiteralFields", "lexical datatype language")):
+class Literal(_Value, namedtuple("_LiteralFields", "lexical datatype language")):
     """A literal with an optional datatype or language tag (never both)."""
 
     __slots__ = ()
@@ -136,7 +147,7 @@ class Literal(_Term, namedtuple("_LiteralFields", "lexical datatype language")):
         return normalize_entity_key(self.lexical)
 
 
-class Triple(_Term, namedtuple("_TripleFields", "subject predicate object")):
+class Triple(_Value, namedtuple("_TripleFields", "subject predicate object")):
     __slots__ = ()
 
 

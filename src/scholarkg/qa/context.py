@@ -9,17 +9,14 @@ whole query pipeline, from the question's patterns to that answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from ..document import document_id_of
 from ..embedding import Embedder, cosine_similarities
 from ..gateway import Gateway, GatewayRequest, format_triples
 from ..kg.graph import KnowledgeGraph, keyword_frequency
-from ..kg.patterns import CompoundQuery
-from ..kg.terms import NAMESPACES, PARAGRAPH, Iri, entity_phrase
+from ..kg.terms import NAMESPACES, PARAGRAPH, _Value, entity_phrase
 from .engine import (
-    CandidateTripleSet,
-    RankedEntity,
     default_relaxation_dictionary,
     extract_question_patterns,
     query_entities_of,
@@ -31,13 +28,12 @@ __all__ = ["ScoredParagraph", "select_context", "AnswerResult", "generate_answer
            "QueryAnswer", "answer_question"]
 
 
-@dataclass(frozen=True)
-class ScoredParagraph:
-    """A context paragraph with its keyword score and source document."""
+class ScoredParagraph(_Value, namedtuple("_ScoredParagraphFields",
+                                          "node text keyword_frequency")):
+    """A context paragraph (its node ``Iri`` and text) with its keyword
+    score and source document."""
 
-    node: Iri
-    text: str
-    keyword_frequency: int
+    __slots__ = ()
 
     @property
     def document_id(self) -> str:
@@ -94,13 +90,11 @@ def select_context(graph: KnowledgeGraph, query_entities: set[str],
     return selected
 
 
-@dataclass(frozen=True)
-class AnswerResult:
+class AnswerResult(_Value, namedtuple("_AnswerResultFields", "answer context backend",
+                                       defaults=((), ""))):
     """An answer with the context items (paragraphs or chunks) that grounded it."""
 
-    answer: str
-    context: tuple = field(default_factory=tuple)
-    backend: str = ""
+    __slots__ = ()
 
 
 def generate_answer(question: str, context: list,
@@ -118,17 +112,14 @@ def generate_answer(question: str, context: list,
     )
 
 
-@dataclass(frozen=True)
-class QueryAnswer:
+class QueryAnswer(_Value, namedtuple("_QueryAnswerFields",
+                                      "question query candidates ranking answer sparql")):
     """An answer with what the query pipeline found on the way to it, in
-    the same fields for the text and JSON forms."""
+    the same fields for the text and JSON forms: the ``CompoundQuery``,
+    its ``CandidateTripleSet``, the ``RankedEntity`` ranking as a tuple,
+    the ``AnswerResult`` and the context lookup as SPARQL."""
 
-    question: str
-    query: CompoundQuery
-    candidates: CandidateTripleSet
-    ranking: tuple[RankedEntity, ...]
-    answer: AnswerResult
-    sparql: str
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         context = self.answer.context

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator
 
@@ -38,6 +38,7 @@ from ..kg.terms import (
     PARAGRAPH,
     RDFS_LABEL,
     Triple,
+    _Value,
     entity_phrase,
     normalize_entity_key,
 )
@@ -271,18 +272,17 @@ def match_candidates(graph: KnowledgeGraph, query: CompoundQuery) -> frozenset[T
 # Breadth-first resolution
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CandidateTripleSet:
-    """Triples matched by a query, with the relaxation that produced them.
+class CandidateTripleSet(_Value, namedtuple(
+        "_CandidateTripleSetFields", "triples depth max_depth producing_queries",
+        defaults=((),))):
+    """Triples matched by a query (a frozenset), with the depth and the
+    relaxed queries that produced them.
 
     A depth greater than ``max_depth`` marks exhaustion: no relaxation
     within the budget matched anything and ``triples`` is empty.
     """
 
-    triples: frozenset[Triple]
-    depth: int
-    max_depth: int
-    producing_queries: tuple[RelaxedQuery, ...] = ()
+    __slots__ = ()
 
     @property
     def exhausted(self) -> bool:
@@ -357,11 +357,8 @@ def triple_entities(triple: Triple) -> set[str]:
     return keys
 
 
-@dataclass(frozen=True)
-class RankedEntity:
-    entity: str
-    frequency: int
-    purity: float
+class RankedEntity(_Value, namedtuple("_RankedEntityFields", "entity frequency purity")):
+    __slots__ = ()
 
     @property
     def score(self) -> float:

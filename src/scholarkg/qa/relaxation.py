@@ -8,9 +8,10 @@ accumulate depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ..kg.patterns import CompoundQuery, TriplePattern
+from ..kg.terms import _Value
 
 __all__ = [
     "Edit",
@@ -21,50 +22,49 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Edit:
+class Edit(_Value, namedtuple("_EditFields", "position replacement", defaults=(None,))):
     """One relaxation step at the 1-based pattern index ``position``: it
     replaces that pattern with ``replacement``, or deletes it when there
     is none."""
 
-    position: int
-    replacement: TriplePattern | None = None
+    __slots__ = ()
 
     @property
     def kind(self) -> str:
         return "delete" if self.replacement is None else "replace"
 
 
-@dataclass(frozen=True)
-class RelaxedQuery:
+class RelaxedQuery(_Value, namedtuple("_RelaxedQueryFields", "query edits", defaults=((),))):
     """A query with the edits that relaxed it; its depth is their number."""
 
-    query: CompoundQuery
-    edits: tuple[Edit, ...] = ()
+    __slots__ = ()
 
     @property
     def depth(self) -> int:
         return len(self.edits)
 
 
-@dataclass(frozen=True)
-class RelaxationDictionary:
-    """An ordered pool of replacement patterns (duplicates dropped)."""
+class RelaxationDictionary(_Value, namedtuple("_RelaxationDictionaryFields", "entries")):
+    """An ordered pool of replacement patterns (duplicates dropped). Its
+    length, iteration and ``in`` are over its entries."""
 
-    entries: tuple[TriplePattern, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        deduped = tuple(dict.fromkeys(self.entries))
+    def __new__(cls, entries: tuple[TriplePattern, ...] = ()):
+        deduped = tuple(dict.fromkeys(entries))
         for entry in deduped:
             if not entry.has_ground_term:
                 raise ValueError("dictionary entries must have at least one ground term")
-        object.__setattr__(self, "entries", deduped)
+        return tuple.__new__(cls, (deduped,))
 
     def __iter__(self):
         return iter(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def __contains__(self, entry) -> bool:
+        return entry in self.entries
 
 
 def relax(query: CompoundQuery, position: int,

@@ -139,9 +139,9 @@ def test_parser_builds_each_paragraph_and_section_once(monkeypatch):
 
     def counted(cls):
         class Counted(cls):
-            def __init__(self, *args, **kwargs):
+            def __new__(subclass, *args, **kwargs):
                 built[cls.__name__] += 1
-                super().__init__(*args, **kwargs)
+                return super().__new__(subclass, *args, **kwargs)
         return Counted
 
     monkeypatch.setattr(chunked_xml, "Paragraph", counted(Paragraph))

@@ -543,6 +543,29 @@ def test_ingest_and_link_refuse_a_repeated_excerpt_id(capsys, tmp_path, fixtures
                   "--excerpts", str(excerpts), "--threshold", "0.3") == refusal
 
 
+def test_link_refuses_an_excerpt_id_the_graph_holds_with_other_triples(capsys, tmp_path,
+                                                                        fixtures_dir):
+    excerpts = fixtures_dir / "excerpts_doc2.jsonl"
+    linked, again = tmp_path / "linked.ttl", tmp_path / "again.ttl"
+    assert invoke(capsys, "link", "--graph", str(fixtures_dir / "scholarly_sample.ttl"),
+                  "--excerpts", str(excerpts), "--out", str(linked))[0] == 0
+    # linking the same records again changes nothing
+    assert invoke(capsys, "link", "--graph", str(linked), "--excerpts", str(excerpts),
+                  "--out", str(again))[0] == 0
+    assert again.read_bytes() == linked.read_bytes()
+
+    record = json.loads(excerpts.read_text("utf-8").splitlines()[0])
+    record.update(label="A changed label", in_sentence="A changed sentence about MEL.")
+    changed = tmp_path / "changed.jsonl"
+    changed.write_text(json.dumps(record) + "\n", "utf-8")
+    out = tmp_path / "merged.ttl"
+    assert invoke(capsys, "link", "--graph", str(linked), "--excerpts", str(changed),
+                  "--out", str(out)) == (
+        1, "", f"error: excerpt {record['excerpt_id']!r} is already in the graph "
+               "with other triples\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("levels", [100, 101, 1500])
 def test_ingest_nests_sections_at_most_100_levels_deep(capsys, tmp_path, levels):
     text = "".join(f"H{i}\n\nBody {i}.\n\n" for i in range(levels))

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import os
 import shlex
 import subprocess
@@ -86,6 +87,37 @@ def test_importing_the_turtle_module_loads_only_the_modules_it_uses():
               "              if name.split('.')[0] == 'scholarkg'))\n")
     assert python(script).split() == ["scholarkg", "scholarkg.kg", "scholarkg.kg.graph",
                                       "scholarkg.kg.terms", "scholarkg.kg.turtle"]
+
+
+def modules_added_by_importing_the_cli() -> set[str]:
+    """The modules a fresh ``import scholarkg.cli`` adds to a bare interpreter."""
+    return set(python("import sys\n"
+                      "before = set(sys.modules)\n"
+                      "import scholarkg.cli\n"
+                      "print(*sorted(set(sys.modules) - before))\n").split())
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # importing them and building dataclasses took about a third of a fresh
+    # command's set-up; the value classes are named tuples instead
+    added = modules_added_by_importing_the_cli()
+    assert "scholarkg.cli" in added
+    assert added & {"dataclasses", "inspect"} == set()
+
+
+def bench_layer_modules() -> set[str]:
+    """The modules named in ``bench/spans.py``'s ``LAYERS``, read from its file."""
+    spec = importlib.util.spec_from_file_location("scholarkg_bench_spans",
+                                                  ROOT / "bench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {layer[0] for layer in module.LAYERS}
+
+
+def test_importing_the_cli_loads_every_module_the_bench_traces():
+    # a traced bench run imports scholarkg.cli and then looks each LAYERS
+    # module up in sys.modules, so it fails if the CLI defers one
+    assert bench_layer_modules() - modules_added_by_importing_the_cli() == set()
 
 
 def test_the_python_files_are_the_whole_package(tmp_path, capsys):
