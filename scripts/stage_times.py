@@ -54,7 +54,11 @@ and, on the document model built from the outline and text:
   once against every paragraph;
 * ``save_turtle`` of the linked graph, which ``link_graph`` builds
   afresh before each run, outside the timed region, so each run writes
-  the graph as ``ingest --excerpts`` does.
+  the graph as ``ingest --excerpts`` does;
+* ``fresh_ingest_xml``: ``python -m scholarkg.cli ingest --xml`` of the
+  paper's chunked XML file in a fresh interpreter, with the bytecode
+  cache of ``fresh_query`` (below): the start-up, which does not load
+  ElementTree, plus the parse, which does.
 
 For the CLI itself it times ``cli.build_parser()``, which ``cli.run``
 calls once per process, on its first command, and a command's start-up
@@ -69,9 +73,14 @@ in fresh interpreters (``startup``):
   pycache_prefix=<temporary directory>``, written by one run beforehand,
   so nothing is written into the tree;
 
-and, per size, ``fresh_query``: ``python -m scholarkg.cli query
---format json`` of the question over the graph file, in a fresh
-interpreter with that bytecode cache, as a user runs it.
+and, in a fresh interpreter with that bytecode cache, as a user runs it:
+
+* ``fresh_eval``: ``python -m scholarkg.cli eval --format json`` of the
+  answers and ratings of ``tests/fixtures``, the one command whose
+  start-up loads ``scholarkg.evaluation`` (with ``csv`` and
+  ``statistics``), which ``import scholarkg.cli`` leaves out;
+* per size, ``fresh_query``: ``python -m scholarkg.cli query --format
+  json`` of the question over the graph file.
 
 Each figure is the median and the minimum of ``--repeats`` runs, in
 wall-clock milliseconds and in reference milliseconds: each run's wall
@@ -100,6 +109,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "tests" / "fixtures"
 sys.path.insert(0, str(ROOT / "bench"))
 
 import gen  # noqa: E402
@@ -183,10 +193,15 @@ def startup_times(repeats: int) -> dict:
             target.write_bytes(path.read_bytes())
         load = ["-c", "import scholarkg.cli"]
         fresh(cached(tmp, *load), PACKAGE.parent)
+        evaluate = cached(tmp, "-m", "scholarkg.cli", "eval", "--answers",
+                          str(FIXTURES / "answers.json"), "--ratings",
+                          str(FIXTURES / "ratings.csv"), "--format", "json")
+        fresh(evaluate, PACKAGE.parent)
         return {"import_cli_no_cache": timed(lambda: fresh(
                     load, copy, PYTHONDONTWRITEBYTECODE="1"), repeats),
                 "import_cli_cached": timed(lambda: fresh(
-                    cached(tmp, *load), PACKAGE.parent), repeats)}
+                    cached(tmp, *load), PACKAGE.parent), repeats),
+                "fresh_eval": timed(lambda: fresh(evaluate, PACKAGE.parent), repeats)}
 
 
 def cli_times(data: bytes, documents: dict[str, str], question: str, repeats: int) -> dict:
@@ -253,6 +268,16 @@ def stage_times(seed: int, papers: int, repeats: int) -> dict:
     }
 
 
+def fresh_ingest_xml(xml: bytes, repeats: int) -> dict:
+    """The ``fresh_ingest_xml`` row of one paper's chunked XML."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paper = Path(tmp, "paper.xml")
+        paper.write_bytes(xml)
+        ingest = cached(tmp, "-m", "scholarkg.cli", "ingest", "--xml", str(paper))
+        fresh(ingest, PACKAGE.parent)
+        return timed(lambda: fresh(ingest, PACKAGE.parent), repeats)
+
+
 def ingest_stage_times(seed: int, repeats: int) -> list[dict]:
     papers = {}
     for item in gen.ingest_papers(seed):
@@ -284,6 +309,7 @@ def ingest_stage_times(seed: int, repeats: int) -> list[dict]:
             "link_excerpts": timed(lambda: link_excerpts(
                 paragraphs, excerpts, HashedBagOfWordsEmbedder()), repeats),
             "save_turtle": timed(save_turtle, repeats, linked),
+            "fresh_ingest_xml": fresh_ingest_xml(xml, repeats),
         })
     return sizes
 

@@ -22,7 +22,6 @@ encoding its XML declaration names.
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from itertools import groupby
 from operator import attrgetter
 
@@ -96,6 +95,7 @@ def _read_section(elem: ET.Element, canonical: ET.Element, last: ET.Element | No
     (the ID-less root container is level 0) and write their canonical form
     into ``canonical``. ``last`` is the canonical element of the sentence
     before the section in document order; the one after it is returned."""
+    import xml.etree.ElementTree as ET
     heading: str | None = None
     if elem.text and elem.text.strip():
         raise ChunkedXmlValidationError("unexpected text content directly inside <section>")
@@ -161,6 +161,7 @@ def parse_chunked_xml(data: bytes | str) -> DocumentModel:
     The document id is the hash of the model's canonical serialization, so
     re-parsing a serialized model reproduces the same id.
     """
+    import xml.etree.ElementTree as ET  # here, so only a parse loads it
     if isinstance(data, str):
         try:
             data.encode("utf-8")

@@ -13,7 +13,6 @@ are 0 on success, 1 on a domain or I/O error, 2 on bad usage.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import gc
 import json
@@ -26,12 +25,6 @@ from .baseline import chunk_corpus, retrieve_top_k
 from .chunked_xml import parse_chunked_xml
 from .document import validate_model
 from .embedding import BackendConfig, HashedBagOfWordsEmbedder, HttpEmbedder
-from .evaluation import (
-    QuestionComparison,
-    build_report,
-    cronbach_alpha,
-    extract_entity_set,
-)
 from .gateway import HttpGateway, StubGateway
 from .ingest import (
     build_document_model,
@@ -257,83 +250,21 @@ def _cmd_retrieve_baseline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _record_text(record: dict, index: int, name: str) -> str:
-    value = record.get(name)
-    if not isinstance(value, str):
-        raise ValueError(f"answers record {index}: {name!r} must be a string")
-    return value
-
-
-def _record_keys(record: dict, index: int, name: str) -> list[str]:
-    value = record.get(name, [])
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ValueError(f"answers record {index}: {name!r} must be a list of strings")
-    return value
-
-
-def _read_answer_records(records) -> list[QuestionComparison]:
-    """Comparisons from the parsed ``eval --answers`` JSON.
-
-    Each record needs string ``label``, ``graph_answer`` and
-    ``baseline_answer``. Records may carry ``graph_entities`` and
-    ``baseline_entities``; otherwise they are extracted from the answer
-    texts, which also find the optional ``known_entities`` keys. Those
-    three are lists of strings.
-    """
-    if not isinstance(records, list):
-        raise ValueError("answers must be a JSON list of records")
-    comparisons = []
-    for index, record in enumerate(records):
-        if not isinstance(record, dict):
-            raise ValueError(f"answers record {index} is not a JSON object")
-        label, graph_answer, baseline_answer = (
-            _record_text(record, index, name)
-            for name in ("label", "graph_answer", "baseline_answer"))
-        known = _record_keys(record, index, "known_entities")
-        graph_entities, baseline_entities = (
-            _record_keys(record, index, name) if name in record
-            else extract_entity_set(answer, known)
-            for name, answer in (("graph_entities", graph_answer),
-                                 ("baseline_entities", baseline_answer)))
-        comparisons.append(QuestionComparison(
-            label=label,
-            graph_entities=frozenset(graph_entities),
-            baseline_entities=frozenset(baseline_entities),
-            graph_answer=graph_answer,
-            baseline_answer=baseline_answer,
-        ))
-    return comparisons
-
-
-def _number(cell: str) -> float | None:
-    try:
-        return float(cell)
-    except ValueError:
-        return None
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
-    embedder = _make_embedder(args)
+    # imported here, so no other command's start-up loads evaluation, csv and statistics
+    from .evaluation import build_report, cronbach_alpha, read_answers_json, read_ratings_csv
 
+    embedder = _make_embedder(args)
     payload: dict = {}
     text_parts: list[str] = []
     if args.answers:
-        records = json.loads(Path(args.answers).read_text("utf-8-sig"))
-        report = build_report(_read_answer_records(records), embedder)
+        comparisons = read_answers_json(Path(args.answers).read_text("utf-8-sig"))
+        report = build_report(comparisons, embedder)
         payload.update(report.to_dict())
         text_parts.append(report.to_text())
     if args.ratings:
         with open(args.ratings, newline="", encoding="utf-8-sig") as handle:
-            rows = [row for row in csv.reader(handle) if row]
-        ratings: list[list[float]] = []
-        for index, row in enumerate(rows):
-            cells = [_number(cell) for cell in row]
-            if None not in cells:
-                ratings.append(cells)
-            elif index or any(cell is not None for cell in cells):
-                # only a first row without a single number is a header
-                raise ValueError(f"non-numeric rating row: {row!r}")
-        alpha = cronbach_alpha(ratings)
+            alpha = cronbach_alpha(read_ratings_csv(handle))
         payload["cronbach_alpha"] = round(alpha, 4)
         text_parts.append(f"Cronbach alpha: {alpha:.4f}\n")
     if not payload:

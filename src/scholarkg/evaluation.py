@@ -8,6 +8,8 @@ and across raters (Cronbach's alpha for rating consistency).
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 import re
 import statistics
@@ -25,6 +27,8 @@ __all__ = [
     "QuestionComparison",
     "EvaluationReport",
     "build_report",
+    "read_answers_json",
+    "read_ratings_csv",
 ]
 
 _CAPITALIZED_RUN = re.compile(
@@ -176,10 +180,74 @@ def build_report(comparisons: list[QuestionComparison],
     overlap_rows = []
     distance_rows = []
     for c in comparisons:
-        ratio, jaccard = entity_overlap(set(c.graph_entities),
-                                        set(c.baseline_entities))
+        ratio, jaccard = entity_overlap(c.graph_entities, c.baseline_entities)
         overlap_rows.append((c.label, round(ratio, 4), round(jaccard, 4)))
         distance_rows.append((c.label, round(
             embedding_distance(c.graph_answer, c.baseline_answer, embedder), 4)))
     return EvaluationReport(overlap_rows=tuple(overlap_rows),
                             distance_rows=tuple(distance_rows))
+
+
+def _record_text(record: dict, index: int, name: str) -> str:
+    value = record.get(name)
+    if not isinstance(value, str):
+        raise ValueError(f"answers record {index}: {name!r} must be a string")
+    return value
+
+
+def _record_keys(record: dict, index: int, name: str) -> list[str]:
+    value = record.get(name, [])
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"answers record {index}: {name!r} must be a list of strings")
+    return value
+
+
+def read_answers_json(text: str) -> list[QuestionComparison]:
+    """Comparisons from the JSON list of answer records.
+
+    Each record needs string ``label``, ``graph_answer`` and
+    ``baseline_answer``. Records may carry ``graph_entities`` and
+    ``baseline_entities``; otherwise they are extracted from the answer
+    texts, which also find the optional ``known_entities`` keys. Those
+    three are lists of strings.
+    """
+    records = json.loads(text)
+    if not isinstance(records, list):
+        raise ValueError("answers must be a JSON list of records")
+    comparisons = []
+    for index, record in enumerate(records):
+        if not isinstance(record, dict):
+            raise ValueError(f"answers record {index} is not a JSON object")
+        label, graph_answer, baseline_answer = (
+            _record_text(record, index, name)
+            for name in ("label", "graph_answer", "baseline_answer"))
+        known = _record_keys(record, index, "known_entities")
+        graph_entities, baseline_entities = (
+            frozenset(_record_keys(record, index, name) if name in record
+                      else extract_entity_set(answer, known))
+            for name, answer in (("graph_entities", graph_answer),
+                                 ("baseline_entities", baseline_answer)))
+        comparisons.append(QuestionComparison(label, graph_entities, baseline_entities,
+                                              graph_answer, baseline_answer))
+    return comparisons
+
+
+def _number(cell: str) -> float | None:
+    try:  # float() alone reads "1_0" as 10
+        return None if "_" in cell else float(cell)
+    except ValueError:
+        return None
+
+
+def read_ratings_csv(lines: Iterable[str]) -> list[list[float]]:
+    """Ratings, rows raters and columns items, from the lines of a CSV file
+    opened with ``newline=""``; a first row holding no number is a header."""
+    rows = [row for row in csv.reader(lines) if row]
+    ratings: list[list[float]] = []
+    for index, row in enumerate(rows):
+        cells = [_number(cell) for cell in row]
+        if None not in cells:
+            ratings.append(cells)
+        elif index or any(cell is not None for cell in cells):
+            raise ValueError(f"non-numeric rating row: {row!r}")
+    return ratings

@@ -982,6 +982,21 @@ def test_eval_refuses_a_first_row_that_holds_a_number(capsys, fixtures_dir, tmp_
     assert err == "error: non-numeric rating row: ['4', '', '3', '4']\n"
 
 
+@pytest.mark.parametrize("text, expected", [
+    # float() reads "1_0" as 10, but a cell holding "_" is no number: a
+    # first row of such cells is a header, and such a cell in a later row
+    # is refused; 0.9231 is the alpha of the rows after the header alone
+    ("1_0,2_0\n3,4\n5,6\n4,4\n", (0, "Cronbach alpha: 0.9231\n", "")),
+    ("1_0,2\n3,4\n5,6\n", (1, "", "error: non-numeric rating row: ['1_0', '2']\n")),
+    ("3,4\n5,6\n1_0,2\n", (1, "", "error: non-numeric rating row: ['1_0', '2']\n")),
+    ("3,4\n5,6\n10,2\n", (0, "Cronbach alpha: -2.8571\n", "")),
+])
+def test_eval_reads_no_underscore_cell_as_a_number(capsys, tmp_path, text, expected):
+    ratings = tmp_path / "ratings.csv"
+    ratings.write_text(text, "utf-8")
+    assert invoke(capsys, "eval", "--ratings", str(ratings)) == expected
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_eval_rejects_non_finite_ratings(capsys, tmp_path, cell, fmt):

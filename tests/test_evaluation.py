@@ -11,6 +11,8 @@ from scholarkg.evaluation import (
     embedding_distance,
     entity_overlap,
     extract_entity_set,
+    read_answers_json,
+    read_ratings_csv,
 )
 
 
@@ -175,6 +177,22 @@ def test_cronbach_alpha_can_be_negative():
     alpha = cronbach_alpha(ratings)
     assert alpha < 0.0
     assert not math.isnan(alpha)
+
+
+def test_read_ratings_csv_skips_blank_rows_and_a_header():
+    lines = ["q1,q2,q3\r\n", "\r\n", "4,5,3\r\n", "2,2,1\n", "5,4,4"]
+    assert read_ratings_csv(lines) == [[4.0, 5.0, 3.0], [2.0, 2.0, 1.0], [5.0, 4.0, 4.0]]
+
+
+def test_read_answers_json_extracts_only_the_entity_sets_a_record_omits():
+    [comparison] = read_answers_json(
+        '[{"label": "Q1", "graph_answer": "MEL reads PDF files.",'
+        ' "baseline_answer": "apache tika parses them.", "graph_entities": ["mel"],'
+        ' "known_entities": ["apache_tika"]}]')
+    assert comparison == QuestionComparison(
+        label="Q1", graph_entities=frozenset({"mel"}),
+        baseline_entities=frozenset({"apache tika"}),
+        graph_answer="MEL reads PDF files.", baseline_answer="apache tika parses them.")
 
 
 def comparisons():

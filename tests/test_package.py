@@ -43,12 +43,17 @@ def test_readme_query_walkthrough_prints_the_readme_output(monkeypatch, capsys):
     assert capsys.readouterr().out == output
 
 
-def python(script: str) -> str:
-    """The stdout of ``script`` run by a fresh interpreter on this tree."""
+def fresh(*argv: str, **options) -> subprocess.CompletedProcess:
+    """``python argv`` run by a fresh interpreter on this tree, its output captured."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
         str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
-                          capture_output=True, text=True, check=True).stdout
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, **options)
+
+
+def python(script: str) -> str:
+    """The stdout of ``script`` run by a fresh interpreter on this tree."""
+    return fresh("-c", script, text=True, check=True).stdout
 
 
 def test_the_package_imports_only_the_stdlib_and_requests():
@@ -103,6 +108,28 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     added = modules_added_by_importing_the_cli()
     assert "scholarkg.cli" in added
     assert added & {"dataclasses", "inspect"} == set()
+
+
+def test_importing_the_cli_loads_nothing_only_eval_or_ingest_xml_uses():
+    # every other command would pay for evaluation, csv and statistics
+    # (with fractions and decimal) and ElementTree (with pyexpat) at start-up
+    added = modules_added_by_importing_the_cli()
+    assert "scholarkg.cli" in added
+    assert added & {"scholarkg.evaluation", "statistics", "csv", "xml.etree.ElementTree"} == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--answers", "tests/fixtures/answers.json",
+     "--ratings", "tests/fixtures/ratings.csv", "--format", "json"],
+    ["ingest", "--xml", "tests/fixtures/chunked_paper.xml"],
+])
+def test_eval_and_ingest_xml_run_first_in_a_fresh_interpreter(argv, monkeypatch, capfdbinary):
+    # each imports a module that import scholarkg.cli leaves out
+    cold = fresh("-m", "scholarkg.cli", *argv)
+    monkeypatch.chdir(ROOT)
+    assert run(argv) == 0
+    warm = capfdbinary.readouterr()
+    assert (cold.returncode, cold.stdout, cold.stderr) == (0, warm.out, warm.err)
 
 
 def bench_layer_modules() -> set[str]:
