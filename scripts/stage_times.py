@@ -52,6 +52,10 @@ and, on the document model built from the outline and text:
   ``pairs`` is paragraphs x excerpts, and ``distinct_sentences`` the
   number of distinct excerpt sentences, each embedded once and scored
   once against every paragraph;
+* its two halves: ``link_embed``, ``embed_many`` of the paragraph texts
+  and the distinct sentences by a fresh stub embedder each run, and
+  ``link_score``, ``cosine_similarities`` of the sentence vectors
+  against the paragraph vectors, both embedded beforehand;
 * ``save_turtle`` of the linked graph, which ``link_graph`` builds
   afresh before each run, outside the timed region, so each run writes
   the graph as ``ingest --excerpts`` does;
@@ -119,7 +123,7 @@ from scholarkg import cli  # noqa: E402
 from scholarkg.baseline import chunk_corpus, retrieve_top_k  # noqa: E402
 from scholarkg.chunked_xml import parse_chunked_xml  # noqa: E402
 from scholarkg.document import collect_paragraphs  # noqa: E402
-from scholarkg.embedding import HashedBagOfWordsEmbedder  # noqa: E402
+from scholarkg.embedding import HashedBagOfWordsEmbedder, cosine_similarities  # noqa: E402
 from scholarkg.gateway import StubGateway  # noqa: E402
 from scholarkg.ingest import (  # noqa: E402
     build_document_model,
@@ -296,10 +300,13 @@ def ingest_stage_times(seed: int, repeats: int) -> list[dict]:
             return link_graph(emit_rdf(model), excerpts, HashedBagOfWordsEmbedder())[0]
 
         graph, links = link_graph(emit_rdf(model), excerpts, HashedBagOfWordsEmbedder())
+        texts = [p.text for p in paragraphs]
+        sentences = list(dict.fromkeys(e.in_sentence for e in excerpts))
+        vectors = HashedBagOfWordsEmbedder().embed_many(texts + sentences)
         sizes.append({
             "paragraphs": len(paragraphs),
             "excerpts": len(excerpts),
-            "distinct_sentences": len({e.in_sentence for e in excerpts}),
+            "distinct_sentences": len(sentences),
             "pairs": len(paragraphs) * len(excerpts),
             "links": len(links),
             "triples": len(graph),
@@ -308,6 +315,10 @@ def ingest_stage_times(seed: int, repeats: int) -> list[dict]:
             "build_document_model": timed(lambda: build_document_model(outline, text), repeats),
             "link_excerpts": timed(lambda: link_excerpts(
                 paragraphs, excerpts, HashedBagOfWordsEmbedder()), repeats),
+            "link_embed": timed(lambda: HashedBagOfWordsEmbedder().embed_many(
+                texts + sentences), repeats),
+            "link_score": timed(lambda: cosine_similarities(
+                vectors[len(texts):], vectors[:len(texts)]), repeats),
             "save_turtle": timed(save_turtle, repeats, linked),
             "fresh_ingest_xml": fresh_ingest_xml(xml, repeats),
         })

@@ -97,8 +97,8 @@ def retrieve_top_k(chunks: list[Chunk], question: str, k: int,
     scored = []
     for start in range(0, len(chunks), _EMBED_BATCH):
         batch = chunks[start:start + _EMBED_BATCH]
-        similarities = cosine_similarities(
-            query_vector, embedder.embed_many([c.text for c in batch]))
+        (similarities,) = cosine_similarities(
+            (query_vector,), embedder.embed_many([c.text for c in batch]))
         scored += map(RetrievedChunk, batch, similarities)
     scored.sort(key=lambda r: (-r.similarity, r.chunk.chunk_id))
     return scored[:k]

@@ -46,13 +46,19 @@ class EmbeddingVector(_Value, namedtuple("_EmbeddingVectorFields", "values")):
     def __new__(cls, values: tuple[float, ...]):
         if not values:
             raise ValueError("an embedding vector cannot be empty")
-        # A sum is finite only when every term is; the per-component check
-        # runs only for a bad term or a sum that overflowed.
-        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+        return cls._from_support(values, tuple(itertools.compress(range(len(values)), values)),
+                                 tuple(itertools.compress(values, values)))
+
+    @classmethod
+    def _from_support(cls, values: tuple[float, ...], indices: tuple[int, ...],
+                      nonzero: tuple[float, ...]) -> "EmbeddingVector":
+        # nonzero are the true components, at the ascending indices; the
+        # others are ±0.0, finite and adding nothing to the norm. A sum is
+        # finite only when every term is; the per-component check runs
+        # only for a bad term or a sum that overflowed.
+        if not math.isfinite(sum(nonzero)) and not all(map(math.isfinite, nonzero)):
             raise ValueError("embedding components must be finite")
         self = tuple.__new__(cls, (values,))
-        indices = tuple(itertools.compress(range(len(values)), values))
-        nonzero = tuple(itertools.compress(values, values))
         # The squares of the support in ascending order: the dense sum
         # minus its +0.0 terms, which cannot change a sum that starts at +0.0.
         self.__dict__.update(_support=(indices, nonzero),
@@ -74,42 +80,55 @@ class EmbeddingVector(_Value, namedtuple("_EmbeddingVectorFields", "values")):
         return cls(tuple(float(v) for v in values))
 
 
-def cosine_similarities(u: EmbeddingVector,
-                        vectors: Iterable[EmbeddingVector]) -> list[float]:
-    """The cosine of ``u`` with each vector, clamped to [-1, 1].
+def cosine_similarities(us: Iterable[EmbeddingVector],
+                        vectors: Iterable[EmbeddingVector]) -> list[list[float]]:
+    """The cosine of each ``u`` with each vector, clamped to [-1, 1]: one
+    row per ``u``, in order.
 
-    The vectors are checked in order, each for its dimension and then for
-    being zero, so the first bad one raises ``ValueError``.
+    Each ``u`` is checked against the vectors in order, each for its
+    dimension and then for being zero, so the first bad pair in row-major
+    order raises ``ValueError``. Without vectors nothing is checked.
     """
-    indices, values = u._support
-    norm_u, dimension = u._norm, u.dimension
-    # The dot products run over u's support. Each adds the same nonzero
-    # products in the same index order as the dense sum; the ±0.0 terms it
-    # adds or drops cannot change a float sum that starts at +0.0. One
-    # index makes itemgetter return a scalar, so it gets a 1-tuple; a zero
-    # u has no support and raises below before anything is gathered.
-    if len(indices) == 1:
-        index = indices[0]
-        gather = lambda components: (components[index],)  # noqa: E731
-    elif indices:
-        gather = operator.itemgetter(*indices)
-    mul = operator.mul
-    similarities = []
-    for v in vectors:
-        components = v.values
-        if len(components) != dimension:
-            raise ValueError(f"dimension mismatch: {dimension} != {len(components)}")
-        norm_v = v._norm
-        if norm_u == 0.0 or norm_v == 0.0:
-            raise ValueError("cosine similarity is undefined for a zero vector")
-        dot = sum(map(mul, values, gather(components)))
-        similarities.append(max(-1.0, min(1.0, dot / (norm_u * norm_v))))
-    return similarities
+    us, vectors = list(us), list(vectors)
+    components = [v.values for v in vectors]
+    norms = [v._norm for v in vectors]
+    dimensions, has_zero = set(map(len, components)), 0.0 in norms
+    for u in us:
+        dimension, norm_u = len(u.values), u._norm
+        if dimensions != {dimension} or norm_u == 0.0 or has_zero:
+            # a pair may be bad: raise for the first
+            for v_values, norm_v in zip(components, norms):
+                if len(v_values) != dimension:
+                    raise ValueError(f"dimension mismatch: {dimension} != {len(v_values)}")
+                if norm_u == 0.0 or norm_v == 0.0:
+                    raise ValueError("cosine similarity is undefined for a zero vector")
+    if not (us and vectors):
+        return [[] for _ in us]
+    # The column of each component index that some u's support holds, built
+    # once and shared by every u. One index makes itemgetter return the
+    # item itself, so it gets a 1-tuple.
+    needed = list(set().union(*(u._support[0] for u in us)))
+    gather = operator.itemgetter(*needed) if len(needed) > 1 else lambda c: (c[needed[0]],)
+    columns = dict(zip(needed, zip(*map(gather, components))))
+    mul, repeat = operator.mul, itertools.repeat
+    rows = []
+    for u in us:
+        # Each dot product is one sum over u's support: it adds the same
+        # nonzero products in the same index order as the dense sum, and
+        # the ±0.0 terms it adds or drops cannot change a float sum that
+        # starts at +0.0.
+        indices, values = u._support
+        products = [map(mul, repeat(value), columns[i]) for i, value in zip(indices, values)]
+        dots = map(sum, zip(*products))
+        quotients = map(operator.truediv, dots, map(mul, repeat(u._norm), norms))
+        # A quotient inside [-1, 1] is its own clamp, without the calls.
+        rows.append([q if -1.0 <= q <= 1.0 else max(-1.0, min(1.0, q)) for q in quotients])
+    return rows
 
 
 def cosine_similarity(u: EmbeddingVector, v: EmbeddingVector) -> float:
     """Cosine of the angle between two vectors, clamped to [-1, 1]."""
-    return cosine_similarities(u, (v,))[0]
+    return cosine_similarities((u,), (v,))[0][0]
 
 
 class Embedder(Protocol):
@@ -118,9 +137,14 @@ class Embedder(Protocol):
     def embed_many(self, texts: Sequence[str]) -> list[EmbeddingVector]: ...
 
 
-_TOKEN = re.compile(r"[a-z0-9]+")
 # The stub embedder's vector dimension.
 STUB_DIMENSION = 256
+
+
+# A bytes.translate table that keeps a-z and 0-9 and makes every other
+# byte a space.
+_SEPARATORS = bytes(c if c in b"0123456789abcdefghijklmnopqrstuvwxyz" else 32
+                    for c in range(256))
 
 
 class _Buckets(dict):
@@ -161,17 +185,23 @@ class HashedBagOfWordsEmbedder:
     def embed(self, text: str) -> EmbeddingVector:
         if not text:
             raise ValueError("cannot embed empty text")
-        tokens = _TOKEN.findall(text.lower()) or [text.strip()]
+        # Each non-ASCII character becomes one "?" and then a space, so
+        # split() yields exactly the [a-z0-9]+ runs of the lowercased text.
+        spaced = text.lower().encode("ascii", "replace").translate(_SEPARATORS).decode()
+        tokens = spaced.split() or [text.strip()]
         if not tokens[0]:
             raise ValueError("text contains no embeddable tokens")
         counts = Counter(map(self._buckets.__getitem__, tokens))
         # The counts are integers, so the sum of their squares is exact in
         # any order and equals the dense float sum; so does each quotient.
         norm = math.sqrt(sum(map(operator.mul, counts.values(), counts.values())))
+        # The quotients are positive, so the counted indices are the support.
+        indices = sorted(counts)
+        nonzero = [counts[index] / norm for index in indices]
         values = [0.0] * STUB_DIMENSION
-        for index, count in counts.items():
-            values[index] = count / norm
-        return EmbeddingVector(tuple(values))
+        for index, value in zip(indices, nonzero):
+            values[index] = value
+        return EmbeddingVector._from_support(tuple(values), tuple(indices), tuple(nonzero))
 
     def embed_many(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         return [self.embed(text) for text in texts]

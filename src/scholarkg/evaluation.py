@@ -233,8 +233,8 @@ def read_answers_json(text: str) -> list[QuestionComparison]:
 
 
 def _number(cell: str) -> float | None:
-    try:  # float() alone reads "1_0" as 10
-        return None if "_" in cell else float(cell)
+    try:  # float() alone reads "1_0" as 10, and "\u0661" (ARABIC-INDIC ONE) as 1
+        return None if "_" in cell or not cell.isascii() else float(cell)
     except ValueError:
         return None
 

@@ -205,8 +205,8 @@ def link_excerpts(paragraphs: Sequence[Paragraph], excerpts: Sequence[Excerpt],
     order, and then the distinct excerpt sentences in another, each once,
     in the order they first occur. Similarity is the cosine between a
     sentence's vector and each paragraph's vector, scored in one
-    ``cosine_similarities`` call per distinct sentence over the paragraphs
-    in id order; the argmax paragraph wins (ties break toward the
+    ``cosine_similarities`` call, a row per distinct sentence over the
+    paragraphs in id order; the argmax paragraph wins (ties break toward the
     lexicographically smaller paragraph id). Each excerpt takes its
     sentence's best paragraph and similarity, and only links at or above
     ``threshold`` are kept, in excerpt order. Without paragraphs or
@@ -221,8 +221,8 @@ def link_excerpts(paragraphs: Sequence[Paragraph], excerpts: Sequence[Excerpt],
         zip((p.paragraph_id for p in paragraphs), vectors), key=operator.itemgetter(0)))
     sentences = list(dict.fromkeys(e.in_sentence for e in excerpts))
     best = {}
-    for sentence, vector in zip(sentences, embedder.embed_many(sentences)):
-        similarities = cosine_similarities(vector, paragraph_vectors)
+    for sentence, similarities in zip(sentences, cosine_similarities(
+            embedder.embed_many(sentences), paragraph_vectors)):
         similarity = max(similarities)
         best[sentence] = paragraph_ids[similarities.index(similarity)], similarity
     links: list[ExcerptLink] = []

@@ -9,6 +9,7 @@ whole query pipeline, from the question's patterns to that answer.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 from ..document import document_id_of
@@ -81,11 +82,17 @@ def select_context(graph: KnowledgeGraph, query_entities: set[str],
                        embedder.embed_many([p.text for p in shortlist])))
     selected = [shortlist[0]]
     remaining = shortlist[1:]
+    # Each candidate's least distance to the picked ones: a round scores
+    # the candidates against the newest pick only. The kernel's cosine is
+    # symmetric to the bit (either order sums the same nonzero products in
+    # index order), so the pick can be the one u.
+    spread = dict.fromkeys(vectors, math.inf)
     while remaining and len(selected) < diverse_k:
-        def spread(p: ScoredParagraph) -> float:
-            return min(1.0 - similarity for similarity in cosine_similarities(
-                vectors[p.node], [vectors[s.node] for s in selected]))
-        remaining.sort(key=lambda p: (-spread(p), -p.keyword_frequency, p.node.value))
+        (similarities,) = cosine_similarities((vectors[selected[-1].node],),
+                                              [vectors[p.node] for p in remaining])
+        for p, similarity in zip(remaining, similarities):
+            spread[p.node] = min(spread[p.node], 1.0 - similarity)
+        remaining.sort(key=lambda p: (-spread[p.node], -p.keyword_frequency, p.node.value))
         selected.append(remaining.pop(0))
     return selected
 

@@ -990,6 +990,12 @@ def test_eval_refuses_a_first_row_that_holds_a_number(capsys, fixtures_dir, tmp_
     ("1_0,2\n3,4\n5,6\n", (1, "", "error: non-numeric rating row: ['1_0', '2']\n")),
     ("3,4\n5,6\n1_0,2\n", (1, "", "error: non-numeric rating row: ['1_0', '2']\n")),
     ("3,4\n5,6\n10,2\n", (0, "Cronbach alpha: -2.8571\n", "")),
+    # float() also reads non-ASCII digits (ARABIC-INDIC, FULLWIDTH), but
+    # only an ASCII cell is a number
+    ("\u0661,2\n3,4\n5,6\n", (1, "", "error: non-numeric rating row: ['\u0661', '2']\n")),
+    ("\uff11,\uff12\n3,4\n5,6\n4,4\n", (0, "Cronbach alpha: 0.9231\n", "")),
+    ("3,4\n5,6\n\u0663.\u0665,2\n",
+     (1, "", "error: non-numeric rating row: ['\u0663.\u0665', '2']\n")),
 ])
 def test_eval_reads_no_underscore_cell_as_a_number(capsys, tmp_path, text, expected):
     ratings = tmp_path / "ratings.csv"

@@ -1,9 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scholarkg.cli import run
-from scholarkg.embedding import HashedBagOfWordsEmbedder
+from scholarkg.embedding import HashedBagOfWordsEmbedder, cosine_similarity
 from scholarkg.gateway import StubGateway
 from scholarkg.kg.graph import KnowledgeGraph
 from scholarkg.kg.terms import Iri, Literal, Triple, iri
@@ -79,6 +80,40 @@ def test_select_context_validates_arguments(sample_graph, stub_embedder):
     for entities in (set(), {""}):
         with pytest.raises(ValueError, match="at least one non-empty name is required"):
             select_context(sample_graph, entities, embedder=stub_embedder)
+
+
+def reference_pick(shortlist: list[ScoredParagraph], diverse_k: int) -> list[ScoredParagraph]:
+    """The farthest-point pick with each candidate's least distance taken
+    afresh every round over all the picks, one pair at a time."""
+    if len(shortlist) <= diverse_k:
+        return shortlist
+    embedder = HashedBagOfWordsEmbedder()
+    vectors = {p.node: embedder.embed(p.text) for p in shortlist}
+    selected, remaining = [shortlist[0]], shortlist[1:]
+    while remaining and len(selected) < diverse_k:
+        def spread(p: ScoredParagraph) -> float:
+            return min(1.0 - cosine_similarity(vectors[p.node], vectors[s.node])
+                       for s in selected)
+        remaining.sort(key=lambda p: (-spread(p), -p.keyword_frequency, p.node.value))
+        selected.append(remaining.pop(0))
+    return selected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(["silver", "tool", "pdf", "text", "graph", "mel"]),
+                         max_size=6).map(" ".join), min_size=1, max_size=12),
+       st.integers(1, 8), st.integers(0, 4))
+def test_select_context_picks_like_the_pairwise_reference(texts, diverse_k, extra):
+    """Repeated texts (equal distances) and equal frequencies included."""
+    graph = graph_of(*((paragraph_node("doc1", f"{i:02d}"), f"silver {text}")
+                       for i, text in enumerate(texts)))
+    top_n = diverse_k + extra
+    # a diverse_k as long as the shortlist returns the shortlist unpicked
+    shortlist = select_context(graph, {"silver"}, top_n=top_n, diverse_k=top_n,
+                               embedder=HashedBagOfWordsEmbedder())
+    chosen = select_context(graph, {"silver"}, top_n=top_n, diverse_k=diverse_k,
+                            embedder=HashedBagOfWordsEmbedder())
+    assert chosen == reference_pick(shortlist, diverse_k)
 
 
 def test_select_context_keeps_each_paragraph_naming_any_entity(stub_embedder):

@@ -391,6 +391,16 @@ def reference_similarities(u: EmbeddingVector, vectors) -> list[float]:
     return [reference_cosine(u, v) for v in vectors]
 
 
+def reference_rows(us, vectors) -> list[list[float]]:
+    """Row by row, so the first bad pair in row-major order raises."""
+    return [reference_similarities(u, vectors) for u in us]
+
+
+def single_row(u: EmbeddingVector, vectors) -> list[float]:
+    (row,) = cosine_similarities((u,), vectors)
+    return row
+
+
 def outcome(function, *args) -> tuple:
     try:
         return ("value", repr(function(*args)))
@@ -445,6 +455,7 @@ def test_cosine_similarity_matches_dense_reference_bit_for_bit():
     rng = random.Random(20261018)
     errors = 0
     batches = collections.Counter()
+    grids = collections.Counter()
     for _ in range(10000):
         u, v = random_vector_pair(rng)
         for a, b in ((u, v), (v, u), (u, v)):   # the repeat reads the cached norms
@@ -455,19 +466,36 @@ def test_cosine_similarity_matches_dense_reference_bit_for_bit():
         # vector's error class and message
         batch = random_batch(rng, u)
         expected = outcome(reference_similarities, u, batch)
-        assert outcome(cosine_similarities, u, batch) == expected, (u, batch)
+        assert outcome(single_row, u, batch) == expected, (u, batch)
         if expected[0] is ValueError:
             first_bad = next(i for i, w in enumerate(batch)
                              if outcome(reference_cosine, u, w)[0] is ValueError)
             batches[expected[1].split(":")[0], first_bad > 0] += 1
         else:
             batches["value", min(len(batch), 2)] += 1
+        # many us against the batch: every row bit for bit, or the error of
+        # the first bad (u, v) pair in row-major order
+        us = random_batch(rng, u)
+        us.insert(rng.randrange(len(us) + 1), u)
+        expected = outcome(reference_rows, us, batch)
+        assert outcome(cosine_similarities, us, batch) == expected, (us, batch)
+        if expected[0] is ValueError:
+            first_bad = next(i for i, w in enumerate(us)
+                             if outcome(reference_similarities, w, batch)[0] is ValueError)
+            grids[expected[1].split(":")[0], first_bad > 0] += 1
+        else:
+            odd_u = any(outcome(reference_cosine, w, u)[0] is ValueError for w in us)
+            grids["value", min(len(batch), 2), odd_u] += 1
     # the draw reaches every branch: values, mismatches and zero vectors
     assert 0 < errors < 30000
     # ... and in batches: empty and longer lists, and each error behind a
     # vector that scored
     assert {("value", 0), ("value", 2), ("dimension mismatch", True),
             ("cosine similarity is undefined for a zero vector", True)} <= set(batches)
+    # ... and with many us: each error in a row behind one that scored, and
+    # an empty batch, which never raises, also for a zero or mismatched u
+    assert {("value", 0, True), ("value", 2, False), ("dimension mismatch", True),
+            ("cosine similarity is undefined for a zero vector", True)} <= set(grids)
 
 
 def test_cosine_similarity_edge_cases_match_dense_reference():
@@ -493,10 +521,10 @@ def test_cosine_similarity_edge_cases_match_dense_reference():
         assert outcome(cosine_similarity, u, v) == outcome(reference_cosine, u, v)
         assert outcome(cosine_similarity, v, u) == outcome(reference_cosine, v, u)
         for batch in ([v], [u, v], [v, v, u]):
-            assert outcome(cosine_similarities, u, batch) == \
+            assert outcome(single_row, u, batch) == \
                 outcome(reference_similarities, u, batch), (u, batch)
         # an empty list scores nothing, so even a zero vector raises nothing
-        assert cosine_similarities(u, []) == []
+        assert cosine_similarities((u,), []) == [[]]
 
 
 def dense_norm(values) -> float:
