@@ -257,22 +257,24 @@ def link_graph(graph: KnowledgeGraph, excerpts: Sequence[Excerpt], embedder: Emb
     entity, and word-index range; per link, a ``hasExcerpt`` edge. A
     paragraph node without a label is skipped; one outside the askg-data
     namespace cannot carry a link edge and is refused. So is, before
-    anything is embedded, an excerpt whose node is already the subject of
-    a triple in ``graph`` that the excerpt's own shape does not hold, since
-    the graph would merge two excerpts into one node; linking the same
-    excerpt again adds nothing.
+    anything is embedded, an excerpt id given twice with two shapes, or an
+    excerpt whose node is already the subject of a triple in ``graph`` that
+    the excerpt's own shape does not hold, since the graph would merge two
+    excerpts into one node; linking the same excerpt again adds nothing.
     """
     triples = list(graph)
-    shapes: dict[Iri, list[Triple]] = {}
+    shapes: dict[Iri, tuple[Triple, ...]] = {}
     for excerpt in excerpts:
         node = Iri(_DATA_NS + excerpt.excerpt_id)
-        shapes.setdefault(node, []).extend((
+        shape = (
             Triple(node, RDF_TYPE, EXCERPT),
             Triple(node, RDFS_LABEL, Literal(excerpt.label, language="en")),
             Triple(node, IN_SENTENCE, Literal(excerpt.in_sentence, datatype=XSD_STRING)),
             Triple(node, MENTIONS, entity_iri(excerpt.mentions)),
             Triple(node, WORD_INDEX_FROM, Literal(str(excerpt.word_index_from), datatype=XSD_INT)),
-            Triple(node, WORD_INDEX_TO, Literal(str(excerpt.word_index_to), datatype=XSD_INT))))
+            Triple(node, WORD_INDEX_TO, Literal(str(excerpt.word_index_to), datatype=XSD_INT)))
+        if shapes.setdefault(node, shape) != shape:
+            raise ValueError(f"excerpt {excerpt.excerpt_id!r} has two different records")
     clashing = {t.subject for t in triples if t.subject in shapes and t not in shapes[t.subject]}
     for excerpt in excerpts:
         if Iri(_DATA_NS + excerpt.excerpt_id) in clashing:

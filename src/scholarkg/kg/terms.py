@@ -111,13 +111,6 @@ class Iri(_Value, namedtuple("_IriFields", "value")):
                 return self.value[idx + 1:]
         return self.value
 
-    def prefixed(self) -> tuple[str, str] | None:
-        """(prefix, local) under the canonical namespaces, if any."""
-        for prefix, ns in NAMESPACES.items():
-            if self.value.startswith(ns) and len(self.value) > len(ns):
-                return prefix, self.value[len(ns):]
-        return None
-
     def entity_key(self) -> str:
         """Lowercase identity used in frequency and purity tallies.
 

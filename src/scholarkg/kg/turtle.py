@@ -21,13 +21,13 @@ and a token out of place. An IRI holding a character that W3C
 ``IRIREF`` forbids (U+0000-U+0020 and ``<>"{}|^`\\``) is reported once
 the rest of the document has parsed, at the line of that character.
 
-The writer is canonical: subjects, predicates and objects are emitted in
-a fixed order, so saving the same graph always produces identical bytes,
-and loading them gives a graph with an equal triple set. It raises
-``TurtleError`` for what the reader would refuse: an IRI holding a
-character ``IRIREF`` forbids, a language tag that is not a full
-``LANGTAG`` (or is ``prefix``, which reads as the directive), and any
-term holding a surrogate code point.
+The writer is canonical: subjects, predicates and objects are emitted in a
+fixed order, so saving the same graph always produces identical bytes, and
+loading them gives a graph with an equal triple set. It raises
+``TurtleError`` for what the reader would refuse: a literal subject or
+predicate, an IRI holding a character ``IRIREF`` forbids, a language tag
+that is not a full ``LANGTAG`` (or is ``prefix``, which reads as the
+directive), and any term holding a surrogate code point.
 """
 
 from __future__ import annotations
@@ -342,50 +342,47 @@ def load_turtle(data: bytes | str) -> KnowledgeGraph:
 # Writer
 # ---------------------------------------------------------------------------
 
-_SAFE_LOCAL = re.compile(_LOCAL_NAME)
+# A canonical namespace (none starts another), then a local name the reader reads back whole.
+_PNAME_IRI = re.compile(f"({'|'.join(map(re.escape, NAMESPACES.values()))})({_LOCAL_NAME})")
+_PREFIX_OF = {namespace: prefix for prefix, namespace in NAMESPACES.items()}
 _SAFE_LANGTAG = re.compile(_LANGTAG_PATTERN)
-_STRING_ESCAPES = str.maketrans(
-    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
-
-
-def _render_iri(node: Iri) -> str:
-    prefixed = node.prefixed()
-    if prefixed is not None:
-        prefix, local = prefixed
-        if _SAFE_LOCAL.fullmatch(local):
-            return f"{prefix}:{local}"
-    bad = _IRI_FORBIDDEN.search(node.value)
-    if bad:
-        raise TurtleError(f"cannot write IRI {node.value!r}: it contains {bad[0]!r}")
-    return f"<{node.value}>"
-
-
-def _render_literal(literal: Literal) -> str:
-    rendered = f'"{literal.lexical.translate(_STRING_ESCAPES)}"'
-    if literal.language is not None:
-        if not _SAFE_LANGTAG.fullmatch(literal.language) or literal.language == "prefix":
-            raise TurtleError(f"cannot write language tag {literal.language!r}")
-        return f"{rendered}@{literal.language}"
-    if literal.datatype is not None:
-        return f"{rendered}^^{_render_iri(literal.datatype)}"
-    return rendered
-
-
-def _render_term(term) -> str:
-    return _render_iri(term) if isinstance(term, Iri) else _render_literal(term)
+_STRING_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
+_HEADER = "".join(f"@prefix {prefix}: <{NAMESPACES[prefix]}> .\n" for prefix in sorted(NAMESPACES))
+# Type first, label second, everything else by its text: the order the
+# graph's excerpt and paragraph blocks conventionally use.
+_PREDICATE_RANK = {RDF_TYPE: 0, RDFS_LABEL: 1}
 
 
 class _Rendered(dict):
-    """Each term's Turtle text, rendered on first lookup."""
+    """Each term's Turtle text, made on first lookup."""
+
+    def __init__(self):
+        self.languages: set[str] = set()  # the tags checked so far
 
     def __missing__(self, term) -> str:
-        text = self[term] = _render_term(term)
+        if term.__class__ is Iri:
+            m = _PNAME_IRI.fullmatch(term.value)
+            bad = None if m else _IRI_FORBIDDEN.search(term.value)
+            if bad:
+                raise TurtleError(f"cannot write IRI {term.value!r}: it contains {bad[0]!r}")
+            text = f"{_PREFIX_OF[m[1]]}:{m[2]}" if m else f"<{term.value}>"
+        else:
+            lexical, language = term.lexical, term.language
+            # five scans cost less than one translate, which most forms do not need
+            if ("\\" in lexical or '"' in lexical or "\n" in lexical or "\r" in lexical
+                    or "\t" in lexical):
+                lexical = lexical.translate(_STRING_ESCAPES)
+            text = f'"{lexical}"'
+            if language is not None:
+                if language not in self.languages and (
+                        language == "prefix" or not _SAFE_LANGTAG.fullmatch(language)):
+                    raise TurtleError(f"cannot write language tag {language!r}")
+                self.languages.add(language)
+                text += "@" + language
+            elif term.datatype is not None:
+                text += "^^" + self[term.datatype]
+        self[term] = text
         return text
-
-
-# Type first, label second, everything else alphabetically: the order the
-# graph's excerpt and paragraph blocks conventionally use.
-_PREDICATE_RANK = {RDF_TYPE: 0, RDFS_LABEL: 1}
 
 
 def save_turtle(graph: KnowledgeGraph) -> bytes:
@@ -395,32 +392,40 @@ def save_turtle(graph: KnowledgeGraph) -> bytes:
     by subject with ``;``/``,`` continuation: subjects and each predicate's
     objects sorted by their rendered text, predicates by rank and then
     text. A term's rendering is unique to it, so the bytes do not depend on
-    the order the graph iterates in. Each distinct term is rendered once
-    per call, all subjects first, in that order, so which term a
-    ``TurtleError`` names depends on the graph's input alone.
+    the order the graph iterates in. Each term, predicate head and language
+    tag is rendered or checked once per call: all subjects first, in input
+    order, then each subject's predicates as first seen, then its objects.
+    So which term a ``TurtleError`` names, a literal subject or predicate
+    included, depends on the graph's input alone.
     """
-    lines = [f"@prefix {prefix}: <{NAMESPACES[prefix]}> ." for prefix in sorted(NAMESPACES)]
-    lines.append("")
-
+    lines = [_HEADER]
     by_subject: dict[Iri, dict[Iri, list]] = {}
     for t in graph:
         by_subject.setdefault(t.subject, {}).setdefault(t.predicate, []).append(t.object)
 
-    rendered = _Rendered()
-    render = rendered.__getitem__
+    render = _Rendered().__getitem__
+    heads: dict[Iri, tuple] = {}  # (rank, "a " or text + " ", predicate); " " sorts below IRI text
 
-    def predicate_order(predicate: Iri) -> tuple:
-        return (_PREDICATE_RANK.get(predicate, 2), render(predicate))
+    def render_node(term, place: str = "subject") -> str:
+        if term.__class__ is not Iri:
+            raise TurtleError(f"cannot write literal {term.lexical!r} as a {place}")
+        return render(term)
 
-    for subject in sorted(by_subject, key=render):
+    def head(predicate: Iri) -> tuple:
+        rank = _PREDICATE_RANK.get(predicate, 2)
+        key = heads[predicate] = (
+            rank, "a " if rank == 0 else render_node(predicate, "predicate") + " ", predicate)
+        return key
+
+    for subject in sorted(by_subject, key=render_node):
         predicates = by_subject[subject]
-        body = " ;\n    ".join(
-            ("a" if predicate == RDF_TYPE else render(predicate)) + " "
-            + ",\n        ".join(sorted(map(render, predicates[predicate])))
-            for predicate in sorted(predicates, key=predicate_order))
+        body = " ;\n    ".join([
+            text + (render(objects[0]) if len(objects := predicates[predicate]) == 1
+                    else ",\n        ".join(sorted(map(render, objects))))
+            for _, text, predicate in sorted([heads.get(p) or head(p) for p in predicates])])
         lines.append(f"{render(subject)} {body} .\n")
 
-    text = "\n".join(lines).rstrip("\n") + "\n"
+    text = "\n".join(lines)
     try:
         return text.encode("utf-8")
     except UnicodeEncodeError as exc:  # only a surrogate cannot be encoded

@@ -285,6 +285,23 @@ def test_link_graph_skips_a_paragraph_without_label(stub_embedder):
     assert len(graph) == 1 + 6
 
 
+def test_link_graph_refuses_one_excerpt_id_given_twice_with_different_records():
+    model = build_document_model(outline(), TEXT)
+    first = make_excerpt("Excerpt-1", "Second paragraph stands alone.", "standalone")
+    embedder = RecordingEmbedder()
+    # an identical repeat is one excerpt
+    once = link_graph(emit_rdf(model), [first], embedder, 0.0)[0]
+    assert set(link_graph(emit_rdf(model), [first, first], embedder, 0.0)[0]) == set(once)
+    embedder.calls.clear()
+    for changed in (Excerpt("Excerpt-1", "another label", *first[2:]),
+                    Excerpt(*first[:5], first.word_index_to + 1)):
+        with pytest.raises(ValueError) as err:
+            link_graph(emit_rdf(model), [first, make_excerpt("Excerpt-2", "x", "y"), changed],
+                       embedder, 0.0)
+        assert str(err.value) == "excerpt 'Excerpt-1' has two different records"
+    assert embedder.calls == []
+
+
 def test_read_excerpts_jsonl(fixtures_dir):
     records = read_excerpts_jsonl((fixtures_dir / "excerpts_doc2.jsonl").read_text("utf-8"))
     assert len(records) == 2

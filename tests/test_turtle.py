@@ -29,6 +29,7 @@ from scholarkg.kg.turtle import (
 )
 
 import reference_reader
+import reference_writer
 
 EXCERPT_NODE = iri("askg-data:Excerpt-33387384e82242")
 
@@ -409,6 +410,35 @@ def test_save_rejects_surrogates(triple):
         save_turtle(KnowledgeGraph([triple]))
 
 
+@pytest.mark.parametrize("triples, message", [
+    ([Triple(Literal("x"), RDFS_LABEL, Literal("y"))], "cannot write literal 'x' as a subject"),
+    ([Triple(iri("askg-data:a"), Literal("p"), Literal("y"))],
+     "cannot write literal 'p' as a predicate"),
+    # subjects are rendered first, in input order
+    ([Triple(Iri("urn:a b"), RDFS_LABEL, Literal("y")),
+      Triple(Literal("x"), RDFS_LABEL, Literal("y"))],
+     "cannot write IRI 'urn:a b': it contains ' '"),
+    ([Triple(Literal("x"), RDFS_LABEL, Literal("y")),
+      Triple(Iri("urn:a b"), RDFS_LABEL, Literal("y"))],
+     "cannot write literal 'x' as a subject"),
+    ([Triple(iri("askg-data:a"), RDFS_LABEL, Literal("y", language="en US")),
+      Triple(Literal("x", language="en US"), RDFS_LABEL, Literal("y"))],
+     "cannot write literal 'x' as a subject"),
+    # then a subject's predicates, in the order first seen, before its objects
+    ([Triple(iri("askg-data:a"), Iri("urn:p|"), Literal("y")),
+      Triple(iri("askg-data:a"), Literal("p"), Literal("y"))],
+     "cannot write IRI 'urn:p|': it contains '|'"),
+    ([Triple(iri("askg-data:a"), Literal("p"), Iri("urn:o{")),
+      Triple(iri("askg-data:a"), Iri("urn:p|"), Literal("y"))],
+     "cannot write literal 'p' as a predicate"),
+])
+def test_save_rejects_literal_subjects_and_predicates_in_render_order(triples, message):
+    # the reader would refuse them: a subject or predicate must be an IRI
+    with pytest.raises(TurtleError) as err:
+        save_turtle(KnowledgeGraph(triples))
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Fuzzing
 # ---------------------------------------------------------------------------
@@ -554,34 +584,6 @@ def test_reader_reads_rewritten_saves_like_the_reference_reader(graph, rnd):
     assert outcome[0] == "triples" and set(outcome[1]) == set(graph)
 
 
-def reference_save_turtle(graph) -> bytes:
-    """The writer rendering a term at each use, in the writer's use order."""
-    from scholarkg.kg.turtle import _render_iri, _render_term
-
-    def predicate_order(predicate):
-        rank = 0 if predicate == RDF_TYPE else 1 if predicate == RDFS_LABEL else 2
-        return (rank, _render_iri(predicate))
-
-    lines = [f"@prefix {prefix}: <{NAMESPACES[prefix]}> ." for prefix in sorted(NAMESPACES)]
-    lines.append("")
-    by_subject = {}
-    for t in graph:
-        by_subject.setdefault(t.subject, {}).setdefault(t.predicate, []).append(t.object)
-    for subject in sorted(by_subject, key=_render_iri):
-        predicates = by_subject[subject]
-        body = " ;\n    ".join(
-            ("a" if predicate == RDF_TYPE else _render_iri(predicate)) + " "
-            + ",\n        ".join(sorted(map(_render_term, predicates[predicate])))
-            for predicate in sorted(predicates, key=predicate_order))
-        lines.append(f"{_render_iri(subject)} {body} .\n")
-    text = "\n".join(lines).rstrip("\n") + "\n"
-    try:
-        return text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise TurtleError(
-            f"cannot write surrogate code point U+{ord(exc.object[exc.start]):04X}") from None
-
-
 def save_outcome(writer, graph) -> tuple:
     try:
         return ("bytes", writer(graph))
@@ -590,6 +592,7 @@ def save_outcome(writer, graph) -> tuple:
 
 
 _SHARED_TERMS = st.lists(st.one_of(_IRIS, _LITERALS), min_size=1, max_size=4)
+_LONG = "a lexical form longer than the strategies draw " * 8
 
 
 @settings(max_examples=150, deadline=None)
@@ -602,14 +605,36 @@ _SHARED_TERMS = st.lists(st.one_of(_IRIS, _LITERALS), min_size=1, max_size=4)
     Triple(Iri("urn:a"), Iri("urn:p|"), Literal("x", datatype=Iri("urn:d>"))),
     Triple(Iri("urn:a"), RDF_TYPE, Iri("urn:o{")),
 ]))
+# long lexical forms, without and with each character the writer escapes
+@example(KnowledgeGraph([
+    Triple(Iri(f"urn:s{i}"), RDFS_LABEL, literal)
+    for i, character in enumerate(["", "\\", '"', "\n", "\r", "\t", '\\"\n\r\t'])
+    for literal in (Literal(_LONG + character + _LONG), Literal(character + _LONG, language="en"),
+                    Literal(_LONG + character, datatype=XSD_INT))]))
+# an unwritable datatype IRI, reached after a writable one
+@example(KnowledgeGraph([
+    Triple(Iri("urn:b"), RDFS_LABEL, Literal("y", datatype=Iri("urn:d>"))),
+    Triple(Iri("urn:a"), RDFS_LABEL, Literal("x", datatype=XSD_INT)),
+    Triple(Iri("urn:a"), RDFS_LABEL, Literal("y", datatype=Iri("urn:d d"))),
+]))
+# one predicate shared by many subjects, some of them typed
+@example(KnowledgeGraph(
+    [Triple(Iri(f"urn:s{i}"), Iri("urn:p"), Iri(f"urn:o{i % 3}")) for i in range(12)]
+    + [Triple(Iri(f"urn:s{i}"), RDF_TYPE, Iri("urn:T")) for i in range(0, 12, 2)]))
+# two literals with the same bad language tag
+@example(KnowledgeGraph([
+    Triple(Iri("urn:b"), RDFS_LABEL, Literal("x", language="en US")),
+    Triple(Iri("urn:a"), RDFS_LABEL, Literal("y", language="en")),
+    Triple(Iri("urn:a"), RDFS_LABEL, Literal("z", language="en US")),
+]))
 def test_save_turtle_renders_like_a_render_per_use_writer(graph):
     """Same bytes, or the same first unwritable term, as a writer that
     renders every term at each use; the terms recur across triples."""
-    assert save_outcome(save_turtle, graph) == save_outcome(reference_save_turtle, graph)
+    assert save_outcome(save_turtle, graph) == save_outcome(reference_writer.save_turtle, graph)
 
 
 def test_save_turtle_writes_the_sample_and_a_linked_graph_like_the_reference(sample_graph):
-    assert save_turtle(sample_graph) == reference_save_turtle(sample_graph)
+    assert save_turtle(sample_graph) == reference_writer.save_turtle(sample_graph)
     model = DocumentModel("d", None, (Section("1", "H", (
         Paragraph("Paper-d-Paragraph-a", (Sentence("Apache Tika extracts text."),)),
         Paragraph("Paper-d-Paragraph-b", (Sentence("Mel reads the database."),)))),))
@@ -622,4 +647,4 @@ def test_save_turtle_writes_the_sample_and_a_linked_graph_like_the_reference(sam
         ("Excerpt-0", "Paper-d-Paragraph-a"), ("Excerpt-1", "Paper-d-Paragraph-b"),
         ("Excerpt-2", "Paper-d-Paragraph-a")]
     assert links[0].similarity == links[2].similarity
-    assert save_turtle(linked) == reference_save_turtle(linked)
+    assert save_turtle(linked) == reference_writer.save_turtle(linked)
