@@ -8,13 +8,14 @@ this process:
 * ``load_turtle`` on the graph's bytes, ``KnowledgeGraph()`` included;
 * its two parts: ``_parse`` of the decoded text, and ``KnowledgeGraph()``
   alone, on the parsed triples;
-* ``first_reads``: the reads that build a graph's lazy per-subject groups
-  the first time a query reads them (``by_subject`` of the label, link,
-  mention and sentence predicates, and ``subjects_of_type``, which indexes
-  the type triples by their object);
+* ``first_reads``: the reads that build a graph's lazy indexes the first
+  time a query reads them (``subjects_of_type``, which indexes the type
+  triples by their object, and one ``label_of``, which indexes each
+  node's least literal label);
 * ``save_turtle`` of the graph, as ``link`` rewrites the graph it loaded;
-* ``qa.engine._anchor_matcher``: the one walk of the graph's edges into
-  the joined anchor text and the mention-key map;
+* ``qa.engine._anchor_matcher``: the one walk of the graph's sentence,
+  link, mention and label buckets into the joined anchor text and the
+  mention-key map;
 * ``resolve_query`` of the corpus's first question (its patterns taken
   from the stub gateway beforehand, ``max_depth=2``), each run building a
   fresh matcher, so the walk is counted here too;
@@ -22,6 +23,9 @@ this process:
   ``retrieve-baseline`` input), by a fresh stub embedder each run;
 * ``retrieve_top_k`` of those chunks for the corpus's first question
   (k = 10), by a fresh stub embedder each run;
+* ``select_context`` for the entities of the corpus's first question
+  (the default ``top_n`` and ``diverse_k``), by a fresh stub embedder
+  each run;
 * ``answer_question`` of the corpus's first question (the default
   options), with fresh stub backends each run;
 * ``cli_query`` and ``cli_retrieve_baseline``: one in-process
@@ -30,12 +34,12 @@ this process:
   written to a temporary directory, its output discarded: the
   end-to-end CLI time of each side, reading the files included.
 
-``first_reads``, ``save_turtle``, ``_anchor_matcher``, ``resolve_query``
-and ``answer_question`` run on a graph built afresh before each run, outside
-the timed region, so each pays for the first reads it makes, as a cold
-``query`` does. The library rows run with the cyclic garbage collector
-on, as a library caller's code does; the ``cli_`` rows run with it
-paused, as ``cli.run`` pauses it for a command.
+``first_reads``, ``save_turtle``, ``_anchor_matcher``, ``resolve_query``,
+``select_context`` and ``answer_question`` run on a graph built afresh
+before each run, outside the timed region, so each pays for the first
+reads it makes, as a cold ``query`` does. The library rows run with the
+cyclic garbage collector on, as a library caller's code does; the
+``cli_`` rows run with it paused, as ``cli.run`` pauses it for a command.
 
 For the ingest side it takes the first ``ingest-corpus`` paper
 (``bench/gen.py``'s ``ingest_papers``) of each of 10, 45 and 80
@@ -135,13 +139,14 @@ from scholarkg.ingest import (  # noqa: E402
     read_outline_json,
 )
 from scholarkg.kg.graph import KnowledgeGraph  # noqa: E402
-from scholarkg.kg.terms import HAS_EXCERPT, IN_SENTENCE, MENTIONS, PARAGRAPH, RDFS_LABEL  # noqa: E402
+from scholarkg.kg.terms import PARAGRAPH  # noqa: E402
 from scholarkg.kg.turtle import _parse, load_turtle, save_turtle  # noqa: E402
-from scholarkg.qa.context import answer_question  # noqa: E402
+from scholarkg.qa.context import answer_question, select_context  # noqa: E402
 from scholarkg.qa.engine import (  # noqa: E402
     _anchor_matcher,
     default_relaxation_dictionary,
     extract_question_patterns,
+    query_entities_of,
     resolve_query,
 )
 
@@ -242,14 +247,13 @@ def stage_times(seed: int, papers: int, repeats: int) -> dict:
     question = corpus.questions[0].text
     query = extract_question_patterns(question, StubGateway())
     dictionary = default_relaxation_dictionary(query)
+    entities = query_entities_of(query)
 
     def fresh() -> KnowledgeGraph:
         return KnowledgeGraph(triples)
 
     def first_reads(g: KnowledgeGraph) -> None:
-        for predicate in (RDFS_LABEL, HAS_EXCERPT, MENTIONS, IN_SENTENCE):
-            g.by_subject(predicate)
-        g.subjects_of_type(PARAGRAPH)
+        g.label_of(g.subjects_of_type(PARAGRAPH)[0])
 
     return {
         "papers": papers,
@@ -268,6 +272,8 @@ def stage_times(seed: int, papers: int, repeats: int) -> dict:
         "embed_many": timed(lambda: HashedBagOfWordsEmbedder().embed_many(texts), repeats),
         "retrieve_top_k": timed(lambda: retrieve_top_k(
             chunks, question, k=10, embedder=HashedBagOfWordsEmbedder()), repeats),
+        "select_context": timed(lambda g: select_context(
+            g, entities, embedder=HashedBagOfWordsEmbedder()), repeats, fresh),
         "answer_question": timed(lambda g: answer_question(
             g, question, StubGateway(), HashedBagOfWordsEmbedder()), repeats, fresh),
         **cli_times(data, documents, question, repeats),

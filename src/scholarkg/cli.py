@@ -152,8 +152,9 @@ def _write_output(data: bytes, out: str | None) -> None:
         sys.stdout.write(data.decode("utf-8"))
 
 
-def _emit(payload: dict, text: str, args: argparse.Namespace) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n" if args.format == "json" else text)
+def _emit(payload, text, args: argparse.Namespace) -> None:
+    """Write ``payload()`` as JSON or ``text()``, as ``--format`` asks; only that one is built."""
+    sys.stdout.write(json.dumps(payload(), indent=2) + "\n" if args.format == "json" else text())
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +206,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     else:
         print(f"{len(candidates.triples)} candidate triples at relaxation depth "
               f"{candidates.depth}", file=sys.stderr)
-    _emit(result.to_dict(), result.to_text(), args)
+    _emit(result.to_dict, result.to_text, args)
     return 0
 
 
@@ -234,7 +235,11 @@ def _cmd_retrieve_baseline(args: argparse.Namespace) -> int:
     print(f"{len(chunks)} chunks from {len(documents)} documents",
           file=sys.stderr)
 
-    payload = {
+    def text() -> str:
+        return "".join([f"Answer: {answer.answer}\n\nChunks:\n", *(
+            f"  {r.chunk.chunk_id} (similarity {r.similarity:.4f})\n" for r in retrieved)])
+
+    _emit(lambda: {
         "question": args.question,
         "chunks": [
             {"chunk_id": r.chunk.chunk_id, "document": r.chunk.document_id,
@@ -242,11 +247,7 @@ def _cmd_retrieve_baseline(args: argparse.Namespace) -> int:
             for r in retrieved
         ],
         "answer": answer.answer,
-    }
-    lines = [f"Answer: {answer.answer}", "", "Chunks:"]
-    for r in retrieved:
-        lines.append(f"  {r.chunk.chunk_id} (similarity {r.similarity:.4f})")
-    _emit(payload, "\n".join(lines) + "\n", args)
+    }, text, args)
     return 0
 
 
@@ -269,14 +270,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         text_parts.append(f"Cronbach alpha: {alpha:.4f}\n")
     if not payload:
         raise ValueError("eval needs --answers and/or --ratings")
-    _emit(payload, "\n".join(text_parts), args)
+    _emit(lambda: payload, lambda: "\n".join(text_parts), args)
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     stats = graph_stats(_load_graph(args.graph))
-    text = "\n".join(f"{name}: {value}" for name, value in stats.rows()) + "\n"
-    _emit(stats.to_dict(), text, args)
+    _emit(stats.to_dict,
+          lambda: "\n".join(f"{name}: {value}" for name, value in stats.rows()) + "\n", args)
     return 0
 
 

@@ -37,22 +37,24 @@ class KnowledgeGraph:
     triple once, predicate by predicate in the order the predicates first
     appear in the input, each predicate's triples in input order. A graph
     compares and hashes by identity; compare ``set(g)``. The constructor
-    only deduplicates and buckets. ``by_subject`` and ``label_of`` group a
-    predicate's bucket by subject on its first read, and
-    ``subjects_of_type`` indexes the ``rdf:type`` bucket on its first call.
+    only deduplicates and buckets. ``by_subject`` groups a predicate's
+    bucket by subject on its first read, and ``labels`` and
+    ``subjects_of_type`` index the ``rdfs:label`` and ``rdf:type`` buckets
+    on their first call, each in one pass.
     A lazy value depends on the input alone and is stored in one
     assignment, so threads racing to build it store equal values, never a
     partial one.
     """
 
-    __slots__ = ("_by_predicate", "_groups", "_types")
+    __slots__ = ("_by_predicate", "_groups", "_types", "_labels")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         by_predicate = self._by_predicate = defaultdict(list)
         for t in dict.fromkeys(triples):
             by_predicate[t[1]].append(t)
-        self._groups: dict[Iri, dict[Iri, tuple[Triple, ...]]] = {}
+        self._groups: dict[Iri, Mapping[Iri, tuple[Triple, ...]]] = {}
         self._types: dict[Iri, tuple[Iri, ...]] | None = None
+        self._labels: Mapping[Iri, Literal] | None = None
 
     def __len__(self) -> int:
         return sum(map(len, self._by_predicate.values()))
@@ -60,17 +62,15 @@ class KnowledgeGraph:
     def __iter__(self) -> Iterator[Triple]:
         return itertools.chain.from_iterable(self._by_predicate.values())
 
-    def _grouped(self, predicate: Iri) -> dict[Iri, tuple[Triple, ...]]:
+    def by_subject(self, predicate: Iri) -> Mapping[Iri, tuple[Triple, ...]]:
+        """The triples of ``predicate`` grouped by subject, in input order."""
         if predicate not in self._groups:
             groups: dict[Iri, list[Triple]] = defaultdict(list)
             for t in self._by_predicate.get(predicate, ()):
                 groups[t[0]].append(t)
-            self._groups[predicate] = {subject: tuple(group) for subject, group in groups.items()}
+            self._groups[predicate] = MappingProxyType(
+                {subject: tuple(group) for subject, group in groups.items()})
         return self._groups[predicate]
-
-    def by_subject(self, predicate: Iri) -> Mapping[Iri, tuple[Triple, ...]]:
-        """The triples of ``predicate`` grouped by subject, in input order."""
-        return MappingProxyType(self._grouped(predicate))
 
     def match(self, *, predicate: Iri) -> tuple[Triple, ...]:
         """The triples of ``predicate``, in input order."""
@@ -85,12 +85,21 @@ class KnowledgeGraph:
             self._types = {k: tuple(v) for k, v in types.items()}
         return self._types.get(type_iri, ())
 
+    def labels(self) -> Mapping[Iri, Literal]:
+        """Each labelled node's literal label with the least lexical form
+        (the first in input order among equal forms)."""
+        if self._labels is None:
+            labels: dict[Iri, Literal] = {}
+            for t in self._by_predicate.get(RDFS_LABEL, ()):
+                least = labels.get(t[0])
+                if isinstance(t[2], Literal) and (least is None or t[2][0] < least[0]):
+                    labels[t[0]] = t[2]
+            self._labels = MappingProxyType(labels)
+        return self._labels
+
     def label_of(self, node: Iri) -> Literal | None:
-        """The node's literal label with the least lexical form (the first
-        in input order among equal forms), or ``None``."""
-        return min((t.object for t in self._grouped(RDFS_LABEL).get(node, ())
-                    if isinstance(t.object, Literal)),
-                   key=lambda label: label.lexical, default=None)
+        """The node's least literal label (see ``labels``), or ``None``."""
+        return self.labels().get(node)
 
 
 def keyword_frequency(label: str, keywords: Iterable[str]) -> int:
@@ -152,11 +161,8 @@ def graph_stats(graph: KnowledgeGraph) -> GraphStats:
     link_edges = graph.match(predicate=HAS_EXCERPT)
     linked = {t.object for t in link_edges} & excerpt_nodes
 
-    counts = []
-    for node in paragraph_nodes:
-        label = graph.label_of(node)
-        if label is not None:
-            counts.append(len(label.lexical.split()))
+    labels = graph.labels()
+    counts = [len(labels[node].lexical.split()) for node in paragraph_nodes if node in labels]
     average = sum(counts) / len(counts) if counts else 0.0
     percentage = 100.0 * len(linked) / len(excerpt_nodes) if excerpt_nodes else 0.0
 

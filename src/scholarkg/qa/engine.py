@@ -146,50 +146,55 @@ _WORD_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789"
 
 
 def _anchor_matcher(graph: KnowledgeGraph) -> Callable[[CompoundQuery], frozenset[Triple]]:
-    """A matcher over ``graph`` that walks its edges once.
+    """A matcher over ``graph`` that reads each of its edge buckets once.
 
     The anchors are the paragraphs, in input order, then the excerpts. A
-    paragraph's text is its least lexical label (``label_of``), and it owns
-    its excerpts' mentions; an excerpt's text is its least lexical label
-    and its ``inSentence`` literals in lexical order, so the text does not
-    depend on the graph's input order. The walk reads the label, link,
-    mention and sentence edges grouped by subject (``by_subject``), joins
-    the anchors' lowered texts into one string with each anchor's start
-    offset, and maps each mention key to its anchors. Each distinct ground
-    term's anchor set is computed on first use and cached; a pattern's set
-    is the intersection of its ground terms' sets, a query's anchors are
-    the intersection of its patterns' sets, and its result is the union of
-    their witnesses, which are built only for those anchors.
+    paragraph's text is its least lexical label (``graph.labels()``), and
+    it owns its excerpts' mentions; an excerpt's text is its least lexical
+    label and its ``inSentence`` literals in lexical order, so the text
+    does not depend on the graph's input order. One pass over each of the
+    sentence, link, mention and label buckets (``match``) fills the
+    excerpts' texts, each mentioner's owning anchors, an inverted index
+    from mention key to anchors and each subject's witness triples; the
+    lowered texts are joined into one string, with each anchor's start
+    offset. Each distinct ground term's anchor set is computed on first
+    use and cached; a pattern's set is the intersection of its ground
+    terms' sets, a query's anchors the intersection of its patterns' sets,
+    and its result the union of their witnesses, built only for those.
     """
-    labels, links, mentions, sentences = (
-        graph.by_subject(p) for p in (RDFS_LABEL, HAS_EXCERPT, MENTIONS, IN_SENTENCE))
-    anchors = [(node, True) for node in graph.subjects_of_type(PARAGRAPH)]
-    anchors += [(node, False) for node in graph.subjects_of_type(EXCERPT)]
-    texts: list[str] = []
-    no_text: set[int] = set()
+    paragraphs = graph.subjects_of_type(PARAGRAPH)
+    excerpts = graph.subjects_of_type(EXCERPT)
+    anchors = [*paragraphs, *excerpts]
+    first_excerpt = len(paragraphs)
+    sentences: dict[Iri, list[str]] = {node: [] for node in excerpts}
+    for t in graph.match(predicate=IN_SENTENCE):
+        if t[0] in sentences and isinstance(t[2], Literal):
+            sentences[t[0]].append(t[2][0])
+    label_of = graph.labels().get
+    parts = [[] if (label := label_of(node)) is None else [label[0]] for node in anchors]
+    for i in range(first_excerpt, len(anchors)):
+        parts[i] += sorted(sentences[anchors[i]])
+    texts = [" ".join(text).lower() for text in parts]
+    owners = {node: [i] for i, node in enumerate(excerpts, first_excerpt)}
+    paragraph_at = {node: i for i, node in enumerate(paragraphs)}
+    links_of: dict[int, list[Triple]] = {}
+    for t in graph.match(predicate=HAS_EXCERPT):
+        if (i := paragraph_at.get(t[0])) is not None:
+            links_of.setdefault(i, []).append(t)
+            if isinstance(t[2], Iri):
+                owners.setdefault(t[2], []).append(i)
+    mentions_of: dict[Iri, list[Triple]] = {}
     anchors_of_key: dict[str, list[int]] = {}
     key_of: dict[Iri | Literal, str] = {}
-    for i, (node, is_paragraph) in enumerate(anchors):
-        label = graph.label_of(node)
-        parts = [label.lexical] if label else []
-        if is_paragraph:
-            mentioners = [edge.object for edge in links.get(node, ())
-                          if isinstance(edge.object, Iri)]
-        else:
-            parts += sorted(t.object.lexical for t in sentences.get(node, ())
-                            if isinstance(t.object, Literal))
-            mentioners = [node]
-        if not parts:
-            no_text.add(i)
-        texts.append(" ".join(parts).lower())
-        for mentioner in mentioners:
-            for mention in mentions.get(mentioner, ()):
-                key = key_of.get(mention.object)
-                if key is None:
-                    key = key_of[mention.object] = mention.object.entity_key()
-                ids = anchors_of_key.setdefault(key, [])
-                if not ids or ids[-1] != i:
-                    ids.append(i)
+    for t in graph.match(predicate=MENTIONS):
+        if (owned := owners.get(t[0])) is not None:
+            mentions_of.setdefault(t[0], []).append(t)
+            if (key := key_of.get(t[2])) is None:
+                key = key_of[t[2]] = t[2].entity_key()
+            anchors_of_key.setdefault(key, []).extend(owned)
+    labels_of: dict[Iri, list[Triple]] = {}
+    for t in graph.match(predicate=RDFS_LABEL):
+        labels_of.setdefault(t[0], []).append(t)
     joined = "\n".join(texts)
     # starts[i] is the offset of anchor i's text; starts[-1] lies past the end
     starts = list(accumulate((len(text) + 1 for text in texts), initial=0))
@@ -218,7 +223,7 @@ def _anchor_matcher(graph: KnowledgeGraph) -> Callable[[CompoundQuery], frozense
         found = set(anchors_of_key.get(term, ()))
         if not phrase:  # found in "  ", the haystack of a text without words
             found.update(i for i, text in enumerate(texts)
-                         if i not in no_text and not _WORD.search(text))
+                         if parts[i] and not _WORD.search(text))
         else:
             words = phrase.split(" ")
             if all(_WORD.fullmatch(word) for word in words):
@@ -226,13 +231,11 @@ def _anchor_matcher(graph: KnowledgeGraph) -> Callable[[CompoundQuery], frozense
         return frozenset(found)
 
     def witnesses(i: int) -> list[Triple]:
-        node, is_paragraph = anchors[i]
-        if not is_paragraph:
-            return [*labels.get(node, ()), *mentions.get(node, ())]
-        node_links = links.get(node, ())
-        return [*labels.get(node, ()), *node_links,
-                *(m for edge in node_links if isinstance(edge.object, Iri)
-                  for m in mentions.get(edge.object, ()))]
+        node, links = anchors[i], links_of.get(i, ())  # an excerpt has no links
+        mentioners = [node] if i >= first_excerpt else [
+            edge[2] for edge in links if isinstance(edge[2], Iri)]
+        return [*labels_of.get(node, ()), *links,
+                *(m for mentioner in mentioners for m in mentions_of.get(mentioner, ()))]
 
     every = frozenset(range(len(anchors)))
     of_term: dict[str, frozenset[int]] = {}

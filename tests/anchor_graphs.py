@@ -40,8 +40,11 @@ def random_anchor_graph(rng: random.Random) -> KnowledgeGraph:
     """Paragraph/excerpt graphs with the odd shapes the matcher must handle.
 
     Nodes may be typed Paragraph, Excerpt, both or neither; ``hasExcerpt``
-    may point at a literal; some anchors have text only from
-    ``inSentence`` and no witness triple at all.
+    may point at a literal, and ``rdfs:label`` and ``inSentence`` at an
+    IRI; a ``mentions`` object may be a literal; a node may hold two labels
+    of one lexical form with different tags, and a label may start with
+    "İ", whose lowercase is two characters; some anchors have text only
+    from ``inSentence`` and no witness triple at all.
     """
     nodes = [iri(f"askg-data:N{i}") for i in range(rng.randint(1, 7))]
     entities = [entity_iri(key) for key in rng.sample(KEYS, 4)]
@@ -50,14 +53,19 @@ def random_anchor_graph(rng: random.Random) -> KnowledgeGraph:
         for kind in rng.choice([(PARAGRAPH,), (EXCERPT,), (PARAGRAPH, EXCERPT), ()]):
             triples.append(Triple(node, RDF_TYPE, kind))
         if rng.random() < 0.6:
-            triples.append(Triple(node, RDFS_LABEL,
-                                  Literal(random_phrase(rng), language=rng.choice([None, "en"]))))
+            label = rng.choice(["", "", "İ", "İ "]) + random_phrase(rng)
+            for language in rng.choice([[None], ["en"], [None, "en"], ["en", None]]):
+                triples.append(Triple(node, RDFS_LABEL, Literal(label, language=language)))
+        if rng.random() < 0.1:
+            triples.append(Triple(node, RDFS_LABEL, rng.choice(nodes + entities)))
         if rng.random() < 0.4:
             triples.append(Triple(node, IN_SENTENCE, Literal(random_phrase(rng))))
         if rng.random() < 0.1:
             triples.append(Triple(node, IN_SENTENCE, rng.choice(nodes)))
         for _ in range(rng.randint(0, 2)):
             triples.append(Triple(node, MENTIONS, rng.choice(entities)))
+        if rng.random() < 0.15:
+            triples.append(Triple(node, MENTIONS, Literal(rng.choice(WORDS))))
         for _ in range(rng.randint(0, 2)):
             triples.append(Triple(node, HAS_EXCERPT, rng.choice(nodes)))
         if rng.random() < 0.15:

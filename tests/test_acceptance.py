@@ -133,7 +133,7 @@ def test_01_relaxation_algebra():
                 relaxed = match_candidates(graph, relax(query, position))
                 assert relaxed >= matched, (query, position)
                 widened += relaxed > matched
-        # Not vacuous: 142 queries match and 340 deletions widen the match.
+        # Not vacuous: 140 queries match and 329 deletions widen the match.
         assert matched_cases >= 30 and widened >= 200, (matched_cases, widened)
 
 
@@ -204,7 +204,7 @@ def test_02_conjunctive_matching():
                 expected = brute_force_match(graph, query)
                 assert match_candidates(graph, query) == expected, query
                 matched_cases += bool(expected)
-        # Not vacuous: 312 of the 1000 queries match something.
+        # Not vacuous: 334 of the 1000 queries match something.
         assert matched_cases >= 150, matched_cases
 
 

@@ -755,6 +755,19 @@ def test_query_on_graph_with_literal_mention(capsys, tmp_path):
     assert json.loads(stdout)["provenance"] == ["https://www.anu.edu.au/onto/scholarly/P"]
 
 
+@pytest.mark.parametrize("form, unused", [("json", "to_text"), ("text", "to_dict")])
+def test_query_builds_only_the_form_it_writes(capsys, monkeypatch, fixtures_dir, form, unused):
+    def refuse(self):
+        raise AssertionError(f"{unused} was built for --format {form}")
+
+    monkeypatch.setattr(qa_context.QueryAnswer, unused, refuse)
+    code, stdout, err = invoke(capsys, "query",
+                               "--graph", str(fixtures_dir / "scholarly_sample.ttl"),
+                               "--question", QUESTION, "--format", form)
+    assert code == 0, err
+    assert stdout.startswith("{" if form == "json" else "Answer: ")
+
+
 def test_query_output_is_stable_across_runs(capsys, fixtures_dir):
     outputs = {
         invoke(capsys, "query",

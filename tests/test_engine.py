@@ -1,9 +1,11 @@
 import random
 from typing import NamedTuple
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scholarkg.embedding import HashedBagOfWordsEmbedder
 from scholarkg.gateway import StubGateway
 from scholarkg.kg.graph import KnowledgeGraph
 from scholarkg.kg.patterns import CompoundQuery, TriplePattern, WILDCARD, is_ground
@@ -23,7 +25,9 @@ from scholarkg.kg.terms import (
     iri,
     phrase_haystack,
 )
+from scholarkg.kg.turtle import load_turtle
 from scholarkg.qa import engine
+from scholarkg.qa.context import answer_question
 from scholarkg.qa.engine import (
     CandidateTripleSet,
     QuestionParseError,
@@ -38,7 +42,9 @@ from scholarkg.qa.engine import (
 )
 from scholarkg.qa.relaxation import RelaxationDictionary, RelaxedQuery, relax_set
 
+import reference_matcher
 from anchor_graphs import KEYS, random_anchor_graph, random_phrase, random_question
+from test_acceptance import load_bench_generator
 
 QUESTION = "Which tool is applied to extract text from PDF research proposals?"
 
@@ -213,19 +219,22 @@ def test_phrase_words_inside_longer_words_do_not_match():
 
 
 class _CountingGraph(KnowledgeGraph):
-    """A graph that records the predicate of every per-subject read and
-    fails on any ``match``, which scans a predicate's bucket."""
+    """A graph that records the predicate of every bucket read and fails
+    on any per-subject read or label lookup."""
 
     def __init__(self, triples):
         super().__init__(triples)
         self.reads = []
 
     def by_subject(self, predicate):
-        self.reads.append(predicate)
-        return super().by_subject(predicate)
+        raise AssertionError(f"a per-subject read: by_subject({predicate})")
+
+    def label_of(self, node):
+        raise AssertionError(f"a per-node label lookup: label_of({node})")
 
     def match(self, *, predicate):
-        raise AssertionError(f"a scan: match(predicate={predicate})")
+        self.reads.append(predicate)
+        return super().match(predicate=predicate)
 
 
 def test_resolve_query_walks_the_edges_once_and_each_term_once(sample_graph, monkeypatch):
@@ -238,8 +247,13 @@ def test_resolve_query_walks_the_edges_once_and_each_term_once(sample_graph, mon
     query = cq(("woolly_mammoth", "migrates_through", "permafrost"))
     result = resolve_query(graph, query, default_relaxation_dictionary(query))
     assert result.exhausted
-    assert graph.reads == [RDFS_LABEL, HAS_EXCERPT, MENTIONS, IN_SENTENCE]
+    # each edge bucket once, in the walk's order; the labels are also
+    # indexed once, by the graph itself, for the anchors' texts
+    assert graph.reads == [IN_SENTENCE, HAS_EXCERPT, MENTIONS, RDFS_LABEL]
     assert sorted(phrased) == ["migrates_through", "permafrost", "woolly_mammoth"]
+    # a second resolution reads each bucket once more: nothing outlives a call
+    resolve_query(graph, cq(("mel", WILDCARD, WILDCARD)))
+    assert graph.reads == [IN_SENTENCE, HAS_EXCERPT, MENTIONS, RDFS_LABEL] * 2
 
 
 def labelled(*texts: str, excerpt_sentence: str | None = None) -> KnowledgeGraph:
@@ -516,10 +530,12 @@ def reference_anchors(graph: KnowledgeGraph) -> list[ReferenceAnchor]:
 # Texts and keys at the edges of whole-word matching: a word after a
 # non-ASCII letter ("éxyz" holds "xyz"), a repeated word ("a a" in
 # "ba a a"), text without words, and keys that are no haystack phrase.
+# "scholarly" is a word of every node IRI, which an IRI-valued label or
+# sentence must not lend to a text.
 TRICKY_TEXTS = ["éxyz", "axyz tool", "ba a a", "a a", "", "!?", "Pdf", "text.", "xyz_a",
                 "İx tool", "K json"]
 TRICKY_KEYS = ["", "_x", "x_", "a__b", "Mel", "pdf.text", "json-text", "xyz", "a_a", "a",
-               "x", "i", "k_json", "xyz_a", "tool_xyz"]
+               "x", "i", "k_json", "xyz_a", "tool_xyz", "scholarly"]
 
 
 def phrase_keys(rng: random.Random, anchors: list[ReferenceAnchor]) -> list[str]:
@@ -536,9 +552,10 @@ def phrase_keys(rng: random.Random, anchors: list[ReferenceAnchor]) -> list[str]
     return keys
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_matcher_agrees_with_the_per_node_construction(rng):
+def tricky_graph(rng: random.Random) -> KnowledgeGraph:
+    """A random anchor graph with up to four more labels, sentences and
+    literal mentions, most of them ``TRICKY_TEXTS``, and perhaps an entity
+    IRI as a label."""
     graph = random_anchor_graph(rng)
     # a graph whose nodes all drew no triple is empty: give the extra triples a node
     nodes = sorted({t.subject for t in graph}, key=lambda n: n.value) or [iri("askg-data:N0")]
@@ -547,14 +564,26 @@ def test_matcher_agrees_with_the_per_node_construction(rng):
              for _ in range(rng.randint(0, 4))]
     if rng.random() < 0.3:  # a label that is an entity IRI
         extra.append(Triple(rng.choice(nodes), RDFS_LABEL, entity_iri(rng.choice(KEYS))))
-    graph = KnowledgeGraph((*graph, *extra))
+    return KnowledgeGraph((*graph, *extra))
+
+
+def tricky_query(rng: random.Random, graph: KnowledgeGraph, most: int) -> CompoundQuery:
+    """1 to ``most`` patterns of wildcards, ``KEYS``, ``TRICKY_KEYS`` and
+    runs of words of the graph's anchor texts (``phrase_keys``)."""
     keys = KEYS + TRICKY_KEYS + phrase_keys(rng, reference_anchors(graph))
 
     def term():
         return WILDCARD if rng.random() < 0.35 else rng.choice(keys)
 
-    query = CompoundQuery(tuple(TriplePattern(term(), term(), term())
-                                for _ in range(rng.randint(1, 2))))
+    return CompoundQuery(tuple(TriplePattern(term(), term(), term())
+                               for _ in range(rng.randint(1, most))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_matcher_agrees_with_the_per_node_construction(rng):
+    graph = tricky_graph(rng)
+    query = tricky_query(rng, graph, 2)
     assert match_candidates(graph, query) == reference_match(graph, query)
     dictionary = default_relaxation_dictionary(query)
     assert resolve_query(graph, query, dictionary) \
@@ -580,3 +609,47 @@ def test_engine_agrees_with_reference_scan_on_random_graphs():
         query_entities = query_entities_of(query) | set(rng.sample(KEYS, 2))
         assert rank_candidates(candidates, query_entities) \
             == reference_rank(candidates, query_entities), where
+
+
+# ---------------------------------------------------------------------------
+# The bucket walk and the least-label index against what they replaced
+# ---------------------------------------------------------------------------
+
+def the_reference_matcher():
+    """The per-subject matcher patched into the engine; with a
+    ``ReferenceGraph``, every label is looked up by group and ``min``."""
+    return mock.patch.object(engine, "_anchor_matcher", reference_matcher.anchor_matcher)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_bucket_walk_resolves_like_the_per_subject_matcher(rng):
+    triples = list(tricky_graph(rng))
+    graph, reference = KnowledgeGraph(triples), reference_matcher.ReferenceGraph(triples)
+    nodes = {t.subject for t in triples}
+    assert {node: graph.label_of(node) for node in nodes} \
+        == {node: reference.label_of(node) for node in nodes}
+    query = tricky_query(rng, graph, 3)
+    dictionary = default_relaxation_dictionary(query)
+    result = resolve_query(graph, query, dictionary)
+    with the_reference_matcher():
+        expected = resolve_query(reference, query, dictionary)
+    assert (result.triples, result.depth, result.producing_queries) \
+        == (expected.triples, expected.depth, expected.producing_queries)
+
+
+def test_answers_on_the_acceptance_corpus_match_the_per_subject_matcher():
+    gen = load_bench_generator()
+    corpus = gen.corpus(401, "cli", 5, gen.CLI_PARAGRAPHS, gen.CLI_BLOCK, 1, gen.CLI_RANKS)
+    triples = list(load_turtle(gen.corpus_turtle(corpus)[0].encode("utf-8")))
+
+    def answers(graph: KnowledgeGraph) -> list:
+        return [answer_question(graph, question.text, StubGateway(),
+                                HashedBagOfWordsEmbedder()).to_dict()
+                for question in corpus.questions]
+
+    found = answers(KnowledgeGraph(triples))
+    with the_reference_matcher():
+        assert found == answers(reference_matcher.ReferenceGraph(triples))
+    assert len(found) == len(corpus.questions) > 0
+
