@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from scholarkg.document import Excerpt, collect_paragraphs, short_hash
-from scholarkg.embedding import HashedBagOfWordsEmbedder, cosine_similarity
+from scholarkg.embedding import HashedBagOfWordsEmbedder, cosine_similarities
 from scholarkg.ingest import build_document_model, emit_rdf, link_graph, read_outline_json
 from scholarkg.kg.graph import KnowledgeGraph
 from scholarkg.kg.turtle import load_turtle, save_turtle
@@ -241,8 +241,8 @@ def main() -> int:
 
     # Report the similarity margins, for the record.
     for record in EXCERPTS_DOC2:
-        sim = cosine_similarity(embedder.embed(record["in_sentence"]),
-                                embedder.embed(TIKA_PARAGRAPH))
+        sim = cosine_similarities((embedder.embed(record["in_sentence"]),),
+                                  (embedder.embed(TIKA_PARAGRAPH),))[0][0]
         print(f"  {record['excerpt_id']} vs tika paragraph: {sim:.4f}")
 
     (FIXTURES / "chunked_paper.xml").write_text(CHUNKED_XML, "utf-8")

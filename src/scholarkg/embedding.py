@@ -21,7 +21,6 @@ from .kg.terms import _Value
 
 __all__ = [
     "EmbeddingVector",
-    "cosine_similarity",
     "cosine_similarities",
     "Embedder",
     "HashedBagOfWordsEmbedder",
@@ -124,11 +123,6 @@ def cosine_similarities(us: Iterable[EmbeddingVector],
         # A quotient inside [-1, 1] is its own clamp, without the calls.
         rows.append([q if -1.0 <= q <= 1.0 else max(-1.0, min(1.0, q)) for q in quotients])
     return rows
-
-
-def cosine_similarity(u: EmbeddingVector, v: EmbeddingVector) -> float:
-    """Cosine of the angle between two vectors, clamped to [-1, 1]."""
-    return cosine_similarities((u,), (v,))[0][0]
 
 
 class Embedder(Protocol):

@@ -16,7 +16,7 @@ import statistics
 from collections import namedtuple
 from typing import Iterable
 
-from .embedding import Embedder, cosine_similarity
+from .embedding import Embedder, cosine_similarities
 from .kg.terms import _Value, entity_phrase, phrase_haystack
 
 __all__ = [
@@ -93,7 +93,8 @@ def embedding_distance(text_a: str, text_b: str, embedder: Embedder) -> float:
     and unrelated texts score near 0.0. The embedder refuses an empty
     text with ``ValueError``.
     """
-    return cosine_similarity(*embedder.embed_many([text_a, text_b]))
+    u, v = embedder.embed_many([text_a, text_b])
+    return cosine_similarities((u,), (v,))[0][0]
 
 
 def cronbach_alpha(ratings: list[list[float]]) -> float:

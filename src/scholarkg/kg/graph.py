@@ -37,22 +37,20 @@ class KnowledgeGraph:
     triple once, predicate by predicate in the order the predicates first
     appear in the input, each predicate's triples in input order. A graph
     compares and hashes by identity; compare ``set(g)``. The constructor
-    only deduplicates and buckets. ``by_subject`` groups a predicate's
-    bucket by subject on its first read, and ``labels`` and
-    ``subjects_of_type`` index the ``rdfs:label`` and ``rdf:type`` buckets
-    on their first call, each in one pass.
+    only deduplicates and buckets. ``labels`` and ``subjects_of_type``
+    index the ``rdfs:label`` and ``rdf:type`` buckets on their first call,
+    each in one pass.
     A lazy value depends on the input alone and is stored in one
     assignment, so threads racing to build it store equal values, never a
     partial one.
     """
 
-    __slots__ = ("_by_predicate", "_groups", "_types", "_labels")
+    __slots__ = ("_by_predicate", "_types", "_labels")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         by_predicate = self._by_predicate = defaultdict(list)
         for t in dict.fromkeys(triples):
             by_predicate[t[1]].append(t)
-        self._groups: dict[Iri, Mapping[Iri, tuple[Triple, ...]]] = {}
         self._types: dict[Iri, tuple[Iri, ...]] | None = None
         self._labels: Mapping[Iri, Literal] | None = None
 
@@ -61,16 +59,6 @@ class KnowledgeGraph:
 
     def __iter__(self) -> Iterator[Triple]:
         return itertools.chain.from_iterable(self._by_predicate.values())
-
-    def by_subject(self, predicate: Iri) -> Mapping[Iri, tuple[Triple, ...]]:
-        """The triples of ``predicate`` grouped by subject, in input order."""
-        if predicate not in self._groups:
-            groups: dict[Iri, list[Triple]] = defaultdict(list)
-            for t in self._by_predicate.get(predicate, ()):
-                groups[t[0]].append(t)
-            self._groups[predicate] = MappingProxyType(
-                {subject: tuple(group) for subject, group in groups.items()})
-        return self._groups[predicate]
 
     def match(self, *, predicate: Iri) -> tuple[Triple, ...]:
         """The triples of ``predicate``, in input order."""

@@ -21,7 +21,6 @@ from .terms import _Value
 __all__ = [
     "Variable",
     "WILDCARD",
-    "PatternTerm",
     "TriplePattern",
     "CompoundQuery",
     "is_ground",
@@ -36,10 +35,10 @@ class Variable(_Value, namedtuple("_VariableFields", "name")):
 
 WILDCARD = Variable("")
 
-PatternTerm = Union[Variable, str]
+_PatternTerm = Union[Variable, str]
 
 
-def is_ground(term: PatternTerm) -> bool:
+def is_ground(term: _PatternTerm) -> bool:
     return isinstance(term, str)
 
 
@@ -48,7 +47,7 @@ class TriplePattern(_Value, namedtuple("_TriplePatternFields", "subject predicat
 
     __slots__ = ()
 
-    def __new__(cls, subject: PatternTerm, predicate: PatternTerm, object: PatternTerm):
+    def __new__(cls, subject: _PatternTerm, predicate: _PatternTerm, object: _PatternTerm):
         terms = (subject, predicate, object)
         for position, term in zip(cls._fields, terms):
             if not isinstance(term, (Variable, str)):
@@ -57,7 +56,7 @@ class TriplePattern(_Value, namedtuple("_TriplePatternFields", "subject predicat
         return tuple.__new__(cls, terms)
 
     @property
-    def terms(self) -> tuple[PatternTerm, PatternTerm, PatternTerm]:
+    def terms(self) -> tuple[_PatternTerm, _PatternTerm, _PatternTerm]:
         return (self.subject, self.predicate, self.object)
 
     @property
@@ -72,8 +71,7 @@ class TriplePattern(_Value, namedtuple("_TriplePatternFields", "subject predicat
 
 
 class CompoundQuery(_Value, namedtuple("_CompoundQueryFields", "patterns")):
-    """A conjunction of triple patterns; never empty. Its length,
-    iteration and ``in`` are over its patterns."""
+    """A conjunction of triple patterns; never empty."""
 
     __slots__ = ()
 
@@ -85,12 +83,3 @@ class CompoundQuery(_Value, namedtuple("_CompoundQueryFields", "patterns")):
     @property
     def n(self) -> int:
         return len(self.patterns)
-
-    def __iter__(self):
-        return iter(self.patterns)
-
-    def __len__(self) -> int:
-        return len(self.patterns)
-
-    def __contains__(self, pattern) -> bool:
-        return pattern in self.patterns

@@ -19,9 +19,7 @@ it keeps the contract of a frozen dataclass:
 
 A class whose constructor checks its arguments does so in ``__new__``.
 Being a tuple, a value is also a sequence of its fields, with ``len``,
-iteration and ``in`` (except where a class defines them over its items,
-as ``CompoundQuery`` and ``RelaxationDictionary`` do), and ``json.dumps``
-would write it as an array.
+iteration and ``in``, and ``json.dumps`` would write it as an array.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ __all__ = [
     "IN_SENTENCE",
     "WORD_INDEX_FROM",
     "WORD_INDEX_TO",
-    "ACADEMIC_ENTITY_PREFIX",
 ]
 
 # Canonical prefix bindings. These are the graph's wire-format vocabulary:
@@ -93,8 +90,6 @@ class _Value(tuple):
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     def __reduce__(self):
-        # ``self[:]`` is the plain tuple of the fields, even for a class
-        # that iterates something else
         return self.__class__, self[:]
 
 
@@ -166,7 +161,7 @@ MENTIONS = iri("askg-onto:mentions")
 IN_SENTENCE = iri("askg-onto:inSentence")
 WORD_INDEX_FROM = iri("askg-onto:wordIndexFrom")
 WORD_INDEX_TO = iri("askg-onto:wordIndexTo")
-ACADEMIC_ENTITY_PREFIX = NAMESPACES["askg-data"] + "AcademicEntity-"
+_ACADEMIC_ENTITY_PREFIX = NAMESPACES["askg-data"] + "AcademicEntity-"
 
 _NON_KEY_CHARS = re.compile(r"[^a-z0-9]+")
 _KEY_CHARS = re.compile(r"[a-z0-9]+")
@@ -195,4 +190,4 @@ def phrase_haystack(text: str) -> str:
 
 def entity_iri(key: str) -> Iri:
     """IRI of the academic entity node for a normalized key."""
-    return Iri(ACADEMIC_ENTITY_PREFIX + key)
+    return Iri(_ACADEMIC_ENTITY_PREFIX + key)

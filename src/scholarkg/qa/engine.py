@@ -52,7 +52,6 @@ __all__ = [
     "match_candidates",
     "CandidateTripleSet",
     "resolve_query",
-    "triple_entities",
     "rank_candidates",
     "RankedEntity",
 ]
@@ -352,14 +351,6 @@ def resolve_query(graph: KnowledgeGraph, query: CompoundQuery,
 # Entity scoring
 # ---------------------------------------------------------------------------
 
-def triple_entities(triple: Triple) -> set[str]:
-    """Entity keys appearing in a triple (subject and IRI object)."""
-    keys = {triple.subject.entity_key()}
-    if isinstance(triple.object, Iri):
-        keys.add(triple.object.entity_key())
-    return keys
-
-
 class RankedEntity(_Value, namedtuple("_RankedEntityFields", "entity frequency purity")):
     __slots__ = ()
 
@@ -372,6 +363,7 @@ def rank_candidates(candidates: Iterable[Triple],
                     query_entities: set[str]) -> list[RankedEntity]:
     """Rank the entities of a candidate triple set in one tally pass.
 
+    A triple's entities are the keys of its subject and of its IRI object.
     An entity's frequency is the number of candidate triples it appears
     in; its purity is the fraction of the entities it co-occurs with
     (within a single triple) that the query named, or 0 when it co-occurs
@@ -382,7 +374,9 @@ def rank_candidates(candidates: Iterable[Triple],
     counts: dict[str, int] = {}
     co_occurring: dict[str, set[str]] = {}
     for triple in candidates:
-        keys = triple_entities(triple)
+        keys = {triple.subject.entity_key()}
+        if isinstance(triple.object, Iri):
+            keys.add(triple.object.entity_key())
         for key in keys:
             counts[key] = counts.get(key, 0) + 1
             co_occurring.setdefault(key, set()).update(keys)

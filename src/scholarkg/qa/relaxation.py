@@ -29,24 +29,15 @@ class Edit(_Value, namedtuple("_EditFields", "position replacement", defaults=(N
 
     __slots__ = ()
 
-    @property
-    def kind(self) -> str:
-        return "delete" if self.replacement is None else "replace"
-
 
 class RelaxedQuery(_Value, namedtuple("_RelaxedQueryFields", "query edits", defaults=((),))):
     """A query with the edits that relaxed it; its depth is their number."""
 
     __slots__ = ()
 
-    @property
-    def depth(self) -> int:
-        return len(self.edits)
-
 
 class RelaxationDictionary(_Value, namedtuple("_RelaxationDictionaryFields", "entries")):
-    """An ordered pool of replacement patterns (duplicates dropped). Its
-    length, iteration and ``in`` are over its entries."""
+    """An ordered pool of replacement patterns (duplicates dropped)."""
 
     __slots__ = ()
 
@@ -56,15 +47,6 @@ class RelaxationDictionary(_Value, namedtuple("_RelaxationDictionaryFields", "en
             if not entry.has_ground_term:
                 raise ValueError("dictionary entries must have at least one ground term")
         return tuple.__new__(cls, (deduped,))
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, entry) -> bool:
-        return entry in self.entries
 
 
 def relax(query: CompoundQuery, position: int,
@@ -112,7 +94,7 @@ def relax_set(query: CompoundQuery,
             add(relax(query, position), Edit(position))
     for position in range(1, query.n + 1):
         current = query.patterns[position - 1]
-        for entry in dictionary:
+        for entry in dictionary.entries:
             if entry == current:
                 continue
             add(relax(query, position, entry), Edit(position, entry))

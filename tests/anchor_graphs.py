@@ -1,4 +1,5 @@
-"""Seeded random builders of paragraph/excerpt graphs and phrase questions.
+"""Seeded random builders of paragraph/excerpt graphs and phrase
+questions, and ``group_by_subject``, which groups one predicate's triples.
 
 The engine's differential tests and the acceptance checks of matching and
 relaxation draw their inputs from these builders, so both exercise the
@@ -17,6 +18,7 @@ from scholarkg.kg.terms import (
     PARAGRAPH,
     RDF_TYPE,
     RDFS_LABEL,
+    Iri,
     Literal,
     Triple,
     entity_iri,
@@ -91,3 +93,12 @@ def random_pattern(rng: random.Random) -> TriplePattern:
 
 def random_question(rng: random.Random) -> CompoundQuery:
     return CompoundQuery(tuple(random_pattern(rng) for _ in range(rng.randint(1, 3))))
+
+
+def group_by_subject(graph: KnowledgeGraph, predicate: Iri) -> dict[Iri, tuple[Triple, ...]]:
+    """The triples of ``predicate`` grouped by subject, subjects and each
+    group in input order, read from ``graph.match`` alone."""
+    groups: dict[Iri, list[Triple]] = {}
+    for t in graph.match(predicate=predicate):
+        groups.setdefault(t.subject, []).append(t)
+    return {subject: tuple(group) for subject, group in groups.items()}

@@ -1,13 +1,15 @@
 """The phrase matcher and the label lookup as they were before the
 least-label index.
 
-``anchor_matcher`` is ``scholarkg.qa.engine._anchor_matcher`` kept
-verbatim: it groups the label, link, mention and sentence buckets by
-subject (``by_subject``) and looks each anchor's label up with
-``label_of``. ``ReferenceGraph.label_of`` groups the ``rdfs:label``
-bucket by subject and takes the least lexical form of a node's literal
-labels with ``min``. They are the reference that the differential tests
-in ``test_engine.py`` compare the engine's bucket walk and the graph's
+``anchor_matcher`` is ``scholarkg.qa.engine._anchor_matcher`` as it was
+then: it groups the label, link, mention and sentence buckets by subject
+and looks each anchor's label up with ``label_of``.
+``ReferenceGraph.label_of`` takes the least lexical form of a node's
+literal labels with ``min`` over the node's group of the ``rdfs:label``
+bucket. Both group with ``anchor_graphs.group_by_subject``, which reads
+``graph.match`` alone, so the oracle shares no index with the graph or
+the engine. They are the reference that the differential tests in
+``test_engine.py`` compare the engine's bucket walk and the graph's
 least-label index against: patched into ``scholarkg.qa.engine``, they
 must give the same resolution and the same answers.
 """
@@ -32,17 +34,24 @@ from scholarkg.kg.terms import (
     entity_phrase,
 )
 
+from anchor_graphs import group_by_subject
+
 _WORD = re.compile(r"[a-z0-9]+")
 _WORD_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789"
 
 
 class ReferenceGraph(KnowledgeGraph):
-    """A graph whose ``label_of`` groups and takes the least per call."""
+    """A graph whose ``label_of`` takes the least of the node's group of
+    labels per call; the groups are made once, with the graph."""
 
-    __slots__ = ()
+    __slots__ = ("_label_groups",)
+
+    def __init__(self, triples=()):
+        super().__init__(triples)
+        self._label_groups = group_by_subject(self, RDFS_LABEL)
 
     def label_of(self, node: Iri) -> Literal | None:
-        return min((t.object for t in self.by_subject(RDFS_LABEL).get(node, ())
+        return min((t.object for t in self._label_groups.get(node, ())
                     if isinstance(t.object, Literal)),
                    key=lambda label: label.lexical, default=None)
 
@@ -55,7 +64,7 @@ def anchor_matcher(graph: KnowledgeGraph) -> Callable[[CompoundQuery], frozenset
     its excerpts' mentions; an excerpt's text is its least lexical label
     and its ``inSentence`` literals in lexical order, so the text does not
     depend on the graph's input order. The walk reads the label, link,
-    mention and sentence edges grouped by subject (``by_subject``), joins
+    mention and sentence edges grouped by subject (``group_by_subject``), joins
     the anchors' lowered texts into one string with each anchor's start
     offset, and maps each mention key to its anchors. Each distinct ground
     term's anchor set is computed on first use and cached; a pattern's set
@@ -64,7 +73,7 @@ def anchor_matcher(graph: KnowledgeGraph) -> Callable[[CompoundQuery], frozenset
     their witnesses, which are built only for those anchors.
     """
     labels, links, mentions, sentences = (
-        graph.by_subject(p) for p in (RDFS_LABEL, HAS_EXCERPT, MENTIONS, IN_SENTENCE))
+        group_by_subject(graph, p) for p in (RDFS_LABEL, HAS_EXCERPT, MENTIONS, IN_SENTENCE))
     anchors = [(node, True) for node in graph.subjects_of_type(PARAGRAPH)]
     anchors += [(node, False) for node in graph.subjects_of_type(EXCERPT)]
     texts: list[str] = []

@@ -24,7 +24,7 @@ from scholarkg.document import Excerpt, Paragraph, Sentence
 from scholarkg.embedding import (
     EmbeddingVector,
     HashedBagOfWordsEmbedder,
-    cosine_similarity,
+    cosine_similarities,
 )
 from scholarkg.evaluation import cronbach_alpha, entity_overlap
 from scholarkg.gateway import StubGateway
@@ -54,7 +54,6 @@ from scholarkg.qa.engine import (
     match_candidates,
     rank_candidates,
     resolve_query,
-    triple_entities,
 )
 from scholarkg.qa.relaxation import RelaxationDictionary, relax, relax_set
 
@@ -188,7 +187,7 @@ def brute_force_match(graph: KnowledgeGraph, query: CompoundQuery) -> frozenset[
                 return (isinstance(term, Variable) or term in keys
                         or holds_phrase(text, term.split("_")))
 
-            if all(satisfied(term) for pattern in query for term in pattern.terms):
+            if all(satisfied(term) for pattern in query.patterns for term in pattern.terms):
                 matched.update(labels, links, mentions)
     return frozenset(matched)
 
@@ -368,17 +367,23 @@ def scored_triple(subject_key: str, object_key: str) -> Triple:
                   entity_node(object_key))
 
 
+def oracle_entities(triple: Triple) -> set[str]:
+    """The entity keys of a triple: its subject's, and its object's if an IRI."""
+    objects = [triple.object] if isinstance(triple.object, Iri) else []
+    return {term.entity_key() for term in (triple.subject, *objects)}
+
+
 def oracle_scores(candidates: set[Triple],
                   query_entities: set[str]) -> dict[str, tuple[int, float]]:
     entities = set()
     for triple in candidates:
-        entities |= triple_entities(triple)
+        entities |= oracle_entities(triple)
     scores = {}
     for entity in entities:
-        containing = [t for t in candidates if entity in triple_entities(t)]
+        containing = [t for t in candidates if entity in oracle_entities(t)]
         co_occurring = set()
         for triple in containing:
-            co_occurring |= triple_entities(triple)
+            co_occurring |= oracle_entities(triple)
         co_occurring -= {entity}
         purity_value = (len(co_occurring & query_entities) / len(co_occurring)
                         if co_occurring else 0.0)
@@ -460,7 +465,7 @@ def oracle_links(paragraphs, excerpts, embedder, threshold):
         vector = embedder.embed(excerpt.in_sentence)
         best_id, best_similarity = None, -2.0
         for paragraph in sorted(paragraphs, key=lambda p: p.paragraph_id):
-            similarity = cosine_similarity(vector, embedder.embed(paragraph.text))
+            similarity = cosine_similarities((vector,), (embedder.embed(paragraph.text),))[0][0]
             if similarity > best_similarity:
                 best_id, best_similarity = paragraph.paragraph_id, similarity
         if best_id is not None and best_similarity >= threshold:
@@ -548,10 +553,10 @@ def test_09_end_to_end_determinism(capsys, fixtures_dir):
 def test_10_embedding_math():
     with criterion(10, "embedding-math"):
         u = EmbeddingVector.of([1.0, 2.0, 3.0])
-        assert cosine_similarity(u, EmbeddingVector.of([4.0, 6.0, 6.0])) \
-            == pytest.approx(34 / math.sqrt(14 * 88), abs=1e-5)
-        assert cosine_similarity(u, EmbeddingVector.of([4.0, 5.0, 6.0])) \
-            == pytest.approx(32 / math.sqrt(14 * 77), abs=1e-5)
+        assert cosine_similarities((u,), (EmbeddingVector.of([4.0, 6.0, 6.0]),
+                                          EmbeddingVector.of([4.0, 5.0, 6.0]))) \
+            == [[pytest.approx(34 / math.sqrt(14 * 88), abs=1e-5),
+                 pytest.approx(32 / math.sqrt(14 * 77), abs=1e-5)]]
 
         embedder = HashedBagOfWordsEmbedder()
         rng = random.Random(0x0A)
@@ -559,8 +564,8 @@ def test_10_embedding_math():
             text = " ".join(f"tok{rng.randrange(1000)}"
                             for _ in range(rng.randrange(1, 10)))
             vector = embedder.embed(text)
-            assert cosine_similarity(vector, vector) == pytest.approx(1.0,
-                                                                      abs=1e-12)
+            assert cosine_similarities((vector,), (vector,)) == [[pytest.approx(1.0,
+                                                                                abs=1e-12)]]
 
         checked = 0
         index = 0
@@ -571,7 +576,7 @@ def test_10_embedding_math():
                     == HashedBagOfWordsEmbedder.bucket(b, 256):
                 continue
             checked += 1
-            assert cosine_similarity(embedder.embed(a), embedder.embed(b)) == 0.0
+            assert cosine_similarities((embedder.embed(a),), (embedder.embed(b),)) == [[0.0]]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from scholarkg.baseline import (
     retrieve_top_k,
 )
 from scholarkg.embedding import BackendConfig, HashedBagOfWordsEmbedder, HttpEmbedder, \
-    cosine_similarity
+    cosine_similarities
 
 
 def words(n: int, prefix: str = "w") -> str:
@@ -172,8 +172,8 @@ def test_retrieve_top_k_embeds_chunks_64_per_request(n_chunks):
     # The same ranking and bit-identical similarities as one stub embed per chunk.
     stub = session.stub
     query = stub.embed(question)
-    reference = sorted(((-cosine_similarity(query, stub.embed(c.text)), c.chunk_id)
-                        for c in chunks))[:10]
+    reference = sorted((-cosine_similarities((query,), (stub.embed(c.text),))[0][0], c.chunk_id)
+                       for c in chunks)[:10]
     assert [(h.chunk.chunk_id, h.similarity.hex()) for h in hits] == \
         [(chunk_id, (-negated).hex()) for negated, chunk_id in reference]
     assert [(h.chunk.chunk_id, h.similarity.hex()) for h in hits] == [

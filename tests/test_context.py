@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scholarkg.cli import run
-from scholarkg.embedding import HashedBagOfWordsEmbedder, cosine_similarity
+from scholarkg.embedding import HashedBagOfWordsEmbedder, cosine_similarities
 from scholarkg.gateway import StubGateway
 from scholarkg.kg.graph import KnowledgeGraph
 from scholarkg.kg.terms import Iri, Literal, Triple, iri
@@ -92,7 +92,7 @@ def reference_pick(shortlist: list[ScoredParagraph], diverse_k: int) -> list[Sco
     selected, remaining = [shortlist[0]], shortlist[1:]
     while remaining and len(selected) < diverse_k:
         def spread(p: ScoredParagraph) -> float:
-            return min(1.0 - cosine_similarity(vectors[p.node], vectors[s.node])
+            return min(1.0 - cosine_similarities((vectors[p.node],), (vectors[s.node],))[0][0]
                        for s in selected)
         remaining.sort(key=lambda p: (-spread(p), -p.keyword_frequency, p.node.value))
         selected.append(remaining.pop(0))

@@ -16,7 +16,6 @@ from scholarkg.embedding import (
     HashedBagOfWordsEmbedder,
     HttpEmbedder,
     cosine_similarities,
-    cosine_similarity,
 )
 from scholarkg.evaluation import embedding_distance
 from scholarkg.ingest import link_excerpts
@@ -53,17 +52,17 @@ def test_vector_validation():
 def test_cosine_similarity_known_value():
     # dot([1,2,3],[4,5,6]) / (|u||v|) = 32 / sqrt(14*77)
     expected = 32.0 / math.sqrt(14.0 * 77.0)
-    assert cosine_similarity(vec(1, 2, 3), vec(4, 5, 6)) == pytest.approx(expected, abs=1e-12)
+    assert cosine_similarities((vec(1, 2, 3),), (vec(4, 5, 6),)) \
+        == [[pytest.approx(expected, abs=1e-12)]]
 
 
 def test_cosine_similarity_bounds_and_errors():
-    assert cosine_similarity(vec(1, 0), vec(1, 0)) == 1.0
-    assert cosine_similarity(vec(1, 0), vec(0, 1)) == 0.0
-    assert cosine_similarity(vec(1, 0), vec(-1, 0)) == -1.0
+    assert cosine_similarities((vec(1, 0),), (vec(1, 0), vec(0, 1), vec(-1, 0))) \
+        == [[1.0, 0.0, -1.0]]
     with pytest.raises(ValueError):
-        cosine_similarity(vec(1, 2), vec(1, 2, 3))
+        cosine_similarities((vec(1, 2),), (vec(1, 2, 3),))
     with pytest.raises(ValueError):
-        cosine_similarity(vec(0, 0), vec(1, 2))
+        cosine_similarities((vec(0, 0),), (vec(1, 2),))
 
 
 def test_stub_embedder_is_deterministic_and_normalized(stub_embedder):
@@ -459,8 +458,8 @@ def test_cosine_similarity_matches_dense_reference_bit_for_bit():
     for _ in range(10000):
         u, v = random_vector_pair(rng)
         for a, b in ((u, v), (v, u), (u, v)):   # the repeat reads the cached norms
-            expected = outcome(reference_cosine, a, b)
-            assert outcome(cosine_similarity, a, b) == expected, (a, b)
+            expected = outcome(reference_similarities, a, [b])
+            assert outcome(single_row, a, [b]) == expected, (a, b)
             errors += expected[0] is ValueError
         # the batch kernel: every similarity bit for bit, or the first bad
         # vector's error class and message
@@ -518,8 +517,8 @@ def test_cosine_similarity_edge_cases_match_dense_reference():
     ]
     for a, b in pairs:
         u, v = EmbeddingVector(a), EmbeddingVector(b)
-        assert outcome(cosine_similarity, u, v) == outcome(reference_cosine, u, v)
-        assert outcome(cosine_similarity, v, u) == outcome(reference_cosine, v, u)
+        assert outcome(single_row, u, [v]) == outcome(reference_similarities, u, [v])
+        assert outcome(single_row, v, [u]) == outcome(reference_similarities, v, [u])
         for batch in ([v], [u, v], [v, v, u]):
             assert outcome(single_row, u, batch) == \
                 outcome(reference_similarities, u, batch), (u, batch)
@@ -566,7 +565,7 @@ def test_cached_norm_and_support_leave_equality_hash_and_repr_alone():
     fresh = vec(0.0, 3.0, -0.0, 4.0)
     used = vec(0.0, 3.0, -0.0, 4.0)
     before = (repr(used), hash(used))
-    assert cosine_similarity(used, vec(1.0, 1.0, 1.0, 1.0)) == pytest.approx(7 / 10)
+    assert cosine_similarities((used,), (vec(1.0, 1.0, 1.0, 1.0),)) == [[pytest.approx(7 / 10)]]
     assert used._norm == 5.0
     assert used._support == ((1, 3), (3.0, 4.0))
     assert (repr(used), hash(used)) == before == (repr(fresh), hash(fresh))

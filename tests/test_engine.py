@@ -38,13 +38,12 @@ from scholarkg.qa.engine import (
     query_entities_of,
     rank_candidates,
     resolve_query,
-    triple_entities,
 )
 from scholarkg.qa.relaxation import RelaxationDictionary, RelaxedQuery, relax_set
 
 import reference_matcher
 from anchor_graphs import KEYS, random_anchor_graph, random_phrase, random_question
-from test_acceptance import load_bench_generator
+from test_acceptance import load_bench_generator, oracle_entities
 
 QUESTION = "Which tool is applied to extract text from PDF research proposals?"
 
@@ -148,7 +147,7 @@ def test_resolve_query_depth_zero_hit(sample_graph):
     assert result.depth == 0
     assert not result.exhausted
     assert result.triples
-    assert result.producing_queries[0].depth == 0
+    assert result.producing_queries[0].edits == ()
 
 
 def test_resolve_query_relaxes_to_depth_one(sample_graph):
@@ -158,7 +157,7 @@ def test_resolve_query_relaxes_to_depth_one(sample_graph):
     assert result.depth == 1
     assert result.triples
     edits = result.producing_queries[0].edits
-    assert len(edits) == 1 and edits[0].kind == "replace"
+    assert len(edits) == 1 and edits[0].replacement is not None
 
 
 def test_resolve_query_exhaustion(sample_graph):
@@ -220,14 +219,11 @@ def test_phrase_words_inside_longer_words_do_not_match():
 
 class _CountingGraph(KnowledgeGraph):
     """A graph that records the predicate of every bucket read and fails
-    on any per-subject read or label lookup."""
+    on any per-node label lookup."""
 
     def __init__(self, triples):
         super().__init__(triples)
         self.reads = []
-
-    def by_subject(self, predicate):
-        raise AssertionError(f"a per-subject read: by_subject({predicate})")
 
     def label_of(self, node):
         raise AssertionError(f"a per-node label lookup: label_of({node})")
@@ -334,9 +330,11 @@ def t(s, o) -> Triple:
 
 
 def test_triple_entities_includes_subject_and_iri_object():
-    assert triple_entities(t("mel", "tika")) == {"mel", "tika"}
+    # a single triple's ranked entities are its own: its subject and IRI object
+    assert sorted(r.entity for r in rank_candidates([t("mel", "tika")], set())) \
+        == ["mel", "tika"]
     literal_triple = Triple(E["mel"], REL, Literal("text"))
-    assert triple_entities(literal_triple) == {"mel"}
+    assert [r.entity for r in rank_candidates([literal_triple], set())] == ["mel"]
 
 
 def frequency(entity: str, candidates: list[Triple]) -> int:
@@ -467,17 +465,17 @@ def reference_resolve(graph: KnowledgeGraph, query: CompoundQuery,
 
 def reference_rank(candidates: list[Triple], query_entities: set[str]) -> list[RankedEntity]:
     def ref_frequency(entity: str) -> int:
-        return sum(1 for t in candidates if entity in triple_entities(t))
+        return sum(1 for t in candidates if entity in oracle_entities(t))
 
     def ref_purity(entity: str) -> float:
         co: set[str] = set()
         for t in candidates:
-            keys = triple_entities(t)
+            keys = oracle_entities(t)
             if entity in keys:
                 co.update(keys - {entity})
         return len(co & query_entities) / len(co) if co else 0.0
 
-    entities = sorted({key for t in candidates for key in triple_entities(t)})
+    entities = sorted({key for t in candidates for key in oracle_entities(t)})
     ranked = [RankedEntity(e, ref_frequency(e), ref_purity(e)) for e in entities]
     ranked.sort(key=lambda r: (-r.score, -r.frequency, r.entity))
     return ranked

@@ -25,7 +25,7 @@ from scholarkg.kg.turtle import TurtleError, save_turtle
 from scholarkg.qa.context import answer_question, select_context
 from scholarkg.qa.engine import QuestionParseError
 
-from anchor_graphs import KEYS, random_anchor_graph, random_phrase
+from anchor_graphs import KEYS, group_by_subject, random_anchor_graph, random_phrase
 
 A = Iri("http://x.example/a")
 B = Iri("http://x.example/b")
@@ -48,8 +48,8 @@ def test_graph_deduplicates_and_keeps_input_order():
     assert list(g) == [TRIPLES[0], TRIPLES[1], TRIPLES[3], TRIPLES[2]]
     # and so does each predicate's grouping, within a group too
     g = KnowledgeGraph(reversed(TRIPLES))
-    assert list(g.by_subject(P).items()) == [(A, (Triple(A, P, Literal("text")), Triple(A, P, B))),
-                                             (B, (Triple(B, P, C),))]
+    assert list(group_by_subject(g, P).items()) == [
+        (A, (Triple(A, P, Literal("text")), Triple(A, P, B))), (B, (Triple(B, P, C),))]
 
 
 def test_match_by_slot():
@@ -176,7 +176,7 @@ def test_indexes_agree_with_a_scan_of_the_triples(triples):
     for p in _PREDICATES:
         assert graph.match(predicate=p) == tuple(t for t in scan if t.predicate == p)
         subjects = dict.fromkeys(t.subject for t in scan if t.predicate == p)
-        assert list(graph.by_subject(p).items()) == [
+        assert list(group_by_subject(graph, p).items()) == [
             (s, tuple(t for t in scan if t.predicate == p and t.subject == s)) for s in subjects]
     for type_iri in _NODES:
         assert graph.subjects_of_type(type_iri) == tuple(
@@ -218,7 +218,7 @@ def test_graph_is_independent_of_input_order(triples, order):
     assert set(other) == set(graph) == set(triples)
 
     def grouped(g, predicate):
-        return {subject: set(group) for subject, group in g.by_subject(predicate).items()}
+        return {subject: set(group) for subject, group in group_by_subject(g, predicate).items()}
 
     def lexical(label):
         return None if label is None else label.lexical
@@ -284,7 +284,6 @@ _READS = {
     **{f"label_of {node}": (lambda g, node=node: g.label_of(node)) for node in _NODES},
     **{f"subjects_of_type {node}": (lambda g, node=node: g.subjects_of_type(node))
        for node in _NODES},
-    **{f"by_subject {p}": (lambda g, p=p: dict(g.by_subject(p))) for p in _PREDICATES},
     "len": len,
     "iter": list,
 }
@@ -301,13 +300,3 @@ def test_reads_give_the_same_answers_in_any_order(triples, rnd):
     graph = KnowledgeGraph(triples)
     for name in names:
         assert _READS[name](graph) == expected[name], name
-
-
-def test_by_subject_groups_in_input_order_and_is_read_only():
-    g = KnowledgeGraph([Triple(B, P, C), Triple(A, P, Literal("x")), Triple(A, P, B)])
-    groups = g.by_subject(P)
-    assert list(groups.items()) == [(B, (Triple(B, P, C),)),
-                                    (A, (Triple(A, P, Literal("x")), Triple(A, P, B)))]
-    assert g.by_subject(Q) == {}
-    with pytest.raises(TypeError):
-        groups[C] = ()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_builder
+from anchor_graphs import group_by_subject
 from scholarkg.document import (MAX_SECTION_DEPTH, Excerpt, Paragraph, Section, Sentence,
                                 collect_paragraphs)
 from scholarkg.embedding import HashedBagOfWordsEmbedder
@@ -239,11 +240,11 @@ def test_emit_rdf_shapes(stub_embedder):
     assert len(graph) == 13
     para_node = iri(f"askg-data:{paragraphs[1].paragraph_id}")
     exc_node = iri("askg-data:Excerpt-abc")
-    assert graph.by_subject(iri("askg-onto:hasExcerpt"))[para_node][0].object == exc_node
+    assert group_by_subject(graph, HAS_EXCERPT)[para_node][0].object == exc_node
     assert graph.label_of(para_node) == Literal("Second paragraph stands alone.", language="en")
-    mentions = graph.by_subject(iri("askg-onto:mentions"))[exc_node]
+    mentions = group_by_subject(graph, MENTIONS)[exc_node]
     assert mentions[0].object == iri("askg-data:AcademicEntity-standalone")
-    word_from = graph.by_subject(iri("askg-onto:wordIndexFrom"))[exc_node]
+    word_from = group_by_subject(graph, WORD_INDEX_FROM)[exc_node]
     assert word_from[0].object == Literal("1", datatype=iri("xsd:int"))
 
 

@@ -5,7 +5,6 @@ from scholarkg.kg.terms import XSD_INT, Literal, iri
 from scholarkg.qa.relaxation import (
     Edit,
     RelaxationDictionary,
-    RelaxedQuery,
     relax,
     relax_set,
 )
@@ -55,17 +54,17 @@ def test_relax_set_single_pattern_has_no_deletions():
     q = CompoundQuery((T1,))
     d = RelaxationDictionary((D1, D2))
     out = relax_set(q, d)
-    assert all(r.edits[0].kind == "replace" for r in out)
+    assert [r.edits for r in out] == [(Edit(1, D1),), (Edit(1, D2),)]
     assert [r.query.patterns for r in out] == [(D1,), (D2,)]
-    assert all(r.depth == 1 for r in out)
 
 
 def test_relax_set_enumerates_deletions_then_replacements():
     q = CompoundQuery((T1, T2))
     d = RelaxationDictionary((D1,))
     out = relax_set(q, d)
-    kinds = [(r.edits[0].kind, r.edits[0].position) for r in out]
-    assert kinds == [("delete", 1), ("delete", 2), ("replace", 1), ("replace", 2)]
+    # a deletion's edit has no replacement
+    assert [r.edits for r in out] == [(Edit(1, None),), (Edit(2, None),),
+                                      (Edit(1, D1),), (Edit(2, D1),)]
     assert out[2].query.patterns == (D1, T2)
     assert out[3].query.patterns == (T1, D1)
 
@@ -76,7 +75,7 @@ def test_relax_set_skips_identity_replacement():
     out = relax_set(q, d)
     # replacing pattern 1 by itself is not offered
     assert (D1, T2) not in [r.query.patterns for r in out]
-    assert ("replace", 2) in [(r.edits[0].kind, r.edits[0].position) for r in out]
+    assert (Edit(2, D1),) in [r.edits for r in out]
 
 
 def test_relax_set_deduplicates_equal_outcomes():
@@ -93,13 +92,6 @@ def test_relax_set_count_formula_without_collisions():
     out = relax_set(q, d)
     # n deletions + n*|D| replacements, none colliding here
     assert len(out) == 3 + 3 * 2
-
-
-def test_edit_kind_and_depth_are_derived():
-    assert Edit(2).kind == "delete"
-    assert Edit(1, D1).kind == "replace"
-    assert RelaxedQuery(query=CompoundQuery((T1,))).depth == 0
-    assert RelaxedQuery(query=CompoundQuery((T1,)), edits=(Edit(1, D1), Edit(2))).depth == 2
 
 
 def test_dictionary_deduplicates_and_requires_ground_terms():

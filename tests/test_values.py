@@ -92,6 +92,8 @@ def test_the_table_holds_every_public_value_class():
 def test_value_classes_keep_the_frozen_dataclass_contract(value):
     cls, fields = type(value), value[:]
     assert fields == tuple(getattr(value, name) for name in cls._fields)
+    # a value is the sequence of its fields, with no exception
+    assert len(value) == len(cls._fields) and tuple(value) == fields
     twin = cls(*fields)
     assert twin == value and twin is not value and not twin != value
     assert hash(twin) == hash(value) == hash(fields)
@@ -142,16 +144,6 @@ def test_copies_run_the_constructor_checks_again(cls, fields, error):
     for rebuild in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
         with pytest.raises(error):
             rebuild(smuggled)
-
-
-def test_queries_and_dictionaries_count_and_iterate_their_items():
-    dictionary = RelaxationDictionary((PATTERN, OTHER_PATTERN, PATTERN))
-    for value, items in ((QUERY, (PATTERN, OTHER_PATTERN)),
-                         (dictionary, (PATTERN, OTHER_PATTERN))):
-        for copied in (value, copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
-            assert len(copied) == 2 and tuple(copied) == items
-            assert PATTERN in copied and items not in copied
-    assert len(RelaxationDictionary()) == 0 and not RelaxationDictionary()
 
 
 def test_an_embedding_vector_keeps_its_support_and_norm_outside_its_fields():
