@@ -10,8 +10,8 @@ this process:
   alone, on the parsed triples;
 * ``first_reads``: the reads that build a graph's lazy indexes the first
   time a query reads them (``subjects_of_type``, which indexes the type
-  triples by their object, and one ``label_of``, which indexes each
-  node's least literal label);
+  triples by their object, and ``labels()``, which indexes each node's
+  least literal label, read for one node);
 * ``save_turtle`` of the graph, as ``link`` rewrites the graph it loaded;
 * ``qa.engine._anchor_matcher``: the one walk of the graph's sentence,
   link, mention and label buckets into the joined anchor text and the
@@ -253,7 +253,7 @@ def stage_times(seed: int, papers: int, repeats: int) -> dict:
         return KnowledgeGraph(triples)
 
     def first_reads(g: KnowledgeGraph) -> None:
-        g.label_of(g.subjects_of_type(PARAGRAPH)[0])
+        g.labels().get(g.subjects_of_type(PARAGRAPH)[0])
 
     return {
         "papers": papers,

@@ -70,10 +70,6 @@ class EmbeddingVector(_Value, namedtuple("_EmbeddingVectorFields", "values")):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
 
-    @property
-    def dimension(self) -> int:
-        return len(self.values)
-
     @classmethod
     def of(cls, values: Iterable[float]) -> "EmbeddingVector":
         return cls(tuple(float(v) for v in values))
@@ -346,10 +342,10 @@ class HttpEmbedder(_HttpBackend):
         vectors = [_vector_of(v) for v in raw]
         for vector in vectors:
             if self._dimension is None:
-                self._dimension = vector.dimension
-            elif vector.dimension != self._dimension:
+                self._dimension = len(vector.values)
+            elif len(vector.values) != self._dimension:
                 raise BackendProtocolError(
-                    f"backend changed dimension from {self._dimension} to {vector.dimension}")
+                    f"backend changed dimension from {self._dimension} to {len(vector.values)}")
         return vectors
 
     def embed(self, text: str) -> EmbeddingVector:

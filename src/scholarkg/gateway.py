@@ -13,8 +13,7 @@ from typing import Iterable, Protocol
 
 from .document import segment_sentences
 from .embedding import BackendProtocolError, _HttpBackend
-from .kg.patterns import TriplePattern, Variable, WILDCARD
-from .kg.terms import _Value
+from .kg.terms import TriplePattern, Variable, WILDCARD, _Value
 
 __all__ = [
     "GatewayRequest",
@@ -98,7 +97,7 @@ def _format_term(term) -> str:
 def format_triples(patterns: list[TriplePattern]) -> str:
     """One ``subject | predicate | object`` line per pattern."""
     return "\n".join(
-        " | ".join(_format_term(t) for t in p.terms) for p in patterns
+        " | ".join(_format_term(t) for t in p) for p in patterns
     )
 
 

@@ -282,7 +282,7 @@ def link_graph(graph: KnowledgeGraph, excerpts: Sequence[Excerpt], embedder: Emb
                              "with other triples")
     paragraphs = []
     for node in graph.subjects_of_type(PARAGRAPH):
-        label = graph.label_of(node)
+        label = graph.labels().get(node)
         if label is None:
             continue
         if not node.value.startswith(_DATA_NS):

@@ -85,10 +85,6 @@ class KnowledgeGraph:
             self._labels = MappingProxyType(labels)
         return self._labels
 
-    def label_of(self, node: Iri) -> Literal | None:
-        """The node's least literal label (see ``labels``), or ``None``."""
-        return self.labels().get(node)
-
 
 def keyword_frequency(label: str, keywords: Iterable[str]) -> int:
     """Total non-overlapping, case-insensitive occurrences of the keywords."""

@@ -1,9 +1,9 @@
-"""RDF terms, the namespace vocabulary of the scholarly graph, and the
-base of every value class in the package.
+"""RDF terms, the namespace vocabulary of the scholarly graph, the triple
+patterns that query it, and the base of every value class in the package.
 
-``Iri``, ``Literal`` and ``Triple`` here, and the value classes of the
-other modules (the document model, requests and responses, patterns,
-queries, results), are named tuples under one private base, ``_Value``:
+``Iri``, ``Literal``, ``Triple`` and the pattern classes here, and the
+value classes of the other modules (the document model, requests and
+responses, results), are named tuples under one private base, ``_Value``:
 a value is the tuple of its fields, so it is built and hashed in C, and
 it keeps the contract of a frozen dataclass:
 
@@ -20,6 +20,12 @@ it keeps the contract of a frozen dataclass:
 A class whose constructor checks its arguments does so in ``__new__``.
 Being a tuple, a value is also a sequence of its fields, with ``len``,
 iteration and ``in``, and ``json.dumps`` would write it as an array.
+
+A pattern term is a phrase or a :class:`Variable`, the gateway's ``?name``
+wire form, kept so that a pattern formats back as it was read;
+:data:`WILDCARD` is the anonymous variable ``?``. Nothing binds a
+variable: the matcher in ``qa.engine`` lets it match anything, so two
+patterns that name the same variable are not joined on it.
 """
 
 from __future__ import annotations
@@ -31,6 +37,10 @@ __all__ = [
     "Iri",
     "Literal",
     "Triple",
+    "Variable",
+    "WILDCARD",
+    "TriplePattern",
+    "CompoundQuery",
     "NAMESPACES",
     "PREFIX_ALIASES",
     "iri",
@@ -68,11 +78,11 @@ PREFIX_ALIASES = {"askg": NAMESPACES["askg-onto"]}
 
 
 class _Value(tuple):
-    """Equality, hash, ordering and copying of a value class, as the module
-    docstring sets out. ``==`` answers ``False``, not ``NotImplemented``,
-    for another type, and the orderings raise themselves, so that a plain
-    tuple's reflected operation never decides; the named-tuple base gives
-    the fields and the repr."""
+    """Equality, hash, ordering and copying of a value class, here or in
+    another module, as the module docstring sets out. ``==`` answers
+    ``False``, not ``NotImplemented``, for another type, and the orderings
+    raise themselves, so that a plain tuple's reflected operation never
+    decides; the named-tuple base gives the fields and the repr."""
 
     __slots__ = ()
 
@@ -113,10 +123,7 @@ class Iri(_Value, namedtuple("_IriFields", "value")):
         ``AcademicEntity-``); other IRIs reduce to their lowercased local
         name.
         """
-        local = self.local_name()
-        if local.startswith("AcademicEntity-"):
-            return local[len("AcademicEntity-"):].lower()
-        return local.lower()
+        return self.local_name().removeprefix("AcademicEntity-").lower()
 
 
 class Literal(_Value, namedtuple("_LiteralFields", "lexical datatype language")):
@@ -137,6 +144,52 @@ class Literal(_Value, namedtuple("_LiteralFields", "lexical datatype language"))
 
 class Triple(_Value, namedtuple("_TripleFields", "subject predicate object")):
     __slots__ = ()
+
+
+class Variable(_Value, namedtuple("_VariableFields", "name")):
+    """A ``?name`` position; matches any term without binding."""
+
+    __slots__ = ()
+
+
+WILDCARD = Variable("")
+
+_PatternTerm = Variable | str
+
+
+class TriplePattern(_Value, namedtuple("_TriplePatternFields", "subject predicate object")):
+    """Three pattern terms, each a phrase or a :class:`Variable`."""
+
+    __slots__ = ()
+
+    def __new__(cls, subject: _PatternTerm, predicate: _PatternTerm, object: _PatternTerm):
+        terms = (subject, predicate, object)
+        for position, term in zip(cls._fields, terms):
+            if not isinstance(term, (Variable, str)):
+                raise TypeError(
+                    f"pattern {position} must be a phrase or a Variable, not {term!r}")
+        return tuple.__new__(cls, terms)
+
+    @property
+    def has_ground_term(self) -> bool:
+        """Whether at least one position is ground.
+
+        A fully wild pattern is legal for matching (it matches every
+        triple) but is rejected wherever patterns describe question
+        content, e.g. in relaxation dictionaries.
+        """
+        return any(isinstance(t, str) for t in self)
+
+
+class CompoundQuery(_Value, namedtuple("_CompoundQueryFields", "patterns")):
+    """A conjunction of triple patterns; never empty."""
+
+    __slots__ = ()
+
+    def __new__(cls, patterns: tuple[TriplePattern, ...]):
+        if not patterns:
+            raise ValueError("a compound query must contain at least one pattern")
+        return tuple.__new__(cls, (patterns,))
 
 
 def iri(prefixed: str) -> Iri:

@@ -68,7 +68,7 @@ def select_context(graph: KnowledgeGraph, query_entities: set[str],
         raise ValueError("at least one non-empty name is required")
     scored = []
     for node in graph.subjects_of_type(PARAGRAPH):
-        label = graph.label_of(node)
+        label = graph.labels().get(node)
         if label is not None:
             frequency = keyword_frequency(label.lexical, names)
             if frequency:

@@ -27,8 +27,8 @@ from typing import Callable, Iterable, Iterator
 
 from ..gateway import Gateway, GatewayRequest, parse_triples_response
 from ..kg.graph import KnowledgeGraph
-from ..kg.patterns import CompoundQuery, TriplePattern, WILDCARD, is_ground
 from ..kg.terms import (
+    CompoundQuery,
     EXCERPT,
     HAS_EXCERPT,
     IN_SENTENCE,
@@ -38,6 +38,8 @@ from ..kg.terms import (
     PARAGRAPH,
     RDFS_LABEL,
     Triple,
+    TriplePattern,
+    WILDCARD,
     _Value,
     entity_phrase,
     normalize_entity_key,
@@ -86,7 +88,7 @@ def extract_question_patterns(question: str, gateway: Gateway) -> CompoundQuery:
 
     patterns = []
     for pattern in raw_patterns:
-        normalized = TriplePattern(*(normalize(t) for t in pattern.terms))
+        normalized = TriplePattern(*(normalize(t) for t in pattern))
         if normalized.has_ground_term:
             patterns.append(normalized)
     if not patterns:
@@ -243,8 +245,8 @@ def _anchor_matcher(graph: KnowledgeGraph) -> Callable[[CompoundQuery], frozense
     def anchors_of(pattern: TriplePattern) -> frozenset[int]:
         if pattern not in of_pattern:
             sets = []
-            for term in pattern.terms:
-                if is_ground(term):
+            for term in pattern:
+                if isinstance(term, str):
                     if term not in of_term:
                         of_term[term] = term_anchors(term)
                     sets.append(of_term[term])

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from ..kg.patterns import CompoundQuery, TriplePattern
-from ..kg.terms import _Value
+from ..kg.terms import CompoundQuery, TriplePattern, _Value
 
 __all__ = [
     "Edit",
@@ -57,11 +56,12 @@ def relax(query: CompoundQuery, position: int,
     without one it is deleted, which requires the query to keep at least
     one pattern.
     """
-    if not 1 <= position <= query.n:
-        raise ValueError(f"position {position} out of range for a query of {query.n} patterns")
     patterns = list(query.patterns)
+    if not 1 <= position <= len(patterns):
+        raise ValueError(
+            f"position {position} out of range for a query of {len(patterns)} patterns")
     if replacement is None:
-        if query.n == 1:
+        if len(patterns) == 1:
             raise ValueError("cannot relax below one triple")
         del patterns[position - 1]
     else:
@@ -89,10 +89,10 @@ def relax_set(query: CompoundQuery,
         seen.add(relaxed.patterns)
         out.append(RelaxedQuery(query=relaxed, edits=(edit,)))
 
-    if query.n >= 2:
-        for position in range(1, query.n + 1):
+    if len(query.patterns) >= 2:
+        for position in range(1, len(query.patterns) + 1):
             add(relax(query, position), Edit(position))
-    for position in range(1, query.n + 1):
+    for position in range(1, len(query.patterns) + 1):
         current = query.patterns[position - 1]
         for entry in dictionary.entries:
             if entry == current:

@@ -9,7 +9,6 @@ same odd graph shapes.
 import random
 
 from scholarkg.kg.graph import KnowledgeGraph
-from scholarkg.kg.patterns import CompoundQuery, TriplePattern, Variable, WILDCARD
 from scholarkg.kg.terms import (
     EXCERPT,
     HAS_EXCERPT,
@@ -18,9 +17,13 @@ from scholarkg.kg.terms import (
     PARAGRAPH,
     RDF_TYPE,
     RDFS_LABEL,
+    WILDCARD,
+    CompoundQuery,
     Iri,
     Literal,
     Triple,
+    TriplePattern,
+    Variable,
     entity_iri,
     iri,
 )

@@ -3,12 +3,11 @@ least-label index.
 
 ``anchor_matcher`` is ``scholarkg.qa.engine._anchor_matcher`` as it was
 then: it groups the label, link, mention and sentence buckets by subject
-and looks each anchor's label up with ``label_of``.
-``ReferenceGraph.label_of`` takes the least lexical form of a node's
-literal labels with ``min`` over the node's group of the ``rdfs:label``
-bucket. Both group with ``anchor_graphs.group_by_subject``, which reads
-``graph.match`` alone, so the oracle shares no index with the graph or
-the engine. They are the reference that the differential tests in
+and looks each anchor's label up with ``ReferenceGraph.label_of``, which
+takes the least lexical form of a node's literal labels with ``min`` over
+the node's group of the ``rdfs:label`` bucket. Both group with
+``anchor_graphs.group_by_subject``, which reads ``graph.match`` alone,
+so the oracle shares no index with the graph or the engine. They are the reference that the differential tests in
 ``test_engine.py`` compare the engine's bucket walk and the graph's
 least-label index against: patched into ``scholarkg.qa.engine``, they
 must give the same resolution and the same answers.
@@ -20,8 +19,8 @@ from itertools import accumulate
 from typing import Callable, Iterator
 
 from scholarkg.kg.graph import KnowledgeGraph
-from scholarkg.kg.patterns import CompoundQuery, TriplePattern, is_ground
 from scholarkg.kg.terms import (
+    CompoundQuery,
     EXCERPT,
     HAS_EXCERPT,
     IN_SENTENCE,
@@ -31,6 +30,7 @@ from scholarkg.kg.terms import (
     PARAGRAPH,
     RDFS_LABEL,
     Triple,
+    TriplePattern,
     entity_phrase,
 )
 
@@ -56,7 +56,7 @@ class ReferenceGraph(KnowledgeGraph):
                    key=lambda label: label.lexical, default=None)
 
 
-def anchor_matcher(graph: KnowledgeGraph) -> Callable[[CompoundQuery], frozenset[Triple]]:
+def anchor_matcher(graph: ReferenceGraph) -> Callable[[CompoundQuery], frozenset[Triple]]:
     """A matcher over ``graph`` that walks its edges once.
 
     The anchors are the paragraphs, in input order, then the excerpts. A
@@ -152,8 +152,8 @@ def anchor_matcher(graph: KnowledgeGraph) -> Callable[[CompoundQuery], frozenset
     def anchors_of(pattern: TriplePattern) -> frozenset[int]:
         if pattern not in of_pattern:
             sets = []
-            for term in pattern.terms:
-                if is_ground(term):
+            for term in pattern:
+                if isinstance(term, str):
                     if term not in of_term:
                         of_term[term] = term_anchors(term)
                     sets.append(of_term[term])

@@ -30,7 +30,6 @@ from scholarkg.evaluation import cronbach_alpha, entity_overlap
 from scholarkg.gateway import StubGateway
 from scholarkg.ingest import ExcerptLink, link_excerpts
 from scholarkg.kg.graph import KnowledgeGraph, keyword_frequency
-from scholarkg.kg.patterns import CompoundQuery, TriplePattern, Variable
 from scholarkg.kg.terms import (
     EXCERPT,
     HAS_EXCERPT,
@@ -41,9 +40,12 @@ from scholarkg.kg.terms import (
     RDFS_LABEL,
     XSD_INT,
     XSD_STRING,
+    CompoundQuery,
     Iri,
     Literal,
     Triple,
+    TriplePattern,
+    Variable,
     iri,
 )
 from scholarkg.kg.turtle import load_turtle, save_turtle
@@ -124,11 +126,11 @@ def test_01_relaxation_algebra():
         matched_cases = widened = 0
         for _ in range(600):
             graph = random_anchor_graph(rng)
-            while (query := random_question(rng)).n < 2:
+            while len((query := random_question(rng)).patterns) < 2:
                 pass
             matched = match_candidates(graph, query)
             matched_cases += bool(matched)
-            for position in range(1, query.n + 1):
+            for position in range(1, len(query.patterns) + 1):
                 relaxed = match_candidates(graph, relax(query, position))
                 assert relaxed >= matched, (query, position)
                 widened += relaxed > matched
@@ -187,7 +189,7 @@ def brute_force_match(graph: KnowledgeGraph, query: CompoundQuery) -> frozenset[
                 return (isinstance(term, Variable) or term in keys
                         or holds_phrase(text, term.split("_")))
 
-            if all(satisfied(term) for pattern in query.patterns for term in pattern.terms):
+            if all(satisfied(term) for pattern in query.patterns for term in pattern):
                 matched.update(labels, links, mentions)
     return frozenset(matched)
 
@@ -615,7 +617,7 @@ def test_11_head_to_head_grounding(seed):
         gen = load_bench_generator()
         corpus = gen.corpus(seed, "cli", 5, gen.CLI_PARAGRAPHS, gen.CLI_BLOCK, 1, gen.CLI_RANKS)
         graph = load_turtle(gen.corpus_turtle(corpus)[0].encode("utf-8"))
-        labels = {node: graph.label_of(node).lexical
+        labels = {node: graph.labels().get(node).lexical
                   for node in graph.subjects_of_type(PARAGRAPH)}
         chunks = chunk_corpus({paper.key: "\n\n".join(" ".join(s) for _, s in paper.paragraphs())
                                for paper in corpus.papers})

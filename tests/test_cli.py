@@ -594,7 +594,7 @@ SEPARATOR = "* * *"
 
 def edges_by_label(graph) -> set[tuple[str, str]]:
     """Each hasExcerpt edge as its paragraph's label and its excerpt node."""
-    return {(graph.label_of(t.subject).lexical, t.object.value) for t in graph
+    return {(graph.labels().get(t.subject).lexical, t.object.value) for t in graph
             if t.predicate == HAS_EXCERPT}
 
 
@@ -621,7 +621,7 @@ def test_ingest_and_link_embed_a_separator_paragraph(capsys, tmp_path, fixtures_
         assert code == 0, err
         assert linked.read_bytes() == at_once.read_bytes()
         graphs.append(load_turtle(at_once.read_bytes()))
-    assert SEPARATOR in {graphs[1].label_of(node).lexical
+    assert SEPARATOR in {graphs[1].labels().get(node).lexical
                          for node in graphs[1].subjects_of_type(PARAGRAPH)}
     assert len(edges_by_label(graphs[0])) == 1
     assert edges_by_label(graphs[1]) == edges_by_label(graphs[0])
@@ -695,7 +695,7 @@ def test_query_sparql_selects_the_context_candidates(capsys, fixtures_dir, sampl
     payload = json.loads(stdout)
     selected = sorted(
         (node for node in sample_graph.subjects_of_type(PARAGRAPH)
-         if sparql_selects(payload["sparql"], sample_graph.label_of(node).lexical)),
+         if sparql_selects(payload["sparql"], sample_graph.labels().get(node).lexical)),
         key=lambda node: node.value)
     entities = query_entities_of(extract_question_patterns(question, StubGateway()))
     # a shortlist as long as the graph's paragraphs keeps every candidate

@@ -35,7 +35,7 @@ def test_vector_validation():
         vec(1.0, float("nan"))
     with pytest.raises(ValueError):
         vec(1.0, float("inf"))
-    assert vec(1, 2).dimension == 2
+    assert len(vec(1, 2).values) == 2
     # finite components whose sum overflows are accepted
     for values in [(1e308, 1e308), (-1e308, -1e308), (1e308, 1e308, -1e308, -1e308)]:
         assert vec(*values).values == values
@@ -70,7 +70,7 @@ def test_stub_embedder_is_deterministic_and_normalized(stub_embedder):
     b = stub_embedder.embed("alpha beta gamma")
     assert a == b
     assert math.sqrt(sum(v * v for v in a.values)) == pytest.approx(1.0)
-    assert a.dimension == 256
+    assert len(a.values) == 256
 
 
 def test_stub_embedder_is_order_invariant(stub_embedder):
@@ -376,8 +376,8 @@ def test_429_retry_after_sets_the_wait_up_to_a_cap(retry_waits):
 
 def reference_cosine(u: EmbeddingVector, v: EmbeddingVector) -> float:
     """The dense formula: one sum for the dot product and one per norm."""
-    if u.dimension != v.dimension:
-        raise ValueError(f"dimension mismatch: {u.dimension} != {v.dimension}")
+    if len(u.values) != len(v.values):
+        raise ValueError(f"dimension mismatch: {len(u.values)} != {len(v.values)}")
     dot = sum(a * b for a, b in zip(u.values, v.values))
     norm_u = math.sqrt(sum(a * a for a in u.values))
     norm_v = math.sqrt(sum(b * b for b in v.values))
@@ -432,7 +432,7 @@ def random_partner(rng: random.Random, u: EmbeddingVector, density: float) -> Em
         return EmbeddingVector(u.values)                 # a tie with itself
     if kind == 2:
         return EmbeddingVector(tuple(-a for a in u.values))
-    return random_vector(rng, u.dimension, density)
+    return random_vector(rng, len(u.values), density)
 
 
 def random_vector_pair(rng: random.Random) -> tuple[EmbeddingVector, EmbeddingVector]:
@@ -445,7 +445,7 @@ def random_vector_pair(rng: random.Random) -> tuple[EmbeddingVector, EmbeddingVe
 def random_batch(rng: random.Random, u: EmbeddingVector) -> list[EmbeddingVector]:
     """0-4 partners of ``u``; a mismatched or zero one may sit anywhere."""
     density = rng.choice((0.1, 0.5, 1.0))
-    return [random_vector(rng, u.dimension, 0.0) if rng.random() < 0.1
+    return [random_vector(rng, len(u.values), 0.0) if rng.random() < 0.1
             else random_partner(rng, u, density)
             for _ in range(rng.randrange(5))]
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from scholarkg.embedding import HashedBagOfWordsEmbedder
 from scholarkg.gateway import StubGateway
 from scholarkg.kg.graph import KnowledgeGraph
-from scholarkg.kg.patterns import CompoundQuery, TriplePattern, WILDCARD, is_ground
 from scholarkg.kg.terms import (
     EXCERPT,
     HAS_EXCERPT,
@@ -17,9 +16,12 @@ from scholarkg.kg.terms import (
     PARAGRAPH,
     RDF_TYPE,
     RDFS_LABEL,
+    WILDCARD,
+    CompoundQuery,
     Iri,
     Literal,
     Triple,
+    TriplePattern,
     entity_iri,
     entity_phrase,
     iri,
@@ -218,15 +220,11 @@ def test_phrase_words_inside_longer_words_do_not_match():
 
 
 class _CountingGraph(KnowledgeGraph):
-    """A graph that records the predicate of every bucket read and fails
-    on any per-node label lookup."""
+    """A graph that records the predicate of every bucket read."""
 
     def __init__(self, triples):
         super().__init__(triples)
         self.reads = []
-
-    def label_of(self, node):
-        raise AssertionError(f"a per-node label lookup: label_of({node})")
 
     def match(self, *, predicate):
         self.reads.append(predicate)
@@ -418,7 +416,7 @@ def test_rank_candidates_is_order_independent():
 
 def reference_term_matches(term, anchor, haystack: str) -> bool:
     """A term's match at an anchor, on a haystack built beforehand."""
-    if not is_ground(term):
+    if not isinstance(term, str):
         return True
     return term in anchor.mention_keys or f" {entity_phrase(term)} " in haystack
 
@@ -428,7 +426,7 @@ def reference_match(graph: KnowledgeGraph, query: CompoundQuery) -> frozenset[Tr
     for anchor in reference_anchors(graph):
         haystack = "" if anchor.lowered is None else phrase_haystack(anchor.lowered)
         if all(
-            all(reference_term_matches(term, anchor, haystack) for term in pattern.terms)
+            all(reference_term_matches(term, anchor, haystack) for term in pattern)
             for pattern in query.patterns
         ):
             matched.update(anchor.witnesses)
@@ -625,7 +623,7 @@ def test_bucket_walk_resolves_like_the_per_subject_matcher(rng):
     triples = list(tricky_graph(rng))
     graph, reference = KnowledgeGraph(triples), reference_matcher.ReferenceGraph(triples)
     nodes = {t.subject for t in triples}
-    assert {node: graph.label_of(node) for node in nodes} \
+    assert {node: graph.labels().get(node) for node in nodes} \
         == {node: reference.label_of(node) for node in nodes}
     query = tricky_query(rng, graph, 3)
     dictionary = default_relaxation_dictionary(query)

@@ -21,8 +21,7 @@ from scholarkg.embedding import (
     BackendProtocolError,
     BackendTransportError,
 )
-from scholarkg.kg.patterns import TriplePattern, Variable, WILDCARD
-from scholarkg.kg.terms import Iri
+from scholarkg.kg.terms import WILDCARD, Iri, TriplePattern, Variable
 from scholarkg.qa.context import ScoredParagraph, _sparql_of, generate_answer
 from scholarkg.qa.engine import extract_question_patterns
 

@@ -186,7 +186,7 @@ def test_indexes_agree_with_a_scan_of_the_triples(triples):
                   and isinstance(t.object, Literal)]
         # the least lexical form, the first in input order among equal ones
         least = min((label.lexical for label in labels), default=None)
-        assert graph.label_of(node) == next(
+        assert graph.labels().get(node) == next(
             (label for label in labels if label.lexical == least), None)
 
 
@@ -226,7 +226,7 @@ def test_graph_is_independent_of_input_order(triples, order):
     for predicate in _PREDICATES:
         assert grouped(other, predicate) == grouped(graph, predicate)
     for node in (A, B):
-        assert lexical(other.label_of(node)) == lexical(graph.label_of(node))
+        assert lexical(other.labels().get(node)) == lexical(graph.labels().get(node))
     for type_iri in (Iri(""), A, EXCERPT):
         assert set(other.subjects_of_type(type_iri)) == set(graph.subjects_of_type(type_iri))
     assert _saved(other) == _saved(graph)
@@ -281,7 +281,7 @@ def test_outputs_do_not_depend_on_the_graph_input_order(rng):
 # Each read of a graph, by name, as a function of the graph.
 _READS = {
     **{f"match {p}": (lambda g, p=p: g.match(predicate=p)) for p in _PREDICATES},
-    **{f"label_of {node}": (lambda g, node=node: g.label_of(node)) for node in _NODES},
+    **{f"labels {node}": (lambda g, node=node: g.labels().get(node)) for node in _NODES},
     **{f"subjects_of_type {node}": (lambda g, node=node: g.subjects_of_type(node))
        for node in _NODES},
     "len": len,

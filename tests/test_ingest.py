@@ -241,7 +241,7 @@ def test_emit_rdf_shapes(stub_embedder):
     para_node = iri(f"askg-data:{paragraphs[1].paragraph_id}")
     exc_node = iri("askg-data:Excerpt-abc")
     assert group_by_subject(graph, HAS_EXCERPT)[para_node][0].object == exc_node
-    assert graph.label_of(para_node) == Literal("Second paragraph stands alone.", language="en")
+    assert graph.labels().get(para_node) == Literal("Second paragraph stands alone.", language="en")
     mentions = group_by_subject(graph, MENTIONS)[exc_node]
     assert mentions[0].object == iri("askg-data:AcademicEntity-standalone")
     word_from = group_by_subject(graph, WORD_INDEX_FROM)[exc_node]

@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import pkgutil
 import shlex
 import subprocess
 import sys
@@ -21,6 +22,20 @@ def test_subpackages_name_nothing(package):
     assert not hasattr(module, "__all__")
     assert all(isinstance(value, types.ModuleType)
                for name, value in vars(module).items() if not name.startswith("_"))
+
+
+def test_each_module_exports_only_classes_and_functions_it_defines():
+    # a name is imported from the module that defines it, so no module
+    # re-exports another's classes or functions
+    package = importlib.import_module("scholarkg")
+    modules = [importlib.import_module(info.name)
+               for info in pkgutil.walk_packages(package.__path__, "scholarkg.")]
+    exported = [(module.__name__, name, getattr(module, name))
+                for module in modules for name in getattr(module, "__all__", ())]
+    assert len({module for module, _, _ in exported}) > 10
+    assert [(module, name) for module, name, value in exported
+            if isinstance(value, (type, types.FunctionType))
+            and value.__module__ != module] == []
 
 
 def test_readme_library_block_prints_the_readme_answer(monkeypatch, capsys):

@@ -1,7 +1,14 @@
 import pytest
 
-from scholarkg.kg.patterns import CompoundQuery, TriplePattern, Variable, WILDCARD
-from scholarkg.kg.terms import XSD_INT, Literal, iri
+from scholarkg.kg.terms import (
+    WILDCARD,
+    XSD_INT,
+    CompoundQuery,
+    Literal,
+    TriplePattern,
+    Variable,
+    iri,
+)
 from scholarkg.qa.relaxation import (
     Edit,
     RelaxationDictionary,

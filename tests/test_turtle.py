@@ -41,7 +41,7 @@ def test_load_excerpt_pair_fixture(fixtures_dir):
     assert Triple(
         EXCERPT_NODE, iri("askg-onto:wordIndexFrom"),
         Literal("9153", datatype=XSD_INT)) in graph
-    label = graph.label_of(EXCERPT_NODE)
+    label = graph.labels().get(EXCERPT_NODE)
     assert label.language == "en"
     assert label.lexical == "Paper-[''] | Section-['Introduction'] | Excerpt-[9153]-[9155]"
     assert Triple(

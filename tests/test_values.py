@@ -23,8 +23,18 @@ from scholarkg.evaluation import EvaluationReport, QuestionComparison
 from scholarkg.gateway import GatewayRequest, GatewayResponse
 from scholarkg.ingest import ExcerptLink, HeadingOutline, OutlineEntry
 from scholarkg.kg.graph import GraphStats
-from scholarkg.kg.patterns import WILDCARD, CompoundQuery, TriplePattern, Variable
-from scholarkg.kg.terms import RDFS_LABEL, XSD_INT, Iri, Literal, Triple, _Value
+from scholarkg.kg.terms import (
+    RDFS_LABEL,
+    WILDCARD,
+    XSD_INT,
+    CompoundQuery,
+    Iri,
+    Literal,
+    Triple,
+    TriplePattern,
+    Variable,
+    _Value,
+)
 from scholarkg.qa.context import AnswerResult, QueryAnswer, ScoredParagraph
 from scholarkg.qa.engine import CandidateTripleSet, RankedEntity
 from scholarkg.qa.relaxation import Edit, RelaxationDictionary, RelaxedQuery
