@@ -96,9 +96,18 @@ wall-clock milliseconds and in reference milliseconds: each run's wall
 time scaled by ``bench/speed.py``'s ``calibrate()``, taken just before
 and just after the run, as the benchmark scales its operations. The
 machine's speed drifts between processes, so two checkouts are ordered
-by their reference figures. Prints one JSON object. Run from a
-checkout's root, with the ``scholarkg`` to time on ``PYTHONPATH``
-(``src`` of this checkout by default):
+by their reference figures.
+
+The ``load_turtle``, ``_anchor_matcher``, ``answer_question`` and
+``cli_query`` rows also report ``peak_mb``: the ``tracemalloc`` peak, in
+MB, of one more run after the timed ones, untimed, counting only what
+that run allocated (not its input bytes, nor the graph built for it
+beforehand; the graph ``load_turtle`` returns is counted). It is the
+peak of Python's allocations, not of the process's resident set.
+
+Prints one JSON object. Run from a checkout's root, with the
+``scholarkg`` to time on ``PYTHONPATH`` (``src`` of this checkout by
+default):
 
     PYTHONPATH=src python3 scripts/stage_times.py --seed 401 --papers 10 25 100
 """
@@ -115,6 +124,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -155,8 +165,10 @@ PARAGRAPHS_PER_PAPER = gen.CLI_PARAGRAPHS
 INGEST_PARAGRAPHS = (10, 45, 80)
 
 
-def timed(fn, repeats: int, make=None) -> dict:
-    """Time ``fn()``, or ``fn(make())`` with ``make`` called before the clock starts."""
+def timed(fn, repeats: int, make=None, peak: bool = False) -> dict:
+    """Time ``fn()``, or ``fn(make())`` with ``make`` called before the clock
+    starts; with ``peak``, add the ``tracemalloc`` peak of one more, untimed
+    run, in MB of what the call allocated."""
     seconds, reference = [], []
     for _ in range(repeats):
         args = (make(),) if make else ()
@@ -166,10 +178,19 @@ def timed(fn, repeats: int, make=None) -> dict:
         wall = time.perf_counter() - start
         seconds.append(wall)
         reference.append(speed.scaled(wall, (before + speed.calibrate()) / 2))
-    return {"median_ms": round(1000 * statistics.median(seconds), 2),
-            "min_ms": round(1000 * min(seconds), 2),
-            "ref_median_ms": round(1000 * statistics.median(reference), 2),
-            "ref_min_ms": round(1000 * min(reference), 2)}
+    row = {"median_ms": round(1000 * statistics.median(seconds), 2),
+           "min_ms": round(1000 * min(seconds), 2),
+           "ref_median_ms": round(1000 * statistics.median(reference), 2),
+           "ref_min_ms": round(1000 * min(reference), 2)}
+    if peak:
+        args = (make(),) if make else ()
+        tracemalloc.start()
+        try:
+            fn(*args)
+            row["peak_mb"] = round(tracemalloc.get_traced_memory()[1] / 1e6, 2)
+        finally:
+            tracemalloc.stop()
+    return row
 
 
 def cli_run(argv: list[str]) -> None:
@@ -226,7 +247,7 @@ def cli_times(data: bytes, documents: dict[str, str], question: str, repeats: in
         query = cached(tmp, "-m", "scholarkg.cli", "query", "--graph", str(graph), *ask)
         fresh(query, PACKAGE.parent)
         return {"cli_query": timed(lambda: cli_run(
-                    ["query", "--graph", str(graph), *ask]), repeats),
+                    ["query", "--graph", str(graph), *ask]), repeats, peak=True),
                 "cli_retrieve_baseline": timed(lambda: cli_run(
                     ["retrieve-baseline", "--corpus", str(corpus), *ask]), repeats),
                 "fresh_query": timed(lambda: fresh(query, PACKAGE.parent), repeats)}
@@ -261,12 +282,12 @@ def stage_times(seed: int, papers: int, repeats: int) -> dict:
         "triples": len(graph),
         "bytes": len(data),
         "chunks": len(chunks),
-        "load_turtle": timed(lambda: load_turtle(data), repeats),
+        "load_turtle": timed(lambda: load_turtle(data), repeats, peak=True),
         "_parse": timed(lambda: _parse(text), repeats),
         "KnowledgeGraph": timed(lambda: KnowledgeGraph(triples), repeats),
         "first_reads": timed(first_reads, repeats, fresh),
         "save_turtle": timed(save_turtle, repeats, fresh),
-        "_anchor_matcher": timed(_anchor_matcher, repeats, fresh),
+        "_anchor_matcher": timed(_anchor_matcher, repeats, fresh, peak=True),
         "resolve_query": timed(lambda g: resolve_query(g, query, dictionary, max_depth=2),
                                repeats, fresh),
         "embed_many": timed(lambda: HashedBagOfWordsEmbedder().embed_many(texts), repeats),
@@ -275,7 +296,7 @@ def stage_times(seed: int, papers: int, repeats: int) -> dict:
         "select_context": timed(lambda g: select_context(
             g, entities, embedder=HashedBagOfWordsEmbedder()), repeats, fresh),
         "answer_question": timed(lambda g: answer_question(
-            g, question, StubGateway(), HashedBagOfWordsEmbedder()), repeats, fresh),
+            g, question, StubGateway(), HashedBagOfWordsEmbedder()), repeats, fresh, peak=True),
         **cli_times(data, documents, question, repeats),
     }
 

@@ -171,12 +171,17 @@ def _parse(text: str) -> list[Triple]:
     after it. A token malformed in itself is reported when the parser
     first looks at it, or in place of an unknown prefix or a bad prefix
     declaration found just before it, so every error is the one a lexer
-    running a token ahead of the parser would raise. Each distinct IRI
-    becomes one ``Iri``: ``iris`` maps an IRI to its term and ``names`` a
-    prefixed name to its term (cleared when a prefix is declared); a node
-    token is looked up there in place, and ``resolve`` runs only on a
-    miss. Terms are built by ``tuple.__new__``, past their classes' one
-    check (not both a datatype and a language), which the grammar keeps.
+    running a token ahead of the parser would raise. There is one term
+    per distinct IRI and literal, and one ``str`` per distinct language
+    tag. ``iris`` maps an IRI to its term and ``names`` a prefixed name to
+    its term (cleared when a prefix is declared); ``literals`` maps a
+    literal's tag, datatype ``Iri`` or ``None`` (plain) to a table from
+    lexical form to term, so a distinct literal costs one entry in one
+    table. A node token or literal is looked up there in place, and
+    ``resolve`` or ``literal`` runs only on a miss; a datatype is resolved
+    before its literal is looked up. Terms are built by
+    ``tuple.__new__``, past their classes' one check (not both a datatype
+    and a language), which the grammar keeps.
     The first IRIREF that holds a character IRIREF forbids is kept in
     ``bad_iri`` and reported once the document has parsed.
     """
@@ -185,6 +190,9 @@ def _parse(text: str) -> list[Triple]:
     prefixes.update(PREFIX_ALIASES)
     iris: dict[str, Iri] = {}
     names: dict[str, Iri] = {}
+    literals: dict[str | Iri | None, dict[str, Literal]] = {}
+    languages: dict[str, str] = {}
+    no_literals: dict[str, Literal] = {}  # the table of a tag or datatype not yet seen
     bad_iri: list[TurtleSyntaxError] = []
     triples: list[Triple] = []
     append = triples.append
@@ -208,6 +216,17 @@ def _parse(text: str) -> list[Triple]:
                         _line(text, token.start(token.lastindex) + bad.start())))
                 return Iri(value)
             node = iris[value] = Iri(value)
+        return node
+
+    def literal(lexical: str, datatype: Iri | None, language: str | None) -> Literal:
+        table = literals.get(datatype or language)
+        if table is None:
+            table = literals[datatype or language] = {}
+        node = table.get(lexical)
+        if node is None:
+            if language is not None:
+                language = languages.setdefault(language, language)
+            node = table[lexical] = new(Literal, (lexical, datatype, language))
         return node
 
     def resolve(token: re.Match, following: re.Match) -> Iri:
@@ -275,12 +294,15 @@ def _parse(text: str) -> list[Triple]:
                     node, m = m, advance()
                     obj = (names if kind == _PNAME else iris).get(node[kind]) or resolve(node, m)
                 elif kind == _TAGGED_STRING:
-                    obj = new(Literal, (m[_STRING], None, m[_TAGGED_STRING]))
+                    lexical, language = m[_STRING], m[_TAGGED_STRING]
+                    obj = (literals.get(language, no_literals).get(lexical)
+                           or literal(lexical, None, language))
                     m = advance()
                 elif kind == _TYPED_STRING:
                     node, m = m, advance()
-                    obj = new(Literal, (node[_STRING], names.get(node[_TYPED_STRING])
-                                        or resolve(node, m), None))
+                    datatype = names.get(node[_TYPED_STRING]) or resolve(node, m)
+                    obj = (literals.get(datatype, no_literals).get(node[_STRING])
+                           or literal(node[_STRING], datatype, None))
                 elif kind == _STRING or kind == _ESCAPED_STRING:
                     lexical = m[kind]
                     if kind == _ESCAPED_STRING:
@@ -290,16 +312,16 @@ def _parse(text: str) -> list[Triple]:
                     m = advance()
                     kind = m.lastindex
                     if kind == _LANGTAG:
-                        obj = new(Literal, (lexical, None, m[_LANGTAG]))
+                        obj = literal(lexical, None, m[_LANGTAG])
                         m = advance()
                     elif kind == _DTYPE:
                         m = advance()
                         if m.lastindex != _PNAME and m.lastindex != _IRIREF:
                             raise unexpected("an IRI or prefixed name", m)
                         node, m = m, advance()
-                        obj = new(Literal, (lexical, resolve(node, m), None))
+                        obj = literal(lexical, resolve(node, m), None)
                     else:
-                        obj = new(Literal, (lexical, None, None))
+                        obj = literal(lexical, None, None)
                 else:
                     raise unexpected("an IRI or prefixed name", m)
                 kind = m.lastindex
@@ -335,7 +357,9 @@ def load_turtle(data: bytes | str) -> KnowledgeGraph:
         if surrogate:
             raise TurtleSyntaxError(f"surrogate code point U+{ord(surrogate[0]):04X}",
                                     _line(data, surrogate.start()))
-    return KnowledgeGraph(_parse(data))
+    triples = _parse(data)
+    del data  # the decoded text, which the graph does not need
+    return KnowledgeGraph(triples)
 
 
 # ---------------------------------------------------------------------------

@@ -156,12 +156,15 @@ def _anchor_matcher(graph: KnowledgeGraph) -> Callable[[CompoundQuery], frozense
     does not depend on the graph's input order. One pass over each of the
     sentence, link, mention and label buckets (``match``) fills the
     excerpts' texts, each mentioner's owning anchors, an inverted index
-    from mention key to anchors and each subject's witness triples; the
+    from mention key to anchors and each subject's witness triples. The
     lowered texts are joined into one string, with each anchor's start
-    offset. Each distinct ground term's anchor set is computed on first
-    use and cached; a pattern's set is the intersection of its ground
-    terms' sets, a query's anchors the intersection of its patterns' sets,
-    and its result the union of their witnesses, built only for those.
+    offset; the matcher keeps only that string, the offsets and the
+    anchors that have no text, and drops the per-anchor texts and their
+    parts once joined. Each distinct ground term's anchor set is computed
+    on first use and cached; a pattern's set is the intersection of its
+    ground terms' sets (every anchor, for a pattern with none), a query's
+    anchors the intersection of its patterns' sets, and its result the
+    union of their witnesses, built only for those.
     """
     paragraphs = graph.subjects_of_type(PARAGRAPH)
     excerpts = graph.subjects_of_type(EXCERPT)
@@ -175,7 +178,15 @@ def _anchor_matcher(graph: KnowledgeGraph) -> Callable[[CompoundQuery], frozense
     parts = [[] if (label := label_of(node)) is None else [label[0]] for node in anchors]
     for i in range(first_excerpt, len(anchors)):
         parts[i] += sorted(sentences[anchors[i]])
+    del sentences
     texts = [" ".join(text).lower() for text in parts]
+    # the anchors with neither a label nor a sentence: no text, not even an empty one
+    textless = frozenset(i for i, text in enumerate(parts) if not text)
+    del parts
+    joined = "\n".join(texts)
+    # starts[i] is the offset of anchor i's text; starts[-1] lies past the end
+    starts = list(accumulate((len(text) + 1 for text in texts), initial=0))
+    del texts
     owners = {node: [i] for i, node in enumerate(excerpts, first_excerpt)}
     paragraph_at = {node: i for i, node in enumerate(paragraphs)}
     links_of: dict[int, list[Triple]] = {}
@@ -196,9 +207,6 @@ def _anchor_matcher(graph: KnowledgeGraph) -> Callable[[CompoundQuery], frozense
     labels_of: dict[Iri, list[Triple]] = {}
     for t in graph.match(predicate=RDFS_LABEL):
         labels_of.setdefault(t[0], []).append(t)
-    joined = "\n".join(texts)
-    # starts[i] is the offset of anchor i's text; starts[-1] lies past the end
-    starts = list(accumulate((len(text) + 1 for text in texts), initial=0))
 
     def with_phrase(words: list[str]) -> Iterator[int]:
         """The anchors whose text holds ``words`` as consecutive whole words.
@@ -223,8 +231,8 @@ def _anchor_matcher(graph: KnowledgeGraph) -> Callable[[CompoundQuery], frozense
         phrase = entity_phrase(term)
         found = set(anchors_of_key.get(term, ()))
         if not phrase:  # found in "  ", the haystack of a text without words
-            found.update(i for i, text in enumerate(texts)
-                         if parts[i] and not _WORD.search(text))
+            found.update(i for i in range(len(anchors)) if i not in textless
+                         and not _WORD.search(joined, starts[i], starts[i + 1] - 1))
         else:
             words = phrase.split(" ")
             if all(_WORD.fullmatch(word) for word in words):
@@ -238,7 +246,6 @@ def _anchor_matcher(graph: KnowledgeGraph) -> Callable[[CompoundQuery], frozense
         return [*labels_of.get(node, ()), *links,
                 *(m for mentioner in mentioners for m in mentions_of.get(mentioner, ()))]
 
-    every = frozenset(range(len(anchors)))
     of_term: dict[str, frozenset[int]] = {}
     of_pattern: dict[TriplePattern, frozenset[int]] = {}
 
@@ -250,7 +257,8 @@ def _anchor_matcher(graph: KnowledgeGraph) -> Callable[[CompoundQuery], frozense
                     if term not in of_term:
                         of_term[term] = term_anchors(term)
                     sets.append(of_term[term])
-            of_pattern[pattern] = frozenset.intersection(*sets) if sets else every
+            of_pattern[pattern] = (frozenset.intersection(*sets) if sets
+                                   else frozenset(range(len(anchors))))
         return of_pattern[pattern]
 
     def match(query: CompoundQuery) -> frozenset[Triple]:

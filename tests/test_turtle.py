@@ -387,6 +387,25 @@ def test_reader_makes_one_term_per_distinct_iri():
         assert all(term is same[0] for term in same)
 
 
+def test_reader_makes_one_term_per_distinct_literal_and_one_str_per_tag():
+    # Each object sits on its own subject, so deduplication drops no triple.
+    objects = ['"x"@en', '"x" @en', '"\\u0078"@en', '"y"@en', '"x"@en-GB', '"x"@EN',
+               '"1"^^xsd:int', '"1" ^^ <http://www.w3.org/2001/XMLSchema#int>', '"2"^^xsd:int',
+               '"1"^^xsd:string', '"1"', '"1"', '"x"', '"\\"x"@en', '"\\"x" @en']
+    text = "".join(f"askg-data:s{i} rdfs:label {o} .\n" for i, o in enumerate(objects))
+    graph = load_turtle(text)
+    assert set(graph) == set(reference_reader._parse(text))
+    literal_of = {t.subject.value.rsplit("s", 1)[1]: t.object for t in graph}
+    read = [literal_of[str(i)] for i in range(len(objects))]
+    same = [(0, 1, 2), (6, 7), (10, 11), (13, 14)]
+    for group in same:
+        assert all(read[i] is read[group[0]] for i in group)
+    firsts = [read[i] for i in range(len(objects)) if not any(i in g[1:] for g in same)]
+    assert len(set(firsts)) == len(firsts) == 10  # apart in lexical form, tag or datatype
+    assert read[3].language is read[0].language is read[13].language
+    assert read[4].language == "en-GB" and read[5].language == "EN"
+
+
 @pytest.mark.parametrize("language", ["en US", "", "en-", "-en", "1en", "en--us", "prefix"])
 def test_save_rejects_language_tag_the_reader_cannot_read(language):
     graph = KnowledgeGraph([Triple(iri("askg-data:a"), RDFS_LABEL, Literal("x", language=language))])
